@@ -8,6 +8,12 @@ weight, which leaves every count exact while dividing the work by roughly
 the class count.  The last coordinate is solved from the running product,
 never enumerated.
 
+Every group operation here is an index lookup on the table: ``mul`` and
+``inv`` follow the table's shortest words over its generators through the
+right-multiplication permutations recorded by the closure, so the census
+multiplies no matrices.  Element orders are computed once per conjugacy
+class, since order is a class function.
+
 An epimorphism test closes each accepted tuple inside the table, stopping
 as soon as more than half the group is reached (a proper subgroup cannot
 get that far).  Results are deterministic for any worker count: the work
@@ -162,8 +168,10 @@ def census(table: FiniteGroupTable, signature: tuple[int, ...],
 
     classes = table.conjugacy_classes()
     class_of = table.class_of()
-    orders = [table.order_of(i) for i in range(table.size)]
-    table.inv(0)  # materialize the inverse array before any fork
+    # order is a class function: one order computation per class
+    class_orders = [table.order_of(c[0]) for c in classes]
+    orders = [class_orders[c] for c in class_of]
+    table.inv(0)  # build the table's words before any fork
 
     cands = [sorted(i for i in range(table.size) if a % orders[i] == 0)
              for a in sig]
@@ -192,7 +200,10 @@ def census(table: FiniteGroupTable, signature: tuple[int, ...],
     }
     if workers <= 1:
         _census_init(payload)
-        partials = [_census_task(t) for t in tasks]
+        try:
+            partials = [_census_task(t) for t in tasks]
+        finally:
+            _census_init({})  # keep no table alive past its census
     else:
         with ProcessPoolExecutor(max_workers=workers,
                                  initializer=_census_init,
@@ -226,7 +237,7 @@ def census(table: FiniteGroupTable, signature: tuple[int, ...],
         p=table.field.p, k=table.field.k, n=table.n,
         projective=table.projective, group_size=table.size,
         signature=sig,
-        class_orders=tuple(orders[c[0]] for c in classes),
+        class_orders=tuple(class_orders),
         class_sizes=tuple(len(c) for c in classes),
         entries=tuple(entries),
         epi_tested=epi_test,

@@ -9,7 +9,11 @@ generating pairs of SL_n(q).
 Group tables index elements by a canonical key.  Working projectively, the
 key is the entry tuple after scaling the first nonzero entry to 1, so a
 table element stands for a full scalar class while its stored matrix stays
-an honest determinant-one representative.
+an honest determinant-one representative.  Matrix products happen only
+during the closure, which records right multiplication by each generator
+as a permutation of the indices; products, inverses, element orders and
+conjugacy classes in the table are then index lookups along shortest
+words in the generators.
 """
 
 from __future__ import annotations
@@ -212,6 +216,16 @@ class FiniteGroupTable:
     from the identity (index 0).  With ``projective=True`` two matrices
     differing by a scalar share one index; the stored representative is the
     first determinant-one matrix reached for that scalar class.
+
+    No matrix is multiplied after the closure.  The closure expands every
+    element once by each generator and keeps the products as index
+    permutations, ``right[k][i] = index(mats[i] @ generators[k])``.  The
+    first ``mul`` or ``inv`` call searches the Cayley graph on the
+    generators and their inverses breadth-first, which gives every element
+    a shortest word; a word is held as the tuple of its letters'
+    permutations.  ``mul(i, j)`` applies j's word to i, and ``inv(i)`` is
+    i's reversed inverse word applied to the identity.  Closures built only
+    for their size never pay for the words.
     """
 
     def __init__(self, generators: Sequence[Matrix], cap: int,
@@ -232,23 +246,26 @@ class FiniteGroupTable:
         ident = Matrix.identity(field, n)
         self.mats: list[Matrix] = [ident]
         self.index: dict[tuple, int] = {self.canonical_key(ident): 0}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for m in frontier:
-                for g in generators:
-                    prod = m @ g
-                    key = self.canonical_key(prod)
-                    if key not in self.index:
-                        if len(self.mats) >= cap:
-                            raise WorkCapExceeded(
-                                f"group closure exceeded the cap of {cap} elements"
-                            )
-                        self.index[key] = len(self.mats)
-                        self.mats.append(prod)
-                        nxt.append(prod)
-            frontier = nxt
-        self.gen_indices = tuple(self.index_of(g) for g in generators)
+        self.right: tuple[list[int], ...] = tuple([] for _ in generators)
+        # Expanding in index order is breadth-first order: each level is
+        # the run of indices appended while the level before it expanded.
+        i = 0
+        while i < len(self.mats):
+            m = self.mats[i]
+            for g, perm in zip(generators, self.right):
+                prod = m @ g
+                key = self.canonical_key(prod)
+                j = self.index.get(key)
+                if j is None:
+                    if len(self.mats) >= cap:
+                        raise WorkCapExceeded(
+                            f"group closure exceeded the cap of {cap} elements"
+                        )
+                    j = self.index[key] = len(self.mats)
+                    self.mats.append(prod)
+                perm.append(j)
+            i += 1
+        self._words: list[tuple[list[int], ...]] | None = None
         self._inverses: list[int] | None = None
         self._orders: list[int] | None = None
         self._classes: tuple[tuple[int, ...], ...] | None = None
@@ -276,14 +293,49 @@ class FiniteGroupTable:
     def __contains__(self, m: Matrix) -> bool:
         return self.canonical_key(m) in self.index
 
+    # -- arithmetic by index lookups ----------------------------------------
+
+    def _build_words(self) -> list[tuple[list[int], ...]]:
+        """Shortest words and the inverse of every element."""
+        letters = []  # letter 2k is generator k, letter 2k + 1 its inverse
+        for perm in self.right:
+            back = [0] * self.size
+            for i, j in enumerate(perm):
+                back[j] = i
+            letters += [perm, back]
+        spelled: list[tuple[int, ...] | None] = [None] * self.size
+        spelled[0] = ()
+        frontier = [0]
+        while frontier:
+            nxt = []
+            for i in frontier:
+                for letter, perm in enumerate(letters):
+                    j = perm[i]
+                    if spelled[j] is None:
+                        spelled[j] = (*spelled[i], letter)
+                        nxt.append(j)
+            frontier = nxt
+        inverses = []
+        for word in spelled:
+            x = 0
+            for letter in reversed(word):
+                x = letters[letter ^ 1][x]
+            inverses.append(x)
+        self._inverses = inverses
+        self._words = [tuple(letters[c] for c in word) for word in spelled]
+        return self._words
+
     def mul(self, i: int, j: int) -> int:
-        return self.index[self.canonical_key(self.mats[i] @ self.mats[j])]
+        words = self._words
+        if words is None:
+            words = self._build_words()
+        for perm in words[j]:
+            i = perm[i]
+        return i
 
     def inv(self, i: int) -> int:
         if self._inverses is None:
-            self._inverses = [
-                self.index[self.canonical_key(m.inverse())] for m in self.mats
-            ]
+            self._build_words()
         return self._inverses[i]
 
     def order_of(self, i: int) -> int:
@@ -310,9 +362,11 @@ class FiniteGroupTable:
         """
         if self._classes is not None:
             return self._classes
+        if self._inverses is None:
+            self._build_words()
+        inverses = self._inverses
         seen = [False] * self.size
         classes = []
-        gen_inv = [(g, self.inv(g)) for g in self.gen_indices]
         for start in range(self.size):
             if seen[start]:
                 continue
@@ -321,8 +375,9 @@ class FiniteGroupTable:
             seen[start] = True
             while stack:
                 x = stack.pop()
-                for g, ginv in gen_inv:
-                    y = self.mul(self.mul(g, x), ginv)
+                for perm in self.right:
+                    # g^-1 x g = inv(inv(x g) g)
+                    y = inverses[perm[inverses[perm[x]]]]
                     if not seen[y]:
                         seen[y] = True
                         orbit.add(y)

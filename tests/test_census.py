@@ -75,6 +75,37 @@ def test_epi_skipped_when_disabled(psl25):
 
 
 # ---------------------------------------------------------------------------
+# Macbeath's theorem
+# ---------------------------------------------------------------------------
+
+def _prime_power(q):
+    p = next(f for f in range(2, q + 1) if q % f == 0)
+    k = 0
+    while q % p == 0:
+        q //= p
+        k += 1
+    return (p, k) if q == 1 else None
+
+
+def _macbeath_hurwitz(p, k):
+    # PSL2(q) is a (2,3,7) quotient exactly when q = 7, q = p with
+    # p = +-1 mod 7, or q = p^3 with p = +-2, +-3 mod 7 (Macbeath 1969)
+    return (p ** k == 7 or (k == 1 and p % 7 in (1, 6))
+            or (k == 3 and p % 7 in (2, 3, 4, 5)))
+
+
+@pytest.mark.parametrize("q", [q for q in range(2, 30) if _prime_power(q)])
+def test_macbeath_sweep(q):
+    p, k = _prime_power(q)
+    F = ff.field_create(p, k)
+    a, b = matgrp.generating_pair(F, 2)
+    table = matgrp.group_closure([a, b], cap=10 ** 6, projective=True)
+    assert table.size == matgrp.psl_order(q, 2)
+    res = census.census(table, (2, 3, 7), workers=1)
+    assert (res.total_epi > 0) == _macbeath_hurwitz(p, k)
+
+
+# ---------------------------------------------------------------------------
 # determinism and limits
 # ---------------------------------------------------------------------------
 

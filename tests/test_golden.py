@@ -1,0 +1,72 @@
+"""Golden census corpus: CLI output bytes compared exactly.
+
+Each case is one ``rigiditylab census`` invocation; its expected stdout is
+``tests/golden/<name>.<format>``.  The files were produced by the code as
+it stood before any refactor of the group layer, so they pin the bytes of
+every count, class numbering and witness.  Regenerate them only for a
+deliberate output change::
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import io
+import pathlib
+import sys
+from contextlib import redirect_stdout
+
+import pytest
+
+from rigiditylab import cli
+
+GOLDEN = pathlib.Path(__file__).with_name("golden")
+
+_CENSUS = ("census", "--type", "A")
+
+CASES = {
+    "psl2_7_237": (*_CENSUS, "--rank", "1", "--q", "7", "--signature", "2,3,7"),
+    "psl2_8_237": (*_CENSUS, "--rank", "1", "--q", "8", "--signature", "2,3,7"),
+    "psl2_13_237": (*_CENSUS, "--rank", "1", "--q", "13",
+                    "--signature", "2,3,7"),
+    "sl2_5_4610": (*_CENSUS, "--rank", "1", "--q", "5",
+                   "--signature", "4,6,10", "--no-projective"),
+    "psl2_11_235_csv": (*_CENSUS, "--rank", "1", "--q", "11",
+                        "--signature", "2,3,5", "--format", "csv"),
+    "psl2_9_245_noepi": (*_CENSUS, "--rank", "1", "--q", "9",
+                         "--signature", "2,4,5", "--no-epi-test"),
+    "psl2_5_2223": (*_CENSUS, "--rank", "1", "--q", "5",
+                    "--signature", "2,2,2,3"),
+    "psl3_2_237": (*_CENSUS, "--rank", "2", "--q", "2", "--signature", "2,3,7"),
+}
+
+
+def _path(name: str) -> pathlib.Path:
+    argv = CASES[name]
+    fmt = argv[argv.index("--format") + 1] if "--format" in argv else "json"
+    return GOLDEN / f"{name}.{fmt}"
+
+
+def _stdout(argv) -> str:
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = cli.main(list(argv))
+    assert code == 0
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_census_output_matches_golden(name):
+    expected = _path(name).read_text(encoding="utf-8")
+    assert _stdout(CASES[name]) == expected
+
+
+def test_worker_pool_output_matches_golden():
+    # the table crosses the process boundary by pickling
+    argv = (*CASES["psl2_13_237"], "--workers", "2")
+    assert _stdout(argv) == _path("psl2_13_237").read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for case in sorted(CASES):
+        _path(case).write_text(_stdout(CASES[case]), encoding="utf-8")
+        print(f"wrote {_path(case)}", file=sys.stderr)

@@ -1,6 +1,7 @@
 """Matrix groups: orders, closure, irreducibility, tuple wire format."""
 
 import json
+import pickle
 import random
 
 import pytest
@@ -161,6 +162,36 @@ def test_class_sizes_of_psl2_5_pinned():
     table = matgrp.group_closure([a, b], cap=10 ** 6, projective=True)
     sizes = sorted(len(c) for c in table.conjugacy_classes())
     assert sizes == [1, 12, 12, 15, 20]
+
+
+# ---------------------------------------------------------------------------
+# table arithmetic against matrix arithmetic
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("q, n, projective", [
+    (5, 2, True), (8, 2, True), (5, 2, False), (2, 3, False),
+])
+def test_table_arithmetic_matches_matrix_arithmetic(q, n, projective):
+    F = field(q)
+    a, b = matgrp.generating_pair(F, n)
+    fresh = matgrp.group_closure([a, b], cap=10 ** 6, projective=projective)
+    mats = fresh.mats
+    size = fresh.size
+    order = matgrp.projective_order if projective else matgrp.element_order
+    products = [[fresh.index_of(x @ y) for y in mats] for x in mats]
+    inverses = [fresh.index_of(x.inverse()) for x in mats]
+    orders = [order(x) for x in mats]
+    # a table pickled before its first product builds its words itself; one
+    # pickled after use carries them, as the census worker pool receives it
+    unused = pickle.loads(pickle.dumps(fresh))
+    fresh.inv(0)
+    used = pickle.loads(pickle.dumps(fresh))
+    for table in (fresh, unused, used):
+        assert [m.key() for m in table.mats] == [m.key() for m in mats]
+        for i in range(size):
+            assert [table.mul(i, j) for j in range(size)] == products[i]
+        assert [table.inv(i) for i in range(size)] == inverses
+        assert [table.order_of(i) for i in range(size)] == orders
 
 
 # ---------------------------------------------------------------------------
