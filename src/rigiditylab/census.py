@@ -143,6 +143,7 @@ def _census_task(args: tuple[int, int, int]) -> list[tuple]:
             picked.pop()
 
     rec(1, rep)
+    del rec  # rec's closure holds rec; the cycle would keep the table alive
     return [(cls, ent[0], ent[1], ent[2], ent[3]) for cls, ent in out.items()]
 
 

@@ -16,6 +16,20 @@ elements of order dividing d (with exact order d enforced through the gcd
 condition on exponent tuples).  This is the characteristic-coprime model;
 callers working in a characteristic dividing d get a flag from the report
 layer, not a different number.
+
+An element of order d is named by its exponent tuple a in (Z/d)^rank, the
+value of each simple root being a power of a primitive d-th root of
+unity; a root vanishes on it when its exponent sum is 0 mod d.  Class
+dimension is a Weyl-group invariant, and every torus element is
+Weyl-conjugate into the fundamental alcove (Kac, Infinite-dimensional Lie
+algebras, 8.6; Reeder, Enseign. Math. 56, 2010).  For order d the alcove
+points are the Kac coordinates s >= 0 with sum m_i s_i <= d, m the
+coefficients of the highest root; there every positive root has
+0 <= alpha.s <= d, so it vanishes exactly when alpha.s is 0 or d.  j_d is
+the best such point with gcd(s, d) = 1.  The witness reported with j_d is
+still the lexicographically least maximizer in (Z/d)^rank, found by a
+depth-first search in lex order that knows the target j_d and prunes a
+prefix as soon as the roots it already decides vanish too often.
 """
 
 from __future__ import annotations
@@ -128,13 +142,6 @@ class RootSystem:
     positive_roots: tuple[tuple[int, ...], ...]
 
     @property
-    def simple_roots(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            tuple(1 if t == j else 0 for t in range(self.rank))
-            for j in range(self.rank)
-        )
-
-    @property
     def dim_g(self) -> int:
         return self.rank + 2 * len(self.positive_roots)
 
@@ -211,47 +218,117 @@ class JEntry(NamedTuple):
     witness: tuple[int, ...]
 
 
+def _alcove_j(rs: RootSystem, d: int) -> int:
+    """j_d for d >= 2, the best alcove point of order d.
+
+    Walks the Kac points s >= 0 with sum m_i s_i <= d depth first,
+    carrying the values alpha.s of all positive roots.
+    """
+    npos = len(rs.positive_roots)
+    cols = [tuple(root[i] for root in rs.positive_roots)
+            for i in range(rs.rank)]
+    marks = rs.positive_roots[-1]  # the highest root; heights sort it last
+    fewest = npos + 1
+    # (next coordinate, budget left, gcd(d, s so far), root values so far)
+    stack = [(0, d, d, (0,) * npos)]
+    while stack:
+        i, budget, g, vals = stack.pop()
+        if i == rs.rank:
+            if g == 1:
+                killed = vals.count(0) + vals.count(d)
+                if killed < fewest:
+                    fewest = killed
+                    if killed == 0:
+                        break  # regular point; nothing does better
+            continue
+        col, mark = cols[i], marks[i]
+        for k in range(budget // mark + 1):
+            stack.append((i + 1, budget - k * mark, math.gcd(g, k), vals))
+            vals = tuple(v + c for v, c in zip(vals, col))
+    if fewest > npos:
+        raise InvariantViolation(f"no order-{d} alcove point found (rank {rs.rank})")
+    return 2 * (npos - fewest)
+
+
+def _least_leaf(ending, d: int, allowed: int, prefix: tuple[int, ...],
+                killed: int, g: int) -> tuple[int, tuple[int, ...]] | None:
+    """Lex-least exponent tuple extending prefix with gcd 1 and at most
+    allowed vanishing positive roots, with its vanishing count, or None.
+
+    ending[i] lists the roots whose support ends at coordinate i, as
+    (coefficients before i, coefficient at i); they are decided here.
+    """
+    i = len(prefix)
+    heads = [(sum(c * a for c, a in zip(head, prefix)), c)
+             for head, c in ending[i]]
+    leaf = i == len(ending) - 1
+    for x in range(d):
+        k = killed + sum(1 for p, c in heads if (p + c * x) % d == 0)
+        if k > allowed:
+            continue
+        g_x = math.gcd(g, x)
+        if leaf:
+            if g_x == 1:
+                return k, (*prefix, x)
+        else:
+            found = _least_leaf(ending, d, allowed, (*prefix, x), k, g_x)
+            if found is not None:
+                return found
+    return None
+
+
 def j_scan(rs: RootSystem, d: int, work_cap: int | None = None) -> JEntry:
     """j_d together with its lexicographically least maximizer.
 
-    Scans exponent tuples a in (Z/d)^rank with gcd(a_1,...,a_rank, d) = 1;
-    the class dimension of the corresponding torus element is dim G - rank
-    minus the number of roots (both signs) whose exponent sum vanishes
-    mod d.  Cost is d^rank times the root count, guarded by work_cap.
+    The class dimension of the torus element with exponent tuple a in
+    (Z/d)^rank, gcd(a_1,...,a_rank, d) = 1, is dim G - rank minus the
+    number of roots (both signs) whose exponent sum vanishes mod d.  j_d
+    comes from the fundamental alcove (see the module docstring).  The
+    witness is the lex-least a attaining it, found by a depth-first
+    search over (Z/d)^rank in lex order: a root is decided once the
+    coordinates up to the last of its support are fixed, and a prefix is
+    dropped once its decided vanishing roots exceed |positive roots| -
+    j_d / 2.  That search's worst case, d^rank times the root count, is
+    checked against work_cap before any work starts.
     """
     if d < 1:
         raise InputError(f"order d = {d} must be >= 1")
     if d == 1:
         return JEntry(0, (0,) * rs.rank)
-    cost = d**rs.rank * len(rs.positive_roots)
+    npos = len(rs.positive_roots)
+    cost = d**rs.rank * npos
     if work_cap is not None and cost > work_cap:
         raise WorkCapExceeded(
             f"j_value scan for {rs.type_letter}{rs.rank}, d = {d} needs "
             f"~{cost} root evaluations, above the cap {work_cap}"
         )
-    semisimple_dim = 2 * len(rs.positive_roots)
-    supports = [
-        tuple((i, c) for i, c in enumerate(root) if c)
-        for root in rs.positive_roots
-    ]
-    best = -1
-    witness: tuple[int, ...] = ()
-    for a in itertools.product(range(d), repeat=rs.rank):
-        if math.gcd(*a, d) != 1:
-            continue
-        killed = 0
-        for support in supports:
-            if sum(c * a[i] for i, c in support) % d == 0:
-                killed += 2
-        val = semisimple_dim - killed
-        if val > best:
-            best = val
-            witness = a
-            if killed == 0:
-                break  # regular witness; no tuple can do better
-    if best < 0:
-        raise InvariantViolation(f"no order-{d} exponent tuple found (rank {rs.rank})")
-    return JEntry(best, witness)
+    j = _alcove_j(rs, d)
+    ending: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(rs.rank)]
+    for root in rs.positive_roots:
+        last = max(i for i, c in enumerate(root) if c)
+        ending[last].append((root[:last], root[last]))
+    allowed = npos - j // 2
+    found = _least_leaf(ending, d, allowed, (), 0, d)
+    if found is None or found[0] != allowed:
+        raise InvariantViolation(
+            f"alcove j_{d}({rs.type_letter}{rs.rank}) = {j} disagrees with "
+            f"the exponent-tuple search"
+        )
+    return JEntry(j, found[1])
+
+
+def _alcove_point_counts(rs: RootSystem, d_max: int) -> list[int]:
+    """counts[d] = number of Kac points at order d, for d = 0 .. d_max.
+
+    Kac points at order d are the s_0, s >= 0 with s_0 + sum m_i s_i = d,
+    so the counts are the coefficients of prod 1 / (1 - x^m_i) over the
+    marks m_0 = 1 and the highest root's coefficients.
+    """
+    counts = [1] + [0] * d_max
+    for mark in (1, *rs.positive_roots[-1]):
+        for d in range(mark, d_max + 1):
+            counts[d] += counts[d - mark]
+    return counts
 
 
 def j_value(rs: RootSystem, d: int, work_cap: int | None = None) -> int:
@@ -311,16 +388,27 @@ def rigid_tuples(rs: RootSystem, n: int, a_max: int,
     The plateau always exists by d = the Coxeter number (the all-ones
     exponent tuple meets no root there, since root heights stop short
     of it).
+
+    The table runs to max(a_max, Coxeter number) and takes its j values
+    from the alcove alone, with no witnesses.  work_cap is checked once,
+    before any scan, against the alcove points of the whole table times
+    the root count.
     """
     if n < 3:
         raise InputError(f"tuple length n = {n} must be >= 3")
     if a_max < 2:
         raise InputError(f"a_max = {a_max} must be >= 2")
-    table = class_dim_table(rs, max(a_max, rs.coxeter_number), work_cap)
-    jmap = {d: e.j for d, e in table.entries}
+    d_top = max(a_max, rs.coxeter_number)
+    cost = sum(_alcove_point_counts(rs, d_top)[2:]) * len(rs.positive_roots)
+    if work_cap is not None and cost > work_cap:
+        raise WorkCapExceeded(
+            f"j_d table for {rs.type_letter}{rs.rank}, d <= {d_top} needs "
+            f"~{cost} root evaluations, above the cap {work_cap}"
+        )
+    jmap = {1: 0, **{d: _alcove_j(rs, d) for d in range(2, d_top + 1)}}
 
     ceiling = rs.dim_g - rs.rank
-    plateau = next((d for d, e in table.entries if e.j == ceiling), None)
+    plateau = next((d for d, j in jmap.items() if j == ceiling), None)
     if plateau is None:
         raise InvariantViolation(
             f"no regular order found up to the Coxeter number for "

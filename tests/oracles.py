@@ -192,6 +192,40 @@ CARTAN_DETERMINANTS = {
 }
 
 
+def j_scan_exhaustive(rs, d: int) -> tuple[int, tuple[int, ...]]:
+    """(j_d, lexicographically least maximizer) by scanning all of (Z/d)^rank.
+
+    Tries every exponent tuple a with gcd(a_1,...,a_rank, d) = 1; the class
+    dimension of the torus element is 2|positive roots| minus two for each
+    positive root whose exponent sum vanishes mod d.  Cost d^rank times
+    the root count.
+    """
+    if d == 1:
+        return 0, (0,) * rs.rank
+    semisimple_dim = 2 * len(rs.positive_roots)
+    supports = [
+        tuple((i, c) for i, c in enumerate(root) if c)
+        for root in rs.positive_roots
+    ]
+    best = -1
+    witness: tuple[int, ...] = ()
+    for a in itertools.product(range(d), repeat=rs.rank):
+        if math.gcd(*a, d) != 1:
+            continue
+        killed = 0
+        for support in supports:
+            if sum(c * a[i] for i, c in support) % d == 0:
+                killed += 2
+        val = semisimple_dim - killed
+        if val > best:
+            best = val
+            witness = a
+            if killed == 0:
+                break  # regular witness; no tuple can do better
+    assert best >= 0, f"no order-{d} exponent tuple found (rank {rs.rank})"
+    return best, witness
+
+
 # ---------------------------------------------------------------------------
 # group-theoretic oracles on a FiniteGroupTable (index arithmetic only)
 # ---------------------------------------------------------------------------

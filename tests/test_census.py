@@ -1,6 +1,8 @@
 """Exhaustive relation-tuple census and its rigid-class filter."""
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -21,6 +23,24 @@ def psl27():
     F = ff.field_create(7)
     a, b = matgrp.generating_pair(F, 2)
     return matgrp.group_closure([a, b], cap=10 ** 6, projective=True)
+
+
+def test_census_frees_its_table_without_the_cycle_collector():
+    # with the cyclic collector off, only reference counting can free the
+    # table, so the census must leave no cycle that reaches it
+    F = ff.field_create(13)
+    a, b = matgrp.generating_pair(F, 2)
+    table = matgrp.group_closure([a, b], cap=10 ** 6, projective=True)
+    ref = weakref.ref(table)
+    gc.collect()
+    gc.disable()
+    try:
+        res = census.census(table, (2, 3, 7), workers=1)
+        del table
+        assert ref() is None
+    finally:
+        gc.enable()
+    assert res.total_epi == 6552
 
 
 # ---------------------------------------------------------------------------

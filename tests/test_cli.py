@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from rigiditylab import cli, ff, matgrp
+from rigiditylab import cli, ff, matgrp, rootdata
 from rigiditylab.errors import InvariantViolation
 
 
@@ -181,6 +181,25 @@ def test_csv_not_available_for_rigidity(capsys, tmp_path):
 def test_work_cap_exits_3(capsys):
     code, _, err = run(capsys, "rootdata", "--type", "E", "--rank", "8",
                        "--d-max", "30")
+    assert code == 3
+    assert json.loads(err)["error"]["kind"] == "work-cap"
+
+
+@pytest.mark.parametrize("rank,plateau", [(6, 12), (7, 18)])
+def test_rigid_tuples_reach_e6_e7_under_default_cap(capsys, rank, plateau):
+    code, out, err = run(capsys, "rigid-tuples", "--type", "E", "--rank",
+                         str(rank), "--n", "3", "--a-max", "6")
+    assert code == 0 and err == ""
+    # the plateau is the Coxeter number
+    assert json.loads(out)["plateau"] == plateau
+
+
+def test_rigid_tuples_e8_exits_3_before_scanning(capsys, monkeypatch):
+    def no_scan(rs, d):
+        raise AssertionError("scanned before the work-cap check")
+    monkeypatch.setattr(rootdata, "_alcove_j", no_scan)
+    code, _, err = run(capsys, "rigid-tuples", "--type", "E", "--rank", "8",
+                       "--n", "3", "--a-max", "6")
     assert code == 3
     assert json.loads(err)["error"]["kind"] == "work-cap"
 

@@ -1,10 +1,12 @@
-"""Golden census corpus: CLI output bytes compared exactly.
+"""Golden CLI corpus: output bytes compared exactly.
 
-Each case is one ``rigiditylab census`` invocation; its expected stdout is
-``tests/golden/<name>.<format>``.  The files were produced by the code as
-it stood before any refactor of the group layer, so they pin the bytes of
-every count, class numbering and witness.  Regenerate them only for a
-deliberate output change::
+Each case is one ``rigiditylab`` invocation; its expected stdout is
+``tests/golden/<name>.<format>``.  The census files were produced by the
+code as it stood before any refactor of the group layer, and the
+root-data files by the exhaustive (Z/d)^rank scan before the alcove scan
+replaced it, so they pin the bytes of every count, class numbering, j_d
+value and witness.  Regenerate them only for a deliberate output
+change::
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -38,9 +40,24 @@ CASES = {
     "psl3_2_237": (*_CENSUS, "--rank", "2", "--q", "2", "--signature", "2,3,7"),
 }
 
+ROOTDATA_CASES = {
+    "rootdata_f4_12": ("rootdata", "--type", "F", "--rank", "4",
+                       "--d-max", "12"),
+    "rootdata_b3_8": ("rootdata", "--type", "B", "--rank", "3",
+                      "--d-max", "8"),
+    "rootdata_e6_5_csv": ("rootdata", "--type", "E", "--rank", "6",
+                          "--d-max", "5", "--format", "csv"),
+    "rigid_g2_3_8": ("rigid-tuples", "--type", "G", "--rank", "2",
+                     "--n", "3", "--a-max", "8"),
+    "rigid_f4_3_12_csv": ("rigid-tuples", "--type", "F", "--rank", "4",
+                          "--n", "3", "--a-max", "12", "--format", "csv"),
+}
+
+ALL_CASES = {**CASES, **ROOTDATA_CASES}
+
 
 def _path(name: str) -> pathlib.Path:
-    argv = CASES[name]
+    argv = ALL_CASES[name]
     fmt = argv[argv.index("--format") + 1] if "--format" in argv else "json"
     return GOLDEN / f"{name}.{fmt}"
 
@@ -59,6 +76,12 @@ def test_census_output_matches_golden(name):
     assert _stdout(CASES[name]) == expected
 
 
+@pytest.mark.parametrize("name", sorted(ROOTDATA_CASES))
+def test_rootdata_output_matches_golden(name):
+    expected = _path(name).read_text(encoding="utf-8")
+    assert _stdout(ROOTDATA_CASES[name]) == expected
+
+
 def test_worker_pool_output_matches_golden():
     # the table crosses the process boundary by pickling
     argv = (*CASES["psl2_13_237"], "--workers", "2")
@@ -67,6 +90,6 @@ def test_worker_pool_output_matches_golden():
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    for case in sorted(CASES):
-        _path(case).write_text(_stdout(CASES[case]), encoding="utf-8")
+    for case in sorted(ALL_CASES):
+        _path(case).write_text(_stdout(ALL_CASES[case]), encoding="utf-8")
         print(f"wrote {_path(case)}", file=sys.stderr)

@@ -4,6 +4,7 @@ import itertools
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import oracles
 from rigiditylab.errors import InputError, WorkCapExceeded
@@ -133,6 +134,59 @@ def test_j_value_bounded_by_regular_dimension(letter, rank):
     ceiling = rs.dim_g - rs.rank
     for d in range(1, 7):
         assert rootdata.j_value(rs, d) <= ceiling
+
+
+# Systems checked against the exhaustive scan, each for every d with
+# d^rank * |positive roots| <= ORACLE_EVALS.
+ORACLE_SYSTEMS = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
+                  ("C", 3), ("D", 4), ("G", 2), ("F", 4), ("E", 6)]
+ORACLE_EVALS = 2 * 10 ** 6
+
+
+def _oracle_d_max(letter, rank):
+    npos = len(rootdata.build(letter, rank).positive_roots)
+    d = 1
+    while (d + 1) ** rank * npos <= ORACLE_EVALS:
+        d += 1
+    return d
+
+
+@st.composite
+def _system_and_order(draw):
+    letter, rank = draw(st.sampled_from(ORACLE_SYSTEMS))
+    d_max = _oracle_d_max(letter, rank)
+    # half the draws stay at small d, where j_d still varies
+    d = draw(st.one_of(st.integers(1, min(d_max, 12)), st.integers(1, d_max)))
+    return letter, rank, d
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_system_and_order())
+def test_j_scan_matches_exhaustive_scan(case):
+    letter, rank, d = case
+    rs = rootdata.build(letter, rank)
+    assert tuple(rootdata.j_scan(rs, d)) == oracles.j_scan_exhaustive(rs, d)
+
+
+def test_rigid_tuples_j_values_match_exhaustive_scan(monkeypatch):
+    f4 = rootdata.build("F", 4)
+    seen = {}
+    alcove_j = rootdata._alcove_j
+
+    def recording(rs, d):
+        seen[d] = alcove_j(rs, d)
+        return seen[d]
+
+    monkeypatch.setattr(rootdata, "_alcove_j", recording)
+    res = rootdata.rigid_tuples(f4, 3, 12)
+    oracle = {d: oracles.j_scan_exhaustive(f4, d)[0] for d in range(1, 13)}
+    assert seen == {d: j for d, j in oracle.items() if d >= 2}
+    assert res.plateau == min(d for d, j in oracle.items()
+                              if j == f4.dim_g - f4.rank)
+    assert res.tuples == tuple(
+        t for t in itertools.combinations_with_replacement(range(2, 13), 3)
+        if sum(oracle[a] for a in t) == 2 * f4.dim_g)
 
 
 def test_class_dim_table_reaches_plateau():
