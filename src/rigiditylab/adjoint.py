@@ -86,18 +86,13 @@ class AdjointRep:
 
     # -- the action ---------------------------------------------------------
 
-    def _proj_key(self, g: Matrix) -> tuple:
-        lead = next(e for e in g.entries if not e.is_zero())
-        inv = lead.inverse()
-        return tuple((inv * e).value for e in g.entries)
-
     def ad_matrix(self, g: Matrix) -> Matrix:
         """Matrix of X -> g X g^(-1) in the fixed basis."""
         if g.rows != self.n or g.cols != self.n or g.field != self.field:
             raise InputError("group element does not match this adjoint model")
         if not g.is_invertible():
             raise InputError("Ad of a non-invertible matrix")
-        key = self._proj_key(g)
+        key = g.projective_key()
         hit = self._cache.get(key)
         if hit is not None:
             return hit

@@ -3,8 +3,8 @@
 The displacement space D_H is the span of the images of I - Ad(c_i) over
 the generators c_i; the coinvariant space is the quotient of the Lie
 algebra by it.  Only the span of the generator displacements is ever
-needed: displacements of arbitrary words collapse into it, which is what
-:func:`coinvariant_dim_via_words` verifies by brute force.
+needed: displacements of arbitrary words collapse into it, which the
+tests check against a brute-force span over all short words.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .adjoint import AdjointRep, adjoint_rep
-from .errors import InputError, WorkCapExceeded
 from .ff import Matrix, row_space_basis
 from .matgrp import GroupTuple
 
@@ -31,10 +30,7 @@ def _span_result(rep: AdjointRep, ad_images: list[Matrix]) -> CoinvariantResult:
     ident = Matrix.identity(rep.field, rep.dim)
     rows: list[list[int]] = []
     for ad in ad_images:
-        diff = ident - ad
-        vals = diff.row_values()
-        for j in range(rep.dim):
-            rows.append([vals[i][j] for i in range(rep.dim)])
+        rows.extend((ident - ad).transpose().row_values())
     basis = row_space_basis(rep.field, rows)
     witness = tuple(rep.from_coords(row) for row in basis)
     span = len(basis)
@@ -46,33 +42,3 @@ def coinvariant_dim(t: GroupTuple) -> CoinvariantResult:
     """Span of the generator displacements, by one row reduction."""
     rep = adjoint_rep(t.field, t.n)
     return _span_result(rep, [rep.ad_matrix(c) for c in t.generators])
-
-
-def coinvariant_dim_via_words(t: GroupTuple, word_length: int,
-                              word_cap: int = 20000) -> CoinvariantResult:
-    """Brute-force oracle: span the displacements of every word in the
-    generators up to the given length.
-
-    Exists for property tests; must agree with :func:`coinvariant_dim`
-    for any word_length >= 1.
-    """
-    if word_length < 1:
-        raise InputError(f"word_length = {word_length} must be >= 1")
-    rep = adjoint_rep(t.field, t.n)
-    seen: dict[tuple, Matrix] = {}
-    frontier = [Matrix.identity(t.field, t.n)]
-    for _ in range(word_length):
-        nxt = []
-        for w in frontier:
-            for c in t.generators:
-                prod = w @ c
-                key = prod.key()
-                if key not in seen:
-                    if len(seen) >= word_cap:
-                        raise WorkCapExceeded(
-                            f"word enumeration exceeded the cap of {word_cap}"
-                        )
-                    seen[key] = prod
-                    nxt.append(prod)
-        frontier = nxt
-    return _span_result(rep, [rep.ad_matrix(w) for w in seen.values()])

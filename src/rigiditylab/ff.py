@@ -533,6 +533,15 @@ class Matrix:
                          tuple(e.value for e in self.entries))
         return self._key
 
+    def projective_key(self) -> tuple:
+        """Key of the matrix up to nonzero scalars: the packed entries
+        after scaling the first nonzero entry to 1 (the zero matrix has
+        none, and raises ZeroDivisionError)."""
+        f = self.field
+        vals = [e.value for e in self.entries]
+        inv = f.inv(next((v for v in vals if v), 0))
+        return tuple(f.mul(inv, v) for v in vals)
+
     # -- arithmetic -----------------------------------------------------------
 
     def _check_same(self, other: Matrix) -> None:
@@ -598,50 +607,34 @@ class Matrix:
         return t
 
     def det(self) -> FieldElement:
+        """Product of the echelon pivot values times the sign of the pivot
+        permutation; zero as soon as a row depends on the rows above."""
         if self.rows != self.cols:
             raise InputError("determinant of a non-square matrix")
         f = self.field
-        grid = self.row_values()
-        n = self.rows
-        det = 1
-        for col in range(n):
-            piv = next((r for r in range(col, n) if grid[r][col]), None)
-            if piv is None:
+        ech = Echelon(f, self.cols)
+        for row in self.row_values():
+            if not ech.add(row):
                 return f.zero
-            if piv != col:
-                grid[col], grid[piv] = grid[piv], grid[col]
-                det = f.neg(det)
-            det = f.mul(det, grid[col][col])
-            inv = f.inv(grid[col][col])
-            for r in range(col + 1, n):
-                c = grid[r][col]
-                if c:
-                    factor = f.mul(c, inv)
-                    grid[r] = [f.sub(x, f.mul(factor, y))
-                               for x, y in zip(grid[r], grid[col])]
-        return FieldElement(f, det)
+        det = 1
+        for v in ech.pivot_values:
+            det = f.mul(det, v)
+        piv = ech.pivots
+        inversions = sum(a > b for i, a in enumerate(piv) for b in piv[i + 1:])
+        return FieldElement(f, f.neg(det) if inversions % 2 else det)
 
     def inverse(self) -> Matrix:
+        """The right half of the reduced echelon form of [A | I]."""
         if self.rows != self.cols:
             raise InputError("inverse of a non-square matrix")
         f = self.field
         n = self.rows
-        grid = [row + [1 if i == j else 0 for j in range(n)]
-                for i, row in enumerate(self.row_values())]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if grid[r][col]), None)
-            if piv is None:
-                raise ZeroDivisionError("matrix is singular")
-            grid[col], grid[piv] = grid[piv], grid[col]
-            inv = f.inv(grid[col][col])
-            grid[col] = [f.mul(inv, x) for x in grid[col]]
-            for r in range(n):
-                if r != col and grid[r][col]:
-                    c = grid[r][col]
-                    grid[r] = [f.sub(x, f.mul(c, y))
-                               for x, y in zip(grid[r], grid[col])]
-        ents = [FieldElement(f, grid[i][n + j])
-                for i in range(n) for j in range(n)]
+        ech = Echelon(f, 2 * n)
+        for i, row in enumerate(self.row_values()):
+            ech.add(row + [1 if i == j else 0 for j in range(n)])
+        if any(piv >= n for piv in ech.pivots):
+            raise ZeroDivisionError("matrix is singular")
+        ents = [FieldElement(f, x) for row in ech.reduced() for x in row[n:]]
         return Matrix(f, n, n, ents)
 
     def __pow__(self, e: int) -> Matrix:
@@ -692,65 +685,75 @@ class Matrix:
 
 
 # ---------------------------------------------------------------------------
-# rank computations (packed fast path)
+# Gaussian elimination (packed fast path)
 # ---------------------------------------------------------------------------
 
+class Echelon:
+    """Incremental semi-echelon form of a growing list of packed rows.
+
+    Every elimination in the package runs here.  Each absorbed row is
+    cleared at the pivots of the rows before it, then scaled to 1 at its
+    own pivot, its first nonzero column; ``pivot_values`` keeps the entry
+    before scaling, for determinants.  Input rows are never modified.
+    """
+
+    def __init__(self, field: FiniteField, width: int):
+        self.field = field
+        self.width = width
+        self.rows: list[list[int]] = []
+        self.pivots: list[int] = []
+        self.pivot_values: list[int] = []
+
+    def _reduce(self, row: list[int], start: int) -> None:
+        """Clear row in place at the pivots of basis rows start, start + 1..."""
+        add, mul, neg = self.field.add, self.field.mul, self.field.neg
+        for piv, brow in zip(self.pivots[start:], self.rows[start:]):
+            if row[piv]:
+                c = neg(row[piv])
+                for j in range(piv, self.width):  # brow is zero before piv
+                    if brow[j]:
+                        row[j] = add(row[j], mul(c, brow[j]))
+
+    def add(self, row: Sequence[int]) -> bool:
+        """Reduce a copy of row against the basis; absorb it if it is
+        independent of the rows so far, and report whether it was.  Once
+        the rank is full, nothing is independent and no work is done."""
+        if len(self.pivots) == self.width:
+            return False
+        row = list(row)
+        self._reduce(row, 0)
+        lead = next((j for j, x in enumerate(row) if x), None)
+        if lead is None:
+            return False
+        f = self.field
+        inv = f.inv(row[lead])
+        self.pivots.append(lead)
+        self.pivot_values.append(row[lead])
+        self.rows.append([f.mul(inv, x) for x in row])
+        return True
+
+    def reduced(self) -> list[list[int]]:
+        """Back-substitute into reduced row-echelon form (unique for the
+        row space) and return the rows sorted by pivot."""
+        for i in range(len(self.rows) - 2, -1, -1):
+            self._reduce(self.rows[i], i + 1)
+        return [row for _, row in sorted(zip(self.pivots, self.rows))]
+
+
 def rank_of_rows(field: FiniteField, grid: list[list[int]]) -> int:
-    """Rank of a list of packed-value rows, by Gaussian elimination."""
-    if not grid:
-        return 0
-    sub, mul, inv = field.sub, field.mul, field.inv
-    cols = len(grid[0])
-    rk = 0
-    nrows = len(grid)
-    for col in range(cols):
-        piv = next((r for r in range(rk, nrows) if grid[r][col]), None)
-        if piv is None:
-            continue
-        grid[rk], grid[piv] = grid[piv], grid[rk]
-        ipiv = inv(grid[rk][col])
-        prow = grid[rk]
-        for r in range(rk + 1, nrows):
-            c = grid[r][col]
-            if c:
-                factor = mul(c, ipiv)
-                row = grid[r]
-                for j in range(col, cols):
-                    if prow[j]:
-                        row[j] = sub(row[j], mul(factor, prow[j]))
-        rk += 1
-        if rk == nrows:
-            break
-    return rk
+    """Rank of a list of packed-value rows."""
+    ech = Echelon(field, len(grid[0]) if grid else 0)
+    for row in grid:
+        ech.add(row)
+    return len(ech.pivots)
 
 
 def row_space_basis(field: FiniteField, grid: list[list[int]]) -> list[list[int]]:
     """Reduced row-echelon basis of the row space (deterministic)."""
-    if not grid:
-        return []
-    sub, mul, inv = field.sub, field.mul, field.inv
-    cols = len(grid[0])
-    rk = 0
-    nrows = len(grid)
-    for col in range(cols):
-        piv = next((r for r in range(rk, nrows) if grid[r][col]), None)
-        if piv is None:
-            continue
-        grid[rk], grid[piv] = grid[piv], grid[rk]
-        ipiv = inv(grid[rk][col])
-        grid[rk] = [mul(ipiv, x) for x in grid[rk]]
-        prow = grid[rk]
-        for r in range(nrows):
-            if r != rk and grid[r][col]:
-                c = grid[r][col]
-                row = grid[r]
-                for j in range(col, cols):
-                    if prow[j]:
-                        row[j] = sub(row[j], mul(c, prow[j]))
-        rk += 1
-        if rk == nrows:
-            break
-    return grid[:rk]
+    ech = Echelon(field, len(grid[0]) if grid else 0)
+    for row in grid:
+        ech.add(row)
+    return ech.reduced()
 
 
 def rank(m: Matrix) -> int:
@@ -761,25 +764,6 @@ def rank(m: Matrix) -> int:
 def kernel_dim(m: Matrix) -> int:
     """Dimension of the right kernel (rank-nullity)."""
     return m.cols - rank(m)
-
-
-def column_space_union(ms: Sequence[Matrix]) -> int:
-    """Dimension of the sum of the column spaces of the given matrices."""
-    if not ms:
-        return 0
-    field = ms[0].field
-    nrows = ms[0].rows
-    stacked: list[list[int]] = []
-    for m in ms:
-        if m.field != field:
-            raise InputError("mixed-field matrices in column space union")
-        if m.rows != nrows:
-            raise InputError("row-count mismatch in column space union")
-        c = m.cols
-        vals = m.row_values()
-        for j in range(c):
-            stacked.append([vals[i][j] for i in range(nrows)])
-    return rank_of_rows(field, stacked)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InputError, InvariantViolation, WorkCapExceeded
-from .ff import FieldElement, FiniteField, Matrix, field_create
+from .ff import Echelon, FieldElement, FiniteField, Matrix, field_create
 
 SCHEMA_VERSION = 1
 
@@ -277,11 +277,7 @@ class FiniteGroupTable:
         return len(self.mats)
 
     def canonical_key(self, m: Matrix) -> tuple:
-        if not self.projective:
-            return m.key()
-        lead = next(e for e in m.entries if not e.is_zero())
-        inv = lead.inverse()
-        return tuple((inv * e).value for e in m.entries)
+        return m.projective_key() if self.projective else m.key()
 
     def index_of(self, m: Matrix) -> int:
         key = self.canonical_key(m)
@@ -405,40 +401,6 @@ def group_closure(gens: Sequence[Matrix], cap: int,
 # irreducibility (Burnside span test)
 # ---------------------------------------------------------------------------
 
-class _SpanSieve:
-    """Incremental reduced-echelon basis of vectors over a finite field."""
-
-    def __init__(self, field: FiniteField, width: int):
-        self.field = field
-        self.width = width
-        self.rows: list[list[int]] = []
-        self.pivots: list[int] = []
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def add(self, row: list[int]) -> bool:
-        """Reduce row against the basis; absorb it if independent."""
-        f = self.field
-        for piv, brow in zip(self.pivots, self.rows):
-            c = row[piv]
-            if c:
-                row = [f.sub(x, f.mul(c, y)) for x, y in zip(row, brow)]
-        lead = next((i for i, x in enumerate(row) if x), None)
-        if lead is None:
-            return False
-        inv = f.inv(row[lead])
-        row = [f.mul(inv, x) for x in row]
-        for i, (piv, brow) in enumerate(zip(self.pivots, self.rows)):
-            c = brow[lead]
-            if c:
-                self.rows[i] = [f.sub(x, f.mul(c, y)) for x, y in zip(brow, row)]
-        self.pivots.append(lead)
-        self.rows.append(row)
-        return True
-
-
 def is_absolutely_irreducible(gens: Sequence[Matrix]) -> bool:
     """Whether the matrix algebra generated by the tuple is all of n x n.
 
@@ -454,12 +416,12 @@ def is_absolutely_irreducible(gens: Sequence[Matrix]) -> bool:
     if n == 1:
         return True
     target = n * n
-    sieve = _SpanSieve(field, target)
+    span = Echelon(field, target)
     queue = [Matrix.identity(field, n), *gens]
     while queue:
         mat = queue.pop()
-        if sieve.add([e.value for e in mat.entries]):
-            if sieve.dim == target:
+        if span.add([e.value for e in mat.entries]):
+            if len(span.pivots) == target:
                 return True
             queue.extend(g @ mat for g in gens)
     return False

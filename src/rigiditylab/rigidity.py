@@ -146,7 +146,17 @@ def tangent_product_rank(t: GroupTuple) -> int:
 
 @dataclass(frozen=True)
 class RigidityReport:
-    """Everything the dimension-count criterion needs, plus the verdict."""
+    """Everything the dimension-count criterion needs, plus the verdict.
+
+    h1_dim is sum_class_dims - df_rank - b1_dim: the dimension of the
+    cocycles whose value on each generator c_i lies in the image of
+    1 - Ad(c_i), the tangent space of its class, modulo coboundaries (the
+    parabolic H^1).  It is
+    not z1_dim - b1_dim: z1_dim counts every cocycle of the presentation,
+    and a power relator confines its generator to the class tangent space
+    only when the characteristic does not divide the declared order, so
+    the two agree whenever it divides none.
+    """
 
     class_dims: tuple[int, ...]
     sum_class_dims: int

@@ -2,8 +2,11 @@
 
 Everything here is written from scratch on plain integers (or Fractions) so
 that agreement with the package is meaningful.  Where field arithmetic is
-unavoidable (the stable-line search) only the public ff API is used, never
-the module under test.
+unavoidable (the stable-line search, the Leibniz determinant, the row-span
+enumeration) only field-element operations from ff are used, never its
+elimination.  The two span helpers, column_space_union and
+coinvariant_dim_via_words, do reuse the package's row reduction: what they
+check is the set of vectors that gets reduced, not the reduction.
 """
 
 from __future__ import annotations
@@ -97,6 +100,92 @@ def exact_determinant(grid) -> int:
                 m[r] = [a - f * b for a, b in zip(m[r], m[col])]
     assert det.denominator == 1
     return int(det)
+
+
+# ---------------------------------------------------------------------------
+# determinant and rank over F_q without elimination
+# ---------------------------------------------------------------------------
+
+def leibniz_det(m):
+    """Determinant of an ff.Matrix as the signed sum over all n!
+    permutations, in field-element arithmetic."""
+    n = m.rows
+    total = m.field.zero
+    for perm in itertools.permutations(range(n)):
+        seen, cycles = set(), 0
+        for start in range(n):
+            if start not in seen:
+                cycles += 1
+                j = start
+                while j not in seen:
+                    seen.add(j)
+                    j = perm[j]
+        term = m.field.one
+        for i, j in enumerate(perm):
+            term = term * m[i, j]
+        total = total - term if (n - cycles) % 2 else total + term
+    return total
+
+
+def span_rank(m) -> int:
+    """Rank of an ff.Matrix from the size of its row span, which is
+    enumerated vector by vector: |span| = q^rank.  Costs about q^rank
+    vectors, so keep q^min(rows, cols) small."""
+    F = m.field
+    span = {(0,) * m.cols}
+    for row in m.row_values():
+        if tuple(row) not in span:
+            span = {tuple(F.add(v, F.mul(c, x)) for v, x in zip(vec, row))
+                    for vec in span for c in range(F.q)}
+    rank = 0
+    while F.q ** rank < len(span):
+        rank += 1
+    assert F.q ** rank == len(span), "a span's size is a power of q"
+    return rank
+
+
+# ---------------------------------------------------------------------------
+# spans reduced by the package's own elimination
+# ---------------------------------------------------------------------------
+
+def column_space_union(ms) -> int:
+    """Dimension of the sum of the column spaces of the given matrices."""
+    from rigiditylab import ff
+
+    if not ms:
+        return 0
+    stacked = [list(col) for m in ms for col in zip(*m.row_values())]
+    return ff.rank_of_rows(ms[0].field, stacked)
+
+
+def coinvariant_dim_via_words(t, word_length: int, word_cap: int = 20000):
+    """Span the displacements of every word in the generators up to the
+    given length.  Must agree with coinv.coinvariant_dim for any
+    word_length >= 1, since word displacements collapse into the span of
+    the generator displacements."""
+    from rigiditylab import adjoint, coinv, ff
+    from rigiditylab.errors import InputError, WorkCapExceeded
+
+    if word_length < 1:
+        raise InputError(f"word_length = {word_length} must be >= 1")
+    rep = adjoint.adjoint_rep(t.field, t.n)
+    seen = {}
+    frontier = [ff.Matrix.identity(t.field, t.n)]
+    for _ in range(word_length):
+        nxt = []
+        for w in frontier:
+            for c in t.generators:
+                prod = w @ c
+                key = prod.key()
+                if key not in seen:
+                    if len(seen) >= word_cap:
+                        raise WorkCapExceeded(
+                            f"word enumeration exceeded the cap of {word_cap}"
+                        )
+                    seen[key] = prod
+                    nxt.append(prod)
+        frontier = nxt
+    return coinv._span_result(rep, [rep.ad_matrix(w) for w in seen.values()])
 
 
 # ---------------------------------------------------------------------------

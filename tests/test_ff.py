@@ -1,5 +1,6 @@
 """Field construction, element arithmetic, and exact linear algebra."""
 
+import copy
 import random
 
 import pytest
@@ -156,9 +157,9 @@ def test_column_space_union_example():
     F5 = ff.field_create(5)
     a = ff.Matrix.from_rows(F5, [[1, 0], [0, 0]])
     b = ff.Matrix.from_rows(F5, [[0, 0], [0, 1]])
-    assert ff.column_space_union([a]) == 1
-    assert ff.column_space_union([a, b]) == 2
-    assert ff.column_space_union([]) == 0
+    assert oracles.column_space_union([a]) == 1
+    assert oracles.column_space_union([a, b]) == 2
+    assert oracles.column_space_union([]) == 0
 
 
 @pytest.mark.parametrize("p", [5, 7, 13])
@@ -246,6 +247,65 @@ def test_determinant_and_inverse_consistency():
     assert seen_invertible > 5
 
 
+# (p, k, n_max): q^n_max stays near 10^4 so span_rank's enumeration is cheap.
+ORACLE_FIELDS = [(2, 1, 4), (3, 1, 4), (5, 1, 4), (7, 1, 4), (13, 1, 3),
+                 (2, 2, 4), (2, 3, 4), (3, 2, 4), (5, 2, 3)]
+
+
+@pytest.mark.parametrize("p,k,n_max", ORACLE_FIELDS)
+def test_det_rank_inverse_match_elimination_free_oracles(p, k, n_max):
+    F = ff.field_create(p, k)
+    rng = random.Random(1000 * p + k)
+    singular = invertible = 0
+    for n in range(1, n_max + 1):
+        eye = ff.Matrix.identity(F, n)
+        # rank at most r by construction, so singular cases occur; plus
+        # uniform matrices, which are mostly invertible
+        cases = [random_matrix(F, n, r, rng) @ random_matrix(F, r, n, rng)
+                 for r in range(1, n) for _ in range(3)]
+        cases += [ff.Matrix.zero(F, n, n)]
+        cases += [random_matrix(F, n, n, rng) for _ in range(6)]
+        for m in cases:
+            assert m.det() == oracles.leibniz_det(m)
+            assert ff.rank(m) == oracles.span_rank(m)
+            if m.det().is_zero():
+                singular += 1
+                with pytest.raises(ZeroDivisionError):
+                    m.inverse()
+            else:
+                invertible += 1
+                inv = m.inverse()
+                assert m @ inv == inv @ m == eye
+        # rectangular shapes, including more rows than the width
+        for shape in [(n, 2), (2, n), (n_max, n)]:
+            m = random_matrix(F, *shape, rng)
+            assert ff.rank(m) == oracles.span_rank(m)
+    assert singular >= n_max and invertible >= n_max
+
+
+@pytest.mark.parametrize("p,k", [(5, 1), (2, 2), (3, 2)])
+def test_eliminations_leave_their_input_rows_untouched(p, k):
+    F = ff.field_create(p, k)
+    rng = random.Random(77 * p + k)
+    for rows, cols in [(4, 5), (6, 3), (3, 6), (5, 5)]:
+        for _ in range(6):
+            grid = [[rng.randrange(F.q) for _ in range(cols)]
+                    for _ in range(rows)]
+            grid[0][0] = 0  # make the first pivot need a row swap
+            grid.append(list(grid[1]))  # and one dependent row
+            before = copy.deepcopy(grid)
+            ff.rank_of_rows(F, grid)
+            assert grid == before
+            basis = ff.row_space_basis(F, grid)
+            assert grid == before
+            assert all(b is not g for b in basis for g in grid)
+            ech = ff.Echelon(F, cols)
+            for row in grid:
+                ech.add(row)
+            ech.reduced()
+            assert grid == before
+
+
 def test_singular_inverse_rejected():
     F = ff.field_create(7)
     with pytest.raises(ZeroDivisionError):
@@ -267,6 +327,15 @@ def test_matrix_key_distinguishes_entries_and_shape():
     b = ff.Matrix.from_rows(F, [[1, 2], [3, 4]])
     c = ff.Matrix.from_rows(F, [[1, 2], [3, 0]])
     assert a.key() == b.key() != c.key()
+
+
+def test_projective_key_is_the_entry_tuple_scaled_to_a_leading_one():
+    F = ff.field_create(7)
+    a = ff.Matrix.from_rows(F, [[0, 3], [5, 1]])
+    assert a.projective_key() == (0, 1, 4, 5)  # times 3^-1 = 5
+    assert a.scale(F.element(2)).projective_key() == a.projective_key()
+    with pytest.raises(ZeroDivisionError):
+        ff.Matrix.zero(F, 2, 2).projective_key()
 
 
 def test_embedding_is_an_injective_field_homomorphism():
