@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import InputError
-from .ff import FieldElement, FiniteField, Matrix, kernel_dim, rank
+from .ff import FiniteField, Matrix, kernel_dim, rank
 from .matgrp import element_order
 
 
@@ -35,14 +35,14 @@ class AdjointRep:
         for i in range(n):
             for j in range(n):
                 if i != j:
-                    ents = [field.zero] * (n * n)
-                    ents[i * n + j] = field.one
-                    basis.append(Matrix(field, n, n, ents))
+                    vals = [0] * (n * n)
+                    vals[i * n + j] = 1
+                    basis.append(Matrix.from_values(field, n, n, vals))
         for i in range(n - 1):
-            ents = [field.zero] * (n * n)
-            ents[i * n + i] = field.one
-            ents[(i + 1) * n + (i + 1)] = -field.one
-            basis.append(Matrix(field, n, n, ents))
+            vals = [0] * (n * n)
+            vals[i * n + i] = 1
+            vals[(i + 1) * n + (i + 1)] = field.neg(1)
+            basis.append(Matrix.from_values(field, n, n, vals))
         self.basis = tuple(basis)
         self._cache: dict[tuple, Matrix] = {}
 
@@ -54,35 +54,26 @@ class AdjointRep:
             raise InputError("matrix does not live in this Lie algebra model")
         if not x.trace().is_zero():
             raise InputError("matrix is not traceless")
-        out = []
-        for i in range(self.n):
-            for j in range(self.n):
-                if i != j:
-                    out.append(x[i, j].value)
-        acc = self.field.zero
-        for i in range(self.n - 1):
-            acc = acc + x[i, i]
-            out.append(acc.value)
+        n, vals, add = self.n, x.vals, self.field.add
+        out = [v for t, v in enumerate(vals) if t % (n + 1)]
+        acc = 0
+        for v in vals[:-1:n + 1]:
+            acc = add(acc, v)
+            out.append(acc)
         return out
 
     def from_coords(self, vec: Sequence[int]) -> Matrix:
         if len(vec) != self.dim:
             raise InputError(f"coordinate vector must have length {self.dim}")
-        out = Matrix.zero(self.field, self.n, self.n)
-        ents = list(out.entries)
-        t = 0
-        for i in range(self.n):
-            for j in range(self.n):
-                if i != j:
-                    ents[i * self.n + j] = FieldElement(self.field, vec[t])
-                    t += 1
-        prev = self.field.zero
-        for i in range(self.n - 1):
-            a = FieldElement(self.field, vec[t + i])
-            ents[i * self.n + i] = a - prev
+        n, f = self.n, self.field
+        off = iter(vec)
+        vals = [0 if t % (n + 1) == 0 else next(off) for t in range(n * n)]
+        prev = 0
+        for i, a in enumerate(vec[n * n - n:]):
+            vals[i * (n + 1)] = f.sub(a, prev)
             prev = a
-        ents[(self.n - 1) * self.n + (self.n - 1)] = -prev
-        return Matrix(self.field, self.n, self.n, ents)
+        vals[-1] = f.neg(prev)
+        return Matrix.from_values(f, n, n, vals)
 
     # -- the action ---------------------------------------------------------
 
@@ -90,18 +81,19 @@ class AdjointRep:
         """Matrix of X -> g X g^(-1) in the fixed basis."""
         if g.rows != self.n or g.cols != self.n or g.field != self.field:
             raise InputError("group element does not match this adjoint model")
-        if not g.is_invertible():
-            raise InputError("Ad of a non-invertible matrix")
-        key = g.projective_key()
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        ginv = g.inverse()
+        # Scalar multiples share a key and are all invertible or all
+        # singular, so a cache hit needs no determinant.
+        try:
+            key = g.projective_key()
+            hit = self._cache.get(key)
+            if hit is not None:
+                return hit
+            ginv = g.inverse()
+        except ZeroDivisionError:
+            raise InputError("Ad of a non-invertible matrix") from None
         cols = [self.coords(g @ b @ ginv) for b in self.basis]
-        d = self.dim
-        ents = [FieldElement(self.field, cols[j][i])
-                for i in range(d) for j in range(d)]
-        out = Matrix(self.field, d, d, ents)
+        out = Matrix.from_values(self.field, self.dim, self.dim,
+                                 [x for row in zip(*cols) for x in row])
         self._cache[key] = out
         return out
 

@@ -7,9 +7,20 @@ c_{k-1} p^{k-1} + ... + c_1 p + c_0, is smallest.  This makes element
 serialization reproducible across runs and machines.
 
 Internally an element is a packed integer sum(c_i * p^i); the coefficient
-tuple is recovered on demand.  Fields with at most 2**16 elements precompute
-discrete log / antilog tables for fast multiplication and inversion; larger
-fields fall back to polynomial arithmetic.
+tuple is recovered on demand.  Over F_p, arithmetic is integer arithmetic
+mod p.  Extension fields with at most 2**16 elements precompute discrete
+log / antilog tables for a generator g, so multiplication and inversion
+are one lookup.  For odd p they also precompute the Zech logarithms
+Z(n) = log(1 + g^n), so that g^i + g^j = g^(i + Z(j - i)) is one lookup
+too (K. Huber, "Some comments on Zech's logarithms", IEEE Trans. IT 36,
+1990); for p = 2 addition is XOR.  Larger fields fall back to polynomial
+arithmetic.
+
+A Matrix holds its entries as one tuple of packed ints, row major.  Field
+elements appear only at its API edges (the checked constructor,
+``from_rows``, ``diagonal``, ``m[i, j]``, ``entries``, ``trace``,
+``det``); sums, products, transposes and eliminations run on the packed
+values, and each entry of a product is one fused dot product.
 
 Everything here is immutable after construction and safe to share between
 worker processes.
@@ -17,8 +28,8 @@ worker processes.
 
 from __future__ import annotations
 
-import math
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import add, mul, xor
 from typing import Iterable, Sequence
 
 from .errors import InputError
@@ -168,6 +179,7 @@ class FiniteField:
         self._pow_p = [p**i for i in range(k + 1)]
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
+        self._zech_add = None
         self._xpow_red: list[list[int]] | None = None
         if k > 1:
             if self.q <= _TABLE_LIMIT:
@@ -214,6 +226,8 @@ class FiniteField:
             return (a + b) % self.p
         if self.p == 2:
             return a ^ b
+        if self._zech_add is not None:
+            return self._zech_add(a, b)
         out = 0
         w = 1
         for _ in range(self.k):
@@ -224,17 +238,7 @@ class FiniteField:
         return out
 
     def neg(self, a: int) -> int:
-        if self.k == 1:
-            return (-a) % self.p
-        if self.p == 2:
-            return a
-        out = 0
-        w = 1
-        for _ in range(self.k):
-            out += ((-a) % self.p) * w
-            a //= self.p
-            w *= self.p
-        return out
+        return self.mul(self.p - 1, a)  # -1 packs to the constant p - 1
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -242,10 +246,10 @@ class FiniteField:
     def mul(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a * b) % self.p
-        if a == 0 or b == 0:
-            return 0
         if self._exp is not None:
             return self._exp[self._log[a] + self._log[b]]
+        if a == 0 or b == 0:
+            return 0
         return self._mul_poly(a, b)
 
     def inv(self, a: int) -> int:
@@ -272,6 +276,33 @@ class FiniteField:
 
     def frobenius(self, a: int) -> int:
         return self.pow(a, self.p)
+
+    # -- packed vectors -------------------------------------------------------
+
+    def scale(self, c: int, xs: Sequence[int]) -> list[int]:
+        """[c x for x in xs]."""
+        if self.k == 1:
+            p = self.p
+            return [c * x % p for x in xs]
+        if self._exp is None:
+            return [self.mul(c, x) for x in xs]
+        exp, log = self._exp, self._log
+        lc = log[c]
+        return [exp[lc + log[x]] for x in xs]
+
+    def add_scaled(self, xs: Sequence[int], c: int,
+                   ys: Sequence[int]) -> list[int]:
+        """[x + c y for x, y in zip(xs, ys)]."""
+        if self.k == 1:
+            p = self.p
+            return [(x + c * y) % p for x, y in zip(xs, ys)]
+        return list(map(self._adder(), xs, self.scale(c, ys)))
+
+    def _adder(self):
+        """The fastest two-argument packed addition of an extension field."""
+        if self.p == 2:
+            return xor
+        return self._zech_add or self.add
 
     # -- internal multiplication paths ----------------------------------------
 
@@ -311,6 +342,14 @@ class FiniteField:
         self._xpow_red = reds
 
     def _build_tables(self) -> None:
+        """Antilog, log and (odd p) Zech tables for a generator g.
+
+        log[0] is the sentinel 2(q - 1), and exp holds two periods of g^i
+        followed by zeros, so exp[log[a] + log[b]] is a b for every a and b,
+        zero included.  zech[n] = log(1 + g^n) (the sentinel where
+        g^n = -1), so g^i + g^j = g^(i + zech[j - i]); a negative j - i
+        wraps around the table.
+        """
         self._build_reductions()
         order = self.q - 1
         prime_factors = _prime_factors(order)
@@ -320,8 +359,8 @@ class FiniteField:
                 gen = cand
                 break
         assert gen is not None, "multiplicative group has a generator"
-        exp = [0] * (2 * order)
-        log = [0] * self.q
+        exp = [0] * (4 * order + 1)
+        log = [2 * order] * self.q
         v = 1
         for i in range(order):
             exp[i] = v
@@ -330,6 +369,21 @@ class FiniteField:
             v = self._mul_poly(v, gen)
         self._exp = exp
         self._log = log
+        if self.p != 2:
+            # 1 + v only touches the constant coefficient of v
+            p = self.p
+            zech = [log[v + 1 if v % p != p - 1 else v + 1 - p]
+                    for v in exp[:order]]
+
+            def zech_add(a: int, b: int) -> int:
+                if not a:
+                    return b
+                if not b:
+                    return a
+                la = log[a]
+                return exp[la + zech[log[b] - la]]
+
+            self._zech_add = zech_add
 
     # -- identity and serialization --------------------------------------------
 
@@ -464,24 +518,38 @@ class FieldElement:
 # ---------------------------------------------------------------------------
 
 class Matrix:
-    """Immutable dense matrix with entries in a single finite field."""
+    """Immutable dense matrix over a single finite field.
 
-    __slots__ = ("field", "rows", "cols", "entries", "_key")
+    The entries are held as one tuple of packed ints, row major, in
+    ``vals``; ``entries`` and ``m[i, j]`` wrap them in field elements.
+    """
+
+    __slots__ = ("field", "rows", "cols", "vals")
 
     def __init__(self, field: FiniteField, rows: int, cols: int,
                  entries: Sequence[FieldElement]):
         if len(entries) != rows * cols:
             raise InputError("entry count does not match matrix shape")
         for e in entries:
-            if e.field != field:
+            if e.field is not field and e.field != field:
                 raise InputError("mixed-field entries in matrix")
         self.field = field
         self.rows = rows
         self.cols = cols
-        self.entries = tuple(entries)
-        self._key = None
+        self.vals = tuple(e.value for e in entries)
 
     # -- constructors -----------------------------------------------------
+
+    @classmethod
+    def from_values(cls, field: FiniteField, rows: int, cols: int,
+                    vals: Iterable[int]) -> Matrix:
+        """Matrix from packed entries in [0, q), row major, unchecked."""
+        m = object.__new__(cls)
+        m.field = field
+        m.rows = rows
+        m.cols = cols
+        m.vals = tuple(vals)
+        return m
 
     @classmethod
     def from_rows(cls, field: FiniteField, rows: Sequence[Sequence]) -> Matrix:
@@ -498,13 +566,13 @@ class Matrix:
 
     @classmethod
     def identity(cls, field: FiniteField, n: int) -> Matrix:
-        return cls(field, n, n,
-                   [field.one if i == j else field.zero
-                    for i in range(n) for j in range(n)])
+        vals = [0] * (n * n)
+        vals[::n + 1] = [1] * n
+        return cls.from_values(field, n, n, vals)
 
     @classmethod
     def zero(cls, field: FiniteField, rows: int, cols: int) -> Matrix:
-        return cls(field, rows, cols, [field.zero] * (rows * cols))
+        return cls.from_values(field, rows, cols, [0] * (rows * cols))
 
     @classmethod
     def diagonal(cls, field: FiniteField, diag: Sequence) -> Matrix:
@@ -516,95 +584,105 @@ class Matrix:
 
     # -- access -------------------------------------------------------------
 
+    @property
+    def entries(self) -> tuple[FieldElement, ...]:
+        return tuple(FieldElement(self.field, v) for v in self.vals)
+
     def __getitem__(self, ij: tuple[int, int]) -> FieldElement:
         i, j = ij
-        return self.entries[i * self.cols + j]
+        return FieldElement(self.field, self.vals[i * self.cols + j])
 
     def row_values(self) -> list[list[int]]:
-        """Packed entries, row major (the fast-path representation)."""
-        c = self.cols
-        return [[self.entries[i * c + j].value for j in range(c)]
-                for i in range(self.rows)]
+        """Packed entries as a list of rows."""
+        c, vals = self.cols, self.vals
+        return [list(vals[i * c:(i + 1) * c]) for i in range(self.rows)]
 
     def key(self) -> tuple:
         """Hashable canonical key (shape plus packed entries)."""
-        if self._key is None:
-            self._key = (self.rows, self.cols,
-                         tuple(e.value for e in self.entries))
-        return self._key
+        return (self.rows, self.cols, self.vals)
 
     def projective_key(self) -> tuple:
         """Key of the matrix up to nonzero scalars: the packed entries
         after scaling the first nonzero entry to 1 (the zero matrix has
         none, and raises ZeroDivisionError)."""
         f = self.field
-        vals = [e.value for e in self.entries]
-        inv = f.inv(next((v for v in vals if v), 0))
-        return tuple(f.mul(inv, v) for v in vals)
+        inv = f.inv(next((v for v in self.vals if v), 0))
+        return tuple(f.scale(inv, self.vals))
 
     # -- arithmetic -----------------------------------------------------------
 
     def _check_same(self, other: Matrix) -> None:
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise InputError("mixed-field matrix arithmetic")
 
-    def __add__(self, other: Matrix) -> Matrix:
+    def _add_scaled(self, c: int, other: Matrix, op: str) -> Matrix:
+        """self + c other, entrywise."""
         self._check_same(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
-            raise InputError("matrix shape mismatch in addition")
-        return Matrix(self.field, self.rows, self.cols,
-                      [a + b for a, b in zip(self.entries, other.entries)])
+            raise InputError(f"matrix shape mismatch in {op}")
+        return Matrix.from_values(
+            self.field, self.rows, self.cols,
+            self.field.add_scaled(self.vals, c, other.vals))
+
+    def __add__(self, other: Matrix) -> Matrix:
+        return self._add_scaled(1, other, "addition")
 
     def __sub__(self, other: Matrix) -> Matrix:
-        self._check_same(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise InputError("matrix shape mismatch in subtraction")
-        return Matrix(self.field, self.rows, self.cols,
-                      [a - b for a, b in zip(self.entries, other.entries)])
+        return self._add_scaled(self.field.neg(1), other, "subtraction")
 
     def __neg__(self) -> Matrix:
-        return Matrix(self.field, self.rows, self.cols,
-                      [-a for a in self.entries])
+        f = self.field
+        return Matrix.from_values(f, self.rows, self.cols,
+                                  f.scale(f.neg(1), self.vals))
 
     def __matmul__(self, other: Matrix) -> Matrix:
+        """Each entry is one fused dot product: an integer sum reduced
+        mod p over prime fields; over table fields the terms come from
+        the antilog table, indexed by sums of logs, and are folded by XOR
+        (p = 2) or Zech addition."""
         self._check_same(other)
         if self.cols != other.rows:
             raise InputError("matrix shape mismatch in product")
         f = self.field
-        n, m, r = self.rows, other.cols, self.cols
-        a = self.entries
-        b = other.entries
-        mul, add = f.mul, f.add
-        out = []
-        for i in range(n):
-            arow = a[i * r:(i + 1) * r]
-            for j in range(m):
-                acc = 0
-                for t in range(r):
-                    v = arow[t].value
-                    if v:
-                        acc = add(acc, mul(v, b[t * m + j].value))
-                out.append(FieldElement(f, acc))
-        return Matrix(f, n, m, out)
+        r, m = self.cols, other.cols
+        a, b = self.vals, other.vals
+        rows = [a[i * r:(i + 1) * r] for i in range(self.rows)]
+        cols = [b[j::m] for j in range(m)]
+        if f.k == 1:
+            p = f.p
+            vals = [sum(map(mul, row, col)) % p
+                    for row in rows for col in cols]
+        elif f._exp is None:
+            vals = [reduce(f.add, map(f.mul, row, col), 0)
+                    for row in rows for col in cols]
+        else:
+            log = f._log
+            term = f._exp.__getitem__
+            plus = f._adder()
+            rows = [[log[x] for x in row] for row in rows]
+            cols = [[log[x] for x in col] for col in cols]
+            vals = [reduce(plus, map(term, map(add, row, col)), 0)
+                    for row in rows for col in cols]
+        return Matrix.from_values(f, self.rows, m, vals)
 
     __mul__ = __matmul__
 
     def scale(self, c: FieldElement) -> Matrix:
-        return Matrix(self.field, self.rows, self.cols,
-                      [c * e for e in self.entries])
+        if c.field is not self.field and c.field != self.field:
+            raise InputError("mixed-field matrix arithmetic")
+        return Matrix.from_values(self.field, self.rows, self.cols,
+                                  self.field.scale(c.value, self.vals))
 
     def transpose(self) -> Matrix:
-        return Matrix(self.field, self.cols, self.rows,
-                      [self.entries[i * self.cols + j]
-                       for j in range(self.cols) for i in range(self.rows)])
+        c, vals = self.cols, self.vals
+        return Matrix.from_values(self.field, c, self.rows,
+                                  [x for j in range(c) for x in vals[j::c]])
 
     def trace(self) -> FieldElement:
         if self.rows != self.cols:
             raise InputError("trace of a non-square matrix")
-        t = self.field.zero
-        for i in range(self.rows):
-            t = t + self[i, i]
-        return t
+        f = self.field
+        return FieldElement(f, reduce(f.add, self.vals[::self.cols + 1], 0))
 
     def det(self) -> FieldElement:
         """Product of the echelon pivot values times the sign of the pivot
@@ -616,9 +694,7 @@ class Matrix:
         for row in self.row_values():
             if not ech.add(row):
                 return f.zero
-        det = 1
-        for v in ech.pivot_values:
-            det = f.mul(det, v)
+        det = reduce(f.mul, ech.pivot_values, 1)
         piv = ech.pivots
         inversions = sum(a > b for i, a in enumerate(piv) for b in piv[i + 1:])
         return FieldElement(f, f.neg(det) if inversions % 2 else det)
@@ -634,8 +710,8 @@ class Matrix:
             ech.add(row + [1 if i == j else 0 for j in range(n)])
         if any(piv >= n for piv in ech.pivots):
             raise ZeroDivisionError("matrix is singular")
-        ents = [FieldElement(f, x) for row in ech.reduced() for x in row[n:]]
-        return Matrix(f, n, n, ents)
+        return Matrix.from_values(
+            f, n, n, [x for row in ech.reduced() for x in row[n:]])
 
     def __pow__(self, e: int) -> Matrix:
         if self.rows != self.cols:
@@ -660,21 +736,18 @@ class Matrix:
         """Nonzero scalar multiple of the identity."""
         if self.rows != self.cols:
             return False
-        d = self[0, 0]
-        if d.is_zero():
-            return False
-        for i in range(self.rows):
-            for j in range(self.cols):
-                want = d if i == j else self.field.zero
-                if self[i, j] != want:
-                    return False
-        return True
+        n = self.rows
+        d = self.vals[0]
+        want = [0] * (n * n)
+        want[::n + 1] = [d] * n
+        return d != 0 and self.vals == tuple(want)
 
     def is_invertible(self) -> bool:
         return not self.det().is_zero()
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Matrix) and self.field == other.field
+        return (isinstance(other, Matrix)
+                and (self.field is other.field or self.field == other.field)
                 and self.key() == other.key())
 
     def __hash__(self) -> int:
@@ -706,13 +779,11 @@ class Echelon:
 
     def _reduce(self, row: list[int], start: int) -> None:
         """Clear row in place at the pivots of basis rows start, start + 1..."""
-        add, mul, neg = self.field.add, self.field.mul, self.field.neg
+        add_scaled, neg = self.field.add_scaled, self.field.neg
         for piv, brow in zip(self.pivots[start:], self.rows[start:]):
             if row[piv]:
-                c = neg(row[piv])
-                for j in range(piv, self.width):  # brow is zero before piv
-                    if brow[j]:
-                        row[j] = add(row[j], mul(c, brow[j]))
+                # brow is zero before piv
+                row[piv:] = add_scaled(row[piv:], neg(row[piv]), brow[piv:])
 
     def add(self, row: Sequence[int]) -> bool:
         """Reduce a copy of row against the basis; absorb it if it is
@@ -726,10 +797,9 @@ class Echelon:
         if lead is None:
             return False
         f = self.field
-        inv = f.inv(row[lead])
         self.pivots.append(lead)
         self.pivot_values.append(row[lead])
-        self.rows.append([f.mul(inv, x) for x in row])
+        self.rows.append(f.scale(f.inv(row[lead]), row))
         return True
 
     def reduced(self) -> list[list[int]]:

@@ -420,7 +420,7 @@ def is_absolutely_irreducible(gens: Sequence[Matrix]) -> bool:
     queue = [Matrix.identity(field, n), *gens]
     while queue:
         mat = queue.pop()
-        if span.add([e.value for e in mat.entries]):
+        if span.add(mat.vals):
             if len(span.pivots) == target:
                 return True
             queue.extend(g @ mat for g in gens)
@@ -441,34 +441,28 @@ def psl_order(q: int, n: int) -> int:
 
 
 def _transvection(field: FiniteField, n: int, v: int) -> Matrix:
-    ident = Matrix.identity(field, n)
-    ents = list(ident.entries)
-    ents[1] = FieldElement(field, v)
-    return Matrix(field, n, n, ents)
+    vals = list(Matrix.identity(field, n).vals)
+    vals[1] = v
+    return Matrix.from_values(field, n, n, vals)
 
 
 def _companion(field: FiniteField, n: int, coeffs: tuple[int, ...]) -> Matrix:
     """Companion matrix of x^n + c_{n-1} x^(n-1) + ... + c_1 x + (-1)^n,
     which has determinant one by construction."""
-    rows = [[0] * n for _ in range(n)]
+    vals = [0] * (n * n)
     for i in range(1, n):
-        rows[i][i - 1] = 1
-    const = field.one if n % 2 == 0 else -field.one
-    rows[0][n - 1] = -const
-    m = Matrix.from_rows(field, rows)
-    ents = list(m.entries)
+        vals[i * n + i - 1] = 1
     for i, c in enumerate(coeffs):
-        ents[(n - 1 - i) * n + (n - 1)] = -FieldElement(field, c)
-    ents[n - 1] = -const
-    return Matrix(field, n, n, ents)
+        vals[(n - 1 - i) * n + (n - 1)] = field.neg(c)
+    vals[n - 1] = 1 if n % 2 else field.neg(1)  # -(-1)^n
+    return Matrix.from_values(field, n, n, vals)
 
 
 def _pair_candidates(field: FiniteField, n: int) -> Iterable[tuple[Matrix, Matrix]]:
     upper = _transvection(field, n, 1)
     if n == 2:
         for v in range(1, field.q):
-            x = FieldElement(field, v)
-            yield upper, Matrix(field, 2, 2, [field.one, field.zero, x, field.one])
+            yield upper, Matrix.from_values(field, 2, 2, (1, 0, v, 1))
     else:
         cycle_rows = [[0] * n for _ in range(n)]
         for i in range(n):
@@ -509,14 +503,12 @@ def random_sl_matrix(field: FiniteField, n: int, rng) -> Matrix:
     """Random determinant-one matrix: draw until invertible, then scale the
     first row by 1/det."""
     while True:
-        ents = [FieldElement(field, rng.randrange(field.q)) for _ in range(n * n)]
-        m = Matrix(field, n, n, ents)
-        d = m.det()
+        vals = [rng.randrange(field.q) for _ in range(n * n)]
+        d = Matrix.from_values(field, n, n, vals).det()
         if not d.is_zero():
             break
-    scale = d.inverse()
-    fixed = [scale * e if i < n else e for i, e in enumerate(m.entries)]
-    return Matrix(field, n, n, fixed)
+    vals[:n] = field.scale(field.inv(d.value), vals[:n])
+    return Matrix.from_values(field, n, n, vals)
 
 
 def random_sl_tuple(field: FiniteField, n: int, length: int, rng) -> GroupTuple:

@@ -5,13 +5,16 @@ Three layers, all exact:
 
 * cocycle_spaces: the 1-cocycle space of the presentation whose relators
   are the declared powers and the product, as the kernel of one stacked
-  relator matrix, together with the coboundary dimension.
+  relator matrix, together with the coboundary dimension.  Each power
+  relator's norm sum_{j<a} Ad(c)^j is computed by doubling, in O(log a)
+  products.
 * tangent_product_rank: the rank of the derivative of the product-of-
   classes map at the tuple.  This must coincide with the displacement
   span dimension; the agreement is checked on every call rather than
   assumed, and a mismatch is reported as an internal invariant failure.
 * rigidity_verdict: class dimensions, coinvariants, irreducibility and
-  the dimension-count test assembled into a RigidityReport.
+  the dimension-count test assembled into a RigidityReport.  When p
+  divides no declared order, Weil's formula h1 = z1 - b1 is checked too.
 
 Tuples whose product is a nontrivial scalar are handled by appending that
 scalar's inverse as an extra central generator with its multiplicative
@@ -88,14 +91,7 @@ def cocycle_spaces(t: GroupTuple) -> CocycleSpaces:
     zero = Matrix.zero(field, d, d)
 
     ads = [rep.ad_matrix(c) for c in t.generators]
-    norms = []
-    for ad, a in zip(ads, t.declared_orders):
-        total = Matrix.zero(field, d, d)
-        power = ident
-        for _ in range(a):
-            total = total + power
-            power = power @ ad
-        norms.append(total)
+    norms = [_norm(ad, a) for ad, a in zip(ads, t.declared_orders)]
     prefix_ads = [rep.ad_matrix(c) for c in _prefixes(t)]
 
     blocks: list[list[Matrix]] = []
@@ -116,18 +112,27 @@ def cocycle_spaces(t: GroupTuple) -> CocycleSpaces:
                          relator_matrix=relator)
 
 
+def _norm(ad: Matrix, a: int) -> Matrix:
+    """sum_{j<a} ad^j by doubling on the pair (N_m, ad^m), reading a's
+    bits from the top: N_2m = N_m + ad^m N_m, N_2m+1 = N_2m + ad^2m.
+    That is O(log a) products instead of a."""
+    norm, power = Matrix.identity(ad.field, ad.rows), ad
+    for bit in bin(a)[3:]:
+        norm = norm + power @ norm
+        power = power @ power
+        if bit == "1":
+            norm = norm + power
+            power = power @ ad
+    return norm
+
+
 def _assemble(field, blocks: list[list[Matrix]]) -> Matrix:
     """Stack a grid of equally sized square blocks into one matrix."""
     d = blocks[0][0].rows
-    rows = len(blocks) * d
-    cols = len(blocks[0]) * d
-    ents = [field.zero] * (rows * cols)
-    for bi, brow in enumerate(blocks):
-        for bj, blk in enumerate(brow):
-            for i in range(d):
-                base = (bi * d + i) * cols + bj * d
-                ents[base:base + d] = blk.entries[i * d:(i + 1) * d]
-    return Matrix(field, rows, cols, ents)
+    vals = [x for brow in blocks for i in range(d)
+            for blk in brow for x in blk.vals[i * d:(i + 1) * d]]
+    return Matrix.from_values(field, len(blocks) * d, len(blocks[0]) * d,
+                              vals)
 
 
 def tangent_product_rank(t: GroupTuple) -> int:
@@ -155,7 +160,9 @@ class RigidityReport:
     not z1_dim - b1_dim: z1_dim counts every cocycle of the presentation,
     and a power relator confines its generator to the class tangent space
     only when the characteristic does not divide the declared order, so
-    the two agree whenever it divides none.
+    the two agree whenever it divides none (Weil's formula: there the
+    kernel of the norm is the image of 1 - Ad(c_i)).  rigidity_verdict
+    checks that agreement on every such tuple.
     """
 
     class_dims: tuple[int, ...]
@@ -251,6 +258,14 @@ def rigidity_verdict(t: GroupTuple,
 
     spaces = cocycle_spaces(t)
     fiber_h1 = sum_dims - df - spaces.b1_dim
+    p = t.field.p
+    if (all(a % p for a in lifted.declared_orders)
+            and fiber_h1 != spaces.z1_dim - spaces.b1_dim):
+        raise InvariantViolation(
+            f"p = {p} divides no declared order, yet h1 = {fiber_h1} "
+            f"differs from z1 - b1 = {spaces.z1_dim} - {spaces.b1_dim} "
+            "(Weil's formula)"
+        )
 
     hypotheses_ok = co.coinv_dim == 0 and irreducible != IRREDUCIBLE_FAILED
     if not hypotheses_ok:

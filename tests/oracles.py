@@ -3,8 +3,12 @@
 Everything here is written from scratch on plain integers (or Fractions) so
 that agreement with the package is meaningful.  Where field arithmetic is
 unavoidable (the stable-line search, the Leibniz determinant, the row-span
-enumeration) only field-element operations from ff are used, never its
-elimination.  The two span helpers, column_space_union and
+enumeration, the entry-by-entry matrix product and the linear norm sum)
+only field-element operations from ff are used, never its elimination or
+its packed matrix arithmetic; those field operations are checked in turn
+against digit_add.  relator_linear takes its Ad matrices from the
+package's adjoint module, which the adjoint tests check against direct
+conjugation.  The two span helpers, column_space_union and
 coinvariant_dim_via_words, do reuse the package's row reduction: what they
 check is the set of vectors that gets reduced, not the reduction.
 """
@@ -142,6 +146,73 @@ def span_rank(m) -> int:
         rank += 1
     assert F.q ** rank == len(span), "a span's size is a power of q"
     return rank
+
+
+# ---------------------------------------------------------------------------
+# packed arithmetic, entry by entry
+# ---------------------------------------------------------------------------
+
+def digit_add(p: int, k: int, a: int, b: int, sign: int = 1) -> int:
+    """a + sign * b on packed elements of F_{p^k}, one base-p digit at a
+    time (addition never mixes coefficients)."""
+    out, w = 0, 1
+    for _ in range(k):
+        out += (a % p + sign * (b % p)) % p * w
+        a, b, w = a // p, b // p, w * p
+    return out
+
+
+def matmul_entrywise(a, b):
+    """a @ b of two ff.Matrix, each entry summed term by term in
+    field-element arithmetic."""
+    from rigiditylab import ff
+
+    F = a.field
+    out = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            acc = F.zero
+            for t in range(a.cols):
+                acc = acc + a[i, t] * b[t, j]
+            out.append(acc)
+    return ff.Matrix(F, a.rows, b.cols, out)
+
+
+def norm_linear(ad, a: int):
+    """sum_{j<a} ad^j, one power and one sum per term."""
+    from rigiditylab import ff
+
+    F, d = ad.field, ad.rows
+    total = ff.Matrix(F, d, d, [F.zero] * (d * d))
+    power = ff.Matrix.identity(F, d)
+    for _ in range(a):
+        total = ff.Matrix(F, d, d, [x + y for x, y in
+                                    zip(total.entries, power.entries)])
+        power = matmul_entrywise(power, ad)
+    return total
+
+
+def relator_linear(t):
+    """The stacked relator matrix of rigidity.cocycle_spaces with linear
+    norm sums: block (i, i) is sum_{j<a_i} Ad(c_i)^j, and the last block
+    row is Ad(c_1 ... c_(i-1)) for each i."""
+    from rigiditylab import adjoint, ff, rigidity
+
+    t = rigidity.central_lift(t)
+    rep = adjoint.adjoint_rep(t.field, t.n)
+    F, d, m = t.field, rep.dim, t.length
+    zero = ff.Matrix(F, d, d, [F.zero] * (d * d))
+    blocks = [[zero] * m for _ in range(m)]
+    for i, (c, a) in enumerate(zip(t.generators, t.declared_orders)):
+        blocks[i][i] = norm_linear(rep.ad_matrix(c), a)
+    prefix, last = ff.Matrix.identity(F, t.n), []
+    for c in t.generators:
+        last.append(rep.ad_matrix(prefix))
+        prefix = matmul_entrywise(prefix, c)
+    blocks.append(last)
+    entries = [blk[r, s] for brow in blocks for r in range(d)
+               for blk in brow for s in range(d)]
+    return ff.Matrix(F, len(blocks) * d, m * d, entries)
 
 
 # ---------------------------------------------------------------------------

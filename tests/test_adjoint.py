@@ -98,6 +98,33 @@ def test_ad_is_projective(f7):
     assert rep.ad_matrix(scaled).key() == rep.ad_matrix(g).key()
 
 
+def test_ad_of_singular_matrix_rejected(f7):
+    rep = adjoint.AdjointRep(f7, 2)
+    for rows in ([[1, 2], [3, 6]], [[0, 0], [0, 0]], [[0, 5], [0, 0]]):
+        with pytest.raises(InputError, match="non-invertible"):
+            rep.ad_matrix(ff.Matrix.from_rows(f7, rows))
+
+
+def test_ad_matrix_cache_hit_runs_no_elimination(f7, monkeypatch):
+    rep = adjoint.AdjointRep(f7, 3)
+    g, h = random_sl(f7, 3, 8), random_sl(f7, 3, 9)
+    first = rep.ad_matrix(g)
+    eliminations = []
+    original = ff.Echelon.__init__
+
+    def counted(self, *args):
+        eliminations.append(args)
+        original(self, *args)
+
+    monkeypatch.setattr(ff.Echelon, "__init__", counted)
+    # a scalar multiple shares the projective key, so it hits the cache
+    assert rep.ad_matrix(g.scale(ff.FieldElement(f7, 2))) is first
+    assert rep.ad_matrix(g) is first
+    assert eliminations == []
+    rep.ad_matrix(h)  # a miss inverts, which is one elimination
+    assert len(eliminations) == 1
+
+
 # ---------------------------------------------------------------------------
 # fixed spaces and class dimensions
 # ---------------------------------------------------------------------------

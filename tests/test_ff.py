@@ -133,9 +133,60 @@ def test_large_extension_field_runs_without_tables():
         assert power == F.one
 
 
+# Every extension field small enough for log tables, up to q = 256.
+TABLE_FIELDS = [(p, k) for p in (2, 3, 5, 7, 11, 13) for k in range(2, 9)
+                if p ** k <= 256]
+
+
+@pytest.mark.parametrize("p,k", TABLE_FIELDS)
+def test_table_addition_matches_digit_arithmetic(p, k):
+    F = ff.field_create(p, k)
+    for a in range(F.q):
+        assert F.neg(a) == oracles.digit_add(p, k, 0, a, -1)
+        assert [F.add(a, b) for b in range(F.q)] == [
+            oracles.digit_add(p, k, a, b) for b in range(F.q)]
+        assert [F.sub(a, b) for b in range(F.q)] == [
+            oracles.digit_add(p, k, a, b, -1) for b in range(F.q)]
+
+
+def test_odd_extensions_add_by_zech_logarithms():
+    F = ff.field_create(3, 2)
+    assert F._zech_add is not None
+    assert ff.field_create(2, 3)._zech_add is None   # XOR instead
+    assert ff.field_create(3, 11)._zech_add is None  # beyond the tables
+
+
 # ---------------------------------------------------------------------------
 # matrices and Gaussian elimination
 # ---------------------------------------------------------------------------
+
+# Prime fields, the table fields F4, F8, F9, F25 and F27 (XOR and Zech
+# addition), and one even and one odd extension too large for tables.
+ARITHMETIC_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2),
+                     (5, 2), (3, 3), (2, 17), (3, 11)]
+
+
+@pytest.mark.parametrize("p,k", ARITHMETIC_FIELDS)
+def test_packed_arithmetic_matches_entrywise_oracle(p, k):
+    F = ff.field_create(p, k)
+    rng = random.Random(p * 100 + k)
+    shapes = [(1, 1, 1), (2, 2, 2), (2, 3, 4), (4, 1, 3), (3, 5, 1),
+              (8, 8, 8), (6, 3, 7)]
+    for n, r, m in shapes:
+        a = random_matrix(F, n, r, rng)
+        b = random_matrix(F, r, m, rng)
+        c = random_matrix(F, n, r, rng)
+        assert (a @ b).key() == oracles.matmul_entrywise(a, b).key()
+        assert (a + c).entries == tuple(x + y for x, y in
+                                        zip(a.entries, c.entries))
+        assert (a - c).entries == tuple(x - y for x, y in
+                                        zip(a.entries, c.entries))
+        assert (-a).entries == tuple(-x for x in a.entries)
+        assert a.transpose().transpose() == a
+        assert [a.transpose()[j, i] for i in range(n) for j in range(r)] \
+            == list(a.entries)
+
+
 
 def test_rank_examples():
     F5 = ff.field_create(5)

@@ -5,8 +5,11 @@ Each case is one ``rigiditylab`` invocation; its expected stdout is
 code as it stood before any refactor of the group layer, and the
 root-data files by the exhaustive (Z/d)^rank scan before the alcove scan
 replaced it, so they pin the bytes of every count, class numbering, j_d
-value and witness.  Regenerate them only for a deliberate output
-change::
+value and witness.  The ``rigidity`` and ``coinv`` files were produced
+from the tuples in ``tests/golden/tuples/`` by the per-entry
+``FieldElement`` matrix arithmetic and the linear cocycle norm sum, before
+the packed-integer matrix core and the norm by doubling replaced them.
+Regenerate them only for a deliberate output change::
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -53,7 +56,19 @@ ROOTDATA_CASES = {
                           "--n", "3", "--a-max", "12", "--format", "csv"),
 }
 
-ALL_CASES = {**CASES, **ROOTDATA_CASES}
+# SL2/F7, SL3/F5, SL3/F9 and SL4/F3 tuples with product the identity, an
+# SL3/F7 tuple whose product is 2 I (so the central lift appends a
+# generator), and an SL2/F11 tuple declaring twice a projective order.
+TUPLES = ("sl2_f7", "sl3_f5", "sl3_f9", "sl4_f3", "sl3_f7_scalar",
+          "sl2_f11_declared")
+
+TUPLE_CASES = {
+    f"{command}_{name}": (command, "--in",
+                          str(GOLDEN / "tuples" / f"{name}.json"))
+    for command in ("rigidity", "coinv") for name in TUPLES
+}
+
+ALL_CASES = {**CASES, **ROOTDATA_CASES, **TUPLE_CASES}
 
 
 def _path(name: str) -> pathlib.Path:
@@ -80,6 +95,12 @@ def test_census_output_matches_golden(name):
 def test_rootdata_output_matches_golden(name):
     expected = _path(name).read_text(encoding="utf-8")
     assert _stdout(ROOTDATA_CASES[name]) == expected
+
+
+@pytest.mark.parametrize("name", sorted(TUPLE_CASES))
+def test_tuple_output_matches_golden(name):
+    expected = _path(name).read_text(encoding="utf-8")
+    assert _stdout(TUPLE_CASES[name]) == expected
 
 
 def test_worker_pool_output_matches_golden():

@@ -1,12 +1,17 @@
 """Cocycle spaces, tangent product rank, and the rigidity verdict."""
 
+import json
+import pathlib
 import random
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import oracles
 from rigiditylab.errors import InputError
-from rigiditylab import adjoint, coinv, ff, matgrp, rigidity
+from rigiditylab import adjoint, cli, coinv, ff, matgrp, rigidity
+
+TUPLES = pathlib.Path(__file__).with_name("golden") / "tuples"
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +125,31 @@ def test_tangent_rank_equals_span_dim():
             t = matgrp.random_sl_tuple(F, n, rng.randrange(2, 5), rng)
             assert rigidity.tangent_product_rank(t) == \
                 coinv.coinvariant_dim(t).span_dim
+
+
+def test_doubled_norm_matches_linear_sum():
+    rng = random.Random(21)
+    for (p, k), d in [((5, 1), 8), ((7, 1), 3), ((3, 2), 3), ((2, 2), 3)]:
+        F = ff.field_create(p, k)
+        ad = ff.Matrix.from_values(F, d, d,
+                                   [rng.randrange(F.q) for _ in range(d * d)])
+        for a in range(1, 41):
+            assert rigidity._norm(ad, a) == oracles.norm_linear(ad, a)
+
+
+def test_relator_matrix_matches_linear_sum_relator():
+    F = ff.field_create(7)
+    t = matgrp.random_sl_tuple(F, 2, 3, random.Random(22))
+    orders = t.declared_orders
+    for j in range(1, 41):
+        tj = matgrp.group_tuple(t.generators, (j * orders[0], *orders[1:]))
+        assert rigidity.cocycle_spaces(tj).relator_matrix == \
+            oracles.relator_linear(tj)
+    # product 2 I: the central lift adds a generator and a power relator
+    lifted = matgrp.load_tuple(str(TUPLES / "sl3_f7_scalar.json"))
+    relator = rigidity.cocycle_spaces(lifted).relator_matrix
+    assert relator.cols == 4 * 8
+    assert relator == oracles.relator_linear(lifted)
 
 
 # ---------------------------------------------------------------------------
@@ -240,3 +270,38 @@ def test_report_to_json_is_plain_data(psl27_triple):
     assert doc["class_dims"] == [2, 2, 2]
     assert isinstance(doc["flags"], list)
     assert doc["schema"] == 1
+
+
+# ---------------------------------------------------------------------------
+# Weil's formula
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([2, 3]),
+       p=st.sampled_from([5, 7, 13]), scalar=st.booleans())
+def test_weil_formula_when_p_divides_no_declared_order(seed, n, p, scalar):
+    F = ff.field_create(p)
+    t = matgrp.random_sl_tuple(F, n, 3, random.Random(seed))
+    gens = list(t.generators)
+    if scalar:
+        # product zeta I for a nontrivial n-th root of unity zeta
+        zeta = next((z for z in range(2, p) if pow(z, n, p) == 1), None)
+        assume(zeta is not None)
+        gens[-1] = gens[-1] @ ff.Matrix.diagonal(F, [zeta] * n)
+    t = matgrp.tuple_from_matrices(gens)
+    assume(all(a % p for a in rigidity.central_lift(t).declared_orders))
+    report = rigidity.rigidity_verdict(t)
+    assert report.h1_dim == report.z1_dim - report.b1_dim
+
+
+def test_corrupted_norm_fails_the_weil_check(monkeypatch, capsys):
+    path = str(TUPLES / "sl3_f5.json")  # p = 5, declared orders 31
+    assert cli.main(["rigidity", "--in", path]) == cli.EXIT_OK
+    capsys.readouterr()
+    monkeypatch.setattr(rigidity, "_norm", lambda ad, a: ff.Matrix.zero(
+        ad.field, ad.rows, ad.cols))
+    assert cli.main(["rigidity", "--in", path]) == cli.EXIT_INVARIANT
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["kind"] == "invariant" and "Weil" in error["message"]
