@@ -27,7 +27,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import census as census_mod
 from . import rootdata as rootdata_mod
@@ -47,15 +46,6 @@ EXIT_WORK_CAP = 3
 EXIT_INVARIANT = 4
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    work_cap: int
-    output_path: str | None
-    format: str
-    parallelism: int
-
-
 def _resolve_work_cap(flag_value: int | None) -> int:
     if flag_value is not None:
         cap = flag_value
@@ -70,19 +60,6 @@ def _resolve_work_cap(flag_value: int | None) -> int:
     if cap <= 0:
         raise InputError(f"work cap must be positive, got {cap}")
     return cap
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    workers = getattr(args, "workers", 1)
-    if workers < 1:
-        raise InputError(f"worker count must be >= 1, got {workers}")
-    return RunConfig(
-        command=args.command,
-        work_cap=_resolve_work_cap(args.work_cap),
-        output_path=args.out,
-        format=args.format,
-        parallelism=workers,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -118,12 +95,12 @@ def _error_record(code: int, kind: str, exc: Exception) -> None:
 # subcommand implementations
 # ---------------------------------------------------------------------------
 
-def _run_rootdata(cfg: RunConfig, args: argparse.Namespace) -> str:
+def _run_rootdata(args: argparse.Namespace, work_cap: int) -> str:
     rs = rootdata_mod.build(args.type, args.rank)
     if args.d_max < 1:
         raise InputError(f"--d-max must be >= 1, got {args.d_max}")
-    table = rootdata_mod.class_dim_table(rs, args.d_max, cfg.work_cap)
-    if cfg.format == "csv":
+    table = rootdata_mod.class_dim_table(rs, args.d_max, work_cap)
+    if args.format == "csv":
         rows = [[rs.type_letter, rs.rank, d, e.j, " ".join(map(str, e.witness))]
                 for d, e in table.entries]
         return _csv_text(["type", "rank", "d", "j_d", "witness"], rows)
@@ -138,10 +115,10 @@ def _run_rootdata(cfg: RunConfig, args: argparse.Namespace) -> str:
     })
 
 
-def _run_rigid_tuples(cfg: RunConfig, args: argparse.Namespace) -> str:
+def _run_rigid_tuples(args: argparse.Namespace, work_cap: int) -> str:
     rs = rootdata_mod.build(args.type, args.rank)
-    res = rootdata_mod.rigid_tuples(rs, args.n, args.a_max, cfg.work_cap)
-    if cfg.format == "csv":
+    res = rootdata_mod.rigid_tuples(rs, args.n, args.a_max, work_cap)
+    if args.format == "csv":
         rows = [[rs.type_letter, rs.rank, res.plateau, " ".join(map(str, t))]
                 for t in res.tuples]
         return _csv_text(["type", "rank", "plateau", "tuple"], rows)
@@ -156,8 +133,8 @@ def _run_rigid_tuples(cfg: RunConfig, args: argparse.Namespace) -> str:
     })
 
 
-def _run_coinv(cfg: RunConfig, args: argparse.Namespace) -> str:
-    if cfg.format == "csv":
+def _run_coinv(args: argparse.Namespace, work_cap: int) -> str:
+    if args.format == "csv":
         raise InputError("coinv emits JSON only; use --format json")
     t = load_tuple(args.infile)
     co = coinvariant_dim(t)
@@ -169,8 +146,8 @@ def _run_coinv(cfg: RunConfig, args: argparse.Namespace) -> str:
     })
 
 
-def _run_rigidity(cfg: RunConfig, args: argparse.Namespace) -> str:
-    if cfg.format == "csv":
+def _run_rigidity(args: argparse.Namespace, work_cap: int) -> str:
+    if args.format == "csv":
         raise InputError("rigidity emits JSON only; use --format json")
     t = load_tuple(args.infile)
     mode = "assert" if args.assert_irreducible else "verify"
@@ -192,7 +169,9 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
     return p, k
 
 
-def _run_census(cfg: RunConfig, args: argparse.Namespace) -> str:
+def _run_census(args: argparse.Namespace, work_cap: int) -> str:
+    if args.workers < 1:
+        raise InputError(f"worker count must be >= 1, got {args.workers}")
     if args.type.upper() != "A":
         raise InputError("census has a matrix model for type A only")
     if args.rank < 1:
@@ -207,17 +186,17 @@ def _run_census(cfg: RunConfig, args: argparse.Namespace) -> str:
     field = field_create(p, k)
     target = (psl_order(args.q, n) if args.projective
               else sl_order(args.q, n))
-    if target > cfg.work_cap:
+    if target > work_cap:
         raise WorkCapExceeded(
-            f"group of order {target} exceeds the work cap {cfg.work_cap}"
+            f"group of order {target} exceeds the work cap {work_cap}"
         )
     gens = generating_pair(field, n)
     table = group_closure(list(gens), cap=target + 1,
                           projective=args.projective)
     result = census_mod.census(table, signature, epi_test=args.epi_test,
-                               workers=cfg.parallelism,
-                               work_cap=cfg.work_cap)
-    if cfg.format == "csv":
+                               workers=args.workers,
+                               work_cap=work_cap)
+    if args.format == "csv":
         rows = [[result.group_id,
                  " ".join(map(str, result.signature)),
                  " ".join(map(str, e.classes)),
@@ -306,9 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = config_from_args(args)
-        text = _RUNNERS[cfg.command](cfg, args)
-        _emit(text, cfg.output_path)
+        text = _RUNNERS[args.command](args, _resolve_work_cap(args.work_cap))
+        _emit(text, args.out)
         return EXIT_OK
     except InputError as exc:
         _error_record(EXIT_INPUT, "input", exc)

@@ -6,15 +6,21 @@ the monic irreducible whose coefficient vector, read as the base-p integer
 c_{k-1} p^{k-1} + ... + c_1 p + c_0, is smallest.  This makes element
 serialization reproducible across runs and machines.
 
-Internally an element is a packed integer sum(c_i * p^i); the coefficient
-tuple is recovered on demand.  Over F_p, arithmetic is integer arithmetic
-mod p.  Extension fields with at most 2**16 elements precompute discrete
-log / antilog tables for a generator g, so multiplication and inversion
-are one lookup.  For odd p they also precompute the Zech logarithms
-Z(n) = log(1 + g^n), so that g^i + g^j = g^(i + Z(j - i)) is one lookup
-too (K. Huber, "Some comments on Zech's logarithms", IEEE Trans. IT 36,
-1990); for p = 2 addition is XOR.  Larger fields fall back to polynomial
-arithmetic.
+An element is a packed integer sum(c_i * p^i); the coefficient tuple is
+recovered on demand.  All field arithmetic is done by the FiniteField
+methods on packed values (``add``, ``sub``, ``neg``, ``mul``, ``inv``,
+``pow``, ``scale``, ``add_scaled``).  FieldElement only carries a packed
+value and its field across the API edges; it has no arithmetic
+operators.
+
+Over F_p, arithmetic is integer arithmetic mod p.  Extension fields with
+at most 2**16 elements precompute discrete log / antilog tables for a
+generator g, so multiplication and inversion are one lookup.  For odd p
+they also precompute the Zech logarithms Z(n) = log(1 + g^n), so that
+g^i + g^j = g^(i + Z(j - i)) is one lookup too (K. Huber, "Some comments
+on Zech's logarithms", IEEE Trans. IT 36, 1990); for p = 2 addition is
+XOR.  Larger fields multiply by polynomial arithmetic, with the same
+product that builds the tables and searches for the modulus.
 
 A Matrix holds its entries as one tuple of packed ints, row major.  Field
 elements appear only at its API edges (the checked constructor,
@@ -180,12 +186,8 @@ class FiniteField:
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
         self._zech_add = None
-        self._xpow_red: list[list[int]] | None = None
-        if k > 1:
-            if self.q <= _TABLE_LIMIT:
-                self._build_tables()
-            else:
-                self._build_reductions()
+        if k > 1 and self.q <= _TABLE_LIMIT:
+            self._build_tables()
         self.zero = FieldElement(self, 0)
         self.one = FieldElement(self, 1)
 
@@ -206,11 +208,6 @@ class FiniteField:
         for i, c in enumerate(cs):
             packed += (c % self.p) * self._pow_p[i]
         return FieldElement(self, packed)
-
-    def elements(self) -> Iterable[FieldElement]:
-        """All q elements in packed order (deterministic)."""
-        for v in range(self.q):
-            yield FieldElement(self, v)
 
     def unpack(self, value: int) -> tuple[int, ...]:
         coeffs = []
@@ -274,9 +271,6 @@ class FiniteField:
             e >>= 1
         return result
 
-    def frobenius(self, a: int) -> int:
-        return self.pow(a, self.p)
-
     # -- packed vectors -------------------------------------------------------
 
     def scale(self, c: int, xs: Sequence[int]) -> list[int]:
@@ -304,42 +298,14 @@ class FiniteField:
             return xor
         return self._zech_add or self.add
 
-    # -- internal multiplication paths ----------------------------------------
+    # -- polynomial product and tables ------------------------------------------
 
     def _mul_poly(self, a: int, b: int) -> int:
-        pa, pb = self.unpack(a), self.unpack(b)
-        prod = [0] * (2 * self.k - 1)
-        for i, ai in enumerate(pa):
-            if ai:
-                for j, bj in enumerate(pb):
-                    prod[i + j] = (prod[i + j] + ai * bj) % self.p
-        # reduce degrees k .. 2k-2 with precomputed x^d tables
-        for d in range(2 * self.k - 2, self.k - 1, -1):
-            c = prod[d]
-            if c:
-                prod[d] = 0
-                red = self._xpow_red[d - self.k]
-                for j in range(self.k):
-                    prod[j] = (prod[j] + c * red[j]) % self.p
-        packed = 0
-        for i in range(self.k):
-            packed += prod[i] * self._pow_p[i]
-        return packed
-
-    def _build_reductions(self) -> None:
-        # x^(k+i) mod modulus for i = 0 .. k-2
-        mod = self.modulus_poly
-        cur = [(-mod[j]) % self.p for j in range(self.k)]  # x^k
-        reds = [list(cur)]
-        for _ in range(self.k - 2):
-            nxt = [0] + cur[:-1]
-            c = cur[-1]
-            if c:
-                for j in range(self.k):
-                    nxt[j] = (nxt[j] - c * mod[j]) % self.p
-            cur = nxt
-            reds.append(list(cur))
-        self._xpow_red = reds
+        """a b by polynomial arithmetic: the product of fields beyond the
+        tables, and of the one-off log table build."""
+        prod = _poly_mulmod(self.unpack(a), self.unpack(b),
+                            self.modulus_poly, self.p)
+        return sum(map(mul, prod, self._pow_p))
 
     def _build_tables(self) -> None:
         """Antilog, log and (odd p) Zech tables for a generator g.
@@ -350,7 +316,6 @@ class FiniteField:
         g^n = -1), so g^i + g^j = g^(i + zech[j - i]); a negative j - i
         wraps around the table.
         """
-        self._build_reductions()
         order = self.q - 1
         prime_factors = _prime_factors(order)
         gen = None
@@ -425,7 +390,10 @@ def _prime_factors(n: int) -> list[int]:
 
 
 class FieldElement:
-    """An element of a :class:`FiniteField`, stored as a packed integer."""
+    """An element of a :class:`FiniteField`, stored as a packed integer.
+
+    A value at the API edges only: compute with the packed
+    :class:`FiniteField` methods on ``value``."""
 
     __slots__ = ("field", "value")
 
@@ -441,67 +409,11 @@ class FieldElement:
     def is_zero(self) -> bool:
         return self.value == 0
 
-    def inverse(self) -> FieldElement:
-        return FieldElement(self.field, self.field.inv(self.value))
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.field is not self.field and other.field != self.field:
-                raise InputError(
-                    f"mixed-field arithmetic: {self.field} vs {other.field}"
-                )
-            return other.value
-        if isinstance(other, int):
-            if self.field.k == 1:
-                return other % self.field.p
-            return self.field.element(other).value
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.add(self.value, v))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(self.value, v))
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(v, self.value))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.value))
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul(self.value, v))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul(self.value, self.field.inv(v)))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, self.field.pow(self.value, e))
-
     def __eq__(self, other) -> bool:
         if isinstance(other, FieldElement):
             return self.value == other.value and self.field == other.field
         if isinstance(other, int):
-            return self.value == self._coerce(other)
+            return self.value == self.field.element(other).value
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -834,51 +746,3 @@ def rank(m: Matrix) -> int:
 def kernel_dim(m: Matrix) -> int:
     """Dimension of the right kernel (rank-nullity)."""
     return m.cols - rank(m)
-
-
-# ---------------------------------------------------------------------------
-# field embeddings
-# ---------------------------------------------------------------------------
-
-def embedding(small: FiniteField, big: FiniteField):
-    """The canonical embedding F_{p^k} -> F_{p^(km)}.
-
-    Sends the generator of the small field to the first root (in packed
-    order) of the small modulus inside the big field, which makes the map
-    deterministic.  Returns a function on elements.
-    """
-    if small.p != big.p or big.k % small.k != 0:
-        raise InputError(f"no embedding {small} -> {big}")
-    if small.k == 1:
-        # A prime-field constant c packs to the same integer in any extension.
-        return lambda x: FieldElement(big, x.value)
-    mod = small.modulus_poly
-    root = None
-    for v in range(big.q):
-        acc = 0
-        xp = 1
-        for c in mod:
-            if c:
-                acc = big.add(acc, big.mul(c, xp))
-            xp = big.mul(xp, v)
-        if acc == 0:
-            root = v
-            break
-    assert root is not None, "splitting field contains a root"
-    powers = [1]
-    for _ in range(small.k - 1):
-        powers.append(big.mul(powers[-1], root))
-
-    def embed(x: FieldElement) -> FieldElement:
-        acc = 0
-        for c, w in zip(x.coeffs, powers):
-            if c:
-                acc = big.add(acc, big.mul(c, w))
-        return FieldElement(big, acc)
-
-    return embed
-
-
-def embed_matrix(m: Matrix, big: FiniteField) -> Matrix:
-    emb = embedding(m.field, big)
-    return Matrix(big, m.rows, m.cols, [emb(e) for e in m.entries])

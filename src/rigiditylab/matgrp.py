@@ -286,9 +286,6 @@ class FiniteGroupTable:
             raise InputError("matrix does not belong to the enumerated group")
         return idx
 
-    def __contains__(self, m: Matrix) -> bool:
-        return self.canonical_key(m) in self.index
-
     # -- arithmetic by index lookups ----------------------------------------
 
     def _build_words(self) -> list[tuple[list[int], ...]]:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .adjoint import adjoint_rep, is_semisimple, smoothness_flags
+from .adjoint import adjoint_rep, smoothness_flags
 from .coinv import coinvariant_dim
 from .errors import InputError, InvariantViolation
 from .ff import Matrix, kernel_dim, rank
@@ -115,14 +115,17 @@ def cocycle_spaces(t: GroupTuple) -> CocycleSpaces:
 def _norm(ad: Matrix, a: int) -> Matrix:
     """sum_{j<a} ad^j by doubling on the pair (N_m, ad^m), reading a's
     bits from the top: N_2m = N_m + ad^m N_m, N_2m+1 = N_2m + ad^2m.
-    That is O(log a) products instead of a."""
+    That is O(log a) products instead of a; the last bit advances no
+    power, since none is read after it."""
     norm, power = Matrix.identity(ad.field, ad.rows), ad
-    for bit in bin(a)[3:]:
+    bits = bin(a)[3:]
+    for i, bit in enumerate(bits, 1):
         norm = norm + power @ norm
-        power = power @ power
         if bit == "1":
+            power = power @ power
             norm = norm + power
-            power = power @ ad
+        if i < len(bits):
+            power = power @ ad if bit == "1" else power @ power
     return norm
 
 

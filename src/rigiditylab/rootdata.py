@@ -343,12 +343,6 @@ class ClassDimTable:
     root_system: RootSystem
     entries: tuple[tuple[int, JEntry], ...]
 
-    def j(self, d: int) -> int:
-        return dict(self.entries)[d].j
-
-    def witness(self, d: int) -> tuple[int, ...]:
-        return dict(self.entries)[d].witness
-
 
 def class_dim_table(rs: RootSystem, d_max: int,
                     work_cap: int | None = None) -> ClassDimTable:

@@ -2,15 +2,17 @@
 
 Everything here is written from scratch on plain integers (or Fractions) so
 that agreement with the package is meaningful.  Where field arithmetic is
-unavoidable (the stable-line search, the Leibniz determinant, the row-span
-enumeration, the entry-by-entry matrix product and the linear norm sum)
-only field-element operations from ff are used, never its elimination or
-its packed matrix arithmetic; those field operations are checked in turn
-against digit_add.  relator_linear takes its Ad matrices from the
-package's adjoint module, which the adjoint tests check against direct
-conjugation.  The two span helpers, column_space_union and
-coinvariant_dim_via_words, do reuse the package's row reduction: what they
-check is the set of vectors that gets reduced, not the reduction.
+unavoidable (the field embedding, the stable-line search, the Leibniz
+determinant, the row-span enumeration, the entry-by-entry matrix product
+and the linear norm sum) only the packed FiniteField methods of ff are
+used (add, sub, mul and friends, one element at a time), never its
+elimination or its packed matrix products; those field methods are
+checked in turn against digit_add and the polynomial oracles.
+relator_linear takes its Ad matrices from the package's adjoint module,
+which the adjoint tests check against direct conjugation.  The two span
+helpers, column_space_union and coinvariant_dim_via_words, do reuse the
+package's row reduction: what they check is the set of vectors that gets
+reduced, not the reduction.
 """
 
 from __future__ import annotations
@@ -112,9 +114,11 @@ def exact_determinant(grid) -> int:
 
 def leibniz_det(m):
     """Determinant of an ff.Matrix as the signed sum over all n!
-    permutations, in field-element arithmetic."""
-    n = m.rows
-    total = m.field.zero
+    permutations, with the field's scalar add, sub and mul."""
+    from rigiditylab import ff
+
+    F, n = m.field, m.rows
+    total = 0
     for perm in itertools.permutations(range(n)):
         seen, cycles = set(), 0
         for start in range(n):
@@ -124,11 +128,11 @@ def leibniz_det(m):
                 while j not in seen:
                     seen.add(j)
                     j = perm[j]
-        term = m.field.one
+        term = 1
         for i, j in enumerate(perm):
-            term = term * m[i, j]
-        total = total - term if (n - cycles) % 2 else total + term
-    return total
+            term = F.mul(term, m[i, j].value)
+        total = F.sub(total, term) if (n - cycles) % 2 else F.add(total, term)
+    return ff.FieldElement(F, total)
 
 
 def span_rank(m) -> int:
@@ -163,18 +167,18 @@ def digit_add(p: int, k: int, a: int, b: int, sign: int = 1) -> int:
 
 
 def matmul_entrywise(a, b):
-    """a @ b of two ff.Matrix, each entry summed term by term in
-    field-element arithmetic."""
+    """a @ b of two ff.Matrix, each entry summed term by term with the
+    field's scalar add and mul."""
     from rigiditylab import ff
 
     F = a.field
     out = []
     for i in range(a.rows):
         for j in range(b.cols):
-            acc = F.zero
+            acc = 0
             for t in range(a.cols):
-                acc = acc + a[i, t] * b[t, j]
-            out.append(acc)
+                acc = F.add(acc, F.mul(a[i, t].value, b[t, j].value))
+            out.append(ff.FieldElement(F, acc))
     return ff.Matrix(F, a.rows, b.cols, out)
 
 
@@ -186,8 +190,9 @@ def norm_linear(ad, a: int):
     total = ff.Matrix(F, d, d, [F.zero] * (d * d))
     power = ff.Matrix.identity(F, d)
     for _ in range(a):
-        total = ff.Matrix(F, d, d, [x + y for x, y in
-                                    zip(total.entries, power.entries)])
+        total = ff.Matrix(F, d, d, [ff.FieldElement(F, F.add(x.value, y.value))
+                                    for x, y in zip(total.entries,
+                                                    power.entries)])
         power = matmul_entrywise(power, ad)
     return total
 
@@ -448,12 +453,67 @@ def has_common_stable_line(gens) -> bool:
 
     field = gens[0].field
     big = ff.field_create(field.p, field.k * 2)
-    mats = [ff.embed_matrix(g, big) for g in gens]
-    lines = [(big.one, x) for x in big.elements()] + [(big.zero, big.one)]
+    add, mul = big.add, big.mul
+    mats = [[x.value for x in embed_matrix(g, big).entries] for g in gens]
+    lines = [(1, x) for x in range(big.q)] + [(0, 1)]
 
     def stable(m, v):
-        w0 = m.entries[0] * v[0] + m.entries[1] * v[1]
-        w1 = m.entries[2] * v[0] + m.entries[3] * v[1]
-        return (v[0] * w1 - v[1] * w0).is_zero()
+        w0 = add(mul(m[0], v[0]), mul(m[1], v[1]))
+        w1 = add(mul(m[2], v[0]), mul(m[3], v[1]))
+        return big.sub(mul(v[0], w1), mul(v[1], w0)) == 0
 
     return any(all(stable(m, v) for m in mats) for v in lines)
+
+
+# ---------------------------------------------------------------------------
+# field embeddings
+# ---------------------------------------------------------------------------
+
+def embedding(small, big):
+    """The canonical embedding F_{p^k} -> F_{p^(km)}.
+
+    Sends the generator of the small field to the first root (in packed
+    order) of the small modulus inside the big field, which makes the map
+    deterministic.  Returns a function on elements.
+    """
+    from rigiditylab import ff
+    from rigiditylab.errors import InputError
+
+    if small.p != big.p or big.k % small.k != 0:
+        raise InputError(f"no embedding {small} -> {big}")
+    if small.k == 1:
+        # A prime-field constant c packs to the same integer in any extension.
+        return lambda x: ff.FieldElement(big, x.value)
+    mod = small.modulus_poly
+    root = None
+    for v in range(big.q):
+        acc = 0
+        xp = 1
+        for c in mod:
+            if c:
+                acc = big.add(acc, big.mul(c, xp))
+            xp = big.mul(xp, v)
+        if acc == 0:
+            root = v
+            break
+    assert root is not None, "splitting field contains a root"
+    powers = [1]
+    for _ in range(small.k - 1):
+        powers.append(big.mul(powers[-1], root))
+
+    def embed(x):
+        acc = 0
+        for c, w in zip(x.coeffs, powers):
+            if c:
+                acc = big.add(acc, big.mul(c, w))
+        return ff.FieldElement(big, acc)
+
+    return embed
+
+
+def embed_matrix(m, big):
+    """m with every entry sent through the canonical embedding into big."""
+    from rigiditylab import ff
+
+    emb = embedding(m.field, big)
+    return ff.Matrix(big, m.rows, m.cols, [emb(e) for e in m.entries])

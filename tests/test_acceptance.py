@@ -214,7 +214,7 @@ def test_criterion_7_field_extension_invariance():
         F = make_field(q)
         big = ff.field_create(F.p, 2 * F.k)
         t = matgrp.random_sl_tuple(F, n, rng.randrange(2, 4), rng)
-        lifted = matgrp.group_tuple([ff.embed_matrix(g, big)
+        lifted = matgrp.group_tuple([oracles.embed_matrix(g, big)
                                      for g in t.generators], t.declared_orders)
         rep, rep_big = adjoint.adjoint_rep(F, n), adjoint.adjoint_rep(big, n)
         assert coinv.coinvariant_dim(t).coinv_dim == \

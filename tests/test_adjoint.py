@@ -85,9 +85,12 @@ def test_ad_matches_direct_conjugation(f7):
         x = rep.from_coords(vec)
         direct = g @ x @ g.inverse()
         ad = rep.ad_matrix(g)
-        moved = [sum((ad[i, j] * ff.FieldElement(f7, vec[j])
-                      for j in range(rep.dim)), f7.zero).value
-                 for i in range(rep.dim)]
+        moved = []
+        for i in range(rep.dim):
+            acc = 0
+            for j in range(rep.dim):
+                acc = f7.add(acc, f7.mul(ad[i, j].value, vec[j]))
+            moved.append(acc)
         assert rep.coords(direct) == moved
 
 
@@ -166,7 +169,7 @@ def test_class_dim_invariant_under_conjugation_and_extension():
         h = matgrp.random_sl_matrix(F, 2, rng)
         d = rep.class_dim(g)
         assert rep.class_dim(h @ g @ h.inverse()) == d
-        assert rep_big.class_dim(ff.embed_matrix(g, big)) == d
+        assert rep_big.class_dim(oracles.embed_matrix(g, big)) == d
 
 
 def test_class_dim_of_realized_witness_matches_j_value():

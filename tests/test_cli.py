@@ -225,8 +225,17 @@ def test_bad_work_cap_env_var_rejected(capsys, monkeypatch):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag", ["--workers", "--work-cap"])
+def test_zero_workers_or_work_cap_rejected(capsys, flag):
+    code, out, err = run(capsys, "census", "--type", "A", "--rank", "1",
+                         "--q", "5", "--signature", "2,3,5", flag, "0")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["kind"] == "input"
+
+
 def test_invariant_violation_exits_4(capsys, monkeypatch):
-    def explode(cfg, args):
+    def explode(args, work_cap):
         raise InvariantViolation("forced for the exit-code contract")
     monkeypatch.setitem(cli._RUNNERS, "rootdata", explode)
     code, _, err = run(capsys, "rootdata", "--type", "A", "--rank", "1",

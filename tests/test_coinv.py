@@ -116,7 +116,7 @@ def test_span_invariant_under_field_extension():
     for _ in range(8):
         t = matgrp.random_sl_tuple(F, 2, 3, rng)
         lifted = matgrp.group_tuple(
-            [ff.embed_matrix(g, big) for g in t.generators], t.declared_orders)
+            [oracles.embed_matrix(g, big) for g in t.generators], t.declared_orders)
         a, b = coinv.coinvariant_dim(t), coinv.coinvariant_dim(lifted)
         assert (a.span_dim, a.coinv_dim) == (b.span_dim, b.coinv_dim)
 

@@ -83,7 +83,7 @@ def test_b1_is_the_whole_tuple_coboundary_rank():
         stacked = []
         for g in t.generators:
             ad = rep.ad_matrix(g)
-            stacked += [[(ad[i, j] - (F.one if i == j else F.zero)).value
+            stacked += [[F.sub(ad[i, j].value, int(i == j))
                          for j in range(rep.dim)] for i in range(rep.dim)]
         # rank of the stacked (Ad - 1) blocks, transposed into one map
         cols = [[row[j] for row in stacked] for j in range(rep.dim)]
@@ -135,6 +135,26 @@ def test_doubled_norm_matches_linear_sum():
                                    [rng.randrange(F.q) for _ in range(d * d)])
         for a in range(1, 41):
             assert rigidity._norm(ad, a) == oracles.norm_linear(ad, a)
+
+
+def test_doubled_norm_computes_no_unused_product(monkeypatch):
+    """Doubling needs two products per bit after the leading one, one
+    more per set bit, and none to advance the power past the last bit."""
+    calls = [0]
+    matmul = ff.Matrix.__matmul__
+
+    def counted(a, b):
+        calls[0] += 1
+        return matmul(a, b)
+
+    monkeypatch.setattr(ff.Matrix, "__matmul__", counted)
+    F = ff.field_create(5)
+    ad = ff.Matrix.from_rows(F, [[1, 2, 0], [3, 0, 4], [0, 1, 1]])
+    for a in range(2, 41):
+        calls[0] = 0
+        rigidity._norm(ad, a)
+        bound = 2 * (a.bit_length() - 1) + bin(a).count("1") - 2
+        assert calls[0] <= bound, a
 
 
 def test_relator_matrix_matches_linear_sum_relator():
