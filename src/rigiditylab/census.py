@@ -24,7 +24,7 @@ merge by taking the index-tuple minimum.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .adjoint import adjoint_rep
 from .errors import InputError, WorkCapExceeded
@@ -283,15 +283,9 @@ def rigid_class_tuples(result: CensusResult, rs: RootSystem,
         t = group_tuple(list(entry.witness), list(result.signature))
         reports.append((entry.classes, rigidity_verdict(t, irreducibility)))
 
-    filtered = CensusResult(
-        group_id=result.group_id, p=result.p, k=result.k, n=result.n,
-        projective=result.projective, group_size=result.group_size,
-        signature=result.signature, class_orders=result.class_orders,
-        class_sizes=result.class_sizes, entries=tuple(kept),
-        epi_tested=result.epi_tested,
-        total_hom=sum(e.hom_count for e in kept),
-        total_epi=sum(e.epi_count for e in kept),
-    )
+    filtered = replace(result, entries=tuple(kept),
+                       total_hom=sum(e.hom_count for e in kept),
+                       total_epi=sum(e.epi_count for e in kept))
     return RigidCensus(result=filtered, reports=tuple(reports))
 
 

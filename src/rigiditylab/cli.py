@@ -25,6 +25,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
@@ -158,7 +159,7 @@ def _run_rigidity(args: argparse.Namespace, work_cap: int) -> str:
 def _factor_prime_power(q: int) -> tuple[int, int]:
     if q < 2:
         raise InputError(f"q = {q} is not a prime power")
-    p = next((f for f in range(2, q + 1) if q % f == 0), q)
+    p = next((f for f in range(2, math.isqrt(q) + 1) if q % f == 0), q)
     k = 0
     rest = q
     while rest % p == 0:

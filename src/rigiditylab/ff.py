@@ -630,13 +630,12 @@ class Matrix:
             raise InputError("power of a non-square matrix")
         if e < 0:
             return self.inverse() ** (-e)
-        result = Matrix.identity(self.field, self.rows)
-        base = self
-        while e:
-            if e & 1:
-                result = result @ base
-            base = base @ base
-            e >>= 1
+        # from the top bit: one square per later bit, one product per set one
+        result = self if e else Matrix.identity(self.field, self.rows)
+        for bit in bin(e)[3:]:
+            result = result @ result
+            if bit == "1":
+                result = result @ self
         return result
 
     # -- predicates -------------------------------------------------------------

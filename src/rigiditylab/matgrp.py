@@ -81,11 +81,16 @@ class GroupTuple:
     def length(self) -> int:
         return len(self.generators)
 
-    def product(self) -> Matrix:
-        out = Matrix.identity(self.field, self.n)
+    def prefixes(self) -> list[Matrix]:
+        """The m + 1 partial products c_1 ... c_i for i = 0..m, from the
+        identity to the full product."""
+        out = [Matrix.identity(self.field, self.n)]
         for g in self.generators:
-            out = out @ g
+            out.append(out[-1] @ g)
         return out
+
+    def product(self) -> Matrix:
+        return self.prefixes()[-1]
 
 
 def group_tuple(generators: Sequence[Matrix],
@@ -109,8 +114,9 @@ def group_tuple(generators: Sequence[Matrix],
                    declared_orders=tuple(int(a) for a in declared_orders))
     if not t.product().is_scalar():
         raise InputError("product of the generators is not a scalar matrix")
+    # g^a is scalar exactly when the projective order divides a
     for g, a in zip(t.generators, t.declared_orders):
-        if a % projective_order(g) != 0:
+        if not (g ** a).is_scalar():
             raise InputError(
                 f"projective order {projective_order(g)} does not divide "
                 f"the declared order {a}"

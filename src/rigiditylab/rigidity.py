@@ -9,9 +9,11 @@ Three layers, all exact:
   relator's norm sum_{j<a} Ad(c)^j is computed by doubling, in O(log a)
   products.
 * tangent_product_rank: the rank of the derivative of the product-of-
-  classes map at the tuple.  This must coincide with the displacement
-  span dimension; the agreement is checked on every call rather than
-  assumed, and a mismatch is reported as an internal invariant failure.
+  classes map at the tuple.  Its block for c_i is Ad(P_i) - Ad(P_(i+1))
+  with P_i = c_1 ... c_(i-1), the same prefix Ad matrices as the product
+  relator.  This rank must coincide with the displacement span dimension;
+  the agreement is checked on every verdict rather than assumed, and a
+  mismatch is reported as an internal invariant failure.
 * rigidity_verdict: class dimensions, coinvariants, irreducibility and
   the dimension-count test assembled into a RigidityReport.  When p
   divides no declared order, Weil's formula h1 = z1 - b1 is checked too.
@@ -31,8 +33,8 @@ from .adjoint import adjoint_rep, smoothness_flags
 from .coinv import coinvariant_dim
 from .errors import InputError, InvariantViolation
 from .ff import Matrix, kernel_dim, rank
-from .matgrp import (GroupTuple, element_order, group_tuple,
-                     is_absolutely_irreducible, projective_order)
+from .matgrp import (GroupTuple, element_order, is_absolutely_irreducible,
+                     projective_order)
 
 IRREDUCIBLE_VERIFIED = "verified"
 IRREDUCIBLE_ASSERTED = "asserted"
@@ -49,9 +51,10 @@ def central_lift(t: GroupTuple) -> GroupTuple:
     prod = t.product()
     if prod.is_identity():
         return t
+    # t is validated, so extra has determinant 1 and the new product is I
     extra = prod.inverse()
-    return group_tuple(list(t.generators) + [extra],
-                       list(t.declared_orders) + [element_order(extra)])
+    return GroupTuple(t.field, t.n, t.generators + (extra,),
+                      t.declared_orders + (element_order(extra),))
 
 
 @dataclass(frozen=True)
@@ -63,14 +66,6 @@ class CocycleSpaces:
     b1_dim: int
     h1_dim: int
     relator_matrix: Matrix
-
-
-def _prefixes(t: GroupTuple) -> list[Matrix]:
-    """c_i' = c_1 ... c_(i-1), starting with the identity."""
-    out = [Matrix.identity(t.field, t.n)]
-    for g in t.generators[:-1]:
-        out.append(out[-1] @ g)
-    return out
 
 
 def cocycle_spaces(t: GroupTuple) -> CocycleSpaces:
@@ -92,7 +87,7 @@ def cocycle_spaces(t: GroupTuple) -> CocycleSpaces:
 
     ads = [rep.ad_matrix(c) for c in t.generators]
     norms = [_norm(ad, a) for ad, a in zip(ads, t.declared_orders)]
-    prefix_ads = [rep.ad_matrix(c) for c in _prefixes(t)]
+    prefix_ads = [rep.ad_matrix(c) for c in t.prefixes()[:-1]]
 
     blocks: list[list[Matrix]] = []
     for i in range(m):
@@ -139,17 +134,14 @@ def _assemble(field, blocks: list[list[Matrix]]) -> Matrix:
 
 
 def tangent_product_rank(t: GroupTuple) -> int:
-    """Rank of (Y_1,...,Y_m) -> sum_i (I - Ad(d_i)) Ad(c_i') Y_i where
-    d_i is c_i conjugated by its prefix c_i'."""
+    """Rank of (Y_1,...,Y_m) -> sum_i (I - Ad(d_i)) Ad(P_i) Y_i, where
+    P_i = c_1 ... c_(i-1) and d_i = P_i c_i P_i^(-1).  Since
+    d_i P_i = P_(i+1), block i is Ad(P_i) - Ad(P_(i+1)), and on the lifted
+    tuple P_(m+1) = I: no conjugate, inverse or product is formed."""
     t = central_lift(t)
     rep = adjoint_rep(t.field, t.n)
-    ident = Matrix.identity(t.field, rep.dim)
-    prefixes = _prefixes(t)
-    blocks = []
-    for c, pre in zip(t.generators, prefixes):
-        conj = pre @ c @ pre.inverse()
-        blocks.append((ident - rep.ad_matrix(conj)) @ rep.ad_matrix(pre))
-    return rank(_assemble(t.field, [blocks]))
+    ads = [rep.ad_matrix(pre) for pre in t.prefixes()]
+    return rank(_assemble(t.field, [[a - b for a, b in zip(ads, ads[1:])]]))
 
 
 @dataclass(frozen=True)
@@ -245,7 +237,7 @@ def rigidity_verdict(t: GroupTuple,
     two_dim_g = 2 * rep.dim
 
     co = coinvariant_dim(t)
-    df = tangent_product_rank(t)
+    df = tangent_product_rank(lifted)
     if df != co.span_dim:
         raise InvariantViolation(
             f"tangent product rank {df} differs from displacement span "
@@ -259,7 +251,7 @@ def rigidity_verdict(t: GroupTuple,
                        if is_absolutely_irreducible(list(t.generators))
                        else IRREDUCIBLE_FAILED)
 
-    spaces = cocycle_spaces(t)
+    spaces = cocycle_spaces(lifted)
     fiber_h1 = sum_dims - df - spaces.b1_dim
     p = t.field.p
     if (all(a % p for a in lifted.declared_orders)

@@ -8,8 +8,11 @@ and the linear norm sum) only the packed FiniteField methods of ff are
 used (add, sub, mul and friends, one element at a time), never its
 elimination or its packed matrix products; those field methods are
 checked in turn against digit_add and the polynomial oracles.
-relator_linear takes its Ad matrices from the package's adjoint module,
-which the adjoint tests check against direct conjugation.  The two span
+relator_linear and tangent_rank_conjugates take their Ad matrices from
+the package's adjoint module, which the adjoint tests check against
+direct conjugation; tangent_rank_conjugates also takes each prefix
+inverse from Matrix.inverse, which the ff tests check against the
+elimination-free oracles.  The two span
 helpers, column_space_union and coinvariant_dim_via_words, do reuse the
 package's row reduction: what they check is the set of vectors that gets
 reduced, not the reduction.
@@ -218,6 +221,30 @@ def relator_linear(t):
     entries = [blk[r, s] for brow in blocks for r in range(d)
                for blk in brow for s in range(d)]
     return ff.Matrix(F, len(blocks) * d, m * d, entries)
+
+
+def tangent_rank_conjugates(t):
+    """Rank of the derivative of the product-of-classes map from its
+    definition, on the centrally lifted tuple over a prime field: block i
+    is (I - Ad(d_i)) Ad(P_i), with P_i = c_1 ... c_(i-1) and the conjugate
+    d_i = P_i c_i P_i^(-1), reduced by rank_mod_p."""
+    from rigiditylab import adjoint, ff, rigidity
+
+    t = rigidity.central_lift(t)
+    F = t.field
+    assert F.k == 1, "rank_mod_p reduces over prime fields only"
+    rep = adjoint.adjoint_rep(F, t.n)
+    ident = ff.Matrix.identity(F, rep.dim)
+    prefix, blocks = ff.Matrix.identity(F, t.n), []
+    for c in t.generators:
+        step = matmul_entrywise(prefix, c)
+        conj = matmul_entrywise(step, prefix.inverse())
+        blocks.append(matmul_entrywise(ident - rep.ad_matrix(conj),
+                                       rep.ad_matrix(prefix)))
+        prefix = step
+    grids = [blk.row_values() for blk in blocks]
+    rows = [[x for grid in grids for x in grid[r]] for r in range(rep.dim)]
+    return rank_mod_p(rows, F.p)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
 """Command line interface: artifacts, determinism, exit codes."""
 
 import json
+import pathlib
 import random
+import time
 
 import pytest
 
 from rigiditylab import cli, ff, matgrp, rootdata
 from rigiditylab.errors import InvariantViolation
+
+GOLDEN_TUPLES = pathlib.Path(__file__).with_name("golden") / "tuples"
 
 
 def run(capsys, *argv):
@@ -170,6 +174,20 @@ def test_unreadable_tuple_file_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_declared_order_not_a_multiple_exits_2(capsys, tmp_path):
+    doc = json.loads((GOLDEN_TUPLES / "sl2_f11_declared.json").read_text(
+        encoding="utf-8"))
+    doc["orders"][0] = 4  # the first generator has projective order 3
+    path = tmp_path / "bad_order.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "rigidity", "--in", str(path))
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "input"
+    assert error["message"] == ("projective order 3 does not divide the "
+                                "declared order 4")
+
+
 def test_csv_not_available_for_rigidity(capsys, tmp_path):
     t = psl27_triple()
     path = write_tuple(tmp_path, t)
@@ -251,3 +269,28 @@ def test_census_rejects_non_type_a(capsys):
     code, _, _ = run(capsys, "census", "--type", "A", "--rank", "1",
                      "--q", "6", "--signature", "2,3,5")
     assert code == 2
+
+
+def test_census_q_factoring_stops_at_the_square_root(capsys, monkeypatch):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "census", "--type", "A", "--rank", "1",
+                         "--q", "1000000007", "--signature", "2,3,7")
+    assert time.perf_counter() - start < 5
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"]["kind"] == "work-cap"
+    for q in ("1", "12"):
+        code, _, err = run(capsys, "census", "--type", "A", "--rank", "1",
+                           "--q", q, "--signature", "2,3,7")
+        assert code == 2
+        assert json.loads(err)["error"]["kind"] == "input"
+    fields = []
+
+    def spy(p, k=1):
+        fields.append((p, k))
+        return ff.field_create(p, k)
+
+    monkeypatch.setattr(cli, "field_create", spy)
+    code, _, _ = run(capsys, "census", "--type", "A", "--rank", "1",
+                     "--q", "49", "--signature", "2,3,7", "--work-cap", "100")
+    assert code == 3
+    assert fields == [(7, 2)]

@@ -399,6 +399,28 @@ def test_matrix_power_and_scalar_recognition():
     assert not ff.Matrix.diagonal(F, [3, 5]).is_scalar()
 
 
+def test_matrix_power_squares_once_per_bit_after_the_leading_one(
+        monkeypatch):
+    calls = [0]
+    matmul = ff.Matrix.__matmul__
+
+    def counted(a, b):
+        calls[0] += 1
+        return matmul(a, b)
+
+    F = ff.field_create(7)
+    g = ff.Matrix.from_rows(F, [[2, 1, 0], [0, 3, 1], [1, 0, 4]])
+    powers = [ff.Matrix.identity(F, 3)]
+    for _ in range(40):
+        powers.append(matmul(powers[-1], g))
+    monkeypatch.setattr(ff.Matrix, "__matmul__", counted)
+    for e in range(41):
+        calls[0] = 0
+        assert g ** e == powers[e], e
+        assert calls[0] == max(e.bit_length() + bin(e).count("1") - 2, 0), e
+    assert g ** -5 @ powers[5] == powers[0]
+
+
 def test_matrix_key_distinguishes_entries_and_shape():
     F = ff.field_create(5)
     a = ff.Matrix.from_rows(F, [[1, 2], [3, 4]])

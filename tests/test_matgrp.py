@@ -1,6 +1,7 @@
 """Matrix groups: orders, closure, irreducibility, tuple wire format."""
 
 import json
+import pathlib
 import pickle
 import random
 
@@ -265,6 +266,47 @@ def test_group_tuple_validation():
     bad_det = ff.Matrix.diagonal(F, [3, 3])
     with pytest.raises(InputError):
         matgrp.group_tuple((bad_det, bad_det.inverse()), (6, 6))
+
+
+def test_declared_order_passes_exactly_when_projective_order_divides_it():
+    rng = random.Random(5)
+    for q, n in [(5, 2), (7, 2), (9, 2), (7, 3), (4, 3)]:
+        F = field(q)
+        for _ in range(3):
+            a = matgrp.random_sl_matrix(F, n, rng)
+            pair = (a, a.inverse())
+            po = matgrp.projective_order(a)
+            probes = {1, 2, po - 1, po, po + 1, 2 * po, 3 * po, 7 * po + 1,
+                      *rng.sample(range(1, 4 * po + 2), 8)}
+            for declared in sorted(probes - {0}):
+                if declared % po == 0:
+                    matgrp.group_tuple(pair, (declared, po))
+                else:
+                    with pytest.raises(InputError, match=(
+                            f"projective order {po} does not divide the "
+                            f"declared order {declared}$")):
+                        matgrp.group_tuple(pair, (declared, po))
+
+
+def test_loading_a_valid_tuple_walks_no_projective_order(monkeypatch):
+    calls = []
+    walk = matgrp.projective_order
+    monkeypatch.setattr(matgrp, "projective_order",
+                        lambda g: calls.append(g) or walk(g))
+    golden = pathlib.Path(__file__).with_name("golden") / "tuples"
+    for path in sorted(golden.glob("*.json")):
+        matgrp.load_tuple(str(path))
+    assert calls == []
+
+
+def test_prefixes_run_from_the_identity_to_the_product():
+    F = field(7)
+    t = matgrp.random_sl_tuple(F, 3, 4, random.Random(9))
+    pre = t.prefixes()
+    assert len(pre) == t.length + 1
+    assert pre[0].is_identity() and pre[-1] == t.product()
+    for i, c in enumerate(t.generators):
+        assert pre[i + 1] == oracles.matmul_entrywise(pre[i], c)
 
 
 def test_product_may_be_any_scalar():

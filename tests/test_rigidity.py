@@ -127,6 +127,60 @@ def test_tangent_rank_equals_span_dim():
                 coinv.coinvariant_dim(t).span_dim
 
 
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([2, 3]),
+       p=st.sampled_from([5, 7, 13]), length=st.integers(2, 4),
+       scalar=st.booleans())
+def test_tangent_rank_matches_the_conjugate_formula(seed, n, p, length,
+                                                    scalar):
+    F = ff.field_create(p)
+    t = matgrp.random_sl_tuple(F, n, length, random.Random(seed))
+    if scalar:
+        # product zeta I for a nontrivial n-th root of unity zeta: -I in
+        # SL2, and 2I or 3I in SL3 over F7 or F13
+        zeta = next((z for z in range(2, p) if pow(z, n, p) == 1), None)
+        assume(zeta is not None)
+        gens = list(t.generators)
+        gens[-1] = gens[-1] @ ff.Matrix.diagonal(F, [zeta] * n)
+        t = matgrp.tuple_from_matrices(gens)
+        assert t.product() == ff.Matrix.diagonal(F, [zeta] * n)
+    assert rigidity.tangent_product_rank(t) == \
+        oracles.tangent_rank_conjugates(t)
+
+
+def test_tangent_rank_takes_no_inverse_on_a_lifted_tuple(monkeypatch):
+    """Once the prefix Ad matrices are cached, as cocycle_spaces leaves
+    them, df takes no inverse of its own."""
+    t = matgrp.load_tuple(str(TUPLES / "sl3_f7_scalar.json"))
+    lifted = rigidity.central_lift(t)
+    assert lifted.length == t.length + 1
+    rigidity.cocycle_spaces(lifted)
+    calls = []
+    inverse = ff.Matrix.inverse
+    monkeypatch.setattr(ff.Matrix, "inverse",
+                        lambda m: calls.append(m) or inverse(m))
+    assert rigidity.tangent_product_rank(lifted) == 8
+    assert calls == []
+
+
+def test_verdict_walks_each_projective_order_once(monkeypatch):
+    t = matgrp.load_tuple(str(TUPLES / "sl3_f7_scalar.json"))
+    calls = []
+    walk = matgrp.projective_order
+
+    def counted(g):
+        calls.append(g)
+        return walk(g)
+
+    monkeypatch.setattr(matgrp, "projective_order", counted)
+    monkeypatch.setattr(rigidity, "projective_order", counted)
+    report = rigidity.rigidity_verdict(t)
+    assert report.lifted_order == 3
+    assert calls == list(t.generators)
+
+
 def test_doubled_norm_matches_linear_sum():
     rng = random.Random(21)
     for (p, k), d in [((5, 1), 8), ((7, 1), 3), ((3, 2), 3), ((2, 2), 3)]:
