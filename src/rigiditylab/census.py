@@ -14,11 +14,20 @@ right-multiplication permutations recorded by the closure, so the census
 multiplies no matrices.  Element orders are computed once per conjugacy
 class, since order is a class function.
 
-An epimorphism test closes each accepted tuple inside the table, stopping
-as soon as more than half the group is reached (a proper subgroup cannot
-get that far).  Results are deterministic for any worker count: the work
-is chunked by a fixed block size, counts merge by addition, and witnesses
-merge by taking the index-tuple minimum.
+Generation is decided once per C(x_1)-orbit.  Conjugating a tuple by an
+element of the centralizer of x_1 keeps x_1, the orders, the product and
+whether the tuple generates, so when the epimorphism test accepts a tuple
+(it closes the tuple inside the table, stopping as soon as more than half
+the group is reached, which a proper subgroup cannot do) the whole orbit
+is recorded as known epimorphisms.  The centralizer is found by index
+lookups after the first accepted tuple for its x_1, and kept for the rest
+of the census in that process; a census that accepts no tuple never
+computes it.  Every tuple is still classified on its own, so counts and
+witnesses do not depend on which member of an orbit was tested.
+
+Results are deterministic for any worker count: the work is chunked by a
+fixed block size, counts merge by addition, and witnesses merge by taking
+the index-tuple minimum.
 """
 
 from __future__ import annotations
@@ -97,6 +106,23 @@ def _generates(table: FiniteGroupTable, gens_idx: tuple[int, ...]) -> bool:
     return len(seen) == table.size
 
 
+def _mark_epi_orbit(table: FiniteGroupTable, rep: int,
+                    middle: tuple[int, ...]) -> None:
+    """Record the C(rep)-orbit of the middle coordinates of a generating
+    tuple (rep, *middle, last) as known epimorphisms of this process; the
+    last coordinate follows from the others."""
+    orbits = _W["epi_orbits"]
+    if rep not in orbits:
+        mul = table.mul
+        orbits[rep] = ([c for c in range(table.size)
+                        if mul(rep, c) == mul(c, rep)], set())
+    centralizer, known = orbits[rep]
+    mul, inv = table.mul, table.inv
+    for c in centralizer:
+        c_inv = inv(c)
+        known.add(tuple(mul(mul(c_inv, x), c) for x in middle))
+
+
 def _census_task(args: tuple[int, int, int]) -> list[tuple]:
     """Count the block (first coordinate = one class rep, second coordinate
     in a slice of its candidate list)."""
@@ -112,6 +138,7 @@ def _census_task(args: tuple[int, int, int]) -> list[tuple]:
     last_a = sig[-1]
     m = len(sig)
 
+    orbits: dict[int, tuple] = _W["epi_orbits"]
     out: dict[tuple[int, ...], list] = {}
 
     def record(idx_tuple: tuple[int, ...]) -> None:
@@ -120,7 +147,13 @@ def _census_task(args: tuple[int, int, int]) -> list[tuple]:
         if ent is None:
             ent = out[cls] = [0, 0, None, None]
         ent[0] += weight
-        is_epi = epi_test and _generates(table, idx_tuple)
+        is_epi = False
+        if epi_test:
+            middle = idx_tuple[1:-1]
+            is_epi = rep in orbits and middle in orbits[rep][1]
+            if not is_epi and _generates(table, idx_tuple):
+                is_epi = True
+                _mark_epi_orbit(table, rep, middle)
         if is_epi:
             ent[1] += weight
             if ent[3] is None or idx_tuple < ent[3]:
@@ -198,6 +231,7 @@ def census(table: FiniteGroupTable, signature: tuple[int, ...],
     payload = {
         "table": table, "sig": sig, "cands": cands, "orders": orders,
         "class_of": class_of, "weights": weights, "epi_test": epi_test,
+        "epi_orbits": {},  # rep -> (centralizer, known epi middles)
     }
     if workers <= 1:
         _census_init(payload)

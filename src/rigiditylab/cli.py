@@ -191,9 +191,10 @@ def _run_census(args: argparse.Namespace, work_cap: int) -> str:
         raise WorkCapExceeded(
             f"group of order {target} exceeds the work cap {work_cap}"
         )
-    gens = generating_pair(field, n)
-    table = group_closure(list(gens), cap=target + 1,
-                          projective=args.projective)
+    linear = generating_pair(field, n)
+    table = group_closure(linear.generators, cap=target + 1,
+                          projective=args.projective, linear=linear)
+    del linear  # with --projective the census keeps only the quotient
     result = census_mod.census(table, signature, epi_test=args.epi_test,
                                workers=args.workers,
                                work_cap=work_cap)

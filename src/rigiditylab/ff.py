@@ -73,23 +73,24 @@ def _poly_mulmod(a: Sequence[int], b: Sequence[int], mod: Sequence[int], p: int)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                res[i + j] = (res[i + j] + ai * bj) % p
+                res[i + j] += ai * bj
     return _poly_modred(res, mod, p)
 
 
 def _poly_modred(a: Sequence[int], mod: Sequence[int], p: int) -> list[int]:
+    """a modulo the monic mod, as k coefficients in [0, p).  The input
+    coefficients may be any integers: each is reduced mod p once, when it
+    leads or at the end."""
     a = list(a)
     k = len(mod) - 1
+    terms = [(j, c) for j, c in enumerate(mod[:k]) if c]
     for i in range(len(a) - 1, k - 1, -1):
-        c = a[i]
+        c = a[i] % p
         if c:
-            a[i] = 0
-            for j in range(k):
-                a[i - k + j] = (a[i - k + j] - c * mod[j]) % p
-    del a[k:]
-    while len(a) < k:
-        a.append(0)
-    return a
+            for j, mj in terms:
+                a[i - k + j] -= c * mj
+    out = [x % p for x in a[:k]]
+    return out + [0] * (k - len(out))
 
 
 def _poly_powmod(a: Sequence[int], e: int, mod: Sequence[int], p: int) -> list[int]:

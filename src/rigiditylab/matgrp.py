@@ -10,10 +10,13 @@ Group tables index elements by a canonical key.  Working projectively, the
 key is the entry tuple after scaling the first nonzero entry to 1, so a
 table element stands for a full scalar class while its stored matrix stays
 an honest determinant-one representative.  Matrix products happen only
-during the closure, which records right multiplication by each generator
-as a permutation of the indices; products, inverses, element orders and
-conjugacy classes in the table are then index lookups along shortest
-words in the generators.
+during a linear or projective closure, which records right multiplication
+by each generator as a permutation of the indices; products, inverses,
+element orders and conjugacy classes in the table are then index lookups
+along shortest words in the generators.  A projective table is a quotient
+of a linear closure already at hand: ``generating_pair`` returns the SL_n
+closure it found, and PSL_n is read off it by scalar classes, with no
+product.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import InputError, InvariantViolation, WorkCapExceeded
@@ -81,16 +85,20 @@ class GroupTuple:
     def length(self) -> int:
         return len(self.generators)
 
-    def prefixes(self) -> list[Matrix]:
+    def prefixes(self) -> tuple[Matrix, ...]:
         """The m + 1 partial products c_1 ... c_i for i = 0..m, from the
-        identity to the full product."""
+        identity to the full product, folded once per tuple."""
+        return self._prefixes
+
+    @cached_property
+    def _prefixes(self) -> tuple[Matrix, ...]:
         out = [Matrix.identity(self.field, self.n)]
         for g in self.generators:
             out.append(out[-1] @ g)
-        return out
+        return tuple(out)
 
     def product(self) -> Matrix:
-        return self.prefixes()[-1]
+        return self._prefixes[-1]
 
 
 def group_tuple(generators: Sequence[Matrix],
@@ -225,7 +233,9 @@ class FiniteGroupTable:
 
     No matrix is multiplied after the closure.  The closure expands every
     element once by each generator and keeps the products as index
-    permutations, ``right[k][i] = index(mats[i] @ generators[k])``.  The
+    permutations, ``right[k][i] = index(mats[i] @ generators[k])``; a
+    projective table may instead be the scalar quotient of a linear one
+    (:func:`group_closure` with ``linear``), with the same data.  The
     first ``mul`` or ``inv`` call searches the Cayley graph on the
     generators and their inverses breadth-first, which gives every element
     a shortest word; a word is held as the tuple of its letters'
@@ -234,43 +244,16 @@ class FiniteGroupTable:
     for their size never pay for the words.
     """
 
-    def __init__(self, generators: Sequence[Matrix], cap: int,
-                 projective: bool = False):
-        if not generators:
-            raise InputError("group closure needs at least one generator")
-        field = generators[0].field
-        n = generators[0].rows
-        for g in generators:
-            if g.field != field or g.rows != n or g.cols != n:
-                raise InputError("closure generators must be square over one field")
-            if not g.is_invertible():
-                raise InputError("closure generator is not invertible")
-        self.field = field
-        self.n = n
+    def __init__(self, generators: Sequence[Matrix], mats: list[Matrix],
+                 index: dict[tuple, int], right: tuple[list[int], ...],
+                 projective: bool):
+        self.generators = tuple(generators)
+        self.field = generators[0].field
+        self.n = generators[0].rows
         self.projective = projective
-
-        ident = Matrix.identity(field, n)
-        self.mats: list[Matrix] = [ident]
-        self.index: dict[tuple, int] = {self.canonical_key(ident): 0}
-        self.right: tuple[list[int], ...] = tuple([] for _ in generators)
-        # Expanding in index order is breadth-first order: each level is
-        # the run of indices appended while the level before it expanded.
-        i = 0
-        while i < len(self.mats):
-            m = self.mats[i]
-            for g, perm in zip(generators, self.right):
-                prod = m @ g
-                key = self.canonical_key(prod)
-                j = self.index.get(key)
-                if j is None:
-                    if len(self.mats) >= cap:
-                        raise WorkCapExceeded(
-                            f"group closure exceeded the cap of {cap} elements"
-                        )
-                    j = self.index[key] = len(self.mats)
-                    self.mats.append(prod)
-                perm.append(j)
-            i += 1
+        self.mats = mats
+        self.index = index
+        self.right = right
         self._words: list[tuple[list[int], ...]] | None = None
         self._inverses: list[int] | None = None
         self._orders: list[int] | None = None
@@ -394,10 +377,84 @@ class FiniteGroupTable:
         return out
 
 
-def group_closure(gens: Sequence[Matrix], cap: int,
-                  projective: bool = False) -> FiniteGroupTable:
-    """Breadth-first closure of the generators under multiplication."""
-    return FiniteGroupTable(gens, cap=cap, projective=projective)
+def _cap_exceeded(cap: int) -> WorkCapExceeded:
+    return WorkCapExceeded(f"group closure exceeded the cap of {cap} elements")
+
+
+def _breadth_first(gens: Sequence[Matrix], cap: int,
+                   projective: bool) -> FiniteGroupTable:
+    field = gens[0].field
+    n = gens[0].rows
+    for g in gens:
+        if g.field != field or g.rows != n or g.cols != n:
+            raise InputError("closure generators must be square over one field")
+        if not g.is_invertible():
+            raise InputError("closure generator is not invertible")
+    key = Matrix.projective_key if projective else Matrix.key
+    ident = Matrix.identity(field, n)
+    mats = [ident]
+    index = {key(ident): 0}
+    right = tuple([] for _ in gens)
+    # Expanding in index order is breadth-first order: each level is the
+    # run of indices appended while the level before it expanded.
+    i = 0
+    while i < len(mats):
+        m = mats[i]
+        for g, perm in zip(gens, right):
+            prod = m @ g
+            k = key(prod)
+            j = index.get(k)
+            if j is None:
+                if len(mats) >= cap:
+                    raise _cap_exceeded(cap)
+                j = index[k] = len(mats)
+                mats.append(prod)
+            perm.append(j)
+        i += 1
+    return FiniteGroupTable(gens, mats, index, right, projective)
+
+
+def _scalar_quotient(linear: FiniteGroupTable, cap: int) -> FiniteGroupTable:
+    """The projective table of a linear closure, without products.
+
+    Scalar classes are numbered in order of first occurrence by linear
+    index, each keeps its first matrix, and ``right[k][c]`` is the class of
+    ``right_linear[k][first(c)]``.  This is exactly the projective
+    breadth-first closure of the same generators: a later member s x of a
+    class is expanded after x, and each s x g lies in the class of x g,
+    which x already reached.
+    """
+    index: dict[tuple, int] = {}
+    class_of = []
+    first = []
+    for i, m in enumerate(linear.mats):
+        c = index.setdefault(m.projective_key(), len(first))
+        if c == len(first):
+            if c >= cap:
+                raise _cap_exceeded(cap)
+            first.append(i)
+        class_of.append(c)
+    right = tuple([class_of[perm[i]] for i in first] for perm in linear.right)
+    return FiniteGroupTable(linear.generators, [linear.mats[i] for i in first],
+                            index, right, projective=True)
+
+
+def group_closure(gens: Sequence[Matrix], cap: int, projective: bool = False,
+                  linear: FiniteGroupTable | None = None) -> FiniteGroupTable:
+    """Breadth-first closure of the generators under multiplication.
+
+    ``linear``, a linear closure of the same generators that the caller
+    already holds, makes no products: it is returned as it is, or with
+    ``projective=True`` as its quotient by the scalars, which is the table
+    the projective closure would build.
+    """
+    if not gens:
+        raise InputError("group closure needs at least one generator")
+    if linear is None:
+        return _breadth_first(gens, cap, projective)
+    if linear.projective or linear.generators != tuple(gens):
+        raise InputError("linear must be a linear closure of the generators")
+    return _scalar_quotient(linear, cap) if projective else linear
 
 
 # ---------------------------------------------------------------------------
@@ -482,12 +539,15 @@ def _pair_candidates(field: FiniteField, n: int) -> Iterable[tuple[Matrix, Matri
             yield _transvection(field, n, v), _companion(field, n, coeffs)
 
 
-def generating_pair(field: FiniteField, n: int) -> tuple[Matrix, Matrix]:
-    """A deterministic generating pair for SL_n over the given field.
+def generating_pair(field: FiniteField, n: int) -> FiniteGroupTable:
+    """The closure of a deterministic generating pair for SL_n over the
+    given field; the pair is its ``generators``.
 
     Tries a fixed candidate stream (transvections against a transvection,
     Weyl element, or signed cycle) and accepts the first pair whose closure
-    size matches the SL_n order formula exactly.
+    size matches the SL_n order formula exactly.  Callers that need the
+    group itself, or PSL_n as its quotient, take the winning closure
+    rather than closing the pair again.
     """
     want = sl_order(field.q, n)
     for a, b in _pair_candidates(field, n):
@@ -496,7 +556,7 @@ def generating_pair(field: FiniteField, n: int) -> tuple[Matrix, Matrix]:
         except WorkCapExceeded:
             continue
         if table.size == want:
-            return a, b
+            return table
     raise InvariantViolation(
         f"no generating pair found for SL_{n}({field.q}) in the candidate stream"
     )

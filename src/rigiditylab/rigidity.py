@@ -53,8 +53,12 @@ def central_lift(t: GroupTuple) -> GroupTuple:
         return t
     # t is validated, so extra has determinant 1 and the new product is I
     extra = prod.inverse()
-    return GroupTuple(t.field, t.n, t.generators + (extra,),
-                      t.declared_orders + (element_order(extra),))
+    lifted = GroupTuple(t.field, t.n, t.generators + (extra,),
+                        t.declared_orders + (element_order(extra),))
+    # the lifted prefixes are t's, closed by prod @ extra = I
+    lifted.__dict__["_prefixes"] = (*t.prefixes(),
+                                    Matrix.identity(t.field, t.n))
+    return lifted
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ def make_field(q):
 
 def psl_table(q, n=2):
     F = make_field(q)
-    a, b = matgrp.generating_pair(F, n)
+    a, b = matgrp.generating_pair(F, n).generators
     return matgrp.group_closure([a, b], cap=10 ** 7, projective=True)
 
 
@@ -234,7 +234,7 @@ def test_criterion_7_field_extension_invariance():
 def test_criterion_8_sl2_closure_orders():
     for q in (4, 5, 7, 8, 9, 11, 13):
         F = make_field(q)
-        a, b = matgrp.generating_pair(F, 2)
+        a, b = matgrp.generating_pair(F, 2).generators
         table = matgrp.group_closure([a, b], cap=10 ** 7)
         assert table.size == q * (q * q - 1), q
     criterion(8, "closure sizes match q(q^2 - 1) for q in 4..13")

@@ -151,7 +151,7 @@ def test_fixed_space_and_class_dim_examples(f7):
 
 def test_every_noncentral_psl2_element_has_class_dim_two():
     F = ff.field_create(5)
-    a, b = matgrp.generating_pair(F, 2)
+    a, b = matgrp.generating_pair(F, 2).generators
     table = matgrp.group_closure([a, b], cap=10 ** 6)
     rep = adjoint.adjoint_rep(F, 2)
     for m in table.mats:

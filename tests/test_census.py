@@ -2,6 +2,7 @@
 
 import gc
 import json
+import math
 import weakref
 
 import pytest
@@ -14,22 +15,29 @@ from rigiditylab import census, ff, matgrp, rigidity, rootdata
 @pytest.fixture(scope="module")
 def psl25():
     F = ff.field_create(5)
-    a, b = matgrp.generating_pair(F, 2)
+    a, b = matgrp.generating_pair(F, 2).generators
     return matgrp.group_closure([a, b], cap=10 ** 6, projective=True)
 
 
 @pytest.fixture(scope="module")
 def psl27():
     F = ff.field_create(7)
-    a, b = matgrp.generating_pair(F, 2)
+    a, b = matgrp.generating_pair(F, 2).generators
     return matgrp.group_closure([a, b], cap=10 ** 6, projective=True)
+
+
+@pytest.fixture(scope="module")
+def psl213():
+    linear = matgrp.generating_pair(ff.field_create(13), 2)
+    return matgrp.group_closure(linear.generators, cap=10 ** 6,
+                                projective=True, linear=linear)
 
 
 def test_census_frees_its_table_without_the_cycle_collector():
     # with the cyclic collector off, only reference counting can free the
     # table, so the census must leave no cycle that reaches it
     F = ff.field_create(13)
-    a, b = matgrp.generating_pair(F, 2)
+    a, b = matgrp.generating_pair(F, 2).generators
     table = matgrp.group_closure([a, b], cap=10 ** 6, projective=True)
     ref = weakref.ref(table)
     gc.collect()
@@ -38,6 +46,26 @@ def test_census_frees_its_table_without_the_cycle_collector():
         res = census.census(table, (2, 3, 7), workers=1)
         del table
         assert ref() is None
+    finally:
+        gc.enable()
+    assert res.total_epi == 6552
+
+
+def test_census_frees_the_linear_table_and_its_quotient():
+    # the projective census table is the quotient of generating_pair's SL
+    # closure; once the census is done, neither may stay alive
+    F = ff.field_create(13)
+    linear = matgrp.generating_pair(F, 2)
+    table = matgrp.group_closure(linear.generators, cap=10 ** 6,
+                                 projective=True, linear=linear)
+    refs = [weakref.ref(linear), weakref.ref(table)]
+    gc.collect()
+    gc.disable()
+    try:
+        del linear
+        res = census.census(table, (2, 3, 7), workers=1)
+        del table
+        assert [ref() for ref in refs] == [None, None]
     finally:
         gc.enable()
     assert res.total_epi == 6552
@@ -114,15 +142,64 @@ def _macbeath_hurwitz(p, k):
             or (k == 3 and p % 7 in (2, 3, 4, 5)))
 
 
-@pytest.mark.parametrize("q", [q for q in range(2, 30) if _prime_power(q)])
+def _hurwitz_epi_total(p, k):
+    # Epimorphisms onto a Hurwitz PSL2(q) come in c_q orbits of Aut PSL2(q),
+    # which acts freely on them: c_q = 1 for q = 7 and q = p^3, and 3 for
+    # q = p = +-1 mod 7; |Aut PSL2(q)| = k gcd(2, q - 1) |PSL2(q)|
+    q = p ** k
+    c_q = 3 if k == 1 and q != 7 else 1
+    return c_q * k * math.gcd(2, q - 1) * matgrp.psl_order(q, 2)
+
+
+@pytest.mark.parametrize("q", [q for q in range(2, 44) if _prime_power(q)])
 def test_macbeath_sweep(q):
     p, k = _prime_power(q)
     F = ff.field_create(p, k)
-    a, b = matgrp.generating_pair(F, 2)
-    table = matgrp.group_closure([a, b], cap=10 ** 6, projective=True)
+    linear = matgrp.generating_pair(F, 2)
+    table = matgrp.group_closure(linear.generators, cap=10 ** 6,
+                                 projective=True, linear=linear)
     assert table.size == matgrp.psl_order(q, 2)
     res = census.census(table, (2, 3, 7), workers=1)
     assert (res.total_epi > 0) == _macbeath_hurwitz(p, k)
+    if _macbeath_hurwitz(p, k):
+        assert res.total_epi == _hurwitz_epi_total(p, k)
+
+
+def test_hurwitz_epi_totals_pinned():
+    expected = {7: 336, 8: 1512, 13: 6552, 27: 58968, 29: 73080,
+                41: 206640, 43: 238392}
+    got = {q: _hurwitz_epi_total(*_prime_power(q)) for q in range(2, 44)
+           if _prime_power(q) and _macbeath_hurwitz(*_prime_power(q))}
+    assert got == expected
+
+
+def test_generation_is_tested_once_per_centralizer_orbit(monkeypatch,
+                                                        psl213):
+    # PSL2(13) has one class of involutions, whose centralizer (order 12)
+    # acts freely on the generating tuples: 6552 / 1092 = 6 orbits, so six
+    # accepted generation tests and one centralizer
+    accepted, marked = [], []
+    generates, mark = census._generates, census._mark_epi_orbit
+    monkeypatch.setattr(census, "_generates", lambda t, idx: (
+        generates(t, idx) and not accepted.append(idx)))
+    monkeypatch.setattr(census, "_mark_epi_orbit", lambda t, rep, middle: (
+        marked.append(rep), mark(t, rep, middle)))
+    res = census.census(psl213, (2, 3, 7), workers=1)
+    assert res.total_epi == 6552
+    assert len(accepted) == res.total_epi // psl213.size == 6
+    assert len(set(marked)) == 1 and len(marked) == 6
+
+
+def test_no_centralizer_without_an_epimorphism(monkeypatch):
+    F = ff.field_create(11)
+    table = matgrp.group_closure(matgrp.generating_pair(F, 2).generators,
+                                 cap=10 ** 6, projective=True)
+    marked = []
+    monkeypatch.setattr(census, "_mark_epi_orbit",
+                        lambda *args: marked.append(args))
+    res = census.census(table, (2, 3, 7), workers=1)
+    assert res.total_hom > 0 and res.total_epi == 0
+    assert marked == []
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +212,21 @@ def test_worker_count_does_not_change_the_result(psl27):
     three = census.census_to_json(census.census(psl27, (2, 3, 7), workers=3))
     assert json.dumps(serial, sort_keys=True) == json.dumps(two, sort_keys=True)
     assert json.dumps(serial, sort_keys=True) == json.dumps(three, sort_keys=True)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_chunk_size_does_not_change_the_result(monkeypatch, psl213,
+                                               workers):
+    # a chunk of 5 splits every centralizer orbit across chunks (and, with
+    # two workers, across processes) without changing a count or witness
+    default = census.census_to_json(
+        census.census(psl213, (2, 3, 7), workers=workers))
+    monkeypatch.setattr(census, "_CHUNK", 5)
+    small = census.census_to_json(
+        census.census(psl213, (2, 3, 7), workers=workers))
+    assert json.dumps(small, sort_keys=True) == \
+        json.dumps(default, sort_keys=True)
+    assert small["total_epi"] == 6552
 
 
 def test_work_cap_enforced(psl25):
@@ -204,7 +296,7 @@ def test_psl34_census_pinned_and_no_rigid_survivors():
     # order-3 classes of PSL3(4) are regular (class_dim 6), so a length-3
     # signature cannot reach 2 * dim = 16 exactly
     F = ff.field_create(2, 2)
-    a, b = matgrp.generating_pair(F, 3)
+    a, b = matgrp.generating_pair(F, 3).generators
     table = matgrp.group_closure([a, b], cap=10 ** 6, projective=True)
     assert table.size == 20160
     res = census.census(table, (3, 3, 3), epi_test=False, workers=2)

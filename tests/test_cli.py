@@ -27,7 +27,7 @@ def write_tuple(tmp_path, t, name="tuple.json"):
 
 def psl27_triple():
     F = ff.field_create(7)
-    a, b = matgrp.generating_pair(F, 2)
+    a, b = matgrp.generating_pair(F, 2).generators
     table = matgrp.group_closure([a, b], cap=10 ** 6, projective=True)
     for i in range(table.size):
         if table.order_of(i) != 2:

@@ -41,7 +41,7 @@ def test_full_sl2_tuple_has_zero_coinvariants(q):
     p = 2 if q in (4, 8) else q
     k = {4: 2, 8: 3}.get(q, 1)
     F = ff.field_create(p, k)
-    a, b = matgrp.generating_pair(F, 2)
+    a, b = matgrp.generating_pair(F, 2).generators
     t = matgrp.tuple_from_matrices([a, b, (a @ b).inverse()])
     res = coinv.coinvariant_dim(t)
     assert res.span_dim == 3

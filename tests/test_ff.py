@@ -92,6 +92,23 @@ def test_extension_product_matches_polynomial_oracle_sampled(p, k):
     assert_products_match_polynomial_oracle(F, pairs)
 
 
+@pytest.mark.parametrize("p,k", [(2, 17), (3, 11)])
+def test_modular_reduction_matches_polynomial_oracle(p, k):
+    """Reduction by the sparse moduli of the table-less fields, from any
+    integer coefficients (products are reduced mod p only there)."""
+    mod = list(ff.field_create(p, k).modulus_poly)
+    rng = random.Random(7 * p + k)
+    for length in [0, 1, k - 1, k, k + 1, 2 * k - 1] * 20:
+        a = [rng.randrange(-5 * p * p, 5 * p * p) for _ in range(length)]
+        want = oracles.poly_rem(a, mod, p)
+        want += [0] * (k - len(want))
+        assert ff._poly_modred(a, mod, p) == want
+        b = [rng.randrange(p) for _ in range(k)]
+        c = [rng.randrange(p) for _ in range(k)]
+        want = oracles.poly_rem(oracles.poly_mul(b, c, p), mod, p)
+        assert ff._poly_mulmod(b, c, mod, p) == want + [0] * (k - len(want))
+
+
 @pytest.mark.parametrize("p,k", SMALL_FIELDS)
 def test_field_axioms_on_random_samples(p, k):
     F = ff.field_create(p, k)

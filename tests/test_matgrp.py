@@ -96,7 +96,7 @@ def test_group_order_formulas_against_gl_count():
 @pytest.mark.parametrize("q", [4, 5, 7])
 def test_sl2_closure_sizes(q):
     F = field(q)
-    a, b = matgrp.generating_pair(F, 2)
+    a, b = matgrp.generating_pair(F, 2).generators
     table = matgrp.group_closure([a, b], cap=10 ** 6)
     assert table.size == q * (q * q - 1)
     proj = matgrp.group_closure([a, b], cap=10 ** 6, projective=True)
@@ -105,14 +105,14 @@ def test_sl2_closure_sizes(q):
 
 def test_sl3_2_closure_size():
     F = field(2)
-    a, b = matgrp.generating_pair(F, 3)
+    a, b = matgrp.generating_pair(F, 3).generators
     table = matgrp.group_closure([a, b], cap=10 ** 6)
     assert table.size == 168
 
 
 def test_subgroup_orders_divide_group_order():
     F = field(5)
-    a, b = matgrp.generating_pair(F, 2)
+    a, b = matgrp.generating_pair(F, 2).generators
     table = matgrp.group_closure([a, b], cap=10 ** 6)
     rng = random.Random(31)
     for _ in range(8):
@@ -122,16 +122,47 @@ def test_subgroup_orders_divide_group_order():
         assert table.size % sub.size == 0
 
 
+@pytest.mark.parametrize("q, n", [(q, 2) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13)]
+                         + [(2, 3), (3, 3)])
+def test_scalar_quotient_is_the_projective_closure(q, n):
+    linear = matgrp.generating_pair(field(q), n)
+    gens = list(linear.generators)
+    fresh = matgrp.group_closure(gens, cap=10 ** 6, projective=True)
+    quotient = matgrp.group_closure(gens, cap=10 ** 6, projective=True,
+                                    linear=linear)
+    assert quotient.projective and quotient.size == matgrp.psl_order(q, n)
+    assert quotient.generators == fresh.generators
+    assert [m.key() for m in quotient.mats] == [m.key() for m in fresh.mats]
+    assert quotient.index == fresh.index
+    assert quotient.right == fresh.right
+
+
+def test_closure_of_a_held_linear_table():
+    linear = matgrp.generating_pair(field(5), 2)
+    gens = list(linear.generators)
+    assert matgrp.group_closure(gens, cap=10 ** 6, linear=linear) is linear
+    with pytest.raises(WorkCapExceeded):
+        matgrp.group_closure(gens, cap=59, projective=True, linear=linear)
+    assert matgrp.group_closure(gens, cap=60, projective=True,
+                                linear=linear).size == 60
+    with pytest.raises(InputError):
+        matgrp.group_closure(gens[::-1], cap=10 ** 6, projective=True,
+                             linear=linear)
+    proj = matgrp.group_closure(gens, cap=10 ** 6, projective=True)
+    with pytest.raises(InputError):
+        matgrp.group_closure(gens, cap=10 ** 6, projective=True, linear=proj)
+
+
 def test_closure_work_cap():
     F = field(5)
-    a, b = matgrp.generating_pair(F, 2)
+    a, b = matgrp.generating_pair(F, 2).generators
     with pytest.raises(WorkCapExceeded):
         matgrp.group_closure([a, b], cap=10)
 
 
 def test_projective_table_identifies_scalar_multiples():
     F = field(5)
-    a, b = matgrp.generating_pair(F, 2)
+    a, b = matgrp.generating_pair(F, 2).generators
     table = matgrp.group_closure([a, b], cap=10 ** 6, projective=True)
     minus_a = a.scale(ff.FieldElement(F, 4))
     assert table.canonical_key(a) == table.canonical_key(minus_a)
@@ -140,7 +171,7 @@ def test_projective_table_identifies_scalar_multiples():
 
 def test_conjugacy_classes_partition_the_group():
     F = field(5)
-    a, b = matgrp.generating_pair(F, 2)
+    a, b = matgrp.generating_pair(F, 2).generators
     table = matgrp.group_closure([a, b], cap=10 ** 6, projective=True)
     classes = table.conjugacy_classes()
     flat = [i for cls in classes for i in cls]
@@ -159,7 +190,7 @@ def test_conjugacy_classes_partition_the_group():
 
 def test_class_sizes_of_psl2_5_pinned():
     F = field(5)
-    a, b = matgrp.generating_pair(F, 2)
+    a, b = matgrp.generating_pair(F, 2).generators
     table = matgrp.group_closure([a, b], cap=10 ** 6, projective=True)
     sizes = sorted(len(c) for c in table.conjugacy_classes())
     assert sizes == [1, 12, 12, 15, 20]
@@ -174,7 +205,7 @@ def test_class_sizes_of_psl2_5_pinned():
 ])
 def test_table_arithmetic_matches_matrix_arithmetic(q, n, projective):
     F = field(q)
-    a, b = matgrp.generating_pair(F, n)
+    a, b = matgrp.generating_pair(F, n).generators
     fresh = matgrp.group_closure([a, b], cap=10 ** 6, projective=projective)
     mats = fresh.mats
     size = fresh.size
@@ -204,7 +235,7 @@ def test_irreducibility_examples():
     assert not matgrp.is_absolutely_irreducible([ff.Matrix.diagonal(F7, [3, 5])])
     assert not matgrp.is_absolutely_irreducible(
         [ff.Matrix.from_rows(F7, [[1, 1], [0, 1]])])
-    a, b = matgrp.generating_pair(field(4), 2)
+    a, b = matgrp.generating_pair(field(4), 2).generators
     assert matgrp.is_absolutely_irreducible([a, b])
     assert matgrp.is_absolutely_irreducible([ff.Matrix.from_rows(F7, [[3]])])
     assert not matgrp.is_absolutely_irreducible([ff.Matrix.identity(F7, 2)])
@@ -241,11 +272,16 @@ def test_irreducibility_invariant_under_conjugation_and_scaling():
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13])
 def test_generating_pair_is_deterministic_and_valid(q):
     F = field(q)
-    pair1 = matgrp.generating_pair(F, 2)
-    pair2 = matgrp.generating_pair(F, 2)
+    table1 = matgrp.generating_pair(F, 2)
+    pair1 = table1.generators
+    pair2 = matgrp.generating_pair(F, 2).generators
+    assert len(pair1) == 2
     assert [m.key() for m in pair1] == [m.key() for m in pair2]
     for m in pair1:
         assert m.det() == F.one
+    # the returned table is the pair's closure, all of SL2(q)
+    assert not table1.projective
+    assert table1.size == matgrp.sl_order(q, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ TUPLES = pathlib.Path(__file__).with_name("golden") / "tuples"
 def psl27_triple():
     """A (2, 3, 7) generating triple of PSL2(7), found deterministically."""
     F = ff.field_create(7)
-    a, b = matgrp.generating_pair(F, 2)
+    a, b = matgrp.generating_pair(F, 2).generators
     table = matgrp.group_closure([a, b], cap=10 ** 6, projective=True)
     for i in range(table.size):
         if table.order_of(i) != 2:
@@ -179,6 +179,27 @@ def test_verdict_walks_each_projective_order_once(monkeypatch):
     report = rigidity.rigidity_verdict(t)
     assert report.lifted_order == 3
     assert calls == list(t.generators)
+
+
+def test_verdict_folds_the_prefixes_once(monkeypatch):
+    """Loading folds the tuple's prefixes once; the lift extends them by
+    the identity, so the verdict folds nothing more (the prefixes were
+    folded five times per verdict before they were kept)."""
+    folds = []
+    fold = matgrp.GroupTuple.__dict__["_prefixes"]
+    original = fold.func
+    monkeypatch.setattr(fold, "func",
+                        lambda t: folds.append(t) or original(t))
+    t = matgrp.load_tuple(str(TUPLES / "sl3_f7_scalar.json"))
+    report = rigidity.rigidity_verdict(t)
+    assert report.lifted_order == 3
+    assert folds == [t]
+    # the extended prefixes are the lifted tuple's own
+    lifted = rigidity.central_lift(t)
+    fresh = matgrp.GroupTuple(lifted.field, lifted.n, lifted.generators,
+                              lifted.declared_orders)
+    assert lifted.prefixes() == fresh.prefixes()
+    assert lifted.product().is_identity()
 
 
 def test_doubled_norm_matches_linear_sum():
