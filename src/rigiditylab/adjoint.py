@@ -5,6 +5,8 @@ row-major order, then the diagonal differences E_ii - E_(i+1)(i+1).  The
 matrix of Ad(g): X -> g X g^(-1) in this basis drives every dimension
 computed downstream, so entries are exact field elements and results are
 cached per group element (projectively, since scalars act trivially).
+Each column is read off the entries of g and g^(-1), with no matrix
+product: (g E_ij g^(-1))[k, l] = g[k, i] g^(-1)[j, l].
 
 class_dim reports the rank of Ad(g) - I, which is the conjugacy-class
 dimension whenever the centralizer of g is smooth.  That is guaranteed for
@@ -31,19 +33,6 @@ class AdjointRep:
         self.field = field
         self.n = n
         self.dim = n * n - 1
-        basis = []
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    vals = [0] * (n * n)
-                    vals[i * n + j] = 1
-                    basis.append(Matrix.from_values(field, n, n, vals))
-        for i in range(n - 1):
-            vals = [0] * (n * n)
-            vals[i * n + i] = 1
-            vals[(i + 1) * n + (i + 1)] = field.neg(1)
-            basis.append(Matrix.from_values(field, n, n, vals))
-        self.basis = tuple(basis)
         self._cache: dict[tuple, Matrix] = {}
 
     # -- coordinates -----------------------------------------------------
@@ -54,7 +43,10 @@ class AdjointRep:
             raise InputError("matrix does not live in this Lie algebra model")
         if not x.trace().is_zero():
             raise InputError("matrix is not traceless")
-        n, vals, add = self.n, x.vals, self.field.add
+        return self._coords(x.vals)
+
+    def _coords(self, vals: Sequence[int]) -> list[int]:
+        n, add = self.n, self.field.add
         out = [v for t, v in enumerate(vals) if t % (n + 1)]
         acc = 0
         for v in vals[:-1:n + 1]:
@@ -91,7 +83,22 @@ class AdjointRep:
             ginv = g.inverse()
         except ZeroDivisionError:
             raise InputError("Ad of a non-invertible matrix") from None
-        cols = [self.coords(g @ b @ ginv) for b in self.basis]
+        # g E_ij g^(-1) is the outer product of column i of g and row j of
+        # g^(-1); a diagonal basis element gives a difference of two.
+        n, f = self.n, self.field
+        gcols = [g.vals[i::n] for i in range(n)]
+        hrows = [ginv.vals[j * n:(j + 1) * n] for j in range(n)]
+
+        def outer(i: int, j: int) -> list[int]:
+            return [x for u in gcols[i] for x in f.scale(u, hrows[j])]
+
+        cols = [self._coords(outer(i, j))
+                for i in range(n) for j in range(n) if i != j]
+        prev = outer(0, 0)
+        for i in range(1, n):
+            diag = outer(i, i)
+            cols.append(self._coords(list(map(f.sub, prev, diag))))
+            prev = diag
         out = Matrix.from_values(self.field, self.dim, self.dim,
                                  [x for row in zip(*cols) for x in row])
         self._cache[key] = out

@@ -191,10 +191,8 @@ def _run_census(args: argparse.Namespace, work_cap: int) -> str:
         raise WorkCapExceeded(
             f"group of order {target} exceeds the work cap {work_cap}"
         )
-    linear = generating_pair(field, n)
-    table = group_closure(linear.generators, cap=target + 1,
-                          projective=args.projective, linear=linear)
-    del linear  # with --projective the census keeps only the quotient
+    table = group_closure(generating_pair(field, n), cap=target + 1,
+                          projective=args.projective)
     result = census_mod.census(table, signature, epi_test=args.epi_test,
                                workers=args.workers,
                                work_cap=work_cap)

@@ -10,13 +10,12 @@ Group tables index elements by a canonical key.  Working projectively, the
 key is the entry tuple after scaling the first nonzero entry to 1, so a
 table element stands for a full scalar class while its stored matrix stays
 an honest determinant-one representative.  Matrix products happen only
-during a linear or projective closure, which records right multiplication
+during a closure, linear or projective, which records right multiplication
 by each generator as a permutation of the indices; products, inverses,
 element orders and conjugacy classes in the table are then index lookups
-along shortest words in the generators.  A projective table is a quotient
-of a linear closure already at hand: ``generating_pair`` returns the SL_n
-closure it found, and PSL_n is read off it by scalar classes, with no
-product.
+along shortest words in the generators.  ``generating_pair`` decides
+generation with closures capped at half the group, so a census closes its
+group once, in the mode it works in.
 """
 
 from __future__ import annotations
@@ -101,6 +100,11 @@ class GroupTuple:
         return self._prefixes[-1]
 
 
+def _is_int(x) -> bool:
+    """An integer, not a bool: JSON ``true`` must not pass for 1."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def group_tuple(generators: Sequence[Matrix],
                 declared_orders: Sequence[int]) -> GroupTuple:
     """Validated constructor for :class:`GroupTuple`."""
@@ -116,7 +120,7 @@ def group_tuple(generators: Sequence[Matrix],
         if g.det() != field.one:
             raise InputError("generator determinant is not 1")
     for a in declared_orders:
-        if not isinstance(a, int) or a < 1:
+        if not _is_int(a) or a < 1:
             raise InputError(f"declared order {a!r} must be a positive integer")
     t = GroupTuple(field=field, n=n, generators=tuple(generators),
                    declared_orders=tuple(int(a) for a in declared_orders))
@@ -140,7 +144,7 @@ def tuple_from_matrices(generators: Sequence[Matrix]) -> GroupTuple:
 def _entry_coeffs(entry, field: FiniteField) -> FieldElement:
     if isinstance(entry, int):
         entry = [entry]
-    if not isinstance(entry, list) or not all(isinstance(c, int) for c in entry):
+    if not isinstance(entry, list) or not all(map(_is_int, entry)):
         raise InputError(f"matrix entry {entry!r} is not a coefficient sequence")
     if len(entry) > field.k:
         raise InputError(f"entry {entry!r} has more than k = {field.k} coefficients")
@@ -168,7 +172,7 @@ def tuple_from_json(doc: dict) -> GroupTuple:
         if key not in doc:
             raise InputError(f"missing required field {key!r}")
     p, k, n = doc["p"], doc["k"], doc["n"]
-    if not (isinstance(p, int) and isinstance(k, int) and isinstance(n, int)):
+    if not (_is_int(p) and _is_int(k) and _is_int(n)):
         raise InputError("fields p, k, n must be integers")
     if n < 1:
         raise InputError(f"matrix size n = {n} must be >= 1")
@@ -233,9 +237,7 @@ class FiniteGroupTable:
 
     No matrix is multiplied after the closure.  The closure expands every
     element once by each generator and keeps the products as index
-    permutations, ``right[k][i] = index(mats[i] @ generators[k])``; a
-    projective table may instead be the scalar quotient of a linear one
-    (:func:`group_closure` with ``linear``), with the same data.  The
+    permutations, ``right[k][i] = index(mats[i] @ generators[k])``.  The
     first ``mul`` or ``inv`` call searches the Cayley graph on the
     generators and their inverses breadth-first, which gives every element
     a shortest word; a word is held as the tuple of its letters'
@@ -377,12 +379,15 @@ class FiniteGroupTable:
         return out
 
 
-def _cap_exceeded(cap: int) -> WorkCapExceeded:
-    return WorkCapExceeded(f"group closure exceeded the cap of {cap} elements")
+def group_closure(gens: Sequence[Matrix], cap: int,
+                  projective: bool = False) -> FiniteGroupTable:
+    """Breadth-first closure of the generators under multiplication.
 
-
-def _breadth_first(gens: Sequence[Matrix], cap: int,
-                   projective: bool) -> FiniteGroupTable:
+    Raises :class:`WorkCapExceeded` when it reaches element cap + 1, so a
+    group of exactly ``cap`` elements closes.
+    """
+    if not gens:
+        raise InputError("group closure needs at least one generator")
     field = gens[0].field
     n = gens[0].rows
     for g in gens:
@@ -406,55 +411,13 @@ def _breadth_first(gens: Sequence[Matrix], cap: int,
             j = index.get(k)
             if j is None:
                 if len(mats) >= cap:
-                    raise _cap_exceeded(cap)
+                    raise WorkCapExceeded(
+                        f"group closure exceeded the cap of {cap} elements")
                 j = index[k] = len(mats)
                 mats.append(prod)
             perm.append(j)
         i += 1
     return FiniteGroupTable(gens, mats, index, right, projective)
-
-
-def _scalar_quotient(linear: FiniteGroupTable, cap: int) -> FiniteGroupTable:
-    """The projective table of a linear closure, without products.
-
-    Scalar classes are numbered in order of first occurrence by linear
-    index, each keeps its first matrix, and ``right[k][c]`` is the class of
-    ``right_linear[k][first(c)]``.  This is exactly the projective
-    breadth-first closure of the same generators: a later member s x of a
-    class is expanded after x, and each s x g lies in the class of x g,
-    which x already reached.
-    """
-    index: dict[tuple, int] = {}
-    class_of = []
-    first = []
-    for i, m in enumerate(linear.mats):
-        c = index.setdefault(m.projective_key(), len(first))
-        if c == len(first):
-            if c >= cap:
-                raise _cap_exceeded(cap)
-            first.append(i)
-        class_of.append(c)
-    right = tuple([class_of[perm[i]] for i in first] for perm in linear.right)
-    return FiniteGroupTable(linear.generators, [linear.mats[i] for i in first],
-                            index, right, projective=True)
-
-
-def group_closure(gens: Sequence[Matrix], cap: int, projective: bool = False,
-                  linear: FiniteGroupTable | None = None) -> FiniteGroupTable:
-    """Breadth-first closure of the generators under multiplication.
-
-    ``linear``, a linear closure of the same generators that the caller
-    already holds, makes no products: it is returned as it is, or with
-    ``projective=True`` as its quotient by the scalars, which is the table
-    the projective closure would build.
-    """
-    if not gens:
-        raise InputError("group closure needs at least one generator")
-    if linear is None:
-        return _breadth_first(gens, cap, projective)
-    if linear.projective or linear.generators != tuple(gens):
-        raise InputError("linear must be a linear closure of the generators")
-    return _scalar_quotient(linear, cap) if projective else linear
 
 
 # ---------------------------------------------------------------------------
@@ -539,24 +502,23 @@ def _pair_candidates(field: FiniteField, n: int) -> Iterable[tuple[Matrix, Matri
             yield _transvection(field, n, v), _companion(field, n, coeffs)
 
 
-def generating_pair(field: FiniteField, n: int) -> FiniteGroupTable:
-    """The closure of a deterministic generating pair for SL_n over the
-    given field; the pair is its ``generators``.
+def generating_pair(field: FiniteField, n: int) -> tuple[Matrix, Matrix]:
+    """A deterministic generating pair (a, b) of SL_n over the given field.
 
     Tries a fixed candidate stream (transvections against a transvection,
-    Weyl element, or signed cycle) and accepts the first pair whose closure
-    size matches the SL_n order formula exactly.  Callers that need the
-    group itself, or PSL_n as its quotient, take the winning closure
-    rather than closing the pair again.
+    Weyl element, or signed cycle) and accepts the first pair that
+    generates.  By Lagrange a proper subgroup has at most half the
+    elements of SL_n(q), so a pair generates exactly when its closure
+    passes |SL_n(q)| // 2 elements; each candidate's closure is capped
+    there, and the first that exceeds the cap wins.  No closure in the
+    search is built past half the group.
     """
-    want = sl_order(field.q, n)
+    half = sl_order(field.q, n) // 2
     for a, b in _pair_candidates(field, n):
         try:
-            table = group_closure([a, b], cap=want + 1)
+            group_closure([a, b], cap=half)
         except WorkCapExceeded:
-            continue
-        if table.size == want:
-            return table
+            return a, b
     raise InvariantViolation(
         f"no generating pair found for SL_{n}({field.q}) in the candidate stream"
     )

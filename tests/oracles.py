@@ -15,7 +15,9 @@ inverse from Matrix.inverse, which the ff tests check against the
 elimination-free oracles.  The two span
 helpers, column_space_union and coinvariant_dim_via_words, do reuse the
 package's row reduction: what they check is the set of vectors that gets
-reduced, not the reduction.
+reduced, not the reduction.  generating_pair_by_full_closure keeps the
+package's candidate stream and closure, and checks only the acceptance
+rule: a full closure of |SL_n(q)| elements, not one capped at half.
 """
 
 from __future__ import annotations
@@ -416,6 +418,20 @@ def j_scan_exhaustive(rs, d: int) -> tuple[int, tuple[int, ...]]:
                 break  # regular witness; no tuple can do better
     assert best >= 0, f"no order-{d} exponent tuple found (rank {rs.rank})"
     return best, witness
+
+
+# ---------------------------------------------------------------------------
+# generating pairs by full closure
+# ---------------------------------------------------------------------------
+
+def generating_pair_by_full_closure(field, n):
+    """The first candidate pair whose full closure has |SL_n(q)| elements."""
+    from rigiditylab import matgrp
+    want = matgrp.sl_order(field.q, n)
+    for a, b in matgrp._pair_candidates(field, n):
+        if matgrp.group_closure([a, b], cap=want).size == want:
+            return a, b
+    raise AssertionError(f"no candidate generates SL_{n}({field.q})")
 
 
 # ---------------------------------------------------------------------------

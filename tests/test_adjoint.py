@@ -27,8 +27,15 @@ def random_sl(F, n, seed):
 def test_basis_spans_traceless_matrices(f7, n):
     rep = adjoint.adjoint_rep(f7, n)
     assert rep.dim == n * n - 1
-    assert len(rep.basis) == rep.dim
-    for i, b in enumerate(rep.basis):
+    # off-diagonal units E_ij in row-major order, then E_ii - E_(i+1)(i+1)
+    units = [[(i, j, 1)] for i in range(n) for j in range(n) if i != j]
+    units += [[(i, i, 1), (i + 1, i + 1, 6)] for i in range(n - 1)]
+    assert len(units) == rep.dim
+    for i, unit in enumerate(units):
+        rows = [[0] * n for _ in range(n)]
+        for r, c, v in unit:
+            rows[r][c] = v
+        b = ff.Matrix.from_rows(f7, rows)
         assert b.trace().is_zero()
         coords = rep.coords(b)
         assert coords == [1 if j == i else 0 for j in range(rep.dim)]
@@ -94,6 +101,21 @@ def test_ad_matches_direct_conjugation(f7):
         assert rep.coords(direct) == moved
 
 
+@pytest.mark.parametrize("p, k, n", [(2, 2, 2), (3, 2, 3), (2, 3, 4),
+                                     (3, 1, 4)])
+def test_ad_columns_are_conjugated_basis_elements(p, k, n):
+    F = ff.field_create(p, k)
+    rep = adjoint.AdjointRep(F, n)
+    rng = random.Random(100 * p + 10 * k + n)
+    for _ in range(4):
+        g = matgrp.random_sl_matrix(F, n, rng)
+        ad = rep.ad_matrix(g)
+        for j in range(rep.dim):
+            b = rep.from_coords([int(i == j) for i in range(rep.dim)])
+            column = [ad[i, j].value for i in range(rep.dim)]
+            assert column == rep.coords(g @ b @ g.inverse())
+
+
 def test_ad_is_projective(f7):
     rep = adjoint.adjoint_rep(f7, 2)
     g = random_sl(f7, 2, 5)
@@ -151,7 +173,7 @@ def test_fixed_space_and_class_dim_examples(f7):
 
 def test_every_noncentral_psl2_element_has_class_dim_two():
     F = ff.field_create(5)
-    a, b = matgrp.generating_pair(F, 2).generators
+    a, b = matgrp.generating_pair(F, 2)
     table = matgrp.group_closure([a, b], cap=10 ** 6)
     rep = adjoint.adjoint_rep(F, 2)
     for m in table.mats:

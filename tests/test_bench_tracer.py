@@ -4,8 +4,9 @@
 and raises when one is missing, which fails every traced benchmark run.
 Installing it here, in a fresh interpreter so the wrappers never reach
 this test process, turns a renamed or dropped entry point into a test
-failure; running one traced verdict there checks that the linear-algebra
-spans actually fire.
+failure.  Running one traced census job and one traced verdict there
+checks that every span the benchmark expects of its census-hurwitz and
+rigidity-batch passes actually fires.
 """
 
 import json
@@ -13,6 +14,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -27,14 +30,26 @@ print("installed")
 """
 
 
-VERDICT_SCRIPT = """
-import json, sys
-from rigiditylab import cli, matgrp, rigidity  # install() wraps all three
+JOBS_SCRIPT = """
+import contextlib, io, json, sys
+from rigiditylab import cli  # imports every module install() wraps
 import spans
+from run import EXPECTED_SPANS
 tracer = spans.install()
-t = matgrp.load_tuple(sys.argv[1])
-rigidity.rigidity_verdict(t)
-print(json.dumps({"stats": tracer.stats, "counts": tracer.counts}))
+jobs = {
+    "census-hurwitz": ["census", "--type", "A", "--rank", "1", "--q", "7",
+                       "--signature", "2,3,7"],
+    "rigidity-batch": ["rigidity", "--in", sys.argv[1]],
+}
+calls = {}
+for workload, argv in jobs.items():
+    before = {name: stat[0] for name, stat in tracer.stats.items()}
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, workload
+    calls[workload] = {name: stat[0] - before[name]
+                       for name, stat in tracer.stats.items()}
+print(json.dumps({"calls": calls, "counts": tracer.counts,
+                  "expected": {w: EXPECTED_SPANS[w] for w in jobs}}))
 """
 
 
@@ -51,14 +66,29 @@ def test_benchmark_tracer_installs():
     assert _run(SCRIPT).strip() == "installed"
 
 
-def test_traced_verdict_fires_the_linear_algebra_spans():
-    # An SL3/F5 verdict reaches every product, elimination and Ad matrix
-    # through the wrapped names; a product or elimination routed around
-    # them would leave its span reading zero.
+@pytest.fixture(scope="module")
+def traced_jobs():
+    # one census-hurwitz job and one verdict of an SL3/F5 tuple, traced in
+    # one fresh interpreter
     tuple_path = ROOT / "tests" / "golden" / "tuples" / "sl3_f5.json"
-    doc = json.loads(_run(VERDICT_SCRIPT, str(tuple_path)))
-    calls = {name: stat[0] for name, stat in doc["stats"].items()}
+    return json.loads(_run(JOBS_SCRIPT, str(tuple_path)))
+
+
+def test_traced_verdict_fires_the_linear_algebra_spans(traced_jobs):
+    # A verdict reaches every product, elimination and Ad matrix through
+    # the wrapped names; a product or elimination routed around them would
+    # leave its span reading zero.
+    calls = traced_jobs["calls"]["rigidity-batch"]
     for name in ("ff.matmul", "ff.elim", "adjoint.ad_matrix",
                  "rigidity.cocycle_spaces"):
         assert calls[name] > 0, name
-    assert doc["counts"]["ff.matmul.mults"] > 0
+    assert traced_jobs["counts"]["ff.matmul.mults"] > 0
+
+
+@pytest.mark.parametrize("workload", ["census-hurwitz", "rigidity-batch"])
+def test_traced_job_fires_the_benchmark_expected_spans(traced_jobs, workload):
+    # a traced benchmark pass fails when one of these spans reads zero
+    calls = traced_jobs["calls"][workload]
+    silent = [name for name in traced_jobs["expected"][workload]
+              if calls.get(name, 0) == 0]
+    assert not silent, silent

@@ -15,29 +15,28 @@ from rigiditylab import census, ff, matgrp, rigidity, rootdata
 @pytest.fixture(scope="module")
 def psl25():
     F = ff.field_create(5)
-    a, b = matgrp.generating_pair(F, 2).generators
+    a, b = matgrp.generating_pair(F, 2)
     return matgrp.group_closure([a, b], cap=10 ** 6, projective=True)
 
 
 @pytest.fixture(scope="module")
 def psl27():
     F = ff.field_create(7)
-    a, b = matgrp.generating_pair(F, 2).generators
+    a, b = matgrp.generating_pair(F, 2)
     return matgrp.group_closure([a, b], cap=10 ** 6, projective=True)
 
 
 @pytest.fixture(scope="module")
 def psl213():
-    linear = matgrp.generating_pair(ff.field_create(13), 2)
-    return matgrp.group_closure(linear.generators, cap=10 ** 6,
-                                projective=True, linear=linear)
+    return matgrp.group_closure(matgrp.generating_pair(ff.field_create(13), 2),
+                                cap=10 ** 6, projective=True)
 
 
 def test_census_frees_its_table_without_the_cycle_collector():
     # with the cyclic collector off, only reference counting can free the
     # table, so the census must leave no cycle that reaches it
     F = ff.field_create(13)
-    a, b = matgrp.generating_pair(F, 2).generators
+    a, b = matgrp.generating_pair(F, 2)
     table = matgrp.group_closure([a, b], cap=10 ** 6, projective=True)
     ref = weakref.ref(table)
     gc.collect()
@@ -46,26 +45,6 @@ def test_census_frees_its_table_without_the_cycle_collector():
         res = census.census(table, (2, 3, 7), workers=1)
         del table
         assert ref() is None
-    finally:
-        gc.enable()
-    assert res.total_epi == 6552
-
-
-def test_census_frees_the_linear_table_and_its_quotient():
-    # the projective census table is the quotient of generating_pair's SL
-    # closure; once the census is done, neither may stay alive
-    F = ff.field_create(13)
-    linear = matgrp.generating_pair(F, 2)
-    table = matgrp.group_closure(linear.generators, cap=10 ** 6,
-                                 projective=True, linear=linear)
-    refs = [weakref.ref(linear), weakref.ref(table)]
-    gc.collect()
-    gc.disable()
-    try:
-        del linear
-        res = census.census(table, (2, 3, 7), workers=1)
-        del table
-        assert [ref() for ref in refs] == [None, None]
     finally:
         gc.enable()
     assert res.total_epi == 6552
@@ -155,9 +134,8 @@ def _hurwitz_epi_total(p, k):
 def test_macbeath_sweep(q):
     p, k = _prime_power(q)
     F = ff.field_create(p, k)
-    linear = matgrp.generating_pair(F, 2)
-    table = matgrp.group_closure(linear.generators, cap=10 ** 6,
-                                 projective=True, linear=linear)
+    table = matgrp.group_closure(matgrp.generating_pair(F, 2), cap=10 ** 6,
+                                 projective=True)
     assert table.size == matgrp.psl_order(q, 2)
     res = census.census(table, (2, 3, 7), workers=1)
     assert (res.total_epi > 0) == _macbeath_hurwitz(p, k)
@@ -192,7 +170,7 @@ def test_generation_is_tested_once_per_centralizer_orbit(monkeypatch,
 
 def test_no_centralizer_without_an_epimorphism(monkeypatch):
     F = ff.field_create(11)
-    table = matgrp.group_closure(matgrp.generating_pair(F, 2).generators,
+    table = matgrp.group_closure(matgrp.generating_pair(F, 2),
                                  cap=10 ** 6, projective=True)
     marked = []
     monkeypatch.setattr(census, "_mark_epi_orbit",
@@ -296,7 +274,7 @@ def test_psl34_census_pinned_and_no_rigid_survivors():
     # order-3 classes of PSL3(4) are regular (class_dim 6), so a length-3
     # signature cannot reach 2 * dim = 16 exactly
     F = ff.field_create(2, 2)
-    a, b = matgrp.generating_pair(F, 3).generators
+    a, b = matgrp.generating_pair(F, 3)
     table = matgrp.group_closure([a, b], cap=10 ** 6, projective=True)
     assert table.size == 20160
     res = census.census(table, (3, 3, 3), epi_test=False, workers=2)

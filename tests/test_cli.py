@@ -8,7 +8,7 @@ import time
 import pytest
 
 from rigiditylab import cli, ff, matgrp, rootdata
-from rigiditylab.errors import InvariantViolation
+from rigiditylab.errors import InvariantViolation, WorkCapExceeded
 
 GOLDEN_TUPLES = pathlib.Path(__file__).with_name("golden") / "tuples"
 
@@ -27,7 +27,7 @@ def write_tuple(tmp_path, t, name="tuple.json"):
 
 def psl27_triple():
     F = ff.field_create(7)
-    a, b = matgrp.generating_pair(F, 2).generators
+    a, b = matgrp.generating_pair(F, 2)
     table = matgrp.group_closure([a, b], cap=10 ** 6, projective=True)
     for i in range(table.size):
         if table.order_of(i) != 2:
@@ -188,6 +188,33 @@ def test_declared_order_not_a_multiple_exits_2(capsys, tmp_path):
                                 "declared order 4")
 
 
+@pytest.mark.parametrize("path, message", [
+    (("p",), "fields p, k, n must be integers"),
+    (("k",), "fields p, k, n must be integers"),
+    (("n",), "fields p, k, n must be integers"),
+    (("orders", 2), "declared order True must be a positive integer"),
+    (("generators", 0, 0, 0),
+     "matrix entry [True] is not a coefficient sequence"),
+    (("generators", 0, 0, 0, 0),
+     "matrix entry [True] is not a coefficient sequence"),
+], ids=["p", "k", "n", "order", "bare-coefficient", "coefficient"])
+def test_json_boolean_is_not_an_integer(capsys, tmp_path, path, message):
+    # JSON true is a Python bool, an int subclass, and must not be read as 1
+    doc = json.loads((GOLDEN_TUPLES / "sl2_f7.json").read_text(
+        encoding="utf-8"))
+    owner = doc
+    for key in path[:-1]:
+        owner = owner[key]
+    owner[path[-1]] = True
+    bad = tmp_path / f"bool_{path[0]}.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "rigidity", "--in", str(bad))
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "input"
+    assert error["message"] == message
+
+
 def test_csv_not_available_for_rigidity(capsys, tmp_path):
     t = psl27_triple()
     path = write_tuple(tmp_path, t)
@@ -294,3 +321,35 @@ def test_census_q_factoring_stops_at_the_square_root(capsys, monkeypatch):
                      "--q", "49", "--signature", "2,3,7", "--work-cap", "100")
     assert code == 3
     assert fields == [(7, 2)]
+
+
+@pytest.mark.parametrize("q, flags, target", [
+    (8, (), 504), (7, ("--no-projective",), 336), (7, (), 168),
+])
+def test_census_closes_one_table_and_searches_below_half(capsys, monkeypatch,
+                                                         q, flags, target):
+    # generating_pair's closures stop at half of SL2(q); the census table is
+    # the one closure built in full, in the requested mode
+    built = []
+    closure = matgrp.group_closure
+
+    def recorded(gens, cap, projective=False):
+        try:
+            table = closure(gens, cap, projective)
+        except WorkCapExceeded:
+            built.append((cap, projective))
+            raise
+        built.append((table.size, projective))
+        return table
+
+    monkeypatch.setattr(matgrp, "group_closure", recorded)
+    monkeypatch.setattr(cli, "group_closure", recorded)
+    code, _, _ = run(capsys, "census", "--type", "A", "--rank", "1",
+                     "--q", str(q), "--signature", "2,3,7", *flags)
+    assert code == 0
+    half = matgrp.sl_order(q, 2) // 2
+    *search, census_table = built
+    assert census_table == (target, "--no-projective" not in flags)
+    assert search and all(size <= half and not projective
+                          for size, projective in search)
+    assert sum(size > half for size, _ in built) == (target > half)

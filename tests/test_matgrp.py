@@ -96,7 +96,7 @@ def test_group_order_formulas_against_gl_count():
 @pytest.mark.parametrize("q", [4, 5, 7])
 def test_sl2_closure_sizes(q):
     F = field(q)
-    a, b = matgrp.generating_pair(F, 2).generators
+    a, b = matgrp.generating_pair(F, 2)
     table = matgrp.group_closure([a, b], cap=10 ** 6)
     assert table.size == q * (q * q - 1)
     proj = matgrp.group_closure([a, b], cap=10 ** 6, projective=True)
@@ -105,14 +105,14 @@ def test_sl2_closure_sizes(q):
 
 def test_sl3_2_closure_size():
     F = field(2)
-    a, b = matgrp.generating_pair(F, 3).generators
+    a, b = matgrp.generating_pair(F, 3)
     table = matgrp.group_closure([a, b], cap=10 ** 6)
     assert table.size == 168
 
 
 def test_subgroup_orders_divide_group_order():
     F = field(5)
-    a, b = matgrp.generating_pair(F, 2).generators
+    a, b = matgrp.generating_pair(F, 2)
     table = matgrp.group_closure([a, b], cap=10 ** 6)
     rng = random.Random(31)
     for _ in range(8):
@@ -122,47 +122,28 @@ def test_subgroup_orders_divide_group_order():
         assert table.size % sub.size == 0
 
 
-@pytest.mark.parametrize("q, n", [(q, 2) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13)]
-                         + [(2, 3), (3, 3)])
-def test_scalar_quotient_is_the_projective_closure(q, n):
-    linear = matgrp.generating_pair(field(q), n)
-    gens = list(linear.generators)
-    fresh = matgrp.group_closure(gens, cap=10 ** 6, projective=True)
-    quotient = matgrp.group_closure(gens, cap=10 ** 6, projective=True,
-                                    linear=linear)
-    assert quotient.projective and quotient.size == matgrp.psl_order(q, n)
-    assert quotient.generators == fresh.generators
-    assert [m.key() for m in quotient.mats] == [m.key() for m in fresh.mats]
-    assert quotient.index == fresh.index
-    assert quotient.right == fresh.right
-
-
-def test_closure_of_a_held_linear_table():
-    linear = matgrp.generating_pair(field(5), 2)
-    gens = list(linear.generators)
-    assert matgrp.group_closure(gens, cap=10 ** 6, linear=linear) is linear
+def test_closure_of_exactly_cap_elements_returns():
+    # the closure raises only on element cap + 1: the 3-cycle generates a
+    # subgroup of order 3, exactly half of SL2(2) = S3, which the half-group
+    # cap of generating_pair must accept as a closure and so reject as a pair
+    cycle = ff.Matrix.from_rows(field(2), [[0, 1], [1, 1]])
+    half = matgrp.sl_order(2, 2) // 2
+    assert matgrp.element_order(cycle) == half == 3
+    assert matgrp.group_closure([cycle], cap=half).size == half
     with pytest.raises(WorkCapExceeded):
-        matgrp.group_closure(gens, cap=59, projective=True, linear=linear)
-    assert matgrp.group_closure(gens, cap=60, projective=True,
-                                linear=linear).size == 60
-    with pytest.raises(InputError):
-        matgrp.group_closure(gens[::-1], cap=10 ** 6, projective=True,
-                             linear=linear)
-    proj = matgrp.group_closure(gens, cap=10 ** 6, projective=True)
-    with pytest.raises(InputError):
-        matgrp.group_closure(gens, cap=10 ** 6, projective=True, linear=proj)
+        matgrp.group_closure([cycle], cap=half - 1)
 
 
 def test_closure_work_cap():
     F = field(5)
-    a, b = matgrp.generating_pair(F, 2).generators
+    a, b = matgrp.generating_pair(F, 2)
     with pytest.raises(WorkCapExceeded):
         matgrp.group_closure([a, b], cap=10)
 
 
 def test_projective_table_identifies_scalar_multiples():
     F = field(5)
-    a, b = matgrp.generating_pair(F, 2).generators
+    a, b = matgrp.generating_pair(F, 2)
     table = matgrp.group_closure([a, b], cap=10 ** 6, projective=True)
     minus_a = a.scale(ff.FieldElement(F, 4))
     assert table.canonical_key(a) == table.canonical_key(minus_a)
@@ -171,7 +152,7 @@ def test_projective_table_identifies_scalar_multiples():
 
 def test_conjugacy_classes_partition_the_group():
     F = field(5)
-    a, b = matgrp.generating_pair(F, 2).generators
+    a, b = matgrp.generating_pair(F, 2)
     table = matgrp.group_closure([a, b], cap=10 ** 6, projective=True)
     classes = table.conjugacy_classes()
     flat = [i for cls in classes for i in cls]
@@ -190,7 +171,7 @@ def test_conjugacy_classes_partition_the_group():
 
 def test_class_sizes_of_psl2_5_pinned():
     F = field(5)
-    a, b = matgrp.generating_pair(F, 2).generators
+    a, b = matgrp.generating_pair(F, 2)
     table = matgrp.group_closure([a, b], cap=10 ** 6, projective=True)
     sizes = sorted(len(c) for c in table.conjugacy_classes())
     assert sizes == [1, 12, 12, 15, 20]
@@ -205,7 +186,7 @@ def test_class_sizes_of_psl2_5_pinned():
 ])
 def test_table_arithmetic_matches_matrix_arithmetic(q, n, projective):
     F = field(q)
-    a, b = matgrp.generating_pair(F, n).generators
+    a, b = matgrp.generating_pair(F, n)
     fresh = matgrp.group_closure([a, b], cap=10 ** 6, projective=projective)
     mats = fresh.mats
     size = fresh.size
@@ -235,7 +216,7 @@ def test_irreducibility_examples():
     assert not matgrp.is_absolutely_irreducible([ff.Matrix.diagonal(F7, [3, 5])])
     assert not matgrp.is_absolutely_irreducible(
         [ff.Matrix.from_rows(F7, [[1, 1], [0, 1]])])
-    a, b = matgrp.generating_pair(field(4), 2).generators
+    a, b = matgrp.generating_pair(field(4), 2)
     assert matgrp.is_absolutely_irreducible([a, b])
     assert matgrp.is_absolutely_irreducible([ff.Matrix.from_rows(F7, [[3]])])
     assert not matgrp.is_absolutely_irreducible([ff.Matrix.identity(F7, 2)])
@@ -272,16 +253,30 @@ def test_irreducibility_invariant_under_conjugation_and_scaling():
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13])
 def test_generating_pair_is_deterministic_and_valid(q):
     F = field(q)
-    table1 = matgrp.generating_pair(F, 2)
-    pair1 = table1.generators
-    pair2 = matgrp.generating_pair(F, 2).generators
+    pair1 = matgrp.generating_pair(F, 2)
+    pair2 = matgrp.generating_pair(F, 2)
     assert len(pair1) == 2
     assert [m.key() for m in pair1] == [m.key() for m in pair2]
     for m in pair1:
         assert m.det() == F.one
-    # the returned table is the pair's closure, all of SL2(q)
-    assert not table1.projective
-    assert table1.size == matgrp.sl_order(q, 2)
+    table = matgrp.group_closure(pair1, cap=10 ** 6)
+    assert table.size == matgrp.sl_order(q, 2)
+
+
+@pytest.mark.parametrize("q, n", [(q, 2) for q in (2, 3, 4, 5, 7, 8, 9, 11,
+                                                    13, 16)]
+                         + [(2, 3), (3, 3), (4, 3)])
+def test_half_group_cap_picks_the_full_closure_pair(q, n):
+    # a pair generates exactly when its closure passes half of SL_n(q), so
+    # the capped search accepts the candidate a full closure would, and the
+    # census closes PSL_n(q) from the same pair as before
+    F = field(q)
+    got = matgrp.generating_pair(F, n)
+    want = oracles.generating_pair_by_full_closure(F, n)
+    assert [m.key() for m in got] == [m.key() for m in want]
+    table = matgrp.group_closure(got, cap=10 ** 6, projective=True)
+    assert table.size == matgrp.psl_order(q, n)
+    assert table.generators == got
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ TUPLES = pathlib.Path(__file__).with_name("golden") / "tuples"
 def psl27_triple():
     """A (2, 3, 7) generating triple of PSL2(7), found deterministically."""
     F = ff.field_create(7)
-    a, b = matgrp.generating_pair(F, 2).generators
+    a, b = matgrp.generating_pair(F, 2)
     table = matgrp.group_closure([a, b], cap=10 ** 6, projective=True)
     for i in range(table.size):
         if table.order_of(i) != 2:
