@@ -12,6 +12,9 @@ class_dim reports the rank of Ad(g) - I, which is the conjugacy-class
 dimension whenever the centralizer of g is smooth.  That is guaranteed for
 semisimple elements in comfortable characteristic; other cases get caveat
 flags from :func:`smoothness_flags` rather than silently trusted numbers.
+An element is semisimple exactly when the characteristic does not divide
+its projective order, so a caller that knows that order passes it and the
+test costs one power.
 """
 
 from __future__ import annotations
@@ -132,22 +135,29 @@ def class_dim(g: Matrix) -> int:
     return adjoint_rep(g.field, g.rows).class_dim(g)
 
 
-def is_semisimple(g: Matrix) -> bool:
+def is_semisimple(g: Matrix, po: int | None = None) -> bool:
     """Whether g has trivial unipotent part, i.e. order coprime to the
-    characteristic."""
-    return element_order(g) % g.field.p != 0
+    characteristic p.
+
+    With the projective order po passed in, the order is po * ord(g^po)
+    (:func:`element_order`, one power), and ord(g^po) divides q - 1, so
+    g is semisimple exactly when p does not divide po.  Directly: write
+    g = su (Jordan decomposition); if u != 1 then u^po = lambda s^(-po) is
+    both semisimple and unipotent, hence 1, so p | po.
+    """
+    return element_order(g, po) % g.field.p != 0
 
 
-def smoothness_flags(g: Matrix) -> tuple[str, ...]:
+def smoothness_flags(g: Matrix, po: int | None = None) -> tuple[str, ...]:
     """Caveats under which class_dim may differ from the true class
-    dimension."""
+    dimension; po, when given, is g's projective order."""
     flags = []
     if g.field.p <= g.rows:
         flags.append(
             f"small characteristic p = {g.field.p} <= n = {g.rows}: "
             "centralizer smoothness assumed"
         )
-    if not is_semisimple(g):
+    if not is_semisimple(g, po):
         flags.append(
             "non-semisimple element: class_dim is the fixed-space bound, "
             "centralizer smoothness assumed"

@@ -221,8 +221,17 @@ _RUNNERS = {
 # argument parsing
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as an :class:`InputError`, so it leaves
+    through the same one-line JSON record and exit code 2 as any other
+    invalid input; subcommand parsers inherit the class."""
+
+    def error(self, message: str):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rigiditylab",
         description="Exact-arithmetic rigidity toolkit for generator tuples "
                     "in matrix groups over finite fields.",
@@ -283,8 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         text = _RUNNERS[args.command](args, _resolve_work_cap(args.work_cap))
         _emit(text, args.out)
         return EXIT_OK

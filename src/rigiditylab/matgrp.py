@@ -6,6 +6,14 @@ and projective orders, breadth-first closure into a finite group table
 test for the natural module, and a deterministic search for standard
 generating pairs of SL_n(q).
 
+Orders are never found by walking powers.  The projective order divides
+primes out of a known multiple (F. Celler and C. R. Leedham-Green,
+"Calculating the order of an invertible matrix", DIMACS 28, 1997): a
+tuple's declared order where there is one, which ``group_tuple`` has
+checked, and otherwise a multiple of every element order in GL_n(q).  The
+element order is the projective order times the order of the scalar it
+reaches, one power more.
+
 Group tables index elements by a canonical key.  Working projectively, the
 key is the entry tuple after scaling the first nonzero entry to 1, so a
 table element stands for a full scalar class while its stored matrix stays
@@ -14,8 +22,8 @@ during a closure, linear or projective, which records right multiplication
 by each generator as a permutation of the indices; products, inverses,
 element orders and conjugacy classes in the table are then index lookups
 along shortest words in the generators.  ``generating_pair`` decides
-generation with closures capped at half the group, so a census closes its
-group once, in the mode it works in.
+generation with projective closures capped at half of PSL_n(q), so a
+census closes its group once, in the mode it works in.
 """
 
 from __future__ import annotations
@@ -28,7 +36,8 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import InputError, InvariantViolation, WorkCapExceeded
-from .ff import Echelon, FieldElement, FiniteField, Matrix, field_create
+from .ff import (Echelon, FieldElement, FiniteField, Matrix, _prime_factors,
+                 field_create)
 
 SCHEMA_VERSION = 1
 
@@ -37,29 +46,79 @@ SCHEMA_VERSION = 1
 # orders
 # ---------------------------------------------------------------------------
 
-def element_order(m: Matrix) -> int:
-    """Least e >= 1 with m^e the identity."""
-    if not m.is_invertible():
-        raise InputError("element_order of a non-invertible matrix")
-    ident = Matrix.identity(m.field, m.rows)
-    power = m
-    e = 1
-    while power != ident:
-        power = power @ m
-        e += 1
-    return e
+def _order_multiple(q: int, n: int) -> int:
+    """p^ceil(log_p n) * lcm_{i<=n} (q^i - 1), a multiple of the order of
+    every element of GL_n(q): its semisimple part has eigenvalues in
+    fields F_(q^i) with i <= n, and its unipotent part u satisfies
+    (u - 1)^n = 0, so u^(p^j) = 1 + (u - 1)^(p^j) = 1 once p^j >= n."""
+    p = next(f for f in range(2, q + 1) if q % f == 0)
+    unipotent = 1
+    while unipotent < n:
+        unipotent *= p
+    return unipotent * math.lcm(*(q**i - 1 for i in range(1, n + 1)))
 
 
-def projective_order(m: Matrix) -> int:
-    """Least e >= 1 with m^e a scalar matrix."""
-    if not m.is_invertible():
-        raise InputError("projective_order of a non-invertible matrix")
-    power = m
-    e = 1
-    while not power.is_scalar():
-        power = power @ m
-        e += 1
-    return e
+def _power_not_scalar(e: int) -> InputError:
+    return InputError(f"the matrix to the power {e} is not a nonzero scalar: "
+                      f"it is singular, or its projective order does not "
+                      f"divide {e}")
+
+
+def projective_order(m: Matrix, multiple: int | None = None) -> int:
+    """Least e >= 1 with m^e a scalar matrix.
+
+    Divides primes out of a known multiple o of the order (F. Celler and
+    C. R. Leedham-Green, "Calculating the order of an invertible matrix",
+    DIMACS 28, 1997): for each prime r | o, o <- o/r while m^(o/r) is
+    still scalar, one power per test.  The exponents e with m^e scalar
+    are the multiples of the projective order, so what is left is the
+    least.  The multiple is checked inside the first power, as
+    m^o = (m^(o/r))^r, and :class:`InputError` is raised when m^o is not
+    scalar (which covers a singular m).  Without a multiple the bound of
+    :func:`_order_multiple` is used; callers that know a smaller one (a
+    declared order) should pass it.
+    """
+    if multiple is None:
+        multiple = _order_multiple(m.field.q, m.rows)
+    if not _is_int(multiple) or multiple < 1:
+        raise InputError(
+            f"order multiple {multiple!r} must be a positive integer")
+    o = multiple
+    first = True
+    for r in _prime_factors(multiple):
+        while o % r == 0:
+            low = m ** (o // r)
+            scalar = low.is_scalar()
+            if first and not scalar and not (low ** r).is_scalar():
+                raise _power_not_scalar(multiple)
+            first = False
+            if not scalar:
+                break
+            o //= r
+    if multiple == 1 and not m.is_scalar():
+        raise _power_not_scalar(multiple)
+    return o
+
+
+def element_order(m: Matrix, po: int | None = None) -> int:
+    """Least e >= 1 with m^e the identity.
+
+    With the projective order po known, m^po is a scalar lambda and the
+    order is po * ord(lambda): m^e = 1 forces m^e scalar, so po | e, and
+    m^(po j) = lambda^j.  That is one power, checked to be scalar.
+    """
+    if po is None:
+        po = projective_order(m)
+    power = m ** po
+    if not power.is_scalar():
+        raise _power_not_scalar(po)
+    field = m.field
+    lam = power.vals[0]
+    o = field.q - 1
+    for r in _prime_factors(o):
+        while o % r == 0 and field.pow(lam, o // r) == 1:
+            o //= r
+    return po * o
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +225,9 @@ def tuple_from_json(doc: dict) -> GroupTuple:
     """
     if not isinstance(doc, dict):
         raise InputError("input document must be a JSON object")
-    if doc.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
-        raise InputError(f"unsupported schema version {doc.get('schema')!r}")
+    schema = doc.get("schema", SCHEMA_VERSION)
+    if not _is_int(schema) or schema != SCHEMA_VERSION:
+        raise InputError(f"unsupported schema version {schema!r}")
     for key in ("p", "k", "n", "generators", "orders"):
         if key not in doc:
             raise InputError(f"missing required field {key!r}")
@@ -507,16 +567,20 @@ def generating_pair(field: FiniteField, n: int) -> tuple[Matrix, Matrix]:
 
     Tries a fixed candidate stream (transvections against a transvection,
     Weyl element, or signed cycle) and accepts the first pair that
-    generates.  By Lagrange a proper subgroup has at most half the
-    elements of SL_n(q), so a pair generates exactly when its closure
-    passes |SL_n(q)| // 2 elements; each candidate's closure is capped
-    there, and the first that exceeds the cap wins.  No closure in the
-    search is built past half the group.
+    generates.  Generation is decided modulo scalars: a pair generates
+    SL_n(q) exactly when its image generates PSL_n(q), because a subgroup
+    H with HZ = G (Z central) is normal with abelian quotient, so it
+    contains [G, G], and SL_n(q) is perfect except for SL_2(2), where
+    Z = 1, and SL_2(3), where Z = {+-1} lies in [G, G] = Q_8.  By Lagrange
+    a proper subgroup has at most half the elements of PSL_n(q), so each
+    candidate's projective closure is capped at |PSL_n(q)| // 2, and the
+    first that exceeds the cap wins.  No closure in the search is built
+    past half of PSL_n(q).
     """
-    half = sl_order(field.q, n) // 2
+    half = psl_order(field.q, n) // 2
     for a, b in _pair_candidates(field, n):
         try:
-            group_closure([a, b], cap=half)
+            group_closure([a, b], cap=half, projective=True)
         except WorkCapExceeded:
             return a, b
     raise InvariantViolation(

@@ -17,6 +17,9 @@ Three layers, all exact:
 * rigidity_verdict: class dimensions, coinvariants, irreducibility and
   the dimension-count test assembled into a RigidityReport.  When p
   divides no declared order, Weil's formula h1 = z1 - b1 is checked too.
+  Each generator's projective order is found once, by dividing primes out
+  of its declared order, and gives both the declared-order flag and the
+  semisimplicity flag (semisimple exactly when p does not divide it).
 
 Tuples whose product is a nontrivial scalar are handled by appending that
 scalar's inverse as an extra central generator with its multiplicative
@@ -51,10 +54,11 @@ def central_lift(t: GroupTuple) -> GroupTuple:
     prod = t.product()
     if prod.is_identity():
         return t
-    # t is validated, so extra has determinant 1 and the new product is I
+    # t is validated, so extra has determinant 1 and the new product is I;
+    # a scalar has projective order 1
     extra = prod.inverse()
     lifted = GroupTuple(t.field, t.n, t.generators + (extra,),
-                        t.declared_orders + (element_order(extra),))
+                        t.declared_orders + (element_order(extra, 1),))
     # the lifted prefixes are t's, closed by prod @ extra = I
     lifted.__dict__["_prefixes"] = (*t.prefixes(),
                                     Matrix.identity(t.field, t.n))
@@ -217,15 +221,18 @@ def rigidity_verdict(t: GroupTuple,
         raise InputError(f"unknown irreducibility mode {irreducibility!r}")
 
     flags: list[str] = []
-    for i, (g, a) in enumerate(zip(t.generators, t.declared_orders)):
-        po = projective_order(g)
+    # the declared order is a multiple of the projective order (group_tuple
+    # checked that g^a is scalar), so each order is one prime division
+    orders = [projective_order(g, a)
+              for g, a in zip(t.generators, t.declared_orders)]
+    for i, (po, a) in enumerate(zip(orders, t.declared_orders)):
         if po != a:
             flags.append(
                 f"generator {i}: projective order {po} properly divides "
                 f"the declared order {a}"
             )
-    for g in t.generators:
-        for f in smoothness_flags(g):
+    for g, po in zip(t.generators, orders):
+        for f in smoothness_flags(g, po):
             if f not in flags:
                 flags.append(f)
 

@@ -17,7 +17,10 @@ helpers, column_space_union and coinvariant_dim_via_words, do reuse the
 package's row reduction: what they check is the set of vectors that gets
 reduced, not the reduction.  generating_pair_by_full_closure keeps the
 package's candidate stream and closure, and checks only the acceptance
-rule: a full closure of |SL_n(q)| elements, not one capped at half.
+rule: a full linear closure of |SL_n(q)| elements, not a projective one
+capped at half of PSL_n(q).  order_by_walk multiplies with the package's
+Matrix product (checked against matmul_entrywise in the ff tests); what it
+checks is the order found by prime division, not the product.
 """
 
 from __future__ import annotations
@@ -418,6 +421,24 @@ def j_scan_exhaustive(rs, d: int) -> tuple[int, tuple[int, ...]]:
                 break  # regular witness; no tuple can do better
     assert best >= 0, f"no order-{d} exponent tuple found (rank {rs.rank})"
     return best, witness
+
+
+# ---------------------------------------------------------------------------
+# orders by walking powers
+# ---------------------------------------------------------------------------
+
+def order_by_walk(m, projective: bool = False) -> int:
+    """Least e >= 1 with m^e the identity (with projective=True: a scalar
+    matrix), by multiplying in one more factor m at a time."""
+    done = type(m).is_scalar if projective else type(m).is_identity
+    bound = m.field.q ** m.rows
+    power, e = m, 1
+    while not done(power):
+        power = power @ m
+        e += 1
+        if e > bound:
+            raise AssertionError(f"walked past q^n = {bound} powers")
+    return e
 
 
 # ---------------------------------------------------------------------------

@@ -215,6 +215,49 @@ def test_json_boolean_is_not_an_integer(capsys, tmp_path, path, message):
     assert error["message"] == message
 
 
+@pytest.mark.parametrize("schema", [True, 1.0], ids=["true", "float"])
+def test_schema_must_be_an_integer(capsys, tmp_path, schema):
+    # both compare equal to 1 in Python, yet neither is the integer 1
+    doc = json.loads((GOLDEN_TUPLES / "sl2_f7.json").read_text(
+        encoding="utf-8"))
+    doc["schema"] = schema
+    bad = tmp_path / "schema.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "rigidity", "--in", str(bad))
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "input"
+    assert error["message"] == f"unsupported schema version {schema!r}"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("census", "--type", "A"), "rigiditylab census: the following "
+     "arguments are required: --rank, --q, --signature"),
+    (("frobnicate",), "rigiditylab: argument command: invalid choice: "
+     "'frobnicate' (choose from 'rootdata', 'rigid-tuples', 'coinv', "
+     "'rigidity', 'census')"),
+    (("rootdata", "--type", "A", "--rank", "two", "--d-max", "3"),
+     "rigiditylab rootdata: argument --rank: invalid int value: 'two'"),
+    (("rootdata", "--type", "A", "--rank", "1", "--d-max", "3", "--extra"),
+     "rigiditylab: unrecognized arguments: --extra"),
+    ((), "rigiditylab: the following arguments are required: command"),
+], ids=["missing", "subcommand", "type", "unrecognized", "empty"])
+def test_usage_error_is_one_json_record(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    error = json.loads(err)["error"]
+    assert error == {"exit_code": 2, "kind": "input", "message": message}
+
+
+def test_help_still_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["census", "--help"])
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: rigiditylab census") and err == ""
+
+
 def test_csv_not_available_for_rigidity(capsys, tmp_path):
     t = psl27_triple()
     path = write_tuple(tmp_path, t)
@@ -328,8 +371,8 @@ def test_census_q_factoring_stops_at_the_square_root(capsys, monkeypatch):
 ])
 def test_census_closes_one_table_and_searches_below_half(capsys, monkeypatch,
                                                          q, flags, target):
-    # generating_pair's closures stop at half of SL2(q); the census table is
-    # the one closure built in full, in the requested mode
+    # generating_pair's projective closures stop at half of PSL2(q); the
+    # census table is the one closure built in full, in the requested mode
     built = []
     closure = matgrp.group_closure
 
@@ -347,9 +390,9 @@ def test_census_closes_one_table_and_searches_below_half(capsys, monkeypatch,
     code, _, _ = run(capsys, "census", "--type", "A", "--rank", "1",
                      "--q", str(q), "--signature", "2,3,7", *flags)
     assert code == 0
-    half = matgrp.sl_order(q, 2) // 2
+    half = matgrp.psl_order(q, 2) // 2
     *search, census_table = built
     assert census_table == (target, "--no-projective" not in flags)
-    assert search and all(size <= half and not projective
+    assert search and all(size <= half and projective
                           for size, projective in search)
-    assert sum(size > half for size, _ in built) == (target > half)
+    assert sum(size > half for size, _ in built) == 1

@@ -6,10 +6,11 @@ import pickle
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import oracles
 from rigiditylab.errors import InputError, WorkCapExceeded
-from rigiditylab import ff, matgrp
+from rigiditylab import adjoint, ff, matgrp
 
 
 def field(q):
@@ -46,28 +47,112 @@ def test_order_examples():
     assert matgrp.projective_order(t) == 6
 
 
-def test_element_order_matches_brute_iteration():
-    F = field(7)
-    rng = random.Random(11)
-    for _ in range(10):
-        g = matgrp.random_sl_matrix(F, 2, rng)
-        acc = g
-        count = 1
-        while not acc.is_identity():
-            acc = acc @ g
-            count += 1
-        assert matgrp.element_order(g) == count
+# fields F2, F3, F4, F5, F7, F8, F9 and F13 as (p, k)
+ORDER_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
+                (13, 1)]
+KINDS = ["random", "triangular", "unipotent", "scalar"]
 
 
-def test_projective_order_conjugation_invariant():
-    F = field(9)
-    rng = random.Random(21)
-    for _ in range(15):
-        g = matgrp.random_sl_matrix(F, 2, rng)
-        h = matgrp.random_sl_matrix(F, 2, rng)
-        conj = h @ g @ h.inverse()
-        assert matgrp.projective_order(conj) == matgrp.projective_order(g)
-        assert matgrp.element_order(conj) == matgrp.element_order(g)
+def sample_element(p, k, n, kind, seed):
+    """An invertible matrix of the given kind: random of determinant one,
+    a scalar, or upper triangular (with a random diagonal, or unipotent)
+    conjugated by a random determinant-one matrix."""
+    F = ff.field_create(p, k)
+    rng = random.Random(seed)
+    if kind == "random":
+        return matgrp.random_sl_matrix(F, n, rng)
+    if kind == "scalar":
+        lam = ff.FieldElement(F, rng.randrange(1, F.q))
+        return ff.Matrix.diagonal(F, [lam] * n)
+    vals = [0] * (n * n)
+    for i in range(n):
+        vals[i * (n + 1)] = 1 if kind == "unipotent" else rng.randrange(1, F.q)
+        for j in range(i + 1, n):
+            vals[i * n + j] = rng.randrange(F.q)
+    h = matgrp.random_sl_matrix(F, n, rng)
+    return h @ ff.Matrix.from_values(F, n, n, vals) @ h.inverse()
+
+
+order_cases = given(field_pk=st.sampled_from(ORDER_FIELDS),
+                    n=st.sampled_from([2, 3, 4]), kind=st.sampled_from(KINDS),
+                    seed=st.integers(0, 2 ** 32 - 1))
+order_settings = settings(max_examples=100, deadline=None,
+                          suppress_health_check=[HealthCheck.too_slow])
+
+
+@order_settings
+@order_cases
+def test_element_order_matches_brute_iteration(field_pk, n, kind, seed):
+    m = sample_element(*field_pk, n, kind, seed)
+    po = oracles.order_by_walk(m, projective=True)
+    eo = oracles.order_by_walk(m)
+    assert matgrp.projective_order(m) == po
+    assert matgrp.projective_order(m, eo) == po
+    assert matgrp.element_order(m) == eo
+    assert matgrp.element_order(m, po) == eo
+
+
+@order_settings
+@order_cases
+def test_projective_order_conjugation_invariant(field_pk, n, kind, seed):
+    m = sample_element(*field_pk, n, kind, seed)
+    h = matgrp.random_sl_matrix(m.field, n, random.Random(seed + 1))
+    conj = h @ m @ h.inverse()
+    po = matgrp.projective_order(m)
+    assert matgrp.projective_order(conj) == po
+    assert matgrp.projective_order(conj, 6 * po) == po
+    assert matgrp.element_order(conj) == matgrp.element_order(m)
+
+
+@order_settings
+@given(field_pk=st.sampled_from(ORDER_FIELDS), n=st.sampled_from([2, 3, 4]),
+       kind=st.sampled_from(KINDS), seed=st.integers(0, 2 ** 32 - 1),
+       k=st.integers(1, 60), r=st.integers(1, 10 ** 6))
+def test_projective_order_from_a_multiple(field_pk, n, kind, seed, k, r):
+    # any multiple k po gives po back; any other exponent is refused
+    m = sample_element(*field_pk, n, kind, seed)
+    po = oracles.order_by_walk(m, projective=True)
+    assert matgrp.projective_order(m, k * po) == po
+    if po > 1:
+        wrong = k * po + r % (po - 1) + 1
+        with pytest.raises(InputError, match=f"power {wrong} is not"):
+            matgrp.projective_order(m, wrong)
+        with pytest.raises(InputError):
+            matgrp.element_order(m, wrong)
+
+
+@order_settings
+@order_cases
+def test_semisimple_exactly_when_p_does_not_divide_the_projective_order(
+        field_pk, n, kind, seed):
+    m = sample_element(*field_pk, n, kind, seed)
+    p = field_pk[0]
+    po = matgrp.projective_order(m)
+    semisimple = oracles.order_by_walk(m) % p != 0
+    assert (adjoint.is_semisimple(m, po) == adjoint.is_semisimple(m)
+            == semisimple == (po % p != 0))
+    if kind == "unipotent" and not m.is_identity():
+        assert not semisimple
+    if kind == "scalar":
+        assert semisimple and po == 1
+
+
+def test_orders_reject_a_singular_matrix_or_a_bad_multiple():
+    F = field(5)
+    singular = ff.Matrix.from_rows(F, [[1, 2], [2, 4]])
+    for multiple in (None, 1, 4, 24):
+        with pytest.raises(InputError, match="singular"):
+            matgrp.projective_order(singular, multiple)
+    with pytest.raises(InputError):
+        matgrp.element_order(singular)
+    u = ff.Matrix.from_rows(F, [[1, 1], [0, 1]])
+    for multiple in (0, -5, True, 2.5):
+        with pytest.raises(InputError, match="positive integer"):
+            matgrp.projective_order(u, multiple)
+    # multiple 1 is checked without any power
+    with pytest.raises(InputError, match="power 1 is not"):
+        matgrp.projective_order(u, 1)
+    assert matgrp.projective_order(ff.Matrix.diagonal(F, [2, 2]), 1) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +352,10 @@ def test_generating_pair_is_deterministic_and_valid(q):
                                                     13, 16)]
                          + [(2, 3), (3, 3), (4, 3)])
 def test_half_group_cap_picks_the_full_closure_pair(q, n):
-    # a pair generates exactly when its closure passes half of SL_n(q), so
-    # the capped search accepts the candidate a full closure would, and the
-    # census closes PSL_n(q) from the same pair as before
+    # a pair generates SL_n(q) exactly when its projective closure passes
+    # half of PSL_n(q) (q = 2, 3 included), so the capped search accepts
+    # the candidate a full linear closure would, and the census closes
+    # PSL_n(q) from the same pair as before
     F = field(q)
     got = matgrp.generating_pair(F, n)
     want = oracles.generating_pair_by_full_closure(F, n)

@@ -166,19 +166,69 @@ def test_tangent_rank_takes_no_inverse_on_a_lifted_tuple(monkeypatch):
 
 
 def test_verdict_walks_each_projective_order_once(monkeypatch):
+    """One division per generator, from its declared order, whose result
+    the element order then reuses; the central lift's scalar has
+    projective order 1."""
     t = matgrp.load_tuple(str(TUPLES / "sl3_f7_scalar.json"))
     calls = []
-    walk = matgrp.projective_order
+    orders = []
+    projective_order = matgrp.projective_order
+    element_order = matgrp.element_order
 
-    def counted(g):
-        calls.append(g)
-        return walk(g)
+    def counted(g, multiple=None):
+        calls.append((g, multiple))
+        return projective_order(g, multiple)
 
-    monkeypatch.setattr(matgrp, "projective_order", counted)
-    monkeypatch.setattr(rigidity, "projective_order", counted)
+    def recorded(g, po=None):
+        orders.append((g, po))
+        return element_order(g, po)
+
+    for module in (matgrp, rigidity):
+        monkeypatch.setattr(module, "projective_order", counted)
+    for module in (matgrp, rigidity, adjoint):
+        monkeypatch.setattr(module, "element_order", recorded)
     report = rigidity.rigidity_verdict(t)
     assert report.lifted_order == 3
-    assert calls == list(t.generators)
+    assert calls == list(zip(t.generators, t.declared_orders))
+    pos = [projective_order(g, a)
+           for g, a in zip(t.generators, t.declared_orders)]
+    extra = t.product().inverse()
+    assert orders == [*zip(t.generators, pos), (extra, 1)]
+
+
+def test_verdict_orders_take_few_products(monkeypatch):
+    """The orders of one verdict on sl3_f9 (declared orders 91, 80, 91)
+    come from powers of the declared orders: 64 products, where walking
+    each generator's powers twice took 2 (90 + 79 + 90) = 518."""
+    t = matgrp.load_tuple(str(TUPLES / "sl3_f9.json"))
+    products = [0]
+    inside = [0]
+    matmul = ff.Matrix.__matmul__
+
+    def counted(a, b):
+        products[0] += inside[0] > 0
+        return matmul(a, b)
+
+    def spent(order):
+        def wrapped(*args):
+            inside[0] += 1
+            try:
+                return order(*args)
+            finally:
+                inside[0] -= 1
+        return wrapped
+
+    monkeypatch.setattr(ff.Matrix, "__matmul__", counted)
+    monkeypatch.setattr(ff.Matrix, "__mul__", counted)
+    monkeypatch.setattr(rigidity, "projective_order",
+                        spent(matgrp.projective_order))
+    for module in (rigidity, adjoint):
+        monkeypatch.setattr(module, "element_order",
+                            spent(matgrp.element_order))
+    report = rigidity.rigidity_verdict(t)
+    assert report.flags == ("small characteristic p = 3 <= n = 3: "
+                            "centralizer smoothness assumed",)
+    assert 0 < products[0] <= 80
 
 
 def test_verdict_folds_the_prefixes_once(monkeypatch):
