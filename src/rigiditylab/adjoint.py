@@ -13,8 +13,8 @@ dimension whenever the centralizer of g is smooth.  That is guaranteed for
 semisimple elements in comfortable characteristic; other cases get caveat
 flags from :func:`smoothness_flags` rather than silently trusted numbers.
 An element is semisimple exactly when the characteristic does not divide
-its projective order, so a caller that knows that order passes it and the
-test costs one power.
+its projective order, which the caller passes in, so the test costs one
+power.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import InputError
-from .ff import FiniteField, Matrix, kernel_dim, rank
+from .ff import FiniteField, Matrix, kernel_dim
 from .matgrp import element_order
 
 
@@ -123,34 +123,22 @@ def adjoint_rep(field: FiniteField, n: int) -> AdjointRep:
     return AdjointRep(field, n)
 
 
-def ad_matrix(g: Matrix) -> Matrix:
-    return adjoint_rep(g.field, g.rows).ad_matrix(g)
+def is_semisimple(g: Matrix, po: int) -> bool:
+    """Whether g, of projective order po, has trivial unipotent part, i.e.
+    order coprime to the characteristic p.
 
-
-def fixed_space_dim(g: Matrix) -> int:
-    return adjoint_rep(g.field, g.rows).fixed_space_dim(g)
-
-
-def class_dim(g: Matrix) -> int:
-    return adjoint_rep(g.field, g.rows).class_dim(g)
-
-
-def is_semisimple(g: Matrix, po: int | None = None) -> bool:
-    """Whether g has trivial unipotent part, i.e. order coprime to the
-    characteristic p.
-
-    With the projective order po passed in, the order is po * ord(g^po)
-    (:func:`element_order`, one power), and ord(g^po) divides q - 1, so
-    g is semisimple exactly when p does not divide po.  Directly: write
-    g = su (Jordan decomposition); if u != 1 then u^po = lambda s^(-po) is
-    both semisimple and unipotent, hence 1, so p | po.
+    The order is po * ord(g^po) (:func:`element_order`, one power), and
+    ord(g^po) divides q - 1, so g is semisimple exactly when p does not
+    divide po.  Directly: write g = su (Jordan decomposition); if u != 1
+    then u^po = lambda s^(-po) is both semisimple and unipotent, hence 1,
+    so p | po.
     """
     return element_order(g, po) % g.field.p != 0
 
 
-def smoothness_flags(g: Matrix, po: int | None = None) -> tuple[str, ...]:
+def smoothness_flags(g: Matrix, po: int) -> tuple[str, ...]:
     """Caveats under which class_dim may differ from the true class
-    dimension; po, when given, is g's projective order."""
+    dimension of g, whose projective order is po."""
     flags = []
     if g.field.p <= g.rows:
         flags.append(

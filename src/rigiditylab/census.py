@@ -32,7 +32,6 @@ the index-tuple minimum.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .adjoint import adjoint_rep
@@ -240,6 +239,8 @@ def census(table: FiniteGroupTable, signature: tuple[int, ...],
         finally:
             _census_init({})  # keep no table alive past its census
     else:
+        # imported here, so that only workers > 1 pays the pool's import
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers,
                                  initializer=_census_init,
                                  initargs=(payload,)) as pool:

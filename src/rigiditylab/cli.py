@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
-import math
 import os
 import sys
 
@@ -33,7 +33,7 @@ from . import census as census_mod
 from . import rootdata as rootdata_mod
 from .coinv import coinvariant_dim
 from .errors import InputError, InvariantViolation, WorkCapExceeded
-from .ff import field_create
+from .ff import _prime_factors, field_create
 from .matgrp import (generating_pair, group_closure, load_tuple,
                      matrix_to_wire, psl_order, sl_order)
 from .rigidity import rigidity_verdict
@@ -157,16 +157,13 @@ def _run_rigidity(args: argparse.Namespace, work_cap: int) -> str:
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
-    if q < 2:
+    primes = _prime_factors(q)
+    if len(primes) != 1:
         raise InputError(f"q = {q} is not a prime power")
-    p = next((f for f in range(2, math.isqrt(q) + 1) if q % f == 0), q)
-    k = 0
-    rest = q
-    while rest % p == 0:
-        rest //= p
+    p, k = primes[0], 0
+    while q > 1:
+        q //= p
         k += 1
-    if rest != 1:
-        raise InputError(f"q = {q} is not a prime power")
     return p, k
 
 
@@ -178,19 +175,24 @@ def _run_census(args: argparse.Namespace, work_cap: int) -> str:
     if args.rank < 1:
         raise InputError(f"--rank must be >= 1, got {args.rank}")
     n = args.rank + 1
-    p, k = _factor_prime_power(args.q)
     try:
         signature = tuple(int(s) for s in args.signature.split(","))
     except ValueError:
         raise InputError(f"--signature {args.signature!r} is not a comma list "
                          "of integers")
+    too_big = WorkCapExceeded(
+        f"{'PSL' if args.projective else 'SL'}_{n}({args.q}) has more "
+        f"elements than the work cap {work_cap}")
+    # |PSL_n(q)| > q and > q^(n(n-1)/2) >= 2^(n(n-1)/2): refuse an oversized
+    # group before factoring q or forming its order
+    if args.q > work_cap or n * (n - 1) // 2 >= work_cap.bit_length():
+        raise too_big
+    p, k = _factor_prime_power(args.q)
     field = field_create(p, k)
     target = (psl_order(args.q, n) if args.projective
               else sl_order(args.q, n))
     if target > work_cap:
-        raise WorkCapExceeded(
-            f"group of order {target} exceeds the work cap {work_cap}"
-        )
+        raise too_big
     table = group_closure(generating_pair(field, n), cap=target + 1,
                           projective=args.projective)
     result = census_mod.census(table, signature, epi_test=args.epi_test,
@@ -230,7 +232,9 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once and reused by every main() call."""
     parser = _Parser(
         prog="rigiditylab",
         description="Exact-arithmetic rigidity toolkit for generator tuples "

@@ -43,19 +43,23 @@ from .errors import InputError
 _TABLE_LIMIT = 1 << 16
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending, by trial division."""
+    out = []
+    f = 2
     while f * f <= n:
         if n % f == 0:
-            return False
-        f += 2
-    return True
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1 if f == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def is_prime(n: int) -> bool:
+    return _prime_factors(n) == [n]
 
 
 # ---------------------------------------------------------------------------
@@ -137,13 +141,12 @@ def _is_irreducible(poly: Sequence[int], p: int) -> bool:
         frob_steps[i] = list(frob)
     if _poly_trim(list(frob_steps[k])) != x:
         return False
-    for t in range(2, k + 1):
-        if k % t == 0 and is_prime(t):
-            diff = list(frob_steps[k // t])
-            diff[1] = (diff[1] - 1) % p
-            g = _poly_gcd(diff, list(poly), p)
-            if len(g) > 1:
-                return False
+    for t in _prime_factors(k):
+        diff = list(frob_steps[k // t])
+        diff[1] = (diff[1] - 1) % p
+        g = _poly_gcd(diff, list(poly), p)
+        if len(g) > 1:
+            return False
     return True
 
 
@@ -376,20 +379,6 @@ def field_create(p: int, k: int = 1) -> FiniteField:
     return FiniteField(p, k)
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 class FieldElement:
     """An element of a :class:`FiniteField`, stored as a packed integer.
 
@@ -542,11 +531,6 @@ class Matrix:
 
     def __sub__(self, other: Matrix) -> Matrix:
         return self._add_scaled(self.field.neg(1), other, "subtraction")
-
-    def __neg__(self) -> Matrix:
-        f = self.field
-        return Matrix.from_values(f, self.rows, self.cols,
-                                  f.scale(f.neg(1), self.vals))
 
     def __matmul__(self, other: Matrix) -> Matrix:
         """Each entry is one fused dot product: an integer sum reduced

@@ -8,11 +8,10 @@ generating pairs of SL_n(q).
 
 Orders are never found by walking powers.  The projective order divides
 primes out of a known multiple (F. Celler and C. R. Leedham-Green,
-"Calculating the order of an invertible matrix", DIMACS 28, 1997): a
-tuple's declared order where there is one, which ``group_tuple`` has
-checked, and otherwise a multiple of every element order in GL_n(q).  The
-element order is the projective order times the order of the scalar it
-reaches, one power more.
+"Calculating the order of an invertible matrix", DIMACS 28, 1997), which
+the caller supplies: in the verdict, a tuple's declared order, which
+``group_tuple`` has checked.  The element order is the projective order
+times the order of the scalar it reaches, one power more.
 
 Group tables index elements by a canonical key.  Working projectively, the
 key is the entry tuple after scaling the first nonzero entry to 1, so a
@@ -46,25 +45,13 @@ SCHEMA_VERSION = 1
 # orders
 # ---------------------------------------------------------------------------
 
-def _order_multiple(q: int, n: int) -> int:
-    """p^ceil(log_p n) * lcm_{i<=n} (q^i - 1), a multiple of the order of
-    every element of GL_n(q): its semisimple part has eigenvalues in
-    fields F_(q^i) with i <= n, and its unipotent part u satisfies
-    (u - 1)^n = 0, so u^(p^j) = 1 + (u - 1)^(p^j) = 1 once p^j >= n."""
-    p = next(f for f in range(2, q + 1) if q % f == 0)
-    unipotent = 1
-    while unipotent < n:
-        unipotent *= p
-    return unipotent * math.lcm(*(q**i - 1 for i in range(1, n + 1)))
-
-
 def _power_not_scalar(e: int) -> InputError:
     return InputError(f"the matrix to the power {e} is not a nonzero scalar: "
                       f"it is singular, or its projective order does not "
                       f"divide {e}")
 
 
-def projective_order(m: Matrix, multiple: int | None = None) -> int:
+def projective_order(m: Matrix, multiple: int) -> int:
     """Least e >= 1 with m^e a scalar matrix.
 
     Divides primes out of a known multiple o of the order (F. Celler and
@@ -74,12 +61,8 @@ def projective_order(m: Matrix, multiple: int | None = None) -> int:
     are the multiples of the projective order, so what is left is the
     least.  The multiple is checked inside the first power, as
     m^o = (m^(o/r))^r, and :class:`InputError` is raised when m^o is not
-    scalar (which covers a singular m).  Without a multiple the bound of
-    :func:`_order_multiple` is used; callers that know a smaller one (a
-    declared order) should pass it.
+    scalar (which covers a singular m).
     """
-    if multiple is None:
-        multiple = _order_multiple(m.field.q, m.rows)
     if not _is_int(multiple) or multiple < 1:
         raise InputError(
             f"order multiple {multiple!r} must be a positive integer")
@@ -100,15 +83,14 @@ def projective_order(m: Matrix, multiple: int | None = None) -> int:
     return o
 
 
-def element_order(m: Matrix, po: int | None = None) -> int:
-    """Least e >= 1 with m^e the identity.
+def element_order(m: Matrix, po: int) -> int:
+    """Least e >= 1 with m^e the identity, given m's projective order po.
 
-    With the projective order po known, m^po is a scalar lambda and the
-    order is po * ord(lambda): m^e = 1 forces m^e scalar, so po | e, and
-    m^(po j) = lambda^j.  That is one power, checked to be scalar.
+    m^po is a scalar lambda and the order is po * ord(lambda): m^e = 1
+    forces m^e scalar, so po | e, and m^(po j) = lambda^j.  That is one
+    power, checked to be scalar; po must be the projective order itself,
+    not a multiple of it.
     """
-    if po is None:
-        po = projective_order(m)
     power = m ** po
     if not power.is_scalar():
         raise _power_not_scalar(po)
@@ -186,18 +168,13 @@ def group_tuple(generators: Sequence[Matrix],
     if not t.product().is_scalar():
         raise InputError("product of the generators is not a scalar matrix")
     # g^a is scalar exactly when the projective order divides a
-    for g, a in zip(t.generators, t.declared_orders):
+    for i, (g, a) in enumerate(zip(t.generators, t.declared_orders)):
         if not (g ** a).is_scalar():
             raise InputError(
-                f"projective order {projective_order(g)} does not divide "
-                f"the declared order {a}"
+                f"generator {i}: its projective order does not divide the "
+                f"declared order {a}"
             )
     return t
-
-
-def tuple_from_matrices(generators: Sequence[Matrix]) -> GroupTuple:
-    """GroupTuple with declared orders set to the exact projective orders."""
-    return group_tuple(generators, [projective_order(g) for g in generators])
 
 
 def _entry_coeffs(entry, field: FiniteField) -> FieldElement:
@@ -587,27 +564,3 @@ def generating_pair(field: FiniteField, n: int) -> tuple[Matrix, Matrix]:
         f"no generating pair found for SL_{n}({field.q}) in the candidate stream"
     )
 
-
-def random_sl_matrix(field: FiniteField, n: int, rng) -> Matrix:
-    """Random determinant-one matrix: draw until invertible, then scale the
-    first row by 1/det."""
-    while True:
-        vals = [rng.randrange(field.q) for _ in range(n * n)]
-        d = Matrix.from_values(field, n, n, vals).det()
-        if not d.is_zero():
-            break
-    vals[:n] = field.scale(field.inv(d.value), vals[:n])
-    return Matrix.from_values(field, n, n, vals)
-
-
-def random_sl_tuple(field: FiniteField, n: int, length: int, rng) -> GroupTuple:
-    """Random tuple with product exactly the identity (last entry solves
-    for the product)."""
-    if length < 2:
-        raise InputError("tuple length must be >= 2")
-    mats = [random_sl_matrix(field, n, rng) for _ in range(length - 1)]
-    prod = Matrix.identity(field, n)
-    for m in mats:
-        prod = prod @ m
-    mats.append(prod.inverse())
-    return tuple_from_matrices(mats)

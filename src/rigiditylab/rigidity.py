@@ -72,12 +72,11 @@ class CocycleSpaces:
 
     z1_dim: int
     b1_dim: int
-    h1_dim: int
     relator_matrix: Matrix
 
 
 def cocycle_spaces(t: GroupTuple) -> CocycleSpaces:
-    """Z1, B1 and their quotient for the declared presentation.
+    """Z1 and B1 for the declared presentation.
 
     A cocycle assigns Y_i in the Lie algebra to each generator subject to
     one power relator per generator, sum over j < a_i of Ad(c_i)^j applied
@@ -111,8 +110,7 @@ def cocycle_spaces(t: GroupTuple) -> CocycleSpaces:
             f"z1 = {z1} smaller than b1 = {b1}: coboundaries escaped the "
             "cocycle space"
         )
-    return CocycleSpaces(z1_dim=z1, b1_dim=b1, h1_dim=z1 - b1,
-                         relator_matrix=relator)
+    return CocycleSpaces(z1_dim=z1, b1_dim=b1, relator_matrix=relator)
 
 
 def _norm(ad: Matrix, a: int) -> Matrix:

@@ -299,7 +299,7 @@ def j_scan(rs: RootSystem, d: int, work_cap: int | None = None) -> JEntry:
     cost = d**rs.rank * npos
     if work_cap is not None and cost > work_cap:
         raise WorkCapExceeded(
-            f"j_value scan for {rs.type_letter}{rs.rank}, d = {d} needs "
+            f"j_d scan for {rs.type_letter}{rs.rank}, d = {d} needs "
             f"~{cost} root evaluations, above the cap {work_cap}"
         )
     j = _alcove_j(rs, d)
@@ -329,11 +329,6 @@ def _alcove_point_counts(rs: RootSystem, d_max: int) -> list[int]:
         for d in range(mark, d_max + 1):
             counts[d] += counts[d - mark]
     return counts
-
-
-def j_value(rs: RootSystem, d: int, work_cap: int | None = None) -> int:
-    """Largest class dimension over semisimple elements of order d."""
-    return j_scan(rs, d, work_cap).j
 
 
 @dataclass(frozen=True)

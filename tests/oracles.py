@@ -20,7 +20,9 @@ package's candidate stream and closure, and checks only the acceptance
 rule: a full linear closure of |SL_n(q)| elements, not a projective one
 capped at half of PSL_n(q).  order_by_walk multiplies with the package's
 Matrix product (checked against matmul_entrywise in the ff tests); what it
-checks is the order found by prime division, not the product.
+checks is the order found by prime division, not the product.  The random
+tuple helpers build package matrices and tuples as test inputs; their
+declared orders come from order_by_walk.
 """
 
 from __future__ import annotations
@@ -439,6 +441,48 @@ def order_by_walk(m, projective: bool = False) -> int:
         if e > bound:
             raise AssertionError(f"walked past q^n = {bound} powers")
     return e
+
+
+# ---------------------------------------------------------------------------
+# random determinant-one matrices and tuples
+# ---------------------------------------------------------------------------
+
+def tuple_from_matrices(generators):
+    """GroupTuple with declared orders set to the exact projective orders,
+    found by walking powers."""
+    from rigiditylab import matgrp
+    return matgrp.group_tuple(
+        generators, [order_by_walk(g, projective=True) for g in generators])
+
+
+def random_sl_matrix(field, n: int, rng):
+    """Random determinant-one matrix: draw until invertible, then scale the
+    first row by 1/det."""
+    from rigiditylab import ff
+
+    while True:
+        vals = [rng.randrange(field.q) for _ in range(n * n)]
+        d = ff.Matrix.from_values(field, n, n, vals).det()
+        if not d.is_zero():
+            break
+    vals[:n] = field.scale(field.inv(d.value), vals[:n])
+    return ff.Matrix.from_values(field, n, n, vals)
+
+
+def random_sl_tuple(field, n: int, length: int, rng):
+    """Random tuple with product exactly the identity (last entry solves
+    for the product), declared orders the exact projective orders."""
+    from rigiditylab import ff
+    from rigiditylab.errors import InputError
+
+    if length < 2:
+        raise InputError("tuple length must be >= 2")
+    mats = [random_sl_matrix(field, n, rng) for _ in range(length - 1)]
+    prod = ff.Matrix.identity(field, n)
+    for m in mats:
+        prod = prod @ m
+    mats.append(prod.inverse())
+    return tuple_from_matrices(mats)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ def f7():
 
 
 def random_sl(F, n, seed):
-    return matgrp.random_sl_matrix(F, n, random.Random(seed))
+    return oracles.random_sl_matrix(F, n, random.Random(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +69,8 @@ def test_ad_matrix_of_weyl_rotation_pinned(f7):
     # conjugation by [[0,1],[-1,0]] swaps the off-diagonal basis elements
     # with a sign and negates the diagonal one
     w = ff.Matrix.from_rows(f7, [[0, 1], [6, 0]])
-    assert adjoint.ad_matrix(w).row_values() == [[0, 6, 0], [6, 0, 0], [0, 0, 6]]
+    ad = adjoint.adjoint_rep(f7, 2).ad_matrix(w)
+    assert ad.row_values() == [[0, 6, 0], [6, 0, 0], [0, 0, 6]]
 
 
 @pytest.mark.parametrize("q,n", [(7, 2), (5, 3), (4, 2)])
@@ -78,8 +79,8 @@ def test_ad_is_a_homomorphism(q, n):
     rep = adjoint.adjoint_rep(F, n)
     rng = random.Random(10 * q + n)
     for _ in range(10):
-        g = matgrp.random_sl_matrix(F, n, rng)
-        h = matgrp.random_sl_matrix(F, n, rng)
+        g = oracles.random_sl_matrix(F, n, rng)
+        h = oracles.random_sl_matrix(F, n, rng)
         assert rep.ad_matrix(g @ h).key() == (rep.ad_matrix(g) @ rep.ad_matrix(h)).key()
 
 
@@ -87,7 +88,7 @@ def test_ad_matches_direct_conjugation(f7):
     rep = adjoint.adjoint_rep(f7, 3)
     rng = random.Random(37)
     for _ in range(10):
-        g = matgrp.random_sl_matrix(f7, 3, rng)
+        g = oracles.random_sl_matrix(f7, 3, rng)
         vec = [rng.randrange(7) for _ in range(rep.dim)]
         x = rep.from_coords(vec)
         direct = g @ x @ g.inverse()
@@ -108,7 +109,7 @@ def test_ad_columns_are_conjugated_basis_elements(p, k, n):
     rep = adjoint.AdjointRep(F, n)
     rng = random.Random(100 * p + 10 * k + n)
     for _ in range(4):
-        g = matgrp.random_sl_matrix(F, n, rng)
+        g = oracles.random_sl_matrix(F, n, rng)
         ad = rep.ad_matrix(g)
         for j in range(rep.dim):
             b = rep.from_coords([int(i == j) for i in range(rep.dim)])
@@ -187,8 +188,8 @@ def test_class_dim_invariant_under_conjugation_and_extension():
     rep_big = adjoint.adjoint_rep(big, 2)
     rng = random.Random(41)
     for _ in range(15):
-        g = matgrp.random_sl_matrix(F, 2, rng)
-        h = matgrp.random_sl_matrix(F, 2, rng)
+        g = oracles.random_sl_matrix(F, 2, rng)
+        h = oracles.random_sl_matrix(F, 2, rng)
         d = rep.class_dim(g)
         assert rep.class_dim(h @ g @ h.inverse()) == d
         assert rep_big.class_dim(oracles.embed_matrix(g, big)) == d
@@ -213,16 +214,20 @@ def test_class_dim_of_realized_witness_matches_j_value():
 # semisimplicity bookkeeping
 # ---------------------------------------------------------------------------
 
+# projective orders: diag(2, 4) over F7 has 3, a transvection p, a scalar 1
+
 def test_is_semisimple(f7):
-    assert adjoint.is_semisimple(ff.Matrix.diagonal(f7, [2, 4]))
-    assert adjoint.is_semisimple(ff.Matrix.identity(f7, 2))
-    assert not adjoint.is_semisimple(ff.Matrix.from_rows(f7, [[1, 1], [0, 1]]))
+    assert adjoint.is_semisimple(ff.Matrix.diagonal(f7, [2, 4]), 3)
+    assert adjoint.is_semisimple(ff.Matrix.identity(f7, 2), 1)
+    assert not adjoint.is_semisimple(
+        ff.Matrix.from_rows(f7, [[1, 1], [0, 1]]), 7)
 
 
 def test_smoothness_flags(f7):
-    assert adjoint.smoothness_flags(ff.Matrix.diagonal(f7, [2, 4])) == ()
-    flagged = adjoint.smoothness_flags(ff.Matrix.from_rows(f7, [[1, 1], [0, 1]]))
+    assert adjoint.smoothness_flags(ff.Matrix.diagonal(f7, [2, 4]), 3) == ()
+    flagged = adjoint.smoothness_flags(
+        ff.Matrix.from_rows(f7, [[1, 1], [0, 1]]), 7)
     assert any("semisimple" in f for f in flagged)
     F2 = ff.field_create(2)
-    small = adjoint.smoothness_flags(ff.Matrix.identity(F2, 2))
+    small = adjoint.smoothness_flags(ff.Matrix.identity(F2, 2), 1)
     assert any("characteristic" in f for f in small)

@@ -85,7 +85,7 @@ def test_witnesses_satisfy_the_relations(psl27):
         prod = ff.Matrix.identity(F, 2)
         for m, a, cls in zip(e.witness, res.signature, e.classes):
             assert m.det() == F.one
-            assert a % matgrp.projective_order(m) == 0
+            assert a % oracles.order_by_walk(m, projective=True) == 0
             assert psl27.class_of()[psl27.index_of(m)] == cls
             prod = prod @ m
         assert prod.is_scalar()

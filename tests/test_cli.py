@@ -1,12 +1,16 @@
 """Command line interface: artifacts, determinism, exit codes."""
 
 import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
 import time
 
 import pytest
 
+import oracles
 from rigiditylab import cli, ff, matgrp, rootdata
 from rigiditylab.errors import InvariantViolation, WorkCapExceeded
 
@@ -39,7 +43,7 @@ def psl27_triple():
             if table.order_of(k) == 7:
                 gens = [table.mats[i], table.mats[j], table.mats[k]]
                 if (gens[0] @ gens[1] @ gens[2]).is_identity():
-                    return matgrp.tuple_from_matrices(gens)
+                    return oracles.tuple_from_matrices(gens)
     raise AssertionError("no triple found")
 
 
@@ -184,8 +188,8 @@ def test_declared_order_not_a_multiple_exits_2(capsys, tmp_path):
     assert code == 2 and out == ""
     error = json.loads(err)["error"]
     assert error["kind"] == "input"
-    assert error["message"] == ("projective order 3 does not divide the "
-                                "declared order 4")
+    assert error["message"] == ("generator 0: its projective order does "
+                                "not divide the declared order 4")
 
 
 @pytest.mark.parametrize("path, message", [
@@ -248,6 +252,29 @@ def test_usage_error_is_one_json_record(capsys, argv, message):
     assert err.count("\n") == 1
     error = json.loads(err)["error"]
     assert error == {"exit_code": 2, "kind": "input", "message": message}
+
+
+def test_one_parser_serves_calls_after_a_usage_error(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    code, _, err = run(capsys, "census", "--type", "A")
+    assert code == 2 and json.loads(err)["error"]["kind"] == "input"
+    code, out, err = run(capsys, "rootdata", "--type", "A", "--rank", "1",
+                         "--d-max", "3")
+    assert code == 0 and err == "" and json.loads(out)["type"] == "A"
+
+
+def test_cli_import_loads_no_process_pool():
+    # only a census with --workers > 1 makes a pool, so only it pays for
+    # importing one
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    probe = ("import sys, rigiditylab.cli; print(sorted(m for m in "
+             "sys.modules if m.split('.')[0] in "
+             "('multiprocessing', 'concurrent')))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_help_still_prints_usage_and_exits_0(capsys):
@@ -364,6 +391,36 @@ def test_census_q_factoring_stops_at_the_square_root(capsys, monkeypatch):
                      "--q", "49", "--signature", "2,3,7", "--work-cap", "100")
     assert code == 3
     assert fields == [(7, 2)]
+
+
+@pytest.mark.parametrize("rank, q", [
+    ("119", "2"),  # an order of more than 4,300 digits
+    ("118", "2"),
+    ("1", str(2 ** 61 - 1)),  # prime, slow to trial-divide
+    ("1", str(2 ** 61 - 2)),  # no prime power, but above the cap first
+])
+def test_oversized_census_exits_3_before_factoring_or_ordering(
+        capsys, monkeypatch, rank, q):
+    def no_work(*args):
+        raise AssertionError("factored q or formed the order before the cap")
+    monkeypatch.setattr(cli, "_prime_factors", no_work)
+    monkeypatch.setattr(cli, "psl_order", no_work)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "census", "--type", "A", "--rank", rank,
+                         "--q", q, "--signature", "2,3,7")
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "work-cap"
+    assert error["message"] == (f"PSL_{int(rank) + 1}({q}) has more elements "
+                                "than the work cap 10000000")
+
+
+def test_census_signature_is_parsed_before_the_cap(capsys):
+    code, _, err = run(capsys, "census", "--type", "A", "--rank", "119",
+                       "--q", "2", "--signature", "2,x,7")
+    assert code == 2
+    assert json.loads(err)["error"]["kind"] == "input"
 
 
 @pytest.mark.parametrize("q, flags, target", [

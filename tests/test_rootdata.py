@@ -86,11 +86,11 @@ def test_cartan_determinants_pinned():
 def test_j_values_pinned():
     a1 = rootdata.build("A", 1)
     a2 = rootdata.build("A", 2)
-    assert rootdata.j_value(a1, 1) == 0
+    assert rootdata.j_scan(a1, 1).j == 0
     for d in (2, 3, 5, 17, 100):
-        assert rootdata.j_value(a1, d) == 2
-    assert rootdata.j_value(a2, 2) == 4
-    assert rootdata.j_value(a2, 3) == 6
+        assert rootdata.j_scan(a1, d).j == 2
+    assert rootdata.j_scan(a2, 2).j == 4
+    assert rootdata.j_scan(a2, 3).j == 6
     assert rootdata.j_scan(a2, 3).witness == (1, 1)
 
 
@@ -133,7 +133,7 @@ def test_j_value_bounded_by_regular_dimension(letter, rank):
     rs = rootdata.build(letter, rank)
     ceiling = rs.dim_g - rs.rank
     for d in range(1, 7):
-        assert rootdata.j_value(rs, d) <= ceiling
+        assert rootdata.j_scan(rs, d).j <= ceiling
 
 
 # Systems checked against the exhaustive scan, each for every d with
@@ -230,7 +230,7 @@ def test_a1_rigid_tuple_count_pinned():
 def test_rigid_tuples_match_direct_recount(letter, rank, n, a_max):
     rs = rootdata.build(letter, rank)
     res = rootdata.rigid_tuples(rs, n, a_max)
-    js = {d: rootdata.j_value(rs, d) for d in range(2, a_max + 1)}
+    js = {d: rootdata.j_scan(rs, d).j for d in range(2, a_max + 1)}
     expected = tuple(
         t for t in itertools.combinations_with_replacement(range(2, a_max + 1), n)
         if sum(js[a] for a in t) == 2 * rs.dim_g)
