@@ -44,7 +44,7 @@ class AdjointRep:
         """Packed coefficient vector of a traceless matrix in the basis."""
         if x.rows != self.n or x.cols != self.n or x.field != self.field:
             raise InputError("matrix does not live in this Lie algebra model")
-        if not x.trace().is_zero():
+        if x.trace() != 0:
             raise InputError("matrix is not traceless")
         return self._coords(x.vals)
 
@@ -68,7 +68,7 @@ class AdjointRep:
             vals[i * (n + 1)] = f.sub(a, prev)
             prev = a
         vals[-1] = f.neg(prev)
-        return Matrix.from_values(f, n, n, vals)
+        return Matrix(f, n, n, vals)
 
     # -- the action ---------------------------------------------------------
 
@@ -102,8 +102,8 @@ class AdjointRep:
             diag = outer(i, i)
             cols.append(self._coords(list(map(f.sub, prev, diag))))
             prev = diag
-        out = Matrix.from_values(self.field, self.dim, self.dim,
-                                 [x for row in zip(*cols) for x in row])
+        out = Matrix(self.field, self.dim, self.dim,
+                     [x for row in zip(*cols) for x in row])
         self._cache[key] = out
         return out
 

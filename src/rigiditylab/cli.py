@@ -137,7 +137,7 @@ def _run_rigid_tuples(args: argparse.Namespace, work_cap: int) -> str:
 def _run_coinv(args: argparse.Namespace, work_cap: int) -> str:
     if args.format == "csv":
         raise InputError("coinv emits JSON only; use --format json")
-    t = load_tuple(args.infile)
+    t = load_tuple(args.infile, work_cap)
     co = coinvariant_dim(t)
     return _json_text({
         "schema": 1,
@@ -150,9 +150,9 @@ def _run_coinv(args: argparse.Namespace, work_cap: int) -> str:
 def _run_rigidity(args: argparse.Namespace, work_cap: int) -> str:
     if args.format == "csv":
         raise InputError("rigidity emits JSON only; use --format json")
-    t = load_tuple(args.infile)
+    t = load_tuple(args.infile, work_cap)
     mode = "assert" if args.assert_irreducible else "verify"
-    report = rigidity_verdict(t, irreducibility=mode)
+    report = rigidity_verdict(t, irreducibility=mode, work_cap=work_cap)
     return _json_text(report.to_json())
 
 

@@ -6,12 +6,11 @@ the monic irreducible whose coefficient vector, read as the base-p integer
 c_{k-1} p^{k-1} + ... + c_1 p + c_0, is smallest.  This makes element
 serialization reproducible across runs and machines.
 
-An element is a packed integer sum(c_i * p^i); the coefficient tuple is
-recovered on demand.  All field arithmetic is done by the FiniteField
-methods on packed values (``add``, ``sub``, ``neg``, ``mul``, ``inv``,
-``pow``, ``scale``, ``add_scaled``).  FieldElement only carries a packed
-value and its field across the API edges; it has no arithmetic
-operators.
+An element is a plain int, the packed value sum(c_i * p^i) in [0, q); the
+coefficient tuple (the wire format) is ``FiniteField.unpack`` of it, and
+``FiniteField.element`` packs one.  All field arithmetic is done by the
+FiniteField methods on packed values (``add``, ``sub``, ``neg``, ``mul``,
+``inv``, ``pow``, ``scale``, ``add_scaled``).
 
 Over F_p, arithmetic is integer arithmetic mod p.  Extension fields with
 at most 2**16 elements precompute discrete log / antilog tables for a
@@ -22,11 +21,11 @@ on Zech's logarithms", IEEE Trans. IT 36, 1990); for p = 2 addition is
 XOR.  Larger fields multiply by polynomial arithmetic, with the same
 product that builds the tables and searches for the modulus.
 
-A Matrix holds its entries as one tuple of packed ints, row major.  Field
-elements appear only at its API edges (the checked constructor,
-``from_rows``, ``diagonal``, ``m[i, j]``, ``entries``, ``trace``,
-``det``); sums, products, transposes and eliminations run on the packed
-values, and each entry of a product is one fused dot product.
+A Matrix holds its entries as one tuple of packed ints, row major, in
+``vals``; ``m[i, j]``, ``trace`` and ``det`` return packed ints too.  Its
+constructor takes packed entries unchecked; ``from_rows`` and ``diagonal``
+pack ints or coefficient lists.  Each entry of a product is one fused dot
+product.
 
 Everything here is immutable after construction and safe to share between
 worker processes.
@@ -34,6 +33,7 @@ worker processes.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache, reduce
 from operator import add, mul, xor
 from typing import Iterable, Sequence
@@ -167,14 +167,14 @@ def _least_irreducible(p: int, k: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# fields and elements
+# fields
 # ---------------------------------------------------------------------------
 
 class FiniteField:
     """The field F_{p^k} with the canonical modulus polynomial.
 
     Use :func:`field_create` rather than the constructor; it caches a single
-    instance per (p, k) so elements of the same field always share an owner.
+    instance per (p, k) so matrices over the same field share one owner.
     """
 
     def __init__(self, p: int, k: int):
@@ -192,17 +192,15 @@ class FiniteField:
         self._zech_add = None
         if k > 1 and self.q <= _TABLE_LIMIT:
             self._build_tables()
-        self.zero = FieldElement(self, 0)
-        self.one = FieldElement(self, 1)
 
     # -- construction helpers ------------------------------------------------
 
-    def element(self, coeffs: int | Iterable[int]) -> FieldElement:
-        """Element from an int (k = 1 shortcut, reduced mod p) or a
+    def element(self, coeffs: int | Iterable[int]) -> int:
+        """Packed element from an int (a constant, reduced mod p) or a
         coefficient sequence, low degree first."""
         if isinstance(coeffs, int):
             if self.k == 1:
-                return FieldElement(self, coeffs % self.p)
+                return coeffs % self.p
             coeffs = [coeffs]
         cs = list(coeffs)
         if len(cs) > self.k:
@@ -211,7 +209,7 @@ class FiniteField:
         packed = 0
         for i, c in enumerate(cs):
             packed += (c % self.p) * self._pow_p[i]
-        return FieldElement(self, packed)
+        return packed
 
     def unpack(self, value: int) -> tuple[int, ...]:
         coeffs = []
@@ -379,40 +377,21 @@ def field_create(p: int, k: int = 1) -> FiniteField:
     return FiniteField(p, k)
 
 
-class FieldElement:
-    """An element of a :class:`FiniteField`, stored as a packed integer.
+def field_cost(p: int, k: int) -> int:
+    """The work that building F_{p^k} is charged, to check against a work
+    cap before any of it is done.
 
-    A value at the API edges only: compute with the packed
-    :class:`FiniteField` methods on ``value``."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: FiniteField, value: int):
-        self.field = field
-        self.value = value
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        """Coefficients over F_p, low degree first (the wire format)."""
-        return self.field.unpack(self.value)
-
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FieldElement):
-            return self.value == other.value and self.field == other.field
-        if isinstance(other, int):
-            return self.value == self.field.element(other).value
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.field.p, self.field.k, self.value))
-
-    def __repr__(self) -> str:
-        if self.field.k == 1:
-            return f"{self.value}_F{self.field.p}"
-        return f"{list(self.coeffs)}_F{self.field.p}^{self.field.k}"
+    Testing p takes up to sqrt(p) trial divisions.  For k > 1 the modulus
+    search is charged p + k candidates, each tested with k Frobenius
+    powers of bit_length(p) products of k^2 coefficient multiplications:
+    the p binomials x^k + c may all be reducible (every element is a k-th
+    power when gcd(k, p - 1) = 1), and beyond them irreducibles have
+    density about 1/k.
+    """
+    cost = math.isqrt(max(p, 0))
+    if k > 1:
+        cost += (max(p, 0) + k) * k**3 * p.bit_length()
+    return cost
 
 
 # ---------------------------------------------------------------------------
@@ -422,77 +401,56 @@ class FieldElement:
 class Matrix:
     """Immutable dense matrix over a single finite field.
 
-    The entries are held as one tuple of packed ints, row major, in
-    ``vals``; ``entries`` and ``m[i, j]`` wrap them in field elements.
+    The entries are one tuple of packed ints in [0, q), row major, in
+    ``vals``.  The constructor takes them as given, unchecked.
     """
 
     __slots__ = ("field", "rows", "cols", "vals")
 
     def __init__(self, field: FiniteField, rows: int, cols: int,
-                 entries: Sequence[FieldElement]):
-        if len(entries) != rows * cols:
-            raise InputError("entry count does not match matrix shape")
-        for e in entries:
-            if e.field is not field and e.field != field:
-                raise InputError("mixed-field entries in matrix")
+                 vals: Iterable[int]):
         self.field = field
         self.rows = rows
         self.cols = cols
-        self.vals = tuple(e.value for e in entries)
+        self.vals = tuple(vals)
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def from_values(cls, field: FiniteField, rows: int, cols: int,
-                    vals: Iterable[int]) -> Matrix:
-        """Matrix from packed entries in [0, q), row major, unchecked."""
-        m = object.__new__(cls)
-        m.field = field
-        m.rows = rows
-        m.cols = cols
-        m.vals = tuple(vals)
-        return m
-
-    @classmethod
     def from_rows(cls, field: FiniteField, rows: Sequence[Sequence]) -> Matrix:
-        """Rows of ints (k = 1 shortcut), coefficient lists, or elements."""
+        """Rows of ints (constants, reduced mod p) or coefficient lists."""
         n = len(rows)
         m = len(rows[0]) if n else 0
-        ents = []
+        vals = []
         for row in rows:
             if len(row) != m:
                 raise InputError("ragged matrix rows")
-            for x in row:
-                ents.append(x if isinstance(x, FieldElement) else field.element(x))
-        return cls(field, n, m, ents)
+            vals.extend(map(field.element, row))
+        return cls(field, n, m, vals)
 
     @classmethod
     def identity(cls, field: FiniteField, n: int) -> Matrix:
         vals = [0] * (n * n)
         vals[::n + 1] = [1] * n
-        return cls.from_values(field, n, n, vals)
+        return cls(field, n, n, vals)
 
     @classmethod
     def zero(cls, field: FiniteField, rows: int, cols: int) -> Matrix:
-        return cls.from_values(field, rows, cols, [0] * (rows * cols))
+        return cls(field, rows, cols, [0] * (rows * cols))
 
     @classmethod
     def diagonal(cls, field: FiniteField, diag: Sequence) -> Matrix:
+        """Diagonal of ints (constants, reduced mod p) or coefficient lists."""
         n = len(diag)
-        ents = [field.zero] * (n * n)
-        for i, x in enumerate(diag):
-            ents[i * n + i] = x if isinstance(x, FieldElement) else field.element(x)
-        return cls(field, n, n, ents)
+        vals = [0] * (n * n)
+        vals[::n + 1] = map(field.element, diag)
+        return cls(field, n, n, vals)
 
     # -- access -------------------------------------------------------------
 
-    @property
-    def entries(self) -> tuple[FieldElement, ...]:
-        return tuple(FieldElement(self.field, v) for v in self.vals)
-
-    def __getitem__(self, ij: tuple[int, int]) -> FieldElement:
+    def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
-        return FieldElement(self.field, self.vals[i * self.cols + j])
+        return self.vals[i * self.cols + j]
 
     def row_values(self) -> list[list[int]]:
         """Packed entries as a list of rows."""
@@ -522,9 +480,8 @@ class Matrix:
         self._check_same(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise InputError(f"matrix shape mismatch in {op}")
-        return Matrix.from_values(
-            self.field, self.rows, self.cols,
-            self.field.add_scaled(self.vals, c, other.vals))
+        return Matrix(self.field, self.rows, self.cols,
+                      self.field.add_scaled(self.vals, c, other.vals))
 
     def __add__(self, other: Matrix) -> Matrix:
         return self._add_scaled(1, other, "addition")
@@ -560,28 +517,26 @@ class Matrix:
             cols = [[log[x] for x in col] for col in cols]
             vals = [reduce(plus, map(term, map(add, row, col)), 0)
                     for row in rows for col in cols]
-        return Matrix.from_values(f, self.rows, m, vals)
+        return Matrix(f, self.rows, m, vals)
 
     __mul__ = __matmul__
 
-    def scale(self, c: FieldElement) -> Matrix:
-        if c.field is not self.field and c.field != self.field:
-            raise InputError("mixed-field matrix arithmetic")
-        return Matrix.from_values(self.field, self.rows, self.cols,
-                                  self.field.scale(c.value, self.vals))
+    def scale(self, c: int) -> Matrix:
+        """c times the matrix, for a packed c."""
+        return Matrix(self.field, self.rows, self.cols,
+                      self.field.scale(c, self.vals))
 
     def transpose(self) -> Matrix:
         c, vals = self.cols, self.vals
-        return Matrix.from_values(self.field, c, self.rows,
-                                  [x for j in range(c) for x in vals[j::c]])
+        return Matrix(self.field, c, self.rows,
+                      [x for j in range(c) for x in vals[j::c]])
 
-    def trace(self) -> FieldElement:
+    def trace(self) -> int:
         if self.rows != self.cols:
             raise InputError("trace of a non-square matrix")
-        f = self.field
-        return FieldElement(f, reduce(f.add, self.vals[::self.cols + 1], 0))
+        return reduce(self.field.add, self.vals[::self.cols + 1], 0)
 
-    def det(self) -> FieldElement:
+    def det(self) -> int:
         """Product of the echelon pivot values times the sign of the pivot
         permutation; zero as soon as a row depends on the rows above."""
         if self.rows != self.cols:
@@ -590,11 +545,11 @@ class Matrix:
         ech = Echelon(f, self.cols)
         for row in self.row_values():
             if not ech.add(row):
-                return f.zero
+                return 0
         det = reduce(f.mul, ech.pivot_values, 1)
         piv = ech.pivots
         inversions = sum(a > b for i, a in enumerate(piv) for b in piv[i + 1:])
-        return FieldElement(f, f.neg(det) if inversions % 2 else det)
+        return f.neg(det) if inversions % 2 else det
 
     def inverse(self) -> Matrix:
         """The right half of the reduced echelon form of [A | I]."""
@@ -607,8 +562,7 @@ class Matrix:
             ech.add(row + [1 if i == j else 0 for j in range(n)])
         if any(piv >= n for piv in ech.pivots):
             raise ZeroDivisionError("matrix is singular")
-        return Matrix.from_values(
-            f, n, n, [x for row in ech.reduced() for x in row[n:]])
+        return Matrix(f, n, n, [x for row in ech.reduced() for x in row[n:]])
 
     def __pow__(self, e: int) -> Matrix:
         if self.rows != self.cols:
@@ -639,7 +593,7 @@ class Matrix:
         return d != 0 and self.vals == tuple(want)
 
     def is_invertible(self) -> bool:
-        return not self.det().is_zero()
+        return self.det() != 0
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix)

@@ -35,7 +35,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import InputError, InvariantViolation, WorkCapExceeded
-from .ff import (Echelon, FieldElement, FiniteField, Matrix, _prime_factors,
+from .ff import (Echelon, FiniteField, Matrix, _prime_factors, field_cost,
                  field_create)
 
 SCHEMA_VERSION = 1
@@ -158,7 +158,7 @@ def group_tuple(generators: Sequence[Matrix],
     for g in generators:
         if g.field != field or g.rows != n or g.cols != n:
             raise InputError("generators must be square matrices over one field")
-        if g.det() != field.one:
+        if g.det() != 1:
             raise InputError("generator determinant is not 1")
     for a in declared_orders:
         if not _is_int(a) or a < 1:
@@ -177,7 +177,8 @@ def group_tuple(generators: Sequence[Matrix],
     return t
 
 
-def _entry_coeffs(entry, field: FiniteField) -> FieldElement:
+def _entry_value(entry, field: FiniteField) -> int:
+    """The packed value of one wire entry."""
     if isinstance(entry, int):
         entry = [entry]
     if not isinstance(entry, list) or not all(map(_is_int, entry)):
@@ -187,7 +188,7 @@ def _entry_coeffs(entry, field: FiniteField) -> FieldElement:
     return field.element(entry)
 
 
-def tuple_from_json(doc: dict) -> GroupTuple:
+def tuple_from_json(doc: dict, work_cap: int | None = None) -> GroupTuple:
     """Parse the wire format.
 
     Expected shape::
@@ -198,7 +199,9 @@ def tuple_from_json(doc: dict) -> GroupTuple:
 
     Each generator is a list of rows; each entry is the coefficient
     sequence of a field element, low degree first (a bare int is accepted
-    as shorthand for a length-1 sequence).
+    as shorthand for a length-1 sequence).  The field's setup cost
+    (:func:`ff.field_cost`) is checked against work_cap before the field
+    is built.
     """
     if not isinstance(doc, dict):
         raise InputError("input document must be a JSON object")
@@ -213,6 +216,9 @@ def tuple_from_json(doc: dict) -> GroupTuple:
         raise InputError("fields p, k, n must be integers")
     if n < 1:
         raise InputError(f"matrix size n = {n} must be >= 1")
+    if work_cap is not None and field_cost(p, k) > work_cap:
+        raise WorkCapExceeded(f"setting up the field with p = {p}, k = {k} "
+                              f"needs more work than the cap {work_cap}")
     field = field_create(p, k)
     if not isinstance(doc["generators"], list):
         raise InputError("generators must be a list of matrices")
@@ -225,19 +231,19 @@ def tuple_from_json(doc: dict) -> GroupTuple:
 
 def matrix_to_wire(m: Matrix) -> list:
     """Rows of coefficient sequences, the JSON shape of one matrix."""
-    return [[list(m[i, j].coeffs) for j in range(m.cols)]
-            for i in range(m.rows)]
+    unpack = m.field.unpack
+    return [[list(unpack(v)) for v in row] for row in m.row_values()]
 
 
 def matrix_from_wire(field: FiniteField, n: int, rows) -> Matrix:
     if not isinstance(rows, list) or len(rows) != n:
         raise InputError(f"matrix document is not a list of {n} rows")
-    ents = []
+    vals = []
     for row in rows:
         if not isinstance(row, list) or len(row) != n:
             raise InputError(f"matrix document has a row of length != {n}")
-        ents.extend(_entry_coeffs(e, field) for e in row)
-    return Matrix(field, n, n, ents)
+        vals.extend(_entry_value(e, field) for e in row)
+    return Matrix(field, n, n, vals)
 
 
 def tuple_to_json(t: GroupTuple) -> dict:
@@ -251,13 +257,13 @@ def tuple_to_json(t: GroupTuple) -> dict:
     }
 
 
-def load_tuple(path: str) -> GroupTuple:
+def load_tuple(path: str, work_cap: int | None = None) -> GroupTuple:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a decode error, or an int too long to read
             raise InputError(f"invalid JSON in {path}: {exc}") from exc
-    return tuple_from_json(doc)
+    return tuple_from_json(doc, work_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -284,35 +290,21 @@ class FiniteGroupTable:
     """
 
     def __init__(self, generators: Sequence[Matrix], mats: list[Matrix],
-                 index: dict[tuple, int], right: tuple[list[int], ...],
-                 projective: bool):
+                 right: tuple[list[int], ...], projective: bool):
         self.generators = tuple(generators)
         self.field = generators[0].field
         self.n = generators[0].rows
         self.projective = projective
         self.mats = mats
-        self.index = index
         self.right = right
         self._words: list[tuple[list[int], ...]] | None = None
         self._inverses: list[int] | None = None
         self._orders: list[int] | None = None
         self._classes: tuple[tuple[int, ...], ...] | None = None
 
-    # -- indexing -----------------------------------------------------------
-
     @property
     def size(self) -> int:
         return len(self.mats)
-
-    def canonical_key(self, m: Matrix) -> tuple:
-        return m.projective_key() if self.projective else m.key()
-
-    def index_of(self, m: Matrix) -> int:
-        key = self.canonical_key(m)
-        idx = self.index.get(key)
-        if idx is None:
-            raise InputError("matrix does not belong to the enumerated group")
-        return idx
 
     # -- arithmetic by index lookups ----------------------------------------
 
@@ -454,7 +446,7 @@ def group_closure(gens: Sequence[Matrix], cap: int,
                 mats.append(prod)
             perm.append(j)
         i += 1
-    return FiniteGroupTable(gens, mats, index, right, projective)
+    return FiniteGroupTable(gens, mats, right, projective)
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +495,7 @@ def psl_order(q: int, n: int) -> int:
 def _transvection(field: FiniteField, n: int, v: int) -> Matrix:
     vals = list(Matrix.identity(field, n).vals)
     vals[1] = v
-    return Matrix.from_values(field, n, n, vals)
+    return Matrix(field, n, n, vals)
 
 
 def _companion(field: FiniteField, n: int, coeffs: tuple[int, ...]) -> Matrix:
@@ -515,14 +507,14 @@ def _companion(field: FiniteField, n: int, coeffs: tuple[int, ...]) -> Matrix:
     for i, c in enumerate(coeffs):
         vals[(n - 1 - i) * n + (n - 1)] = field.neg(c)
     vals[n - 1] = 1 if n % 2 else field.neg(1)  # -(-1)^n
-    return Matrix.from_values(field, n, n, vals)
+    return Matrix(field, n, n, vals)
 
 
 def _pair_candidates(field: FiniteField, n: int) -> Iterable[tuple[Matrix, Matrix]]:
     upper = _transvection(field, n, 1)
     if n == 2:
         for v in range(1, field.q):
-            yield upper, Matrix.from_values(field, 2, 2, (1, 0, v, 1))
+            yield upper, Matrix(field, 2, 2, (1, 0, v, 1))
     else:
         cycle_rows = [[0] * n for _ in range(n)]
         for i in range(n):

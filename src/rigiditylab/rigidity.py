@@ -30,11 +30,12 @@ unchanged; the report records the appended order for transparency.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .adjoint import adjoint_rep, smoothness_flags
 from .coinv import coinvariant_dim
-from .errors import InputError, InvariantViolation
+from .errors import InputError, InvariantViolation, WorkCapExceeded
 from .ff import Matrix, kernel_dim, rank
 from .matgrp import (GroupTuple, element_order, is_absolutely_irreducible,
                      projective_order)
@@ -135,8 +136,7 @@ def _assemble(field, blocks: list[list[Matrix]]) -> Matrix:
     d = blocks[0][0].rows
     vals = [x for brow in blocks for i in range(d)
             for blk in brow for x in blk.vals[i * d:(i + 1) * d]]
-    return Matrix.from_values(field, len(blocks) * d, len(blocks[0]) * d,
-                              vals)
+    return Matrix(field, len(blocks) * d, len(blocks[0]) * d, vals)
 
 
 def tangent_product_rank(t: GroupTuple) -> int:
@@ -199,8 +199,8 @@ class RigidityReport:
         }
 
 
-def rigidity_verdict(t: GroupTuple,
-                     irreducibility: str = "verify") -> RigidityReport:
+def rigidity_verdict(t: GroupTuple, irreducibility: str = "verify",
+                     work_cap: int | None = None) -> RigidityReport:
     """Full report for one tuple.
 
     The verdict is RIGID when the hypotheses hold (zero coinvariants,
@@ -214,9 +214,21 @@ def rigidity_verdict(t: GroupTuple,
 
     irreducibility: "verify" runs the span test on the natural module;
     "assert" records the user's claim without testing it.
+
+    work_cap, when given, is checked first against the trial divisions
+    that factor each declared order (its projective order) and q - 1
+    (each element order, one per generator and one for the central
+    lift): up to the square root of each.
     """
     if irreducibility not in ("verify", "assert"):
         raise InputError(f"unknown irreducibility mode {irreducibility!r}")
+    divisions = (sum(map(math.isqrt, t.declared_orders))
+                 + (t.length + 1) * math.isqrt(t.field.q))
+    if work_cap is not None and divisions > work_cap:
+        raise WorkCapExceeded(
+            f"factoring the declared orders and q - 1 needs ~{divisions} "
+            f"trial divisions, above the cap {work_cap}"
+        )
 
     flags: list[str] = []
     # the declared order is a multiple of the projective order (group_tuple

@@ -367,6 +367,19 @@ class RigidTupleResult:
     plateau: int
 
 
+def _multisets(kinds: int, n: int, cap: int | None) -> int:
+    """C(kinds + n - 1, n), the number of non-decreasing n-tuples of kinds
+    values, built as C(m, i) for i up to the smaller of n and kinds - 1;
+    that rises with i, so it stops at the first value above cap."""
+    m = kinds + n - 1
+    count = 1
+    for i in range(1, min(n, kinds - 1) + 1):
+        count = count * (m - i + 1) // i
+        if cap is not None and count > cap:
+            break
+    return count
+
+
 def rigid_tuples(rs: RootSystem, n: int, a_max: int,
                  work_cap: int | None = None) -> RigidTupleResult:
     """All non-decreasing tuples (a_1,...,a_n), 2 <= a_i <= a_max, whose
@@ -381,18 +394,24 @@ def rigid_tuples(rs: RootSystem, n: int, a_max: int,
     The table runs to max(a_max, Coxeter number) and takes its j values
     from the alcove alone, with no witnesses.  work_cap is checked once,
     before any scan, against the alcove points of the whole table times
-    the root count.
+    the root count, plus n entries for each of the C(a_max + n - 2, n)
+    tuples enumerated.
     """
     if n < 3:
         raise InputError(f"tuple length n = {n} must be >= 3")
     if a_max < 2:
         raise InputError(f"a_max = {a_max} must be >= 2")
     d_top = max(a_max, rs.coxeter_number)
-    cost = sum(_alcove_point_counts(rs, d_top)[2:]) * len(rs.positive_roots)
+    cost = n * _multisets(a_max - 1, n, work_cap)
+    # past the cap, a_max may be too large to count the alcove points
+    if work_cap is None or cost <= work_cap:
+        cost += (sum(_alcove_point_counts(rs, d_top)[2:])
+                 * len(rs.positive_roots))
     if work_cap is not None and cost > work_cap:
         raise WorkCapExceeded(
-            f"j_d table for {rs.type_letter}{rs.rank}, d <= {d_top} needs "
-            f"~{cost} root evaluations, above the cap {work_cap}"
+            f"rigid tuples for {rs.type_letter}{rs.rank}, n = {n}, "
+            f"a_max = {a_max} need ~{cost} tuple entries and root "
+            f"evaluations, above the cap {work_cap}"
         )
     jmap = {1: 0, **{d: _alcove_j(rs, d) for d in range(2, d_top + 1)}}
 

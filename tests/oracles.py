@@ -122,11 +122,9 @@ def exact_determinant(grid) -> int:
 # determinant and rank over F_q without elimination
 # ---------------------------------------------------------------------------
 
-def leibniz_det(m):
-    """Determinant of an ff.Matrix as the signed sum over all n!
+def leibniz_det(m) -> int:
+    """Packed determinant of an ff.Matrix as the signed sum over all n!
     permutations, with the field's scalar add, sub and mul."""
-    from rigiditylab import ff
-
     F, n = m.field, m.rows
     total = 0
     for perm in itertools.permutations(range(n)):
@@ -140,9 +138,9 @@ def leibniz_det(m):
                     j = perm[j]
         term = 1
         for i, j in enumerate(perm):
-            term = F.mul(term, m[i, j].value)
+            term = F.mul(term, m[i, j])
         total = F.sub(total, term) if (n - cycles) % 2 else F.add(total, term)
-    return ff.FieldElement(F, total)
+    return total
 
 
 def span_rank(m) -> int:
@@ -187,8 +185,8 @@ def matmul_entrywise(a, b):
         for j in range(b.cols):
             acc = 0
             for t in range(a.cols):
-                acc = F.add(acc, F.mul(a[i, t].value, b[t, j].value))
-            out.append(ff.FieldElement(F, acc))
+                acc = F.add(acc, F.mul(a[i, t], b[t, j]))
+            out.append(acc)
     return ff.Matrix(F, a.rows, b.cols, out)
 
 
@@ -197,12 +195,10 @@ def norm_linear(ad, a: int):
     from rigiditylab import ff
 
     F, d = ad.field, ad.rows
-    total = ff.Matrix(F, d, d, [F.zero] * (d * d))
+    total = ff.Matrix(F, d, d, [0] * (d * d))
     power = ff.Matrix.identity(F, d)
     for _ in range(a):
-        total = ff.Matrix(F, d, d, [ff.FieldElement(F, F.add(x.value, y.value))
-                                    for x, y in zip(total.entries,
-                                                    power.entries)])
+        total = ff.Matrix(F, d, d, map(F.add, total.vals, power.vals))
         power = matmul_entrywise(power, ad)
     return total
 
@@ -216,7 +212,7 @@ def relator_linear(t):
     t = rigidity.central_lift(t)
     rep = adjoint.adjoint_rep(t.field, t.n)
     F, d, m = t.field, rep.dim, t.length
-    zero = ff.Matrix(F, d, d, [F.zero] * (d * d))
+    zero = ff.Matrix(F, d, d, [0] * (d * d))
     blocks = [[zero] * m for _ in range(m)]
     for i, (c, a) in enumerate(zip(t.generators, t.declared_orders)):
         blocks[i][i] = norm_linear(rep.ad_matrix(c), a)
@@ -462,11 +458,11 @@ def random_sl_matrix(field, n: int, rng):
 
     while True:
         vals = [rng.randrange(field.q) for _ in range(n * n)]
-        d = ff.Matrix.from_values(field, n, n, vals).det()
-        if not d.is_zero():
+        d = ff.Matrix(field, n, n, vals).det()
+        if d:
             break
-    vals[:n] = field.scale(field.inv(d.value), vals[:n])
-    return ff.Matrix.from_values(field, n, n, vals)
+    vals[:n] = field.scale(field.inv(d), vals[:n])
+    return ff.Matrix(field, n, n, vals)
 
 
 def random_sl_tuple(field, n: int, length: int, rng):
@@ -562,7 +558,7 @@ def has_common_stable_line(gens) -> bool:
     field = gens[0].field
     big = ff.field_create(field.p, field.k * 2)
     add, mul = big.add, big.mul
-    mats = [[x.value for x in embed_matrix(g, big).entries] for g in gens]
+    mats = [embed_matrix(g, big).vals for g in gens]
     lines = [(1, x) for x in range(big.q)] + [(0, 1)]
 
     def stable(m, v):
@@ -582,16 +578,15 @@ def embedding(small, big):
 
     Sends the generator of the small field to the first root (in packed
     order) of the small modulus inside the big field, which makes the map
-    deterministic.  Returns a function on elements.
+    deterministic.  Returns a function on packed elements.
     """
-    from rigiditylab import ff
     from rigiditylab.errors import InputError
 
     if small.p != big.p or big.k % small.k != 0:
         raise InputError(f"no embedding {small} -> {big}")
     if small.k == 1:
         # A prime-field constant c packs to the same integer in any extension.
-        return lambda x: ff.FieldElement(big, x.value)
+        return lambda x: x
     mod = small.modulus_poly
     root = None
     for v in range(big.q):
@@ -611,10 +606,10 @@ def embedding(small, big):
 
     def embed(x):
         acc = 0
-        for c, w in zip(x.coeffs, powers):
+        for c, w in zip(small.unpack(x), powers):
             if c:
                 acc = big.add(acc, big.mul(c, w))
-        return ff.FieldElement(big, acc)
+        return acc
 
     return embed
 
@@ -624,4 +619,4 @@ def embed_matrix(m, big):
     from rigiditylab import ff
 
     emb = embedding(m.field, big)
-    return ff.Matrix(big, m.rows, m.cols, [emb(e) for e in m.entries])
+    return ff.Matrix(big, m.rows, m.cols, map(emb, m.vals))

@@ -4,10 +4,13 @@ class dimensions."""
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from rigiditylab.errors import InputError
 from rigiditylab import adjoint, ff, matgrp, rootdata
+
+properties = settings(max_examples=40, deadline=None)
 
 
 @pytest.fixture(scope="module")
@@ -17,6 +20,28 @@ def f7():
 
 def random_sl(F, n, seed):
     return oracles.random_sl_matrix(F, n, random.Random(seed))
+
+
+@st.composite
+def sl_matrices(draw, F, n):
+    """A determinant-one matrix over F: drawn packed entries, with the
+    first row divided by the determinant."""
+    vals = draw(st.lists(st.integers(0, F.q - 1), min_size=n * n,
+                         max_size=n * n))
+    det = ff.Matrix(F, n, n, vals).det()
+    assume(det != 0)
+    vals[:n] = F.scale(F.inv(det), vals[:n])
+    return ff.Matrix(F, n, n, vals)
+
+
+@st.composite
+def traceless_matrices(draw, F, n):
+    """A drawn matrix whose last diagonal entry cancels the trace."""
+    vals = draw(st.lists(st.integers(0, F.q - 1), min_size=n * n,
+                         max_size=n * n))
+    vals[-1] = 0
+    vals[-1] = F.neg(ff.Matrix(F, n, n, vals).trace())
+    return ff.Matrix(F, n, n, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -36,17 +61,27 @@ def test_basis_spans_traceless_matrices(f7, n):
         for r, c, v in unit:
             rows[r][c] = v
         b = ff.Matrix.from_rows(f7, rows)
-        assert b.trace().is_zero()
+        assert b.trace() == 0
         coords = rep.coords(b)
         assert coords == [1 if j == i else 0 for j in range(rep.dim)]
 
 
-def test_coords_round_trip(f7):
-    rep = adjoint.adjoint_rep(f7, 3)
-    rng = random.Random(13)
-    for _ in range(20):
-        vec = [rng.randrange(7) for _ in range(rep.dim)]
-        assert rep.coords(rep.from_coords(vec)) == vec
+@properties
+@given(pkn=st.sampled_from([(7, 1, 3), (2, 1, 2), (2, 2, 3), (3, 2, 2),
+                            (5, 1, 4)]), data=st.data())
+def test_coords_round_trip(pkn, data):
+    """coords and from_coords are inverse bijections between F^(n^2 - 1)
+    and the traceless matrices."""
+    p, k, n = pkn
+    F = ff.field_create(p, k)
+    rep = adjoint.adjoint_rep(F, n)
+    vec = data.draw(st.lists(st.integers(0, F.q - 1), min_size=rep.dim,
+                             max_size=rep.dim))
+    x = rep.from_coords(vec)
+    assert x.trace() == 0
+    assert rep.coords(x) == vec
+    y = data.draw(traceless_matrices(F, n))
+    assert rep.from_coords(rep.coords(y)) == y
 
 
 def test_coords_rejects_nonzero_trace(f7):
@@ -74,53 +109,56 @@ def test_ad_matrix_of_weyl_rotation_pinned(f7):
 
 
 @pytest.mark.parametrize("q,n", [(7, 2), (5, 3), (4, 2)])
-def test_ad_is_a_homomorphism(q, n):
+@properties
+@given(data=st.data())
+def test_ad_is_a_homomorphism(q, n, data):
     F = ff.field_create(*((2, 2) if q == 4 else (q, 1)))
-    rep = adjoint.adjoint_rep(F, n)
-    rng = random.Random(10 * q + n)
-    for _ in range(10):
-        g = oracles.random_sl_matrix(F, n, rng)
-        h = oracles.random_sl_matrix(F, n, rng)
-        assert rep.ad_matrix(g @ h).key() == (rep.ad_matrix(g) @ rep.ad_matrix(h)).key()
+    rep = adjoint.AdjointRep(F, n)
+    g = data.draw(sl_matrices(F, n))
+    h = data.draw(sl_matrices(F, n))
+    assert rep.ad_matrix(g @ h) == rep.ad_matrix(g) @ rep.ad_matrix(h)
 
 
-def test_ad_matches_direct_conjugation(f7):
-    rep = adjoint.adjoint_rep(f7, 3)
-    rng = random.Random(37)
-    for _ in range(10):
-        g = oracles.random_sl_matrix(f7, 3, rng)
-        vec = [rng.randrange(7) for _ in range(rep.dim)]
-        x = rep.from_coords(vec)
-        direct = g @ x @ g.inverse()
-        ad = rep.ad_matrix(g)
-        moved = []
-        for i in range(rep.dim):
-            acc = 0
-            for j in range(rep.dim):
-                acc = f7.add(acc, f7.mul(ad[i, j].value, vec[j]))
-            moved.append(acc)
-        assert rep.coords(direct) == moved
+@properties
+@given(data=st.data())
+def test_ad_matches_direct_conjugation(data):
+    F = ff.field_create(7)
+    rep = adjoint.AdjointRep(F, 3)
+    g = data.draw(sl_matrices(F, 3))
+    vec = data.draw(st.lists(st.integers(0, 6), min_size=rep.dim,
+                             max_size=rep.dim))
+    direct = g @ rep.from_coords(vec) @ g.inverse()
+    ad = rep.ad_matrix(g)
+    moved = []
+    for i in range(rep.dim):
+        acc = 0
+        for j in range(rep.dim):
+            acc = F.add(acc, F.mul(ad[i, j], vec[j]))
+        moved.append(acc)
+    assert rep.coords(direct) == moved
 
 
 @pytest.mark.parametrize("p, k, n", [(2, 2, 2), (3, 2, 3), (2, 3, 4),
                                      (3, 1, 4)])
-def test_ad_columns_are_conjugated_basis_elements(p, k, n):
+@properties
+@given(data=st.data())
+def test_ad_columns_are_conjugated_basis_elements(p, k, n, data):
+    """Column j of Ad(g) is g E_j g^(-1) for the j-th basis element E_j."""
     F = ff.field_create(p, k)
     rep = adjoint.AdjointRep(F, n)
-    rng = random.Random(100 * p + 10 * k + n)
-    for _ in range(4):
-        g = oracles.random_sl_matrix(F, n, rng)
-        ad = rep.ad_matrix(g)
-        for j in range(rep.dim):
-            b = rep.from_coords([int(i == j) for i in range(rep.dim)])
-            column = [ad[i, j].value for i in range(rep.dim)]
-            assert column == rep.coords(g @ b @ g.inverse())
+    g = data.draw(sl_matrices(F, n))
+    ginv = g.inverse()
+    ad = rep.ad_matrix(g)
+    for j in range(rep.dim):
+        b = rep.from_coords([int(i == j) for i in range(rep.dim)])
+        column = [ad[i, j] for i in range(rep.dim)]
+        assert column == rep.coords(g @ b @ ginv)
 
 
 def test_ad_is_projective(f7):
     rep = adjoint.adjoint_rep(f7, 2)
     g = random_sl(f7, 2, 5)
-    scaled = g.scale(ff.FieldElement(f7, 3))
+    scaled = g.scale(3)
     assert rep.ad_matrix(scaled).key() == rep.ad_matrix(g).key()
 
 
@@ -144,7 +182,7 @@ def test_ad_matrix_cache_hit_runs_no_elimination(f7, monkeypatch):
 
     monkeypatch.setattr(ff.Echelon, "__init__", counted)
     # a scalar multiple shares the projective key, so it hits the cache
-    assert rep.ad_matrix(g.scale(ff.FieldElement(f7, 2))) is first
+    assert rep.ad_matrix(g.scale(2)) is first
     assert rep.ad_matrix(g) is first
     assert eliminations == []
     rep.ad_matrix(h)  # a miss inverts, which is one elimination
@@ -181,18 +219,18 @@ def test_every_noncentral_psl2_element_has_class_dim_two():
         assert rep.class_dim(m) == (0 if m.is_scalar() else 2)
 
 
-def test_class_dim_invariant_under_conjugation_and_extension():
+@properties
+@given(data=st.data())
+def test_class_dim_invariant_under_conjugation_and_extension(data):
     F = ff.field_create(5)
     big = ff.field_create(5, 2)
     rep = adjoint.adjoint_rep(F, 2)
     rep_big = adjoint.adjoint_rep(big, 2)
-    rng = random.Random(41)
-    for _ in range(15):
-        g = oracles.random_sl_matrix(F, 2, rng)
-        h = oracles.random_sl_matrix(F, 2, rng)
-        d = rep.class_dim(g)
-        assert rep.class_dim(h @ g @ h.inverse()) == d
-        assert rep_big.class_dim(oracles.embed_matrix(g, big)) == d
+    g = data.draw(sl_matrices(F, 2))
+    h = data.draw(sl_matrices(F, 2))
+    d = rep.class_dim(g)
+    assert rep.class_dim(h @ g @ h.inverse()) == d
+    assert rep_big.class_dim(oracles.embed_matrix(g, big)) == d
 
 
 def test_class_dim_of_realized_witness_matches_j_value():

@@ -416,6 +416,65 @@ def test_oversized_census_exits_3_before_factoring_or_ordering(
                                 "than the work cap 10000000")
 
 
+def _identity_tuple(tmp_path, **fields):
+    doc = {"schema": 1, "p": 7, "k": 1, "n": 2,
+           "generators": [[[1, 0], [0, 1]]], "orders": [1], **fields}
+    path = tmp_path / "tuple.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("command, fields", [
+    ("rigidity", {"p": 2 ** 61 - 1}),  # prime, slow to trial-divide
+    ("coinv", {"p": 2 ** 61 - 1}),
+    ("rigidity", {"p": 2, "k": 4000}),  # the modulus search would run on
+    ("coinv", {"p": 2, "k": 4000}),
+    ("rigidity", {"orders": [2 ** 61 - 1]}),  # prime, as a declared order
+])
+def test_oversized_wire_integers_exit_3_before_the_work(
+        capsys, monkeypatch, tmp_path, command, fields):
+    path = _identity_tuple(tmp_path, **fields)
+    ff.field_create(7)  # cached before the trial division is disabled
+
+    def no_work(*args):
+        raise AssertionError("trial-divided or searched before the cap")
+    monkeypatch.setattr(ff, "is_prime", no_work)
+    monkeypatch.setattr(ff, "_least_irreducible", no_work)
+    monkeypatch.setattr(matgrp, "_prime_factors", no_work)
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, "--in", path)
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"]["kind"] == "work-cap"
+
+
+def test_an_integer_too_long_to_read_is_invalid_input(capsys, tmp_path):
+    path = tmp_path / "tuple.json"
+    path.write_text('{"p": 1' + "0" * 5000 + "}", encoding="utf-8")
+    code, out, err = run(capsys, "coinv", "--in", str(path))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["kind"] == "input"
+
+
+def test_a_large_declared_order_costs_coinv_nothing(capsys, tmp_path):
+    # coinv never factors a declared order; checking it is a few squarings
+    path = _identity_tuple(tmp_path, orders=[2 ** 61 - 1])
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "coinv", "--in", path)
+    assert time.perf_counter() - start < 1
+    assert code == 0 and json.loads(out)["coinv_dim"] == 3
+
+
+def test_rigid_tuples_charges_its_tuple_enumeration(capsys):
+    # C(50, 40), about 10^10 tuples of A1 orders 2..12
+    start = time.perf_counter()
+    code, out, err = run(capsys, "rigid-tuples", "--type", "A", "--rank",
+                         "1", "--n", "40", "--a-max", "12")
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"]["kind"] == "work-cap"
+
+
 def test_census_signature_is_parsed_before_the_cap(capsys):
     code, _, err = run(capsys, "census", "--type", "A", "--rank", "119",
                        "--q", "2", "--signature", "2,x,7")

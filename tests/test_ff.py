@@ -18,13 +18,8 @@ SMALL_FIELDS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1),
 def random_matrix(F, rows, cols, rng):
     """Uniform random matrix; entries drawn as packed values so extension
     fields are sampled fully, not just their prime subfield."""
-    ents = [ff.FieldElement(F, rng.randrange(F.q)) for _ in range(rows * cols)]
-    return ff.Matrix(F, rows, cols, ents)
-
-
-def values(m):
-    """The packed entries of m, read through its field elements."""
-    return [x.value for x in m.entries]
+    return ff.Matrix(F, rows, cols,
+                     [rng.randrange(F.q) for _ in range(rows * cols)])
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +52,7 @@ def test_prime_field_is_plain_modular_arithmetic():
     F = ff.field_create(7)
     for a in range(7):
         for b in range(7):
-            x, y = F.element(a).value, F.element(b).value
+            x, y = F.element(a), F.element(b)
             assert F.add(x, y) == (a + b) % 7
             assert F.mul(x, y) == (a * b) % 7
 
@@ -151,14 +146,10 @@ def test_zero_division_and_cross_field_mixing_rejected():
     G = ff.field_create(7)
     with pytest.raises(ZeroDivisionError):
         F.inv(0)
-    with pytest.raises(InputError):
-        ff.Matrix(F, 1, 2, [F.one, G.one])
     a, b = ff.Matrix.identity(F, 2), ff.Matrix.identity(G, 2)
     for op in (operator.add, operator.sub, operator.matmul):
         with pytest.raises(InputError):
             op(a, b)
-    with pytest.raises(InputError):
-        a.scale(G.one)
 
 
 def test_large_extension_field_runs_without_tables():
@@ -223,11 +214,11 @@ def test_packed_arithmetic_matches_entrywise_oracle(p, k):
         b = random_matrix(F, r, m, rng)
         c = random_matrix(F, n, r, rng)
         assert (a @ b).key() == oracles.matmul_entrywise(a, b).key()
-        assert values(a + c) == list(map(F.add, values(a), values(c)))
-        assert values(a - c) == list(map(F.sub, values(a), values(c)))
+        assert list((a + c).vals) == list(map(F.add, a.vals, c.vals))
+        assert list((a - c).vals) == list(map(F.sub, a.vals, c.vals))
         assert a.transpose().transpose() == a
-        assert [a.transpose()[j, i] for i in range(n) for j in range(r)] \
-            == list(a.entries)
+        assert tuple(a.transpose()[j, i] for i in range(n)
+                     for j in range(r)) == a.vals
 
 
 
@@ -331,7 +322,7 @@ def test_determinant_and_inverse_consistency():
         m = ff.Matrix.from_rows(F, grid)
         n = ff.Matrix.from_rows(F, [[rng.randrange(7) for _ in range(3)]
                                     for _ in range(3)])
-        assert (m @ n).det().value == F.mul(m.det().value, n.det().value)
+        assert (m @ n).det() == F.mul(m.det(), n.det())
         if m.is_invertible():
             seen_invertible += 1
             assert (m @ m.inverse()).is_identity()
@@ -362,7 +353,7 @@ def test_det_rank_inverse_match_elimination_free_oracles(p, k, n_max):
         for m in cases:
             assert m.det() == oracles.leibniz_det(m)
             assert ff.rank(m) == oracles.span_rank(m)
-            if m.det().is_zero():
+            if m.det() == 0:
                 singular += 1
                 with pytest.raises(ZeroDivisionError):
                     m.inverse()
@@ -437,6 +428,16 @@ def test_matrix_power_squares_once_per_bit_after_the_leading_one(
     assert g ** -5 @ powers[5] == powers[0]
 
 
+def test_entries_are_packed_ints():
+    F9 = ff.field_create(3, 2)
+    assert F9.element([1, 2]) == 7 and F9.element(-1) == 2
+    m = ff.Matrix.from_rows(F9, [[[1, 2], 1], [0, [0, 1]]])
+    assert m.vals == (7, 1, 0, 3) and m[0, 0] == 7
+    assert m.trace() == F9.add(7, 3) and m.det() == F9.mul(7, 3)
+    assert ff.Matrix.diagonal(F9, [[1, 2], 2]).vals == (7, 0, 0, 2)
+    assert m.scale(3).vals == tuple(F9.mul(3, v) for v in m.vals)
+
+
 def test_matrix_key_distinguishes_entries_and_shape():
     F = ff.field_create(5)
     a = ff.Matrix.from_rows(F, [[1, 2], [3, 4]])
@@ -449,7 +450,7 @@ def test_projective_key_is_the_entry_tuple_scaled_to_a_leading_one():
     F = ff.field_create(7)
     a = ff.Matrix.from_rows(F, [[0, 3], [5, 1]])
     assert a.projective_key() == (0, 1, 4, 5)  # times 3^-1 = 5
-    assert a.scale(F.element(2)).projective_key() == a.projective_key()
+    assert a.scale(2).projective_key() == a.projective_key()
     with pytest.raises(ZeroDivisionError):
         ff.Matrix.zero(F, 2, 2).projective_key()
 
@@ -459,15 +460,12 @@ def test_embedding_is_an_injective_field_homomorphism():
     F16 = ff.field_create(2, 4)
     emb = oracles.embedding(F4, F16)
 
-    def image(x):
-        return emb(ff.FieldElement(F4, x)).value
-
-    assert len({image(x) for x in range(F4.q)}) == 4
-    assert emb(F4.one) == F16.one
+    assert len({emb(x) for x in range(F4.q)}) == 4
+    assert emb(1) == 1
     for a in range(F4.q):
         for b in range(F4.q):
-            assert image(F4.add(a, b)) == F16.add(image(a), image(b))
-            assert image(F4.mul(a, b)) == F16.mul(image(a), image(b))
+            assert emb(F4.add(a, b)) == F16.add(emb(a), emb(b))
+            assert emb(F4.mul(a, b)) == F16.mul(emb(a), emb(b))
 
 
 def test_embedding_rejects_incompatible_fields():

@@ -6,22 +6,26 @@ code as it stood before any refactor of the group layer, and the
 root-data files by the exhaustive (Z/d)^rank scan before the alcove scan
 replaced it, so they pin the bytes of every count, class numbering, j_d
 value and witness.  The ``rigidity`` and ``coinv`` files were produced
-from the tuples in ``tests/golden/tuples/`` by the per-entry
-``FieldElement`` matrix arithmetic and the linear cocycle norm sum, before
-the packed-integer matrix core and the norm by doubling replaced them.
+from the tuples in ``tests/golden/tuples/`` by matrix arithmetic on
+per-entry field-element objects and the linear cocycle norm sum, before
+the packed-integer matrix core and the norm by doubling replaced them;
+field elements have since become plain packed ints everywhere.  Those
+tuples also round-trip through the wire format unchanged, which pins the
+packed parsing and printing of coefficient lists (k = 2 in ``sl3_f9``).
 Regenerate them only for a deliberate output change::
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import io
+import json
 import pathlib
 import sys
 from contextlib import redirect_stdout
 
 import pytest
 
-from rigiditylab import cli
+from rigiditylab import cli, matgrp
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
 
@@ -101,6 +105,13 @@ def test_rootdata_output_matches_golden(name):
 def test_tuple_output_matches_golden(name):
     expected = _path(name).read_text(encoding="utf-8")
     assert _stdout(TUPLE_CASES[name]) == expected
+
+
+@pytest.mark.parametrize("name", TUPLES)
+def test_golden_tuple_round_trips_through_the_wire_format(name):
+    path = GOLDEN / "tuples" / f"{name}.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert matgrp.tuple_to_json(matgrp.load_tuple(str(path))) == doc
 
 
 def test_worker_pool_output_matches_golden():

@@ -1,6 +1,7 @@
 """Matrix groups: orders, closure, irreducibility, tuple wire format."""
 
 import json
+import math
 import pathlib
 import pickle
 import random
@@ -58,15 +59,14 @@ def sample_element(p, k, n, kind, seed):
     if kind == "random":
         return oracles.random_sl_matrix(F, n, rng)
     if kind == "scalar":
-        lam = ff.FieldElement(F, rng.randrange(1, F.q))
-        return ff.Matrix.diagonal(F, [lam] * n)
+        return ff.Matrix.identity(F, n).scale(rng.randrange(1, F.q))
     vals = [0] * (n * n)
     for i in range(n):
         vals[i * (n + 1)] = 1 if kind == "unipotent" else rng.randrange(1, F.q)
         for j in range(i + 1, n):
             vals[i * n + j] = rng.randrange(F.q)
     h = oracles.random_sl_matrix(F, n, rng)
-    return h @ ff.Matrix.from_values(F, n, n, vals) @ h.inverse()
+    return h @ ff.Matrix(F, n, n, vals) @ h.inverse()
 
 
 order_cases = given(field_pk=st.sampled_from(ORDER_FIELDS),
@@ -224,9 +224,11 @@ def test_projective_table_identifies_scalar_multiples():
     F = field(5)
     a, b = matgrp.generating_pair(F, 2)
     table = matgrp.group_closure([a, b], cap=10 ** 6, projective=True)
-    minus_a = a.scale(ff.FieldElement(F, 4))
-    assert table.canonical_key(a) == table.canonical_key(minus_a)
-    assert table.index_of(a) == table.index_of(minus_a)
+    index = {m.projective_key(): i for i, m in enumerate(table.mats)}
+    assert len(index) == table.size == matgrp.psl_order(5, 2)
+    minus_a = a.scale(4)
+    assert minus_a != a
+    assert table.mats[index[minus_a.projective_key()]] == a
 
 
 def test_conjugacy_classes_partition_the_group():
@@ -236,7 +238,7 @@ def test_conjugacy_classes_partition_the_group():
     classes = table.conjugacy_classes()
     flat = [i for cls in classes for i in cls]
     assert sorted(flat) == list(range(table.size))
-    assert classes[0] == (table.index_of(ff.Matrix.identity(F, 2)),)
+    assert classes[0] == (0,) and table.mats[0].is_identity()
     assert all(table.size % len(cls) == 0 for cls in classes)
     class_map = table.class_of()
     rng = random.Random(17)
@@ -269,8 +271,10 @@ def test_table_arithmetic_matches_matrix_arithmetic(q, n, projective):
     fresh = matgrp.group_closure([a, b], cap=10 ** 6, projective=projective)
     mats = fresh.mats
     size = fresh.size
-    products = [[fresh.index_of(x @ y) for y in mats] for x in mats]
-    inverses = [fresh.index_of(x.inverse()) for x in mats]
+    key = ff.Matrix.projective_key if projective else ff.Matrix.key
+    index = {key(m): i for i, m in enumerate(mats)}
+    products = [[index[key(x @ y)] for y in mats] for x in mats]
+    inverses = [index[key(x.inverse())] for x in mats]
     orders = [oracles.order_by_walk(x, projective) for x in mats]
     # a table pickled before its first product builds its words itself; one
     # pickled after use carries them, as the census worker pool receives it
@@ -320,7 +324,7 @@ def test_irreducibility_invariant_under_conjugation_and_scaling():
         h = oracles.random_sl_matrix(F, 2, rng)
         conj = [h @ g @ h.inverse() for g in gens]
         assert matgrp.is_absolutely_irreducible(conj) == base
-        scaled = [g.scale(ff.FieldElement(F, 4)) for g in gens]
+        scaled = [g.scale(4) for g in gens]
         assert matgrp.is_absolutely_irreducible(scaled) == base
 
 
@@ -336,7 +340,7 @@ def test_generating_pair_is_deterministic_and_valid(q):
     assert len(pair1) == 2
     assert [m.key() for m in pair1] == [m.key() for m in pair2]
     for m in pair1:
-        assert m.det() == F.one
+        assert m.det() == 1
     table = matgrp.group_closure(pair1, cap=10 ** 6)
     assert table.size == matgrp.sl_order(q, 2)
 
@@ -453,6 +457,17 @@ def test_tuple_json_round_trip(tmp_path):
     assert [m.key() for m in loaded.generators] == [m.key() for m in t.generators]
 
 
+@pytest.mark.parametrize("p, k", [(7, 1), (3, 2), (2, 3), (10007, 1)])
+def test_field_setup_is_checked_against_the_work_cap(p, k):
+    # sqrt(p) trial divisions, and for k > 1 the modulus search
+    cost = ff.field_cost(p, k)
+    assert cost == math.isqrt(p) + (k > 1) * (p + k) * k ** 3 * p.bit_length()
+    doc = {"p": p, "k": k, "n": 1, "generators": [[[1]]], "orders": [1]}
+    assert matgrp.tuple_from_json(doc, work_cap=cost).field.q == p ** k
+    with pytest.raises(WorkCapExceeded):
+        matgrp.tuple_from_json(doc, work_cap=cost - 1)
+
+
 def test_tuple_json_rejects_malformed_documents():
     F = field(5)
     t = oracles.random_sl_tuple(F, 2, 2, random.Random(1))
@@ -473,8 +488,8 @@ def test_tuple_json_rejects_malformed_documents():
 
 def test_matrix_wire_round_trip():
     F = field(9)
-    m = ff.Matrix.from_rows(F, [[F.element([1, 2]), F.one],
-                                [F.zero, F.element([1, 1])]])
+    m = ff.Matrix.from_rows(F, [[[1, 2], 1], [0, [1, 1]]])
+    assert m.vals == (7, 1, 0, 4)
     wire = matgrp.matrix_to_wire(m)
     back = matgrp.matrix_from_wire(F, 2, wire)
     assert back.key() == m.key()
@@ -487,5 +502,5 @@ def test_random_sl_tuple_satisfies_the_relations():
         t = oracles.random_sl_tuple(F, n, 4, rng)
         assert t.product().is_identity()
         for g, o in zip(t.generators, t.declared_orders):
-            assert g.det() == F.one
+            assert g.det() == 1
             assert o % oracles.order_by_walk(g, projective=True) == 0

@@ -1,6 +1,7 @@
 """Cocycle spaces, tangent product rank, and the rigidity verdict."""
 
 import json
+import math
 import pathlib
 import random
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import oracles
-from rigiditylab.errors import InputError
+from rigiditylab.errors import InputError, WorkCapExceeded
 from rigiditylab import adjoint, cli, coinv, ff, matgrp, rigidity
 
 TUPLES = pathlib.Path(__file__).with_name("golden") / "tuples"
@@ -83,7 +84,7 @@ def test_b1_is_the_whole_tuple_coboundary_rank():
         stacked = []
         for g in t.generators:
             ad = rep.ad_matrix(g)
-            stacked += [[F.sub(ad[i, j].value, int(i == j))
+            stacked += [[F.sub(ad[i, j], int(i == j))
                          for j in range(rep.dim)] for i in range(rep.dim)]
         # rank of the stacked (Ad - 1) blocks, transposed into one map
         cols = [[row[j] for row in stacked] for j in range(rep.dim)]
@@ -255,8 +256,7 @@ def test_doubled_norm_matches_linear_sum():
     rng = random.Random(21)
     for (p, k), d in [((5, 1), 8), ((7, 1), 3), ((3, 2), 3), ((2, 2), 3)]:
         F = ff.field_create(p, k)
-        ad = ff.Matrix.from_values(F, d, d,
-                                   [rng.randrange(F.q) for _ in range(d * d)])
+        ad = ff.Matrix(F, d, d, [rng.randrange(F.q) for _ in range(d * d)])
         for a in range(1, 41):
             assert rigidity._norm(ad, a) == oracles.norm_linear(ad, a)
 
@@ -345,6 +345,17 @@ def test_rigid_verdict_for_psl27_triple(psl27_triple):
     assert report.irreducible == rigidity.IRREDUCIBLE_VERIFIED
     assert report.h1_dim == 0
     assert report.lifted_order is None
+
+
+def test_verdict_work_cap_counts_the_trial_divisions(psl27_triple):
+    # the declared orders, and q - 1 once per generator and once for the
+    # central lift
+    t = psl27_triple
+    divisions = sum(map(math.isqrt, t.declared_orders)) + 4 * math.isqrt(7)
+    report = rigidity.rigidity_verdict(t, work_cap=divisions)
+    assert report.verdict == rigidity.VERDICT_RIGID
+    with pytest.raises(WorkCapExceeded):
+        rigidity.rigidity_verdict(t, work_cap=divisions - 1)
 
 
 def test_hypothesis_failed_for_reducible_tuple():

@@ -243,6 +243,26 @@ def test_a2_classical_triple_found():
     assert res.plateau == 3
 
 
+@pytest.mark.parametrize("kinds, n", [(1, 3), (1, 40), (2, 3), (5, 1),
+                                      (11, 3), (11, 40), (40, 11)])
+def test_multiset_count_is_the_binomial(kinds, n):
+    want = math.comb(kinds + n - 1, n)
+    assert rootdata._multisets(kinds, n, None) == want
+    assert rootdata._multisets(kinds, n, want) == want
+    assert rootdata._multisets(kinds, n, want - 1) > want - 1
+
+
+def test_rigid_tuples_work_cap_counts_alcove_and_tuples():
+    rs = rootdata.build("G", 2)
+    d_top = max(8, rs.coxeter_number)
+    alcove = (sum(rootdata._alcove_point_counts(rs, d_top)[2:])
+              * len(rs.positive_roots))
+    cost = alcove + 3 * math.comb(7 + 3 - 1, 3)
+    assert rootdata.rigid_tuples(rs, 3, 8, work_cap=cost).tuples
+    with pytest.raises(WorkCapExceeded):
+        rootdata.rigid_tuples(rs, 3, 8, work_cap=cost - 1)
+
+
 def test_rigid_tuples_input_validation():
     a1 = rootdata.build("A", 1)
     with pytest.raises(InputError):
