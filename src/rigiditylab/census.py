@@ -16,14 +16,15 @@ class, since order is a class function.
 
 Generation is decided once per C(x_1)-orbit.  Conjugating a tuple by an
 element of the centralizer of x_1 keeps x_1, the orders, the product and
-whether the tuple generates, so when the epimorphism test accepts a tuple
-(it closes the tuple inside the table, stopping as soon as more than half
-the group is reached, which a proper subgroup cannot do) the whole orbit
-is recorded as known epimorphisms.  The centralizer is found by index
-lookups after the first accepted tuple for its x_1, and kept for the rest
-of the census in that process; a census that accepts no tuple never
-computes it.  Every tuple is still classified on its own, so counts and
-witnesses do not depend on which member of an orbit was tested.
+whether the tuple generates, so one epimorphism test (it closes the tuple
+inside the table, stopping as soon as more than half the group is
+reached, which a proper subgroup cannot do) decides the whole orbit, and
+its verdict, accepted or rejected, is recorded for every member.  The
+centralizer is found by index lookups at the second orbit tested for its
+x_1, and kept for the rest of the census in that process; an x_1 with one
+orbit to test never computes it.  Every tuple is still classified on its
+own, so counts and witnesses do not depend on which member of an orbit
+was tested.
 
 Results are deterministic for any worker count: the work is chunked by a
 fixed block size, counts merge by addition, and witnesses merge by taking
@@ -105,21 +106,46 @@ def _generates(table: FiniteGroupTable, gens_idx: tuple[int, ...]) -> bool:
     return len(seen) == table.size
 
 
-def _mark_epi_orbit(table: FiniteGroupTable, rep: int,
-                    middle: tuple[int, ...]) -> None:
-    """Record the C(rep)-orbit of the middle coordinates of a generating
-    tuple (rep, *middle, last) as known epimorphisms of this process; the
-    last coordinate follows from the others."""
-    orbits = _W["epi_orbits"]
-    if rep not in orbits:
-        mul = table.mul
-        orbits[rep] = ([c for c in range(table.size)
-                        if mul(rep, c) == mul(c, rep)], set())
-    centralizer, known = orbits[rep]
+def _orbit_generates(table: FiniteGroupTable,
+                     idx_tuple: tuple[int, ...]) -> bool:
+    """Whether the tuple generates, tested once per C(x_1)-orbit of its
+    middle coordinates (the last follows from the others).
+
+    The first tuple tested for an x_1 is tested alone.  A second untested
+    tuple for the same x_1 makes the centralizer worth its lookups: it is
+    computed then, the first verdict is spread over its orbit (which may
+    hold the second tuple), and from then on every verdict, accepted or
+    rejected, is spread over its orbit as soon as it is made.
+    """
+    rep, middle = idx_tuple[0], idx_tuple[1:-1]
+    verdicts = _W["verdicts"].setdefault(rep, {})
+    centralizers = _W["centralizers"]
+    if middle not in verdicts and verdicts and rep not in centralizers:
+        centralizers[rep] = _centralizer(table, rep)
+        (first, verdict), = verdicts.items()
+        _spread(table, centralizers[rep], first, verdict, verdicts)
+    if middle not in verdicts:
+        verdict = _generates(table, idx_tuple)
+        if rep in centralizers:
+            _spread(table, centralizers[rep], middle, verdict, verdicts)
+        else:
+            verdicts[middle] = verdict
+    return verdicts[middle]
+
+
+def _centralizer(table: FiniteGroupTable, rep: int) -> list[int]:
+    """The elements that commute with rep, by index lookups."""
+    mul = table.mul
+    return [c for c in range(table.size) if mul(rep, c) == mul(c, rep)]
+
+
+def _spread(table: FiniteGroupTable, centralizer: list[int],
+            middle: tuple[int, ...], verdict: bool, verdicts: dict) -> None:
+    """Record one verdict for every C(x_1)-conjugate of the middle."""
     mul, inv = table.mul, table.inv
     for c in centralizer:
         c_inv = inv(c)
-        known.add(tuple(mul(mul(c_inv, x), c) for x in middle))
+        verdicts[tuple(mul(mul(c_inv, x), c) for x in middle)] = verdict
 
 
 def _census_task(args: tuple[int, int, int]) -> list[tuple]:
@@ -137,7 +163,6 @@ def _census_task(args: tuple[int, int, int]) -> list[tuple]:
     last_a = sig[-1]
     m = len(sig)
 
-    orbits: dict[int, tuple] = _W["epi_orbits"]
     out: dict[tuple[int, ...], list] = {}
 
     def record(idx_tuple: tuple[int, ...]) -> None:
@@ -146,14 +171,7 @@ def _census_task(args: tuple[int, int, int]) -> list[tuple]:
         if ent is None:
             ent = out[cls] = [0, 0, None, None]
         ent[0] += weight
-        is_epi = False
-        if epi_test:
-            middle = idx_tuple[1:-1]
-            is_epi = rep in orbits and middle in orbits[rep][1]
-            if not is_epi and _generates(table, idx_tuple):
-                is_epi = True
-                _mark_epi_orbit(table, rep, middle)
-        if is_epi:
+        if epi_test and _orbit_generates(table, idx_tuple):
             ent[1] += weight
             if ent[3] is None or idx_tuple < ent[3]:
                 ent[3] = idx_tuple
@@ -230,7 +248,9 @@ def census(table: FiniteGroupTable, signature: tuple[int, ...],
     payload = {
         "table": table, "sig": sig, "cands": cands, "orders": orders,
         "class_of": class_of, "weights": weights, "epi_test": epi_test,
-        "epi_orbits": {},  # rep -> (centralizer, known epi middles)
+        # per x_1: its centralizer, and the generation verdict of each
+        # middle tested or conjugate to one tested
+        "centralizers": {}, "verdicts": {},
     }
     if workers <= 1:
         _census_init(payload)

@@ -128,26 +128,30 @@ def _is_irreducible(poly: Sequence[int], p: int) -> bool:
     """Monic degree-k polynomial irreducible over F_p.
 
     Uses the Frobenius criterion: f is irreducible iff x^(p^k) = x mod f and
-    gcd(x^(p^(k/t)) - x, f) = 1 for every prime t dividing k.
+    gcd(x^(p^(k/t)) - x, f) = 1 for every prime t dividing k.  A root in
+    F_p, gcd(x^p - x, f) != 1, rejects f after the first power already.
     """
     k = len(poly) - 1
     if k == 1:
         return True
-    x = [0, 1]
-    frob = list(x)
+
+    def shares_factor(frob: list[int]) -> bool:
+        """gcd(frob - x, f) != 1."""
+        diff = list(frob)
+        diff[1] = (diff[1] - 1) % p
+        return len(_poly_gcd(diff, list(poly), p)) > 1
+
+    frob = [0, 1]
     frob_steps = {}
     for i in range(1, k + 1):
         frob = _poly_powmod(frob, p, poly, p)
-        frob_steps[i] = list(frob)
-    if _poly_trim(list(frob_steps[k])) != x:
-        return False
-    for t in _prime_factors(k):
-        diff = list(frob_steps[k // t])
-        diff[1] = (diff[1] - 1) % p
-        g = _poly_gcd(diff, list(poly), p)
-        if len(g) > 1:
+        frob_steps[i] = frob
+        if i == 1 and shares_factor(frob):
             return False
-    return True
+    if _poly_trim(list(frob_steps[k])) != [0, 1]:
+        return False
+    return not any(shares_factor(frob_steps[k // t])
+                   for t in _prime_factors(k))
 
 
 def _least_irreducible(p: int, k: int) -> tuple[int, ...]:

@@ -17,12 +17,15 @@ Group tables index elements by a canonical key.  Working projectively, the
 key is the entry tuple after scaling the first nonzero entry to 1, so a
 table element stands for a full scalar class while its stored matrix stays
 an honest determinant-one representative.  Matrix products happen only
-during a closure, linear or projective, which records right multiplication
+during a closure, linear or projective, which multiplies each BFS level
+by each generator in one stacked product and records right multiplication
 by each generator as a permutation of the indices; products, inverses,
 element orders and conjugacy classes in the table are then index lookups
 along shortest words in the generators.  ``generating_pair`` decides
-generation with projective closures capped at half of PSL_n(q), so a
-census closes its group once, in the mode it works in.
+generation with projective closures capped at half of PSL_n(q), and a
+census continues the winner's closure from where the cap stopped it
+(unless it closes SL_n(q) with nontrivial scalars), so no element of the
+census table is multiplied by a generator twice.
 """
 
 from __future__ import annotations
@@ -408,45 +411,133 @@ class FiniteGroupTable:
         return out
 
 
+class _Closure:
+    """A breadth-first closure that can stop at a cap and go on later.
+
+    Its state is the table built so far: ``mats``, the key-to-index dict,
+    and the permutations ``right``, which fill in (element, generator)
+    order, so their lengths tell which product comes next.  Each BFS level
+    is multiplied at once: the level ``mats[start:stop]``, stacked as one
+    (B n) x n matrix, times each generator, one ``Matrix @`` per generator.
+    The products are then keyed and indexed one element at a time, and a
+    ``Matrix`` is built only for a new element.  The level's products stay
+    until they are indexed, so a closure stopped by its cap and run again
+    with a larger one multiplies no element by a generator twice.
+    """
+
+    def __init__(self, gens: Sequence[Matrix], projective: bool):
+        if not gens:
+            raise InputError("group closure needs at least one generator")
+        field = gens[0].field
+        n = gens[0].rows
+        for g in gens:
+            if g.field != field or g.rows != n or g.cols != n:
+                raise InputError(
+                    "closure generators must be square over one field")
+            if not g.is_invertible():
+                raise InputError("closure generator is not invertible")
+        self.gens = tuple(gens)
+        self.key = _projective_key(field) if projective else tuple
+        ident = Matrix.identity(field, n)
+        self.mats = [ident]
+        self.index = {self.key(ident.vals): 0}
+        self.right = tuple([] for _ in gens)
+        self.start = self.stop = 0
+        self.level: list[tuple[int, ...]] = []
+
+    def run(self, cap: int) -> None:
+        """Go on until the table closes, or raise :class:`WorkCapExceeded`
+        on element cap + 1 (the state stays as it was at the raise)."""
+        gens, mats, index, right, key = (self.gens, self.mats, self.index,
+                                         self.right, self.key)
+        if len(mats) > cap:
+            raise _cap_exceeded(cap)
+        field, n = gens[0].field, gens[0].rows
+        n2 = n * n
+        r = len(gens)
+        # Expanding in index order is breadth-first order: each level is
+        # the run of indices appended while the level before it expanded.
+        while len(right[-1]) < len(mats):
+            i = len(right[-1])
+            if i == self.stop:
+                stack = Matrix(field, (len(mats) - i) * n, n,
+                               itertools.chain.from_iterable(
+                                   m.vals for m in mats[i:]))
+                self.level = [(stack @ g).vals for g in gens]
+                self.start, self.stop = i, len(mats)
+            level, start = self.level, self.start
+            # a raise may have left element i expanded by the first k0 only
+            k0 = sum(len(perm) > i for perm in right)
+            for i in range(i, self.stop):
+                off = (i - start) * n2
+                for k in range(k0, r):
+                    vals = level[k][off:off + n2]
+                    kv = key(vals)
+                    j = index.get(kv)
+                    if j is None:
+                        if len(mats) >= cap:
+                            raise _cap_exceeded(cap)
+                        j = index[kv] = len(mats)
+                        mats.append(Matrix(field, n, n, vals))
+                    right[k].append(j)
+                k0 = 0
+        self.level = []  # a search closure lives on in its pair
+
+
+def _cap_exceeded(cap: int) -> WorkCapExceeded:
+    return WorkCapExceeded(f"group closure exceeded the cap of {cap} elements")
+
+
+def _projective_key(field: FiniteField):
+    """The projective key on packed entries: scaled so that the first
+    nonzero entry is 1, with its inverse from a memo filled on demand (at
+    most q - 1 entries), and the entries unchanged when it is 1 already."""
+    inverses: dict[int, int] = {}
+    scale = field.scale
+
+    def key(vals: tuple[int, ...]) -> tuple[int, ...]:
+        for lead in vals:
+            if lead:
+                break
+        if lead == 1:
+            return vals
+        inv = inverses.get(lead)
+        if inv is None:
+            inv = inverses[lead] = field.inv(lead)
+        return tuple(scale(inv, vals))
+
+    return key
+
+
+class _SearchPair(tuple):
+    """A candidate pair (a, b) with its projective closure in ``search``,
+    which :func:`group_closure` continues."""
+
+    def __init__(self, pair: tuple[Matrix, Matrix]):
+        self.search = _Closure(pair, projective=True)
+
+
 def group_closure(gens: Sequence[Matrix], cap: int,
                   projective: bool = False) -> FiniteGroupTable:
     """Breadth-first closure of the generators under multiplication.
 
     Raises :class:`WorkCapExceeded` when it reaches element cap + 1, so a
-    group of exactly ``cap`` elements closes.
+    group of exactly ``cap`` elements closes.  Given a pair from
+    :func:`generating_pair`, it continues the projective closure that the
+    search stopped at half of PSL_n(q) instead of starting again from the
+    identity, in projective mode, and in linear mode too when
+    gcd(n, q - 1) = 1: then 1 is the only determinant-one scalar, so the
+    projective closure is the linear one.  The table is the one a fresh
+    closure builds.
     """
-    if not gens:
-        raise InputError("group closure needs at least one generator")
-    field = gens[0].field
-    n = gens[0].rows
-    for g in gens:
-        if g.field != field or g.rows != n or g.cols != n:
-            raise InputError("closure generators must be square over one field")
-        if not g.is_invertible():
-            raise InputError("closure generator is not invertible")
-    key = Matrix.projective_key if projective else Matrix.key
-    ident = Matrix.identity(field, n)
-    mats = [ident]
-    index = {key(ident): 0}
-    right = tuple([] for _ in gens)
-    # Expanding in index order is breadth-first order: each level is the
-    # run of indices appended while the level before it expanded.
-    i = 0
-    while i < len(mats):
-        m = mats[i]
-        for g, perm in zip(gens, right):
-            prod = m @ g
-            k = key(prod)
-            j = index.get(k)
-            if j is None:
-                if len(mats) >= cap:
-                    raise WorkCapExceeded(
-                        f"group closure exceeded the cap of {cap} elements")
-                j = index[k] = len(mats)
-                mats.append(prod)
-            perm.append(j)
-        i += 1
-    return FiniteGroupTable(gens, mats, right, projective)
+    if isinstance(gens, _SearchPair) and (
+            projective or math.gcd(gens[0].rows, gens[0].field.q - 1) == 1):
+        closure = gens.search
+    else:
+        closure = _Closure(gens, projective)
+    closure.run(cap)
+    return FiniteGroupTable(closure.gens, closure.mats, closure.right,
+                            projective)
 
 
 # ---------------------------------------------------------------------------
@@ -544,14 +635,16 @@ def generating_pair(field: FiniteField, n: int) -> tuple[Matrix, Matrix]:
     a proper subgroup has at most half the elements of PSL_n(q), so each
     candidate's projective closure is capped at |PSL_n(q)| // 2, and the
     first that exceeds the cap wins.  No closure in the search is built
-    past half of PSL_n(q).
+    past half of PSL_n(q).  The winner's closure rides along with the
+    pair, and :func:`group_closure` continues it.
     """
     half = psl_order(field.q, n) // 2
     for a, b in _pair_candidates(field, n):
+        pair = _SearchPair((a, b))
         try:
-            group_closure([a, b], cap=half, projective=True)
+            group_closure(pair, cap=half, projective=True)
         except WorkCapExceeded:
-            return a, b
+            return pair
     raise InvariantViolation(
         f"no generating pair found for SL_{n}({field.q}) in the candidate stream"
     )

@@ -20,8 +20,12 @@ package's candidate stream and closure, and checks only the acceptance
 rule: a full linear closure of |SL_n(q)| elements, not a projective one
 capped at half of PSL_n(q).  order_by_walk multiplies with the package's
 Matrix product (checked against matmul_entrywise in the ff tests); what it
-checks is the order found by prime division, not the product.  The random
-tuple helpers build package matrices and tuples as test inputs; their
+checks is the order found by prime division, not the product;
+closure_by_products likewise multiplies and keys one product at a time
+with the package's Matrix product and keys, and checks the batched
+closure's bookkeeping.  frobenius_is_irreducible reuses ff's polynomial
+helpers and checks only the early exit of the package's predicate.  The
+random tuple helpers build package matrices and tuples as test inputs; their
 declared orders come from order_by_walk.
 """
 
@@ -355,6 +359,42 @@ def minimal_irreducible(p: int, k: int) -> tuple[int, ...]:
     raise AssertionError(f"no irreducible of degree {k} over F_{p}")
 
 
+def frobenius_is_irreducible(poly, p: int) -> bool:
+    """The Frobenius criterion with no early exit: x^(p^k) = x mod f and
+    gcd(x^(p^(k/t)) - x, f) = 1 for every prime t dividing k, from all k
+    Frobenius powers.  It reuses ff's polynomial helpers; what it checks
+    is that rejecting a root in F_p after the first power changes no
+    answer."""
+    from rigiditylab import ff
+    k = len(poly) - 1
+    if k == 1:
+        return True
+    frob_steps = {0: [0, 1]}
+    for i in range(1, k + 1):
+        frob_steps[i] = ff._poly_powmod(frob_steps[i - 1], p, poly, p)
+    if ff._poly_trim(list(frob_steps[k])) != [0, 1]:
+        return False
+    for t in ff._prime_factors(k):
+        diff = list(frob_steps[k // t])
+        diff[1] = (diff[1] - 1) % p
+        if len(ff._poly_gcd(diff, list(poly), p)) > 1:
+            return False
+    return True
+
+
+def least_irreducible_by_frobenius(p: int, k: int) -> tuple[int, ...]:
+    """The canonical modulus found with :func:`frobenius_is_irreducible`."""
+    for t in range(p ** k):
+        coeffs, v = [], t
+        for _ in range(k):
+            coeffs.append(v % p)
+            v //= p
+        coeffs.append(1)
+        if coeffs[0] and frobenius_is_irreducible(coeffs, p):
+            return tuple(coeffs)
+    raise AssertionError(f"no irreducible of degree {k} over F_{p}")
+
+
 # ---------------------------------------------------------------------------
 # root system facts
 # ---------------------------------------------------------------------------
@@ -493,6 +533,36 @@ def generating_pair_by_full_closure(field, n):
         if matgrp.group_closure([a, b], cap=want).size == want:
             return a, b
     raise AssertionError(f"no candidate generates SL_{n}({field.q})")
+
+
+# ---------------------------------------------------------------------------
+# group closure one product at a time
+# ---------------------------------------------------------------------------
+
+def closure_by_products(gens, cap: int, projective: bool = False):
+    """Breadth-first closure, one ``Matrix @`` and one key per product:
+    (mats, right) with right[k][i] = index(mats[i] @ gens[k]).  Raises
+    WorkCapExceeded on element cap + 1."""
+    from rigiditylab.errors import WorkCapExceeded
+    from rigiditylab.ff import Matrix
+    key = Matrix.projective_key if projective else Matrix.key
+    ident = Matrix.identity(gens[0].field, gens[0].rows)
+    mats = [ident]
+    index = {key(ident): 0}
+    right = tuple([] for _ in gens)
+    i = 0
+    while i < len(mats):
+        for g, perm in zip(gens, right):
+            prod = mats[i] @ g
+            j = index.get(key(prod))
+            if j is None:
+                if len(mats) >= cap:
+                    raise WorkCapExceeded(f"closure passed {cap} elements")
+                j = index[key(prod)] = len(mats)
+                mats.append(prod)
+            perm.append(j)
+        i += 1
+    return mats, right
 
 
 # ---------------------------------------------------------------------------

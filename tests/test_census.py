@@ -1,6 +1,9 @@
 """Exhaustive relation-tuple census and its rigid-class filter."""
 
+import contextlib
 import gc
+import hashlib
+import io
 import json
 import math
 import weakref
@@ -9,7 +12,7 @@ import pytest
 
 import oracles
 from rigiditylab.errors import InputError, WorkCapExceeded
-from rigiditylab import census, ff, matgrp, rigidity, rootdata
+from rigiditylab import census, cli, ff, matgrp, rigidity, rootdata
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +51,81 @@ def test_census_frees_its_table_without_the_cycle_collector():
     finally:
         gc.enable()
     assert res.total_epi == 6552
+
+
+@pytest.mark.parametrize("q, flags, size", [
+    (13, (), 1092), (8, ("--no-projective",), 504),
+])
+def test_census_multiplies_each_element_by_each_generator_once(
+        monkeypatch, q, flags, size):
+    # a census closes its pair by continuing the winning search closure
+    # (SL2(8) has no scalars besides 1, so its linear census does too):
+    # across the search and the census closure, every element of the
+    # census table is multiplied by each generator once, and every element
+    # of a rejected candidate's closure too
+    F = ff.field_create(*_prime_power(q))
+    pair = matgrp.generating_pair(F, 2)
+    rejected = 0
+    for cand in matgrp._pair_candidates(F, 2):
+        if [m.key() for m in cand] == [m.key() for m in pair]:
+            break
+        rejected += len(oracles.closure_by_products(list(cand), 10 ** 6,
+                                                    True)[0])
+    rows = {}
+    matmul = ff.Matrix.__matmul__
+
+    def counting(a, b):
+        rows[b.key()] = rows.get(b.key(), 0) + a.rows
+        return matmul(a, b)
+
+    monkeypatch.setattr(ff.Matrix, "__matmul__", counting)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(["census", "--type", "A", "--rank", "1", "--q",
+                         str(q), "--signature", "2,3,7", *flags])
+    assert code == 0
+    assert json.loads(out.getvalue())["group_size"] == size
+    # n = 2 stacked rows per element
+    assert rows[pair[1].key()] == 2 * size
+    assert sum(rows.values()) == 2 * 2 * (rejected + size)
+    assert (rejected > 0) == (q == 8)
+
+
+def test_no_partial_closure_outlives_its_caller(monkeypatch):
+    # with the cyclic collector off, only reference counting can free a
+    # closure in progress: after a census, and after a capped closure
+    # raises, none may be left
+    made = []
+
+    class Tracked(matgrp._Closure):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(matgrp, "_Closure", Tracked)
+    gc.collect()
+    gc.disable()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["census", "--type", "A", "--rank", "1",
+                             "--q", "13", "--signature", "2,3,7"]) == 0
+        assert made and all(ref() is None for ref in made)
+        made.clear()
+        pair = matgrp.generating_pair(ff.field_create(3, 2), 2)
+        for projective in (False, True):
+            try:
+                matgrp.group_closure(list(pair), cap=10, projective=projective)
+            except WorkCapExceeded:
+                pass
+        # the pair holds its own search closure, and nothing else does
+        try:
+            matgrp.group_closure(pair, cap=10, projective=True)
+        except WorkCapExceeded:
+            pass
+        assert [ref() is None for ref in made[-3:]] == [False, True, True]
+        del pair
+        assert len(made) > 3 and all(ref() is None for ref in made)
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -156,29 +234,70 @@ def test_generation_is_tested_once_per_centralizer_orbit(monkeypatch,
                                                         psl213):
     # PSL2(13) has one class of involutions, whose centralizer (order 12)
     # acts freely on the generating tuples: 6552 / 1092 = 6 orbits, so six
-    # accepted generation tests and one centralizer
-    accepted, marked = [], []
-    generates, mark = census._generates, census._mark_epi_orbit
+    # accepted generation tests, one centralizer, and six verdicts spread
+    accepted, centralized, spread = [], [], []
+    generates, centralizer, spread_verdict = (
+        census._generates, census._centralizer, census._spread)
     monkeypatch.setattr(census, "_generates", lambda t, idx: (
         generates(t, idx) and not accepted.append(idx)))
-    monkeypatch.setattr(census, "_mark_epi_orbit", lambda t, rep, middle: (
-        marked.append(rep), mark(t, rep, middle)))
+    monkeypatch.setattr(census, "_centralizer", lambda t, rep: (
+        centralized.append(rep) or centralizer(t, rep)))
+    monkeypatch.setattr(census, "_spread", lambda t, c, middle, verdict, v: (
+        spread.append(verdict), spread_verdict(t, c, middle, verdict, v)))
     res = census.census(psl213, (2, 3, 7), workers=1)
     assert res.total_epi == 6552
     assert len(accepted) == res.total_epi // psl213.size == 6
-    assert len(set(marked)) == 1 and len(marked) == 6
+    assert len(centralized) == 1 and spread == [True] * 6
 
 
-def test_no_centralizer_without_an_epimorphism(monkeypatch):
+def test_no_centralizer_for_a_single_orbit(monkeypatch):
+    # PSL2(11) has no element of order 7, so (1, 1, 1) is its one (2,3,7)
+    # tuple: one rejected test, and no centralizer
     F = ff.field_create(11)
     table = matgrp.group_closure(matgrp.generating_pair(F, 2),
                                  cap=10 ** 6, projective=True)
-    marked = []
-    monkeypatch.setattr(census, "_mark_epi_orbit",
-                        lambda *args: marked.append(args))
+    centralized, tested = [], []
+    generates = census._generates
+    monkeypatch.setattr(census, "_centralizer",
+                        lambda *args: centralized.append(args))
+    monkeypatch.setattr(census, "_generates", lambda t, idx: (
+        tested.append(idx) or generates(t, idx)))
     res = census.census(table, (2, 3, 7), workers=1)
-    assert res.total_hom > 0 and res.total_epi == 0
-    assert marked == []
+    assert res.total_hom == 1 and res.total_epi == 0
+    assert tested == [(0, 0, 0)]
+    assert centralized == []
+
+
+@pytest.fixture(scope="module")
+def psl34():
+    return matgrp.group_closure(matgrp.generating_pair(ff.field_create(2, 2), 3),
+                                cap=10 ** 6, projective=True)
+
+
+def test_rejected_orbits_are_tested_once(monkeypatch, psl34):
+    # PSL3(4) (2,5,5) has thousands of tuples that do not generate; each
+    # C(x_1)-orbit, accepted or rejected, gets one generation test
+    tested = []
+    generates = census._generates
+    monkeypatch.setattr(census, "_generates", lambda t, idx: (
+        tested.append(idx) or generates(t, idx)))
+    res = census.census(psl34, (2, 5, 5), workers=1)
+    assert len(tested) == 53
+    mul, inv = psl34.mul, psl34.inv
+    centralizers, seen = {}, set()
+    for rep, x, last in tested:
+        # the orbit of the middle coordinate under the centralizer of rep,
+        # found from scratch; no later test may fall into it
+        assert (rep, x) not in seen
+        if rep not in centralizers:
+            centralizers[rep] = [c for c in range(psl34.size)
+                                 if mul(rep, c) == mul(c, rep)]
+        seen.update((rep, mul(mul(inv(c), x), c)) for c in centralizers[rep])
+    # the result of the census that tested every tuple (10,509 tests)
+    assert (res.total_hom, res.total_epi) == (1016065, 241920)
+    doc = json.dumps(census.census_to_json(res), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == (
+        "4540224983a3b6fb73c5f22f821053b8577ada74047ff762ffdc86a4b899877c")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Field construction, packed field arithmetic, and exact linear algebra."""
 
 import copy
+import math
 import operator
 import random
 
@@ -35,6 +36,23 @@ def test_f8_and_f9_moduli_pinned():
                                  (5, 2), (7, 2), (13, 2)])
 def test_modulus_is_first_irreducible_in_packed_order(p, k):
     assert ff.field_create(p, k).modulus_poly == oracles.minimal_irreducible(p, k)
+
+
+def test_root_test_leaves_every_modulus_unchanged():
+    # rejecting a root in F_p after the first Frobenius power must pick the
+    # modulus the full criterion picks, for every p^k <= 2 * 10^5
+    bound = 2 * 10 ** 5
+    checked = 0
+    for p in range(2, math.isqrt(bound) + 1):
+        if not oracles.is_prime(p):
+            continue
+        k = 2
+        while p ** k <= bound:
+            assert ff._least_irreducible(p, k) == \
+                oracles.least_irreducible_by_frobenius(p, k), (p, k)
+            checked += 1
+            k += 1
+    assert checked == 136
 
 
 @pytest.mark.parametrize("p", [4, 6, 9, 15, 1, 0])

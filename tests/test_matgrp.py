@@ -259,6 +259,97 @@ def test_class_sizes_of_psl2_5_pinned():
 
 
 # ---------------------------------------------------------------------------
+# batched closure against the per-product closure
+# ---------------------------------------------------------------------------
+
+def _dicyclic_past_the_tables():
+    """A dicyclic subgroup of order 32 of SL2(257^2), a field too large for
+    log tables, conjugated so that its entries leave F_257."""
+    F = field(257 ** 2)
+    q = F.q
+    assert q > 1 << 16
+    alpha = F.element([0, 1])
+    # an element of order exactly 16
+    beta = next(y for y in (F.pow(F.element([c, 1]), (q - 1) // 16)
+                            for c in range(1, 257))
+                if F.pow(y, 8) != 1)
+    d = ff.Matrix(F, 2, 2, (beta, 0, 0, F.inv(beta)))
+    w = ff.Matrix(F, 2, 2, (0, 1, F.neg(1), 0))
+    h = ff.Matrix(F, 2, 2, (1, alpha, 0, 1))
+    return [h @ d @ h.inverse(), h @ w @ h.inverse()]
+
+
+def _closure_gens(case):
+    if case == "F257^2":
+        return _dicyclic_past_the_tables()
+    q, n = {"F13": (13, 2), "F8": (8, 2), "F9": (9, 2), "SL3_F2": (2, 3)}[case]
+    return list(matgrp.generating_pair(field(q), n))
+
+
+def _same_table(table, mats, right):
+    return ([m.key() for m in table.mats] == [m.key() for m in mats]
+            and table.right == right)
+
+
+@pytest.mark.parametrize("projective", [False, True])
+@pytest.mark.parametrize("case", ["F13", "F8", "F9", "SL3_F2", "F257^2"])
+def test_batched_closure_matches_the_per_product_closure(case, projective):
+    # F13 is a prime field, F8 adds by XOR, F9 by Zech logarithms, and
+    # F(257^2) multiplies by polynomial arithmetic
+    gens = _closure_gens(case)
+    mats, right = oracles.closure_by_products(gens, 10 ** 6, projective)
+    table = matgrp.group_closure(gens, cap=10 ** 6, projective=projective)
+    assert _same_table(table, mats, right)
+    if case == "F257^2":
+        assert table.size == (16 if projective else 32)
+
+
+@pytest.mark.parametrize("projective", [False, True])
+def test_batched_closure_cap_boundary_and_resume(projective):
+    gens = _closure_gens("F9")
+    mats, right = oracles.closure_by_products(gens, 10 ** 6, projective)
+    size = len(mats)
+    assert matgrp.group_closure(gens, cap=size, projective=projective).size \
+        == size
+    with pytest.raises(WorkCapExceeded):
+        matgrp.group_closure(gens, cap=size - 1, projective=projective)
+    # a closure stopped by its cap, once or more, goes on to the table a
+    # fresh closure builds
+    for caps in [(1,), (size // 3, size // 2), (size - 1,)]:
+        closure = matgrp._Closure(gens, projective)
+        for cap in caps:
+            with pytest.raises(WorkCapExceeded):
+                closure.run(cap)
+            assert len(closure.mats) == cap
+        closure.run(size)
+        assert _same_table(closure, mats, right)
+
+
+@pytest.mark.parametrize("q, n", [(7, 2), (8, 2), (9, 2), (2, 3), (3, 3)])
+def test_census_closure_continues_the_winning_search(q, n):
+    pair = matgrp.generating_pair(field(q), n)
+    half = matgrp.psl_order(q, n) // 2
+    assert len(pair.search.mats) == half
+    mats, right = oracles.closure_by_products(list(pair), 10 ** 6, True)
+    linear = matgrp.group_closure(pair, cap=10 ** 6)
+    assert _same_table(linear, *oracles.closure_by_products(list(pair),
+                                                            10 ** 6))
+    assert not linear.projective
+    # without scalars besides 1 the linear closure continues the search;
+    # otherwise it starts over and leaves the search where it stopped
+    scalars = math.gcd(n, q - 1)
+    assert len(pair.search.mats) == (len(mats) if scalars == 1 else half)
+    resumed = matgrp.group_closure(pair, cap=10 ** 6, projective=True)
+    assert _same_table(resumed, mats, right)
+    assert resumed.projective and resumed.generators == tuple(pair)
+    # a closed search closes again at once, and still keeps to its cap
+    again = matgrp.group_closure(pair, cap=len(mats), projective=True)
+    assert _same_table(again, mats, right)
+    with pytest.raises(WorkCapExceeded):
+        matgrp.group_closure(pair, cap=len(mats) - 1, projective=True)
+
+
+# ---------------------------------------------------------------------------
 # table arithmetic against matrix arithmetic
 # ---------------------------------------------------------------------------
 
