@@ -6,7 +6,9 @@ matrix of Ad(g): X -> g X g^(-1) in this basis drives every dimension
 computed downstream, so entries are exact field elements and results are
 cached per group element (projectively, since scalars act trivially).
 Each column is read off the entries of g and g^(-1), with no matrix
-product: (g E_ij g^(-1))[k, l] = g[k, i] g^(-1)[j, l].
+product: (g E_ij g^(-1))[k, l] = g[k, i] g^(-1)[j, l].  The norm
+sum_{t<a} Ad(g)^t of a power relator comes from the minimal polynomial of
+g as X -> sum_{r<m} R_r(g) X g^r, m <= n terms of that same form.
 
 class_dim reports the rank of Ad(g) - I, which is the conjugacy-class
 dimension whenever the centralizer of g is smooth.  That is guaranteed for
@@ -20,10 +22,12 @@ power.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import InputError
-from .ff import FiniteField, Matrix, kernel_dim
+from .ff import Echelon, FiniteField, Matrix, kernel_dim
 from .matgrp import element_order
 
 
@@ -37,6 +41,13 @@ class AdjointRep:
         self.n = n
         self.dim = n * n - 1
         self._cache: dict[tuple, Matrix] = {}
+        nn = n * n
+        self._pick_off = itemgetter(*[t for t in range(nn) if t % (n + 1)])
+        # entry ((k, i), (j, l)) of an n^2 x n^2 product, moved to row
+        # (k, l) and column (i, j)
+        self._units = itemgetter(*[
+            (k * n + i) * nn + j * n + l for k in range(n) for l in range(n)
+            for i in range(n) for j in range(n)])
 
     # -- coordinates -----------------------------------------------------
 
@@ -72,10 +83,34 @@ class AdjointRep:
 
     # -- the action ---------------------------------------------------------
 
-    def ad_matrix(self, g: Matrix) -> Matrix:
-        """Matrix of X -> g X g^(-1) in the fixed basis."""
+    def _check(self, g: Matrix) -> None:
         if g.rows != self.n or g.cols != self.n or g.field != self.field:
             raise InputError("group element does not match this adjoint model")
+
+    def _matrix_of(self, vals: Sequence[int]) -> Matrix:
+        """The d x d matrix of X -> sum_r u_r X v_r, a map of the n x n
+        matrices that keeps the traceless ones, from the entries of
+        sum_r vec(u_r) vec(v_r)^T: entry ((k, i), (j, l)) is the (k, l)
+        entry of the image of the unit E_ij.  A row of the result takes
+        one output unit or a partial sum of the diagonal ones, and a
+        column one input unit or the difference of two diagonal ones."""
+        n, nn, f = self.n, self.n * self.n, self.field
+        units = self._units(vals)
+        rows = [units[t:t + nn] for t in range(0, nn * nn, nn)]
+        rows = [*self._pick_off(rows),
+                *accumulate(rows[:-1:n + 1],
+                            lambda acc, row: f.add_scaled(acc, 1, row))]
+        cols = list(zip(*rows))
+        minus = f.neg(1)
+        cols = [*self._pick_off(cols),
+                *(f.add_scaled(u, minus, v)
+                  for u, v in zip(cols[:-1:n + 1], cols[n + 1::n + 1]))]
+        return Matrix(f, self.dim, self.dim,
+                      [x for row in zip(*cols) for x in row])
+
+    def ad_matrix(self, g: Matrix) -> Matrix:
+        """Matrix of X -> g X g^(-1) in the fixed basis."""
+        self._check(g)
         # Scalar multiples share a key and are all invertible or all
         # singular, so a cache hit needs no determinant.
         try:
@@ -86,26 +121,72 @@ class AdjointRep:
             ginv = g.inverse()
         except ZeroDivisionError:
             raise InputError("Ad of a non-invertible matrix") from None
-        # g E_ij g^(-1) is the outer product of column i of g and row j of
-        # g^(-1); a diagonal basis element gives a difference of two.
-        n, f = self.n, self.field
-        gcols = [g.vals[i::n] for i in range(n)]
-        hrows = [ginv.vals[j * n:(j + 1) * n] for j in range(n)]
-
-        def outer(i: int, j: int) -> list[int]:
-            return [x for u in gcols[i] for x in f.scale(u, hrows[j])]
-
-        cols = [self._coords(outer(i, j))
-                for i in range(n) for j in range(n) if i != j]
-        prev = outer(0, 0)
-        for i in range(1, n):
-            diag = outer(i, i)
-            cols.append(self._coords(list(map(f.sub, prev, diag))))
-            prev = diag
-        out = Matrix(self.field, self.dim, self.dim,
-                     [x for row in zip(*cols) for x in row])
+        # the one-term case u = g, v = g^(-1)
+        f = self.field
+        out = self._matrix_of([x for u in g.vals
+                               for x in f.scale(u, ginv.vals)])
         self._cache[key] = out
         return out
+
+    def norm(self, g: Matrix, a: int) -> Matrix:
+        """Matrix of the norm sum_{t<a} Ad(g)^t: X -> sum_{t<a} g^t X g^(-t),
+        for a >= 1 and g with g^a a nonzero scalar lam.  It is read off
+        the minimal polynomial mu of g, of degree m <= n, with O(m^2 log a)
+        field operations and no product of two d x d matrices.
+
+        Let x and y stand for X -> g X and X -> X g.  They commute, mu
+        kills both, and mu divides x^a - lam; write x^a - lam = Q mu.
+        Multiplying by y^(a-1) = lam y^(-1) gives
+
+            sum_{t<a} x^t y^(-t) = lam^(-1) y (x^a - y^a) / (x - y)
+                                 = lam^(-1) y (Q(x) Dmu + mu(y) DQ),
+
+        with Df = (f(x) - f(y)) / (x - y).  Modulo mu(x) and mu(y) that is
+        lam^(-1) y Qbar(x) Dmu, where Qbar = Q mod mu is the quotient of
+        x^a mod mu^2 by mu (its remainder is lam).  y Dmu has x^i y^j
+        coefficient mu_(i+j) for j >= 1; reducing its one y^m term leaves
+        D_0 = -mu_0 and D_j = sum_{i=1}^{m-j} mu_(i+j) x^i for 0 < j < m,
+        so D_j = x (mu_(j+1) + D_(j+1) / x).  Hence the norm is
+        sum_{j<m} R_j(g) X g^j, with R_j = lam^(-1) Qbar D_j mod mu.
+        """
+        self._check(g)
+        if a < 1:
+            raise InputError(f"a norm needs a >= 1 terms, got {a}")
+        n, f = self.n, self.field
+        nn = n * n
+        # the first Krylov row [vec(g^m) | e_m] whose vec part reduces to
+        # zero is absorbed at a pivot past column nn; its tail is mu
+        ech = Echelon(f, nn + n + 1)
+        ident = [0] * (nn + n + 1)
+        ident[:nn:n + 1] = [1] * n
+        ident[nn] = 1
+        ech.add(ident)
+        rows, power = [ident[:nn]], g
+        for m in range(1, n + 1):
+            ech.add([*power.vals, *[0] * m, 1, *[0] * (n - m)])
+            if ech.pivots[-1] >= nn:
+                break
+            rows.append(power.vals)
+            power = power @ g
+        rel = ech.rows[-1][nn:nn + m + 1]
+        mu = f.scale(f.inv(rel[m]), rel)
+        qbar, lam = _poly_divmod(f, _x_pow_mod(f, a, _poly_mul(f, mu, mu)),
+                                 mu)
+        if not lam[0] or any(lam[1:]):
+            raise InputError(f"the {a}-th power of g is not a nonzero scalar")
+        # grid[r] holds the coefficients of R_r, built from R_(m-1) down
+        qbar = f.scale(f.inv(lam[0]), qbar)
+        grid = [f.scale(f.neg(mu[0]), qbar)]
+        r = [0] * m
+        for j in range(m - 1, 0, -1):
+            r = _times_x_mod(f, f.add_scaled(r, mu[j + 1], qbar), mu)
+            grid.insert(1, r)
+        # sum_r vec(R_r(g)) vec(g^r)^T = K^T S K, with K's rows vec(g^s)
+        # and S[s][r] the x^s coefficient of R_r
+        krylov = Matrix(f, m, nn, [x for row in rows for x in row])
+        krylov_t = Matrix(f, nn, m, [x for col in zip(*rows) for x in col])
+        grid_t = Matrix(f, m, m, [x for col in zip(*grid) for x in col])
+        return self._matrix_of((krylov_t @ (grid_t @ krylov)).vals)
 
     def fixed_space_dim(self, g: Matrix) -> int:
         """Dimension of the kernel of Ad(g) - I."""
@@ -116,6 +197,48 @@ class AdjointRep:
         """Rank of Ad(g) - I: the class dimension under centralizer
         smoothness."""
         return self.dim - self.fixed_space_dim(g)
+
+
+# ---------------------------------------------------------------------------
+# polynomials over a field (packed coefficients, low degree first)
+# ---------------------------------------------------------------------------
+
+def _poly_mul(f: FiniteField, a: Sequence[int], b: Sequence[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            out[i:i + len(b)] = f.add_scaled(out[i:i + len(b)], c, b)
+    return out
+
+
+def _poly_divmod(f: FiniteField, a: Sequence[int],
+                 mod: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder (deg(mod) coefficients) of a by the monic
+    mod."""
+    a, deg = list(a), len(mod) - 1
+    low = f.scale(f.neg(1), mod[:deg])
+    quot = [0] * max(len(a) - deg, 0)
+    for i in range(len(a) - 1, deg - 1, -1):
+        c = quot[i - deg] = a[i]
+        if c:
+            a[i - deg:i] = f.add_scaled(a[i - deg:i], c, low)
+    return quot, a[:deg] + [0] * (deg - len(a))
+
+
+def _times_x_mod(f: FiniteField, a: list[int],
+                 mod: Sequence[int]) -> list[int]:
+    """x a modulo the monic mod, for a of degree < deg(mod)."""
+    return f.add_scaled([0, *a[:-1]], f.neg(a[-1]), mod)
+
+
+def _x_pow_mod(f: FiniteField, e: int, mod: Sequence[int]) -> list[int]:
+    """x^e modulo the monic mod of degree >= 2, from the top bit of e: a
+    square per bit, times x per set bit."""
+    r = [0, 1] + [0] * (len(mod) - 3)
+    for bit in bin(e)[3:]:
+        sq = _poly_mul(f, r, r)
+        r = _poly_divmod(f, [0, *sq] if bit == "1" else sq, mod)[1]
+    return r
 
 
 @lru_cache(maxsize=None)

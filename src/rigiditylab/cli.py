@@ -10,7 +10,9 @@ Subcommands map one-to-one onto the library layers:
 
 Exit codes: 0 success, 2 invalid input or schema violation, 3 work cap
 exceeded, 4 internal invariant failure (a bug, never a user error).  On
-any failure a one-line JSON error record goes to stderr.
+any failure a one-line JSON error record goes to stderr.  An exit-4
+record of ``rigidity`` or ``coinv`` carries the input tuple as "repro",
+a tuple document that ``rigidity --in`` reads back.
 
 All output is deterministic: JSON keys are sorted, CSV rows follow
 canonical orderings, and repeated invocations produce byte-identical
@@ -22,6 +24,7 @@ environment variable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -35,7 +38,7 @@ from .coinv import coinvariant_dim
 from .errors import InputError, InvariantViolation, WorkCapExceeded
 from .ff import _prime_factors, field_create
 from .matgrp import (generating_pair, group_closure, load_tuple,
-                     matrix_to_wire, psl_order, sl_order)
+                     matrix_to_wire, psl_order, sl_order, tuple_to_json)
 from .rigidity import rigidity_verdict
 
 DEFAULT_WORK_CAP = 10_000_000
@@ -88,8 +91,21 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _error_record(code: int, kind: str, exc: Exception) -> None:
-    record = {"error": {"exit_code": code, "kind": kind, "message": str(exc)}}
-    sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")
+    error = {"exit_code": code, "kind": kind, "message": str(exc)}
+    if getattr(exc, "repro", None) is not None:
+        error["repro"] = exc.repro
+    sys.stderr.write(json.dumps({"error": error}, sort_keys=True) + "\n")
+
+
+@contextlib.contextmanager
+def _repro(t):
+    """Attach the tuple t in wire format to an invariant failure raised
+    in the block."""
+    try:
+        yield
+    except InvariantViolation as exc:
+        exc.repro = tuple_to_json(t)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +154,8 @@ def _run_coinv(args: argparse.Namespace, work_cap: int) -> str:
     if args.format == "csv":
         raise InputError("coinv emits JSON only; use --format json")
     t = load_tuple(args.infile, work_cap)
-    co = coinvariant_dim(t)
+    with _repro(t):
+        co = coinvariant_dim(t)
     return _json_text({
         "schema": 1,
         "span_dim": co.span_dim,
@@ -152,7 +169,8 @@ def _run_rigidity(args: argparse.Namespace, work_cap: int) -> str:
         raise InputError("rigidity emits JSON only; use --format json")
     t = load_tuple(args.infile, work_cap)
     mode = "assert" if args.assert_irreducible else "verify"
-    report = rigidity_verdict(t, irreducibility=mode, work_cap=work_cap)
+    with _repro(t):
+        report = rigidity_verdict(t, irreducibility=mode, work_cap=work_cap)
     return _json_text(report.to_json())
 
 

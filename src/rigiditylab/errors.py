@@ -24,5 +24,8 @@ class InvariantViolation(RigidityLabError):
 
     These checks (e.g. the tangent-rank/coinvariant-span identity) hold for
     every valid input, so a violation always indicates an implementation bug,
-    never a user error.
+    never a user error.  ``repro``, when set, is the input tuple in wire
+    format; the CLI sets it for ``rigidity`` and ``coinv``.
     """
+
+    repro: dict | None = None

@@ -6,8 +6,9 @@ Three layers, all exact:
 * cocycle_spaces: the 1-cocycle space of the presentation whose relators
   are the declared powers and the product, as the kernel of one stacked
   relator matrix, together with the coboundary dimension.  Each power
-  relator's norm sum_{j<a} Ad(c)^j is computed by doubling, in O(log a)
-  products.
+  relator's norm sum_{j<a} Ad(c)^j comes in closed form from the minimal
+  polynomial of c (AdjointRep.norm): O(log a) products of polynomials of
+  degree below 2n, and no product of Ad matrices.
 * tangent_product_rank: the rank of the derivative of the product-of-
   classes map at the tuple.  Its block for c_i is Ad(P_i) - Ad(P_(i+1))
   with P_i = c_1 ... c_(i-1), the same prefix Ad matrices as the product
@@ -81,9 +82,11 @@ def cocycle_spaces(t: GroupTuple) -> CocycleSpaces:
 
     A cocycle assigns Y_i in the Lie algebra to each generator subject to
     one power relator per generator, sum over j < a_i of Ad(c_i)^j applied
-    to Y_i, and the product relator sum over i of Ad(c_i') Y_i.  B1 is the
-    image of X -> (X - Ad(c_i) X)_i, of dimension dim minus the fixed
-    space of the whole tuple.
+    to Y_i, and the product relator sum over i of Ad(c_i') Y_i, where
+    c_i' = c_1 ... c_(i-1).  Each norm is AdjointRep.norm of c_i and a_i,
+    read off c_i's minimal polynomial.  B1 is the image of
+    X -> (X - Ad(c_i) X)_i, of dimension dim minus the fixed space of the
+    whole tuple.
     """
     t = central_lift(t)
     rep = adjoint_rep(t.field, t.n)
@@ -94,7 +97,7 @@ def cocycle_spaces(t: GroupTuple) -> CocycleSpaces:
     zero = Matrix.zero(field, d, d)
 
     ads = [rep.ad_matrix(c) for c in t.generators]
-    norms = [_norm(ad, a) for ad, a in zip(ads, t.declared_orders)]
+    norms = [rep.norm(c, a) for c, a in zip(t.generators, t.declared_orders)]
     prefix_ads = [rep.ad_matrix(c) for c in t.prefixes()[:-1]]
 
     blocks: list[list[Matrix]] = []
@@ -112,23 +115,6 @@ def cocycle_spaces(t: GroupTuple) -> CocycleSpaces:
             "cocycle space"
         )
     return CocycleSpaces(z1_dim=z1, b1_dim=b1, relator_matrix=relator)
-
-
-def _norm(ad: Matrix, a: int) -> Matrix:
-    """sum_{j<a} ad^j by doubling on the pair (N_m, ad^m), reading a's
-    bits from the top: N_2m = N_m + ad^m N_m, N_2m+1 = N_2m + ad^2m.
-    That is O(log a) products instead of a; the last bit advances no
-    power, since none is read after it."""
-    norm, power = Matrix.identity(ad.field, ad.rows), ad
-    bits = bin(a)[3:]
-    for i, bit in enumerate(bits, 1):
-        norm = norm + power @ norm
-        if bit == "1":
-            power = power @ power
-            norm = norm + power
-        if i < len(bits):
-            power = power @ ad if bit == "1" else power @ power
-    return norm
 
 
 def _assemble(field, blocks: list[list[Matrix]]) -> Matrix:

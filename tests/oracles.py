@@ -23,7 +23,10 @@ Matrix product (checked against matmul_entrywise in the ff tests); what it
 checks is the order found by prime division, not the product;
 closure_by_products likewise multiplies and keys one product at a time
 with the package's Matrix product and keys, and checks the batched
-closure's bookkeeping.  frobenius_is_irreducible reuses ff's polynomial
+closure's bookkeeping.  norm_by_doubling sums the powers of an Ad
+matrix by doubling with the package's Matrix product; it checks the
+closed-form norm of the adjoint module at orders too large to sum term by
+term.  frobenius_is_irreducible reuses ff's polynomial
 helpers and checks only the early exit of the package's predicate.  The
 random tuple helpers build package matrices and tuples as test inputs; their
 declared orders come from order_by_walk.
@@ -205,6 +208,25 @@ def norm_linear(ad, a: int):
         total = ff.Matrix(F, d, d, map(F.add, total.vals, power.vals))
         power = matmul_entrywise(power, ad)
     return total
+
+
+def norm_by_doubling(ad, a: int):
+    """sum_{j<a} ad^j by doubling on the pair (N_m, ad^m), reading a's
+    bits from the top: N_2m = N_m + ad^m N_m, N_2m+1 = N_2m + ad^2m.
+    That is O(log a) products of d x d matrices instead of a; the last
+    bit advances no power, since none is read after it."""
+    from rigiditylab import ff
+
+    norm, power = ff.Matrix.identity(ad.field, ad.rows), ad
+    bits = bin(a)[3:]
+    for i, bit in enumerate(bits, 1):
+        norm = norm + power @ norm
+        if bit == "1":
+            power = power @ power
+            norm = norm + power
+        if i < len(bits):
+            power = power @ ad if bit == "1" else power @ power
+    return norm
 
 
 def relator_linear(t):

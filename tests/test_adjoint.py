@@ -190,6 +190,110 @@ def test_ad_matrix_cache_hit_runs_no_elimination(f7, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the norm sum_{t<a} Ad(c)^t of a power relator
+# ---------------------------------------------------------------------------
+
+# prime fields, XOR fields F4 and F8, the Zech field F9, and F_{257^2},
+# which is past the tables and multiplies polynomials
+NORM_FIELDS = [(5, 1), (7, 1), (2, 2), (2, 3), (3, 2), (257, 2)]
+# minimal polynomial of degree 1 (the central lift), a semisimple element
+# (cyclic when its eigenvalues differ), repeated eigenvalues (m < n), and
+# a unipotent part (p divides every multiple of the projective order;
+# m < n as well when n = 3)
+NORM_SHAPES = ("scalar", "diagonal", "repeated", "unipotent")
+
+
+def shaped_element(F, shape, eig, h):
+    """(rep, c, po): c = h D h^(-1), D diagonal with the eigenvalues eig
+    (the first repeated as the shape asks), times I + E_01 for a unipotent
+    part; po is c's projective order, found by walking."""
+    n = len(eig)
+    if shape in ("scalar", "unipotent"):
+        eig = [eig[0]] * n
+    elif shape == "repeated":
+        eig = [eig[0], *eig[1:]]
+        eig[1] = eig[0]
+    vals = [0] * (n * n)
+    vals[::n + 1] = eig  # packed, unlike Matrix.diagonal's constants
+    d = ff.Matrix(F, n, n, vals)
+    if shape == "unipotent":
+        d = d @ (ff.Matrix.identity(F, n) + ff.Matrix(
+            F, n, n, [int(t == 1) for t in range(n * n)]))
+    c = h @ d @ h.inverse()
+    return adjoint.adjoint_rep(F, n), c, oracles.order_by_walk(c, True)
+
+
+@st.composite
+def small_order_elements(draw, shape):
+    """shaped_element with a drawn h and eigenvalues drawn as powers of
+    w^((q - 1) / r) for a drawn w and r <= 12, so that the projective
+    order is small; distinct powers for the diagonal shape, which is then
+    cyclic when that root has order r."""
+    fields = [pk for pk in NORM_FIELDS if shape != "unipotent" or pk[0] < 60]
+    F = ff.field_create(*draw(st.sampled_from(fields)))
+    n = 3 if shape == "repeated" else draw(st.sampled_from([2, 3]))
+    least = n if shape == "diagonal" else 1
+    r = draw(st.sampled_from([r for r in range(least, 13)
+                              if (F.q - 1) % r == 0]))
+    root = F.pow(draw(st.integers(1, F.q - 1)), (F.q - 1) // r)
+    exps = draw(st.lists(st.integers(0, r - 1), min_size=n, max_size=n,
+                         unique=shape == "diagonal"))
+    eig = [F.pow(root, e) for e in exps]
+    return shaped_element(F, shape, eig, draw(sl_matrices(F, n)))
+
+
+@pytest.mark.parametrize("shape", NORM_SHAPES)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_norm_matches_linear_sum(shape, data):
+    """The closed form equals sum_{t<a} Ad(c)^t summed term by term, at
+    every multiple a <= 60 of the projective order."""
+    rep, c, po = data.draw(small_order_elements(shape))
+    a = po * data.draw(st.integers(1, 60 // po))
+    assert rep.norm(c, a) == oracles.norm_linear(rep.ad_matrix(c), a)
+
+
+@pytest.mark.parametrize("p, k, n, shape", [
+    (7, 1, 3, "diagonal"), (3, 2, 3, "repeated"), (2, 3, 3, "unipotent"),
+    (257, 2, 2, "unipotent"), (5, 1, 2, "scalar")])
+def test_norm_work_does_not_grow_with_the_order(p, k, n, shape,
+                                                monkeypatch):
+    """Ad(c)^po = I, so the norm at k po is k times the norm at po.  At
+    k = 2^40 it takes exactly the matrix products it takes at po, and none
+    of them multiplies two d x d matrices."""
+    F = ff.field_create(p, k)
+    r = max(r for r in range(1, 13) if (F.q - 1) % r == 0)
+    eig = [F.pow(i + 2, (F.q - 1) // r) for i in range(n)]
+    rep, c, po = shaped_element(F, shape, eig,
+                                random_sl(F, n, 10 * p + n))
+    big = po << 40
+    expected = oracles.norm_by_doubling(rep.ad_matrix(c), big)
+    shapes = []
+    matmul = ff.Matrix.__matmul__
+
+    def recorded(x, y):
+        shapes.append((x.rows, x.cols, y.cols))
+        return matmul(x, y)
+
+    monkeypatch.setattr(ff.Matrix, "__matmul__", recorded)
+    base = rep.norm(c, po)
+    at_po = list(shapes)
+    assert rep.norm(c, big) == base.scale(F.element(1 << 40)) == expected
+    assert shapes == at_po + at_po
+    d = rep.dim
+    assert (d, d, d) not in shapes
+
+
+def test_norm_rejects_a_power_that_is_not_scalar(f7):
+    rep = adjoint.adjoint_rep(f7, 2)
+    g = ff.Matrix.diagonal(f7, [2, 4])  # projective order 3
+    assert rep.norm(g, 3) == oracles.norm_linear(rep.ad_matrix(g), 3)
+    for a in (0, 2, 4):
+        with pytest.raises(InputError):
+            rep.norm(g, a)
+
+
+# ---------------------------------------------------------------------------
 # fixed spaces and class dimensions
 # ---------------------------------------------------------------------------
 

@@ -356,7 +356,21 @@ def test_invariant_violation_exits_4(capsys, monkeypatch):
     code, _, err = run(capsys, "rootdata", "--type", "A", "--rank", "1",
                        "--d-max", "3")
     assert code == 4
-    assert json.loads(err)["error"]["kind"] == "invariant"
+    assert json.loads(err)["error"] == {
+        "exit_code": 4, "kind": "invariant",
+        "message": "forced for the exit-code contract"}
+
+
+def test_coinv_invariant_violation_carries_a_repro(capsys, monkeypatch):
+    """An exit-4 record of coinv holds the input tuple in wire format."""
+    def explode(t):
+        raise InvariantViolation("forced for the repro contract")
+    monkeypatch.setattr(cli, "coinvariant_dim", explode)
+    path = str(GOLDEN_TUPLES / "sl2_f7.json")
+    code, out, err = run(capsys, "coinv", "--in", path)
+    assert (code, out) == (4, "")
+    error = json.loads(err)["error"]
+    assert error["repro"] == matgrp.tuple_to_json(matgrp.load_tuple(path))
 
 
 def test_census_rejects_non_type_a(capsys):

@@ -252,35 +252,6 @@ def test_verdict_folds_the_prefixes_once(monkeypatch):
     assert lifted.product().is_identity()
 
 
-def test_doubled_norm_matches_linear_sum():
-    rng = random.Random(21)
-    for (p, k), d in [((5, 1), 8), ((7, 1), 3), ((3, 2), 3), ((2, 2), 3)]:
-        F = ff.field_create(p, k)
-        ad = ff.Matrix(F, d, d, [rng.randrange(F.q) for _ in range(d * d)])
-        for a in range(1, 41):
-            assert rigidity._norm(ad, a) == oracles.norm_linear(ad, a)
-
-
-def test_doubled_norm_computes_no_unused_product(monkeypatch):
-    """Doubling needs two products per bit after the leading one, one
-    more per set bit, and none to advance the power past the last bit."""
-    calls = [0]
-    matmul = ff.Matrix.__matmul__
-
-    def counted(a, b):
-        calls[0] += 1
-        return matmul(a, b)
-
-    monkeypatch.setattr(ff.Matrix, "__matmul__", counted)
-    F = ff.field_create(5)
-    ad = ff.Matrix.from_rows(F, [[1, 2, 0], [3, 0, 4], [0, 1, 1]])
-    for a in range(2, 41):
-        calls[0] = 0
-        rigidity._norm(ad, a)
-        bound = 2 * (a.bit_length() - 1) + bin(a).count("1") - 2
-        assert calls[0] <= bound, a
-
-
 def test_relator_matrix_matches_linear_sum_relator():
     F = ff.field_create(7)
     t = oracles.random_sl_tuple(F, 2, 3, random.Random(22))
@@ -451,12 +422,34 @@ def test_weil_formula_when_p_divides_no_declared_order(seed, n, p, scalar):
     assert report.h1_dim == report.z1_dim - report.b1_dim
 
 
+def zero_norm(rep, g, a):
+    return ff.Matrix.zero(rep.field, rep.dim, rep.dim)
+
+
 def test_corrupted_norm_fails_the_weil_check(monkeypatch, capsys):
     path = str(TUPLES / "sl3_f5.json")  # p = 5, declared orders 31
     assert cli.main(["rigidity", "--in", path]) == cli.EXIT_OK
     capsys.readouterr()
-    monkeypatch.setattr(rigidity, "_norm", lambda ad, a: ff.Matrix.zero(
-        ad.field, ad.rows, ad.cols))
+    monkeypatch.setattr(adjoint.AdjointRep, "norm", zero_norm)
     assert cli.main(["rigidity", "--in", path]) == cli.EXIT_INVARIANT
     error = json.loads(capsys.readouterr().err)["error"]
     assert error["kind"] == "invariant" and "Weil" in error["message"]
+
+
+def test_invariant_failure_carries_a_repro(monkeypatch, capsys, tmp_path):
+    """The exit-4 record holds the input tuple in wire format; rigidity
+    --in on it fails the same way, and succeeds once the fault is gone."""
+    path = str(TUPLES / "sl3_f5.json")
+    monkeypatch.setattr(adjoint.AdjointRep, "norm", zero_norm)
+    assert cli.main(["rigidity", "--in", path]) == cli.EXIT_INVARIANT
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["repro"] == matgrp.tuple_to_json(matgrp.load_tuple(path))
+    repro = tmp_path / "repro.json"
+    repro.write_text(json.dumps(error["repro"]), encoding="utf-8")
+    assert cli.main(["rigidity", "--in", str(repro)]) == cli.EXIT_INVARIANT
+    again = json.loads(capsys.readouterr().err)["error"]
+    assert again["message"] == error["message"]
+    monkeypatch.undo()
+    assert cli.main(["rigidity", "--in", str(repro)]) == cli.EXIT_OK
+    assert capsys.readouterr().out == (
+        TUPLES.parent / "rigidity_sl3_f5.json").read_text(encoding="utf-8")
