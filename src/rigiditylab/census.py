@@ -21,14 +21,9 @@ inside the table, stopping as soon as more than half the group is
 reached, which a proper subgroup cannot do) decides the whole orbit, and
 its verdict, accepted or rejected, is recorded for every member.  The
 centralizer is found by index lookups at the second orbit tested for its
-x_1, and kept for the rest of the census in that process; an x_1 with one
-orbit to test never computes it.  Every tuple is still classified on its
-own, so counts and witnesses do not depend on which member of an orbit
-was tested.
-
-Results are deterministic for any worker count: the work is chunked by a
-fixed block size, counts merge by addition, and witnesses merge by taking
-the index-tuple minimum.
+x_1, and kept for the rest of the census; an x_1 with one orbit to test
+never computes it.  Every tuple is still classified on its own, so counts
+and witnesses do not depend on which member of an orbit was tested.
 """
 
 from __future__ import annotations
@@ -42,8 +37,6 @@ from .matgrp import (FiniteGroupTable, group_tuple, matrix_from_wire,
                      matrix_to_wire)
 from .rigidity import RigidityReport, rigidity_verdict
 from .rootdata import RootSystem
-
-_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -76,16 +69,8 @@ class CensusResult:
 
 
 # ---------------------------------------------------------------------------
-# worker machinery
+# generation tests
 # ---------------------------------------------------------------------------
-
-_W: dict = {}
-
-
-def _census_init(payload: dict) -> None:
-    global _W
-    _W = payload
-
 
 def _generates(table: FiniteGroupTable, gens_idx: tuple[int, ...]) -> bool:
     half = table.size // 2
@@ -106,20 +91,22 @@ def _generates(table: FiniteGroupTable, gens_idx: tuple[int, ...]) -> bool:
     return len(seen) == table.size
 
 
-def _orbit_generates(table: FiniteGroupTable,
-                     idx_tuple: tuple[int, ...]) -> bool:
+def _orbit_generates(table: FiniteGroupTable, idx_tuple: tuple[int, ...],
+                     verdicts_by_rep: dict[int, dict],
+                     centralizers: dict[int, list[int]]) -> bool:
     """Whether the tuple generates, tested once per C(x_1)-orbit of its
     middle coordinates (the last follows from the others).
 
-    The first tuple tested for an x_1 is tested alone.  A second untested
-    tuple for the same x_1 makes the centralizer worth its lookups: it is
-    computed then, the first verdict is spread over its orbit (which may
-    hold the second tuple), and from then on every verdict, accepted or
-    rejected, is spread over its orbit as soon as it is made.
+    verdicts_by_rep and centralizers are the census's own caches, keyed by
+    x_1.  The first tuple tested for an x_1 is tested alone.  A second
+    untested tuple for the same x_1 makes the centralizer worth its
+    lookups: it is computed then, the first verdict is spread over its
+    orbit (which may hold the second tuple), and from then on every
+    verdict, accepted or rejected, is spread over its orbit as soon as it
+    is made.
     """
     rep, middle = idx_tuple[0], idx_tuple[1:-1]
-    verdicts = _W["verdicts"].setdefault(rep, {})
-    centralizers = _W["centralizers"]
+    verdicts = verdicts_by_rep.setdefault(rep, {})
     if middle not in verdicts and verdicts and rep not in centralizers:
         centralizers[rep] = _centralizer(table, rep)
         (first, verdict), = verdicts.items()
@@ -148,63 +135,18 @@ def _spread(table: FiniteGroupTable, centralizer: list[int],
         verdicts[tuple(mul(mul(c_inv, x), c) for x in middle)] = verdict
 
 
-def _census_task(args: tuple[int, int, int]) -> list[tuple]:
-    """Count the block (first coordinate = one class rep, second coordinate
-    in a slice of its candidate list)."""
-    rep, lo, hi = args
-    table: FiniteGroupTable = _W["table"]
-    sig: tuple[int, ...] = _W["sig"]
-    cands: list[list[int]] = _W["cands"]
-    orders: list[int] = _W["orders"]
-    class_of: list[int] = _W["class_of"]
-    weight: int = _W["weights"][rep]
-    epi_test: bool = _W["epi_test"]
-    mul, inv = table.mul, table.inv
-    last_a = sig[-1]
-    m = len(sig)
-
-    out: dict[tuple[int, ...], list] = {}
-
-    def record(idx_tuple: tuple[int, ...]) -> None:
-        cls = tuple(class_of[i] for i in idx_tuple)
-        ent = out.get(cls)
-        if ent is None:
-            ent = out[cls] = [0, 0, None, None]
-        ent[0] += weight
-        if epi_test and _orbit_generates(table, idx_tuple):
-            ent[1] += weight
-            if ent[3] is None or idx_tuple < ent[3]:
-                ent[3] = idx_tuple
-        elif ent[2] is None or idx_tuple < ent[2]:
-            ent[2] = idx_tuple
-
-    picked = [rep]
-
-    def rec(pos: int, prod: int) -> None:
-        if pos == m - 1:
-            last = inv(prod)
-            if last_a % orders[last] == 0:
-                record((*picked, last))
-            return
-        src = cands[pos][lo:hi] if pos == 1 else cands[pos]
-        for x in src:
-            picked.append(x)
-            rec(pos + 1, mul(prod, x))
-            picked.pop()
-
-    rec(1, rep)
-    del rec  # rec's closure holds rec; the cycle would keep the table alive
-    return [(cls, ent[0], ent[1], ent[2], ent[3]) for cls, ent in out.items()]
-
-
 # ---------------------------------------------------------------------------
 # the census
 # ---------------------------------------------------------------------------
 
 def census(table: FiniteGroupTable, signature: tuple[int, ...],
-           epi_test: bool = True, workers: int = 1,
-           work_cap: int | None = None) -> CensusResult:
+           epi_test: bool = True, work_cap: int | None = None) -> CensusResult:
     """Count homomorphism tuples per conjugacy-class tuple.
+
+    One loop over the first coordinate's class representatives, in this
+    process; the orbit verdicts and centralizers it caches live for this
+    call only.  Each class tuple keeps its least index tuple as witness,
+    an epimorphism whenever one exists.
 
     work_cap bounds the number of candidate tuples evaluated; exceeding it
     raises before any enumeration starts.  epi_test=False skips generation
@@ -222,12 +164,10 @@ def census(table: FiniteGroupTable, signature: tuple[int, ...],
     # order is a class function: one order computation per class
     class_orders = [table.order_of(c[0]) for c in classes]
     orders = [class_orders[c] for c in class_of]
-    table.inv(0)  # build the table's words before any fork
 
     cands = [sorted(i for i in range(table.size) if a % orders[i] == 0)
              for a in sig]
     reps = [c[0] for c in classes if sig[0] % orders[c[0]] == 0]
-    weights = {c[0]: len(c) for c in classes}
 
     middle = 1
     for pos in range(1, len(sig) - 1):
@@ -239,47 +179,49 @@ def census(table: FiniteGroupTable, signature: tuple[int, ...],
             f"evaluations, above the cap {work_cap}"
         )
 
-    tasks = []
-    n2 = len(cands[1])
+    mul, inv = table.mul, table.inv
+    last_a = sig[-1]
+    m = len(sig)
+    # per class tuple: hom count, epi count, least hom and epi witnesses
+    cells: dict[tuple[int, ...], list] = {}
+    # per x_1: its centralizer, and the generation verdict of each middle
+    # tested or conjugate to one tested
+    centralizers: dict[int, list[int]] = {}
+    verdicts: dict[int, dict] = {}
+
+    def record(idx_tuple: tuple[int, ...], weight: int) -> None:
+        cls = tuple(class_of[i] for i in idx_tuple)
+        ent = cells.get(cls)
+        if ent is None:
+            ent = cells[cls] = [0, 0, None, None]
+        ent[0] += weight
+        if epi_test and _orbit_generates(table, idx_tuple, verdicts,
+                                         centralizers):
+            ent[1] += weight
+            if ent[3] is None or idx_tuple < ent[3]:
+                ent[3] = idx_tuple
+        elif ent[2] is None or idx_tuple < ent[2]:
+            ent[2] = idx_tuple
+
+    def rec(picked: list[int], prod: int, weight: int) -> None:
+        pos = len(picked)
+        if pos == m - 1:
+            last = inv(prod)
+            if last_a % orders[last] == 0:
+                record((*picked, last), weight)
+            return
+        for x in cands[pos]:
+            picked.append(x)
+            rec(picked, mul(prod, x), weight)
+            picked.pop()
+
     for rep in reps:
-        for lo in range(0, max(n2, 1), _CHUNK):
-            tasks.append((rep, lo, min(lo + _CHUNK, n2)))
-
-    payload = {
-        "table": table, "sig": sig, "cands": cands, "orders": orders,
-        "class_of": class_of, "weights": weights, "epi_test": epi_test,
-        # per x_1: its centralizer, and the generation verdict of each
-        # middle tested or conjugate to one tested
-        "centralizers": {}, "verdicts": {},
-    }
-    if workers <= 1:
-        _census_init(payload)
-        try:
-            partials = [_census_task(t) for t in tasks]
-        finally:
-            _census_init({})  # keep no table alive past its census
-    else:
-        # imported here, so that only workers > 1 pays the pool's import
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers,
-                                 initializer=_census_init,
-                                 initargs=(payload,)) as pool:
-            partials = list(pool.map(_census_task, tasks))
-
-    merged: dict[tuple[int, ...], list] = {}
-    for part in partials:
-        for cls, hom, epi, wit_hom, wit_epi in part:
-            ent = merged.setdefault(cls, [0, 0, None, None])
-            ent[0] += hom
-            ent[1] += epi
-            if wit_hom is not None and (ent[2] is None or wit_hom < ent[2]):
-                ent[2] = wit_hom
-            if wit_epi is not None and (ent[3] is None or wit_epi < ent[3]):
-                ent[3] = wit_epi
+        rec([rep], rep, len(classes[class_of[rep]]))
+    del rec  # rec's closure holds rec; the cycle would keep the table alive
 
     entries = []
-    for cls in sorted(merged):
-        hom, epi, wit_hom, wit_epi = merged[cls]
+    for cls in sorted(cells):
+        hom, epi, wit_hom, wit_epi = cells[cls]
         wit_idx = wit_epi if wit_epi is not None else wit_hom
         witness = tuple(table.mats[i] for i in wit_idx)
         entries.append(CensusEntry(

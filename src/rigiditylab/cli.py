@@ -214,7 +214,6 @@ def _run_census(args: argparse.Namespace, work_cap: int) -> str:
     table = group_closure(generating_pair(field, n), cap=target + 1,
                           projective=args.projective)
     result = census_mod.census(table, signature, epi_test=args.epi_test,
-                               workers=args.workers,
                                work_cap=work_cap)
     if args.format == "csv":
         rows = [[result.group_id,
@@ -307,7 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cen.add_argument("--epi-test", action=argparse.BooleanOptionalAction,
                        default=True,
                        help="test each tuple for generation (default on)")
-    p_cen.add_argument("--workers", type=int, default=1)
+    p_cen.add_argument("--workers", type=int, default=1,
+                       help="accepted for compatibility (must be >= 1); the "
+                            "census runs in one process")
     common(p_cen)
 
     return parser

@@ -27,8 +27,7 @@ constructor takes packed entries unchecked; ``from_rows`` and ``diagonal``
 pack ints or coefficient lists.  Each entry of a product is one fused dot
 product.
 
-Everything here is immutable after construction and safe to share between
-worker processes.
+Everything here is immutable after construction.
 """
 
 from __future__ import annotations
@@ -356,7 +355,7 @@ class FiniteField:
 
             self._zech_add = zech_add
 
-    # -- identity and serialization --------------------------------------------
+    # -- identity -------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -370,9 +369,6 @@ class FiniteField:
 
     def __repr__(self) -> str:
         return f"F({self.p}^{self.k})" if self.k > 1 else f"F({self.p})"
-
-    def __reduce__(self):
-        return (field_create, (self.p, self.k))
 
 
 @lru_cache(maxsize=None)

@@ -28,8 +28,9 @@ matrix by doubling with the package's Matrix product; it checks the
 closed-form norm of the adjoint module at orders too large to sum term by
 term.  frobenius_is_irreducible reuses ff's polynomial
 helpers and checks only the early exit of the package's predicate.  The
-random tuple helpers build package matrices and tuples as test inputs; their
-declared orders come from order_by_walk.
+random tuple helpers and the hypothesis strategies sl_matrices and
+sl_tuples build package matrices and tuples as test inputs; their declared
+orders come from order_by_walk.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+
+from hypothesis import assume, strategies as st
 
 
 # ---------------------------------------------------------------------------
@@ -525,6 +528,33 @@ def random_sl_matrix(field, n: int, rng):
             break
     vals[:n] = field.scale(field.inv(d), vals[:n])
     return ff.Matrix(field, n, n, vals)
+
+
+@st.composite
+def sl_matrices(draw, field, n: int):
+    """A determinant-one matrix over field: drawn packed entries, with the
+    first row divided by the determinant."""
+    from rigiditylab import ff
+
+    vals = draw(st.lists(st.integers(0, field.q - 1), min_size=n * n,
+                         max_size=n * n))
+    det = ff.Matrix(field, n, n, vals).det()
+    assume(det != 0)
+    vals[:n] = field.scale(field.inv(det), vals[:n])
+    return ff.Matrix(field, n, n, vals)
+
+
+@st.composite
+def sl_tuples(draw, field, n: int, length: int):
+    """A drawn tuple with product exactly the identity (the last entry
+    solves for the product), declared orders the exact projective orders."""
+    from rigiditylab import ff
+
+    mats = [draw(sl_matrices(field, n)) for _ in range(length - 1)]
+    prod = ff.Matrix.identity(field, n)
+    for m in mats:
+        prod = prod @ m
+    return tuple_from_matrices(mats + [prod.inverse()])
 
 
 def random_sl_tuple(field, n: int, length: int, rng):

@@ -102,7 +102,7 @@ def test_criterion_2_word_append_invariance_and_oracle():
 
 def test_criterion_3_rigid_triple_end_to_end():
     table = psl_table(7)
-    result = census.census(table, (2, 3, 7), epi_test=True, workers=1)
+    result = census.census(table, (2, 3, 7), epi_test=True)
     entry = next(e for e in result.entries if e.witness_is_epi)
     t = oracles.tuple_from_matrices(list(entry.witness))
     report = rigidity.rigidity_verdict(t)
@@ -125,7 +125,7 @@ def test_criterion_4_inequality_across_census_tuples():
     caveat_deficits = 0
     for q, signature in jobs:
         table = psl_table(q)
-        result = census.census(table, signature, epi_test=True, workers=2)
+        result = census.census(table, signature, epi_test=True)
         for entry in result.entries:
             t = oracles.tuple_from_matrices(list(entry.witness))
             # rigidity_verdict raises InvariantViolation (the exit-4 path)
@@ -193,13 +193,12 @@ def test_criterion_6_hurwitz_counts_pinned():
     expected = {7: (337, 336), 8: (1513, 1512), 9: (1, 0),
                 11: (1, 0), 13: (6553, 6552)}
     for q, (hom, epi) in expected.items():
-        result = census.census(psl_table(q), (2, 3, 7), epi_test=True,
-                               workers=4)
+        result = census.census(psl_table(q), (2, 3, 7), epi_test=True)
         assert (result.total_hom, result.total_epi) == (hom, epi), q
     elapsed = time.monotonic() - start
     assert elapsed < 600.0
     criterion(6, f"total_epi 336/1512/6552 for q = 7/8/13 and 0 for "
-                 f"q = 11/9, {elapsed:.1f}s with 4 workers")
+                 f"q = 11/9, {elapsed:.1f}s")
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ class dimensions."""
 import random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from rigiditylab.errors import InputError
@@ -20,18 +20,6 @@ def f7():
 
 def random_sl(F, n, seed):
     return oracles.random_sl_matrix(F, n, random.Random(seed))
-
-
-@st.composite
-def sl_matrices(draw, F, n):
-    """A determinant-one matrix over F: drawn packed entries, with the
-    first row divided by the determinant."""
-    vals = draw(st.lists(st.integers(0, F.q - 1), min_size=n * n,
-                         max_size=n * n))
-    det = ff.Matrix(F, n, n, vals).det()
-    assume(det != 0)
-    vals[:n] = F.scale(F.inv(det), vals[:n])
-    return ff.Matrix(F, n, n, vals)
 
 
 @st.composite
@@ -114,8 +102,8 @@ def test_ad_matrix_of_weyl_rotation_pinned(f7):
 def test_ad_is_a_homomorphism(q, n, data):
     F = ff.field_create(*((2, 2) if q == 4 else (q, 1)))
     rep = adjoint.AdjointRep(F, n)
-    g = data.draw(sl_matrices(F, n))
-    h = data.draw(sl_matrices(F, n))
+    g = data.draw(oracles.sl_matrices(F, n))
+    h = data.draw(oracles.sl_matrices(F, n))
     assert rep.ad_matrix(g @ h) == rep.ad_matrix(g) @ rep.ad_matrix(h)
 
 
@@ -124,7 +112,7 @@ def test_ad_is_a_homomorphism(q, n, data):
 def test_ad_matches_direct_conjugation(data):
     F = ff.field_create(7)
     rep = adjoint.AdjointRep(F, 3)
-    g = data.draw(sl_matrices(F, 3))
+    g = data.draw(oracles.sl_matrices(F, 3))
     vec = data.draw(st.lists(st.integers(0, 6), min_size=rep.dim,
                              max_size=rep.dim))
     direct = g @ rep.from_coords(vec) @ g.inverse()
@@ -146,7 +134,7 @@ def test_ad_columns_are_conjugated_basis_elements(p, k, n, data):
     """Column j of Ad(g) is g E_j g^(-1) for the j-th basis element E_j."""
     F = ff.field_create(p, k)
     rep = adjoint.AdjointRep(F, n)
-    g = data.draw(sl_matrices(F, n))
+    g = data.draw(oracles.sl_matrices(F, n))
     ginv = g.inverse()
     ad = rep.ad_matrix(g)
     for j in range(rep.dim):
@@ -239,7 +227,7 @@ def small_order_elements(draw, shape):
     exps = draw(st.lists(st.integers(0, r - 1), min_size=n, max_size=n,
                          unique=shape == "diagonal"))
     eig = [F.pow(root, e) for e in exps]
-    return shaped_element(F, shape, eig, draw(sl_matrices(F, n)))
+    return shaped_element(F, shape, eig, draw(oracles.sl_matrices(F, n)))
 
 
 @pytest.mark.parametrize("shape", NORM_SHAPES)
@@ -330,8 +318,8 @@ def test_class_dim_invariant_under_conjugation_and_extension(data):
     big = ff.field_create(5, 2)
     rep = adjoint.adjoint_rep(F, 2)
     rep_big = adjoint.adjoint_rep(big, 2)
-    g = data.draw(sl_matrices(F, 2))
-    h = data.draw(sl_matrices(F, 2))
+    g = data.draw(oracles.sl_matrices(F, 2))
+    h = data.draw(oracles.sl_matrices(F, 2))
     d = rep.class_dim(g)
     assert rep.class_dim(h @ g @ h.inverse()) == d
     assert rep_big.class_dim(oracles.embed_matrix(g, big)) == d

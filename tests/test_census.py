@@ -30,6 +30,20 @@ def psl27():
 
 
 @pytest.fixture(scope="module")
+def psl28():
+    F = ff.field_create(2, 3)
+    return matgrp.group_closure(matgrp.generating_pair(F, 2), cap=10 ** 6,
+                                projective=True)
+
+
+@pytest.fixture(scope="module")
+def psl29():
+    F = ff.field_create(3, 2)
+    return matgrp.group_closure(matgrp.generating_pair(F, 2), cap=10 ** 6,
+                                projective=True)
+
+
+@pytest.fixture(scope="module")
 def psl213():
     return matgrp.group_closure(matgrp.generating_pair(ff.field_create(13), 2),
                                 cap=10 ** 6, projective=True)
@@ -45,7 +59,7 @@ def test_census_frees_its_table_without_the_cycle_collector():
     gc.collect()
     gc.disable()
     try:
-        res = census.census(table, (2, 3, 7), workers=1)
+        res = census.census(table, (2, 3, 7))
         del table
         assert ref() is None
     finally:
@@ -132,10 +146,21 @@ def test_no_partial_closure_outlives_its_caller(monkeypatch):
 # agreement with flat enumeration
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("signature", [(2, 3, 5), (2, 5, 5), (3, 3, 3)])
-def test_counts_match_flat_enumeration(psl25, signature):
-    res = census.census(psl25, signature, epi_test=True, workers=1)
-    hom, epi, cells = oracles.direct_census(psl25, signature)
+# PSL2(7) and PSL2(8) on (2,3,7) have many C(x_1)-orbits per rep, so most
+# verdicts come from the orbit cache, but every nontrivial tuple generates;
+# PSL2(5) on (3,3,5) and PSL2(9) on (3,3,4) mix generating and
+# non-generating orbits under one x_1, so a verdict spread to a tuple
+# outside its orbit changes a count
+@pytest.mark.parametrize("group, signature", [
+    ("psl25", (2, 3, 5)), ("psl25", (2, 5, 5)), ("psl25", (3, 3, 3)),
+    ("psl27", (2, 3, 7)), ("psl28", (2, 3, 7)), ("psl25", (3, 3, 5)),
+    ("psl29", (3, 3, 4)),
+], ids=["signature0", "signature1", "signature2", "psl27-237", "psl28-237",
+        "psl25-335", "psl29-334"])
+def test_counts_match_flat_enumeration(request, group, signature):
+    table = request.getfixturevalue(group)
+    res = census.census(table, signature, epi_test=True)
+    hom, epi, cells = oracles.direct_census(table, signature)
     assert res.total_hom == hom
     assert res.total_epi == epi
     got = {e.classes: (e.hom_count, e.epi_count) for e in res.entries}
@@ -143,20 +168,20 @@ def test_counts_match_flat_enumeration(psl25, signature):
 
 
 def test_entry_counts_divisible_by_first_class_size(psl27):
-    res = census.census(psl27, (2, 3, 7), workers=1)
+    res = census.census(psl27, (2, 3, 7))
     for e in res.entries:
         assert e.hom_count % res.class_sizes[e.classes[0]] == 0
 
 
 def test_epi_total_divisible_by_group_order(psl25, psl27):
     for table, sig in [(psl25, (2, 3, 5)), (psl27, (2, 3, 7))]:
-        res = census.census(table, sig, workers=1)
+        res = census.census(table, sig)
         assert res.total_epi > 0
         assert res.total_epi % table.size == 0
 
 
 def test_witnesses_satisfy_the_relations(psl27):
-    res = census.census(psl27, (2, 3, 7), workers=1)
+    res = census.census(psl27, (2, 3, 7))
     F = psl27.field
     index = {m.projective_key(): i for i, m in enumerate(psl27.mats)}
     for e in res.entries:
@@ -174,7 +199,7 @@ def test_witnesses_satisfy_the_relations(psl27):
 
 
 def test_epi_skipped_when_disabled(psl25):
-    res = census.census(psl25, (2, 3, 5), epi_test=False, workers=1)
+    res = census.census(psl25, (2, 3, 5), epi_test=False)
     assert res.epi_tested is False
     assert res.total_epi == 0
     assert all(e.epi_count == 0 and not e.witness_is_epi for e in res.entries)
@@ -216,7 +241,7 @@ def test_macbeath_sweep(q):
     table = matgrp.group_closure(matgrp.generating_pair(F, 2), cap=10 ** 6,
                                  projective=True)
     assert table.size == matgrp.psl_order(q, 2)
-    res = census.census(table, (2, 3, 7), workers=1)
+    res = census.census(table, (2, 3, 7))
     assert (res.total_epi > 0) == _macbeath_hurwitz(p, k)
     if _macbeath_hurwitz(p, k):
         assert res.total_epi == _hurwitz_epi_total(p, k)
@@ -244,7 +269,7 @@ def test_generation_is_tested_once_per_centralizer_orbit(monkeypatch,
         centralized.append(rep) or centralizer(t, rep)))
     monkeypatch.setattr(census, "_spread", lambda t, c, middle, verdict, v: (
         spread.append(verdict), spread_verdict(t, c, middle, verdict, v)))
-    res = census.census(psl213, (2, 3, 7), workers=1)
+    res = census.census(psl213, (2, 3, 7))
     assert res.total_epi == 6552
     assert len(accepted) == res.total_epi // psl213.size == 6
     assert len(centralized) == 1 and spread == [True] * 6
@@ -262,7 +287,7 @@ def test_no_centralizer_for_a_single_orbit(monkeypatch):
                         lambda *args: centralized.append(args))
     monkeypatch.setattr(census, "_generates", lambda t, idx: (
         tested.append(idx) or generates(t, idx)))
-    res = census.census(table, (2, 3, 7), workers=1)
+    res = census.census(table, (2, 3, 7))
     assert res.total_hom == 1 and res.total_epi == 0
     assert tested == [(0, 0, 0)]
     assert centralized == []
@@ -281,7 +306,7 @@ def test_rejected_orbits_are_tested_once(monkeypatch, psl34):
     generates = census._generates
     monkeypatch.setattr(census, "_generates", lambda t, idx: (
         tested.append(idx) or generates(t, idx)))
-    res = census.census(psl34, (2, 5, 5), workers=1)
+    res = census.census(psl34, (2, 5, 5))
     assert len(tested) == 53
     mul, inv = psl34.mul, psl34.inv
     centralizers, seen = {}, set()
@@ -304,29 +329,6 @@ def test_rejected_orbits_are_tested_once(monkeypatch, psl34):
 # determinism and limits
 # ---------------------------------------------------------------------------
 
-def test_worker_count_does_not_change_the_result(psl27):
-    serial = census.census_to_json(census.census(psl27, (2, 3, 7), workers=1))
-    two = census.census_to_json(census.census(psl27, (2, 3, 7), workers=2))
-    three = census.census_to_json(census.census(psl27, (2, 3, 7), workers=3))
-    assert json.dumps(serial, sort_keys=True) == json.dumps(two, sort_keys=True)
-    assert json.dumps(serial, sort_keys=True) == json.dumps(three, sort_keys=True)
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_chunk_size_does_not_change_the_result(monkeypatch, psl213,
-                                               workers):
-    # a chunk of 5 splits every centralizer orbit across chunks (and, with
-    # two workers, across processes) without changing a count or witness
-    default = census.census_to_json(
-        census.census(psl213, (2, 3, 7), workers=workers))
-    monkeypatch.setattr(census, "_CHUNK", 5)
-    small = census.census_to_json(
-        census.census(psl213, (2, 3, 7), workers=workers))
-    assert json.dumps(small, sort_keys=True) == \
-        json.dumps(default, sort_keys=True)
-    assert small["total_epi"] == 6552
-
-
 def test_work_cap_enforced(psl25):
     with pytest.raises(WorkCapExceeded):
         census.census(psl25, (2, 3, 5), work_cap=10)
@@ -346,7 +348,7 @@ def test_signature_validation(psl25):
 # ---------------------------------------------------------------------------
 
 def test_census_json_round_trip(psl27):
-    res = census.census(psl27, (2, 3, 7), workers=1)
+    res = census.census(psl27, (2, 3, 7))
     doc = census.census_to_json(res)
     back = census.census_from_json(doc)
     assert census.census_to_json(back) == doc
@@ -361,7 +363,7 @@ def test_census_json_round_trip(psl27):
 # ---------------------------------------------------------------------------
 
 def test_psl27_hurwitz_counts_pinned(psl27):
-    res = census.census(psl27, (2, 3, 7), workers=1)
+    res = census.census(psl27, (2, 3, 7))
     assert res.group_id == "PSL2(7)"
     assert res.group_size == 168
     assert (res.total_hom, res.total_epi) == (337, 336)
@@ -372,7 +374,7 @@ def test_psl27_hurwitz_counts_pinned(psl27):
 
 
 def test_rigid_class_filter_keeps_only_full_dimension_tuples(psl25):
-    res = census.census(psl25, (2, 3, 5), workers=1)
+    res = census.census(psl25, (2, 3, 5))
     rc = census.rigid_class_tuples(res, rootdata.build("A", 1))
     assert [e.classes for e in rc.result.entries] == [(4, 3, 1), (4, 3, 2)]
     assert rc.result.total_hom == 120
@@ -383,7 +385,7 @@ def test_rigid_class_filter_keeps_only_full_dimension_tuples(psl25):
 
 
 def test_rigid_class_filter_validates_the_root_system(psl25):
-    res = census.census(psl25, (2, 3, 5), workers=1)
+    res = census.census(psl25, (2, 3, 5))
     with pytest.raises(InputError):
         census.rigid_class_tuples(res, rootdata.build("A", 2))
     with pytest.raises(InputError):
@@ -397,7 +399,7 @@ def test_psl34_census_pinned_and_no_rigid_survivors():
     a, b = matgrp.generating_pair(F, 3)
     table = matgrp.group_closure([a, b], cap=10 ** 6, projective=True)
     assert table.size == 20160
-    res = census.census(table, (3, 3, 3), epi_test=False, workers=2)
+    res = census.census(table, (3, 3, 3), epi_test=False)
     assert res.total_hom == 748161
     cells = {e.classes: e.hom_count for e in res.entries}
     assert cells == {(0, 0, 0): 1,

@@ -264,8 +264,7 @@ def test_one_parser_serves_calls_after_a_usage_error(capsys):
 
 
 def test_cli_import_loads_no_process_pool():
-    # only a census with --workers > 1 makes a pool, so only it pays for
-    # importing one
+    # the census runs in one process, so nothing imports a process pool
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     probe = ("import sys, rigiditylab.cli; print(sorted(m for m in "
              "sys.modules if m.split('.')[0] in "

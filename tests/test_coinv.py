@@ -3,10 +3,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from rigiditylab.errors import WorkCapExceeded
 from rigiditylab import adjoint, coinv, ff, matgrp
+
+properties = settings(max_examples=40, deadline=None)
+F5, F7 = ff.field_create(5), ff.field_create(7)
+F9, F25 = ff.field_create(3, 2), ff.field_create(5, 2)
 
 
 def identity_tuple(F, n, length=2):
@@ -48,107 +53,92 @@ def test_full_sl2_tuple_has_zero_coinvariants(q):
     assert res.coinv_dim == 0
 
 
-def test_basis_witness_spans_the_span():
-    F = ff.field_create(5)
-    rng = random.Random(3)
-    rep = adjoint.adjoint_rep(F, 2)
-    for _ in range(10):
-        t = oracles.random_sl_tuple(F, 2, 3, rng)
-        res = coinv.coinvariant_dim(t)
-        assert len(res.basis_witness) == res.span_dim
-        if res.basis_witness:
-            coords = [rep.coords(m) for m in res.basis_witness]
-            assert ff.rank_of_rows(F, coords) == res.span_dim
-        for m in res.basis_witness:
-            assert m.trace() == 0
+@properties
+@given(t=oracles.sl_tuples(F5, 2, 3))
+def test_basis_witness_spans_the_span(t):
+    rep = adjoint.adjoint_rep(F5, 2)
+    res = coinv.coinvariant_dim(t)
+    assert len(res.basis_witness) == res.span_dim
+    if res.basis_witness:
+        coords = [rep.coords(m) for m in res.basis_witness]
+        assert ff.rank_of_rows(F5, coords) == res.span_dim
+    for m in res.basis_witness:
+        assert m.trace() == 0
 
 
 # ---------------------------------------------------------------------------
 # invariance properties
 # ---------------------------------------------------------------------------
 
-def test_span_depends_only_on_the_generated_subgroup():
-    F = ff.field_create(5)
-    rng = random.Random(7)
-    for _ in range(10):
-        t = oracles.random_sl_tuple(F, 2, 3, rng)
-        base = coinv.coinvariant_dim(t).span_dim
-        # append a word in the generators: raw tuple, span may not change
-        w = t.generators[0] @ t.generators[1] @ t.generators[0]
-        extended = matgrp.GroupTuple(
-            field=t.field, n=t.n,
-            generators=t.generators + (w,),
-            declared_orders=t.declared_orders
-            + (oracles.order_by_walk(w, projective=True),))
-        assert coinv.coinvariant_dim(extended).span_dim == base
-        # validated variant: append w and its inverse
-        both = oracles.tuple_from_matrices(
-            list(t.generators) + [w, w.inverse()])
-        assert coinv.coinvariant_dim(both).span_dim == base
+@properties
+@given(t=oracles.sl_tuples(F5, 2, 3))
+def test_span_depends_only_on_the_generated_subgroup(t):
+    base = coinv.coinvariant_dim(t).span_dim
+    # append a word in the generators: raw tuple, span may not change
+    w = t.generators[0] @ t.generators[1] @ t.generators[0]
+    extended = matgrp.GroupTuple(
+        field=t.field, n=t.n,
+        generators=t.generators + (w,),
+        declared_orders=t.declared_orders
+        + (oracles.order_by_walk(w, projective=True),))
+    assert coinv.coinvariant_dim(extended).span_dim == base
+    # validated variant: append w and its inverse
+    both = oracles.tuple_from_matrices(
+        list(t.generators) + [w, w.inverse()])
+    assert coinv.coinvariant_dim(both).span_dim == base
 
 
-def test_span_monotone_in_generators():
-    F = ff.field_create(7)
-    rng = random.Random(9)
-    for _ in range(10):
-        t = oracles.random_sl_tuple(F, 2, 4, rng)
-        sub = matgrp.GroupTuple(field=t.field, n=t.n,
-                                generators=t.generators[:2],
-                                declared_orders=t.declared_orders[:2])
-        assert coinv.coinvariant_dim(sub).span_dim <= \
-            coinv.coinvariant_dim(t).span_dim
+@properties
+@given(t=oracles.sl_tuples(F7, 2, 4))
+def test_span_monotone_in_generators(t):
+    sub = matgrp.GroupTuple(field=t.field, n=t.n,
+                            generators=t.generators[:2],
+                            declared_orders=t.declared_orders[:2])
+    assert coinv.coinvariant_dim(sub).span_dim <= \
+        coinv.coinvariant_dim(t).span_dim
 
 
-def test_span_invariant_under_conjugation():
-    F = ff.field_create(3, 2)
-    rng = random.Random(15)
-    for _ in range(8):
-        t = oracles.random_sl_tuple(F, 2, 3, rng)
-        h = oracles.random_sl_matrix(F, 2, rng)
-        conj = oracles.tuple_from_matrices([h @ g @ h.inverse()
-                                           for g in t.generators])
-        assert coinv.coinvariant_dim(conj).span_dim == \
-            coinv.coinvariant_dim(t).span_dim
+@properties
+@given(t=oracles.sl_tuples(F9, 2, 3), h=oracles.sl_matrices(F9, 2))
+def test_span_invariant_under_conjugation(t, h):
+    conj = oracles.tuple_from_matrices([h @ g @ h.inverse()
+                                       for g in t.generators])
+    assert coinv.coinvariant_dim(conj).span_dim == \
+        coinv.coinvariant_dim(t).span_dim
 
 
-def test_span_invariant_under_field_extension():
-    F = ff.field_create(5)
-    big = ff.field_create(5, 2)
-    rng = random.Random(19)
-    for _ in range(8):
-        t = oracles.random_sl_tuple(F, 2, 3, rng)
-        lifted = matgrp.group_tuple(
-            [oracles.embed_matrix(g, big) for g in t.generators], t.declared_orders)
-        a, b = coinv.coinvariant_dim(t), coinv.coinvariant_dim(lifted)
-        assert (a.span_dim, a.coinv_dim) == (b.span_dim, b.coinv_dim)
+@properties
+@given(t=oracles.sl_tuples(F5, 2, 3))
+def test_span_invariant_under_field_extension(t):
+    lifted = matgrp.group_tuple(
+        [oracles.embed_matrix(g, F25) for g in t.generators], t.declared_orders)
+    a, b = coinv.coinvariant_dim(t), coinv.coinvariant_dim(lifted)
+    assert (a.span_dim, a.coinv_dim) == (b.span_dim, b.coinv_dim)
 
 
 # ---------------------------------------------------------------------------
 # word-closure oracle
 # ---------------------------------------------------------------------------
 
-def test_words_of_length_one_recover_the_plain_span():
-    F = ff.field_create(5)
-    rng = random.Random(23)
-    for _ in range(10):
-        t = oracles.random_sl_tuple(F, 2, 3, rng)
-        assert oracles.coinvariant_dim_via_words(t, 1).span_dim == \
-            coinv.coinvariant_dim(t).span_dim
+@properties
+@given(t=oracles.sl_tuples(F5, 2, 3))
+def test_words_of_length_one_recover_the_plain_span(t):
+    assert oracles.coinvariant_dim_via_words(t, 1).span_dim == \
+        coinv.coinvariant_dim(t).span_dim
 
 
 @pytest.mark.parametrize("q", [4, 5, 7])
-def test_longer_words_never_change_the_answer(q):
+@properties
+@given(data=st.data())
+def test_longer_words_never_change_the_answer(q, data):
     p = 2 if q == 4 else q
     k = 2 if q == 4 else 1
-    F = ff.field_create(p, k)
-    rng = random.Random(q)
-    for _ in range(8):
-        t = oracles.random_sl_tuple(F, 2, 3, rng)
-        base = coinv.coinvariant_dim(t)
-        for length in (2, 4):
-            via = oracles.coinvariant_dim_via_words(t, length)
-            assert via.span_dim == base.span_dim
-            assert via.coinv_dim == base.coinv_dim
+    t = data.draw(oracles.sl_tuples(ff.field_create(p, k), 2, 3))
+    base = coinv.coinvariant_dim(t)
+    for length in (2, 4):
+        via = oracles.coinvariant_dim_via_words(t, length)
+        assert via.span_dim == base.span_dim
+        assert via.coinv_dim == base.coinv_dim
 
 
 def test_cyclic_tuple_word_closure():
@@ -159,7 +149,6 @@ def test_cyclic_tuple_word_closure():
 
 
 def test_word_cap_enforced():
-    F = ff.field_create(5)
-    t = oracles.random_sl_tuple(F, 2, 3, random.Random(2))
+    t = oracles.random_sl_tuple(F5, 2, 3, random.Random(2))
     with pytest.raises(WorkCapExceeded):
         oracles.coinvariant_dim_via_words(t, 10, word_cap=5)
