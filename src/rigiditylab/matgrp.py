@@ -18,14 +18,15 @@ key is the entry tuple after scaling the first nonzero entry to 1, so a
 table element stands for a full scalar class while its stored matrix stays
 an honest determinant-one representative.  Matrix products happen only
 during a closure, linear or projective, which multiplies each BFS level
-by each generator in one stacked product and records right multiplication
-by each generator as a permutation of the indices; products, inverses,
-element orders and conjugacy classes in the table are then index lookups
-along shortest words in the generators.  ``generating_pair`` decides
-generation with projective closures capped at half of PSL_n(q), and a
-census continues the winner's closure from where the cap stopped it
-(unless it closes SL_n(q) with nontrivial scalars), so no element of the
-census table is multiplied by a generator twice.
+by each generator in one stacked product, keys the level's products in one
+batch, and records right multiplication by each generator as a permutation
+of the indices; products, inverses, element orders and conjugacy classes
+in the table are then index lookups along shortest words in the
+generators.  ``generating_pair`` decides generation with projective
+closures capped at half of PSL_n(q), and a census continues the winner's
+closure from where the cap stopped it (unless it closes SL_n(q) with
+nontrivial scalars), so no element of the census table is multiplied by a
+generator twice.
 """
 
 from __future__ import annotations
@@ -419,10 +420,11 @@ class _Closure:
     order, so their lengths tell which product comes next.  Each BFS level
     is multiplied at once: the level ``mats[start:stop]``, stacked as one
     (B n) x n matrix, times each generator, one ``Matrix @`` per generator.
-    The products are then keyed and indexed one element at a time, and a
-    ``Matrix`` is built only for a new element.  The level's products stay
-    until they are indexed, so a closure stopped by its cap and run again
-    with a larger one multiplies no element by a generator twice.
+    Each such product is keyed in one batch by columns (``_keyed``) and
+    then indexed one element at a time; a ``Matrix`` is sliced out only for
+    a new element.  The level's products and keys stay until they are
+    indexed, so a closure stopped by its cap and run again with a larger
+    one multiplies no element by a generator twice.
     """
 
     def __init__(self, gens: Sequence[Matrix], projective: bool):
@@ -437,19 +439,34 @@ class _Closure:
             if not g.is_invertible():
                 raise InputError("closure generator is not invertible")
         self.gens = tuple(gens)
-        self.key = _projective_key(field) if projective else tuple
+        self.projective = projective
         ident = Matrix.identity(field, n)
         self.mats = [ident]
-        self.index = {self.key(ident.vals): 0}
+        self.index = {ident.vals: 0}
         self.right = tuple([] for _ in gens)
         self.start = self.stop = 0
-        self.level: list[tuple[int, ...]] = []
+        self.level: list[tuple[tuple[int, ...], list[tuple[int, ...]]]] = []
+
+    def _keyed(self, vals: tuple[int, ...]) -> tuple:
+        """A level's products and their keys, all keyed at once by columns:
+        column s holds entry s of every product.  Projectively, each
+        product is scaled by the inverse of its first nonzero entry, which
+        lies in the first row of an invertible matrix."""
+        field, n = self.gens[0].field, self.gens[0].rows
+        cols = [vals[s::n * n] for s in range(n * n)]
+        if self.projective:
+            lead = cols[0]
+            for col in cols[1:n]:
+                lead = [x or y for x, y in zip(lead, col)]
+            inv = {x: field.inv(x) for x in set(lead)}
+            invs = [inv[x] for x in lead]
+            cols = [list(map(field.mul, invs, col)) for col in cols]
+        return vals, list(zip(*cols))
 
     def run(self, cap: int) -> None:
         """Go on until the table closes, or raise :class:`WorkCapExceeded`
         on element cap + 1 (the state stays as it was at the raise)."""
-        gens, mats, index, right, key = (self.gens, self.mats, self.index,
-                                         self.right, self.key)
+        gens, mats, index, right = self.gens, self.mats, self.index, self.right
         if len(mats) > cap:
             raise _cap_exceeded(cap)
         field, n = gens[0].field, gens[0].rows
@@ -463,22 +480,22 @@ class _Closure:
                 stack = Matrix(field, (len(mats) - i) * n, n,
                                itertools.chain.from_iterable(
                                    m.vals for m in mats[i:]))
-                self.level = [(stack @ g).vals for g in gens]
+                self.level = [self._keyed((stack @ g).vals) for g in gens]
                 self.start, self.stop = i, len(mats)
             level, start = self.level, self.start
             # a raise may have left element i expanded by the first k0 only
             k0 = sum(len(perm) > i for perm in right)
-            for i in range(i, self.stop):
-                off = (i - start) * n2
+            for e in range(i - start, self.stop - start):
                 for k in range(k0, r):
-                    vals = level[k][off:off + n2]
-                    kv = key(vals)
+                    vals, keys = level[k]
+                    kv = keys[e]
                     j = index.get(kv)
                     if j is None:
                         if len(mats) >= cap:
                             raise _cap_exceeded(cap)
                         j = index[kv] = len(mats)
-                        mats.append(Matrix(field, n, n, vals))
+                        mats.append(Matrix(field, n, n,
+                                           vals[e * n2:(e + 1) * n2]))
                     right[k].append(j)
                 k0 = 0
         self.level = []  # a search closure lives on in its pair
@@ -486,27 +503,6 @@ class _Closure:
 
 def _cap_exceeded(cap: int) -> WorkCapExceeded:
     return WorkCapExceeded(f"group closure exceeded the cap of {cap} elements")
-
-
-def _projective_key(field: FiniteField):
-    """The projective key on packed entries: scaled so that the first
-    nonzero entry is 1, with its inverse from a memo filled on demand (at
-    most q - 1 entries), and the entries unchanged when it is 1 already."""
-    inverses: dict[int, int] = {}
-    scale = field.scale
-
-    def key(vals: tuple[int, ...]) -> tuple[int, ...]:
-        for lead in vals:
-            if lead:
-                break
-        if lead == 1:
-            return vals
-        inv = inverses.get(lead)
-        if inv is None:
-            inv = inverses[lead] = field.inv(lead)
-        return tuple(scale(inv, vals))
-
-    return key
 
 
 class _SearchPair(tuple):

@@ -30,7 +30,8 @@ term.  frobenius_is_irreducible reuses ff's polynomial
 helpers and checks only the early exit of the package's predicate.  The
 random tuple helpers and the hypothesis strategies sl_matrices and
 sl_tuples build package matrices and tuples as test inputs; their declared
-orders come from order_by_walk.
+orders come from order_by_walk.  diagonal builds diagonal test matrices
+from constants or coefficient lists.
 """
 
 from __future__ import annotations
@@ -198,6 +199,17 @@ def matmul_entrywise(a, b):
                 acc = F.add(acc, F.mul(a[i, t], b[t, j]))
             out.append(acc)
     return ff.Matrix(F, a.rows, b.cols, out)
+
+
+def diagonal(field, diag):
+    """The diagonal ff.Matrix with the given entries: ints (constants,
+    reduced mod p) or coefficient lists."""
+    from rigiditylab import ff
+
+    n = len(diag)
+    vals = [0] * (n * n)
+    vals[::n + 1] = map(field.element, diag)
+    return ff.Matrix(field, n, n, vals)
 
 
 def norm_linear(ad, a: int):

@@ -168,7 +168,7 @@ def test_criterion_5_j_values_and_diagonal_realization():
         zeta = pow(oracles.multiplicative_generator(p), (p - 1) // d, p)
         diag = [pow(zeta, sum(witness[i:]), p) for i in range(rank + 1)]
         rep = adjoint.adjoint_rep(F, rank + 1)
-        return rep.class_dim(ff.Matrix.diagonal(F, diag))
+        return rep.class_dim(oracles.diagonal(F, diag))
 
     for d in range(2, 101):
         entry = rootdata.j_scan(a1, d)

@@ -85,7 +85,7 @@ def test_coords_rejects_nonzero_trace(f7):
 def test_ad_of_identity_and_scalars(f7):
     rep = adjoint.adjoint_rep(f7, 2)
     assert rep.ad_matrix(ff.Matrix.identity(f7, 2)).is_identity()
-    assert rep.ad_matrix(ff.Matrix.diagonal(f7, [3, 3])).is_identity()
+    assert rep.ad_matrix(oracles.diagonal(f7, [3, 3])).is_identity()
 
 
 def test_ad_matrix_of_weyl_rotation_pinned(f7):
@@ -202,7 +202,7 @@ def shaped_element(F, shape, eig, h):
         eig = [eig[0], *eig[1:]]
         eig[1] = eig[0]
     vals = [0] * (n * n)
-    vals[::n + 1] = eig  # packed, unlike Matrix.diagonal's constants
+    vals[::n + 1] = eig  # packed, unlike oracles.diagonal's constants
     d = ff.Matrix(F, n, n, vals)
     if shape == "unipotent":
         d = d @ (ff.Matrix.identity(F, n) + ff.Matrix(
@@ -274,7 +274,7 @@ def test_norm_work_does_not_grow_with_the_order(p, k, n, shape,
 
 def test_norm_rejects_a_power_that_is_not_scalar(f7):
     rep = adjoint.adjoint_rep(f7, 2)
-    g = ff.Matrix.diagonal(f7, [2, 4])  # projective order 3
+    g = oracles.diagonal(f7, [2, 4])  # projective order 3
     assert rep.norm(g, 3) == oracles.norm_linear(rep.ad_matrix(g), 3)
     for a in (0, 2, 4):
         with pytest.raises(InputError):
@@ -290,16 +290,16 @@ def test_fixed_space_and_class_dim_examples(f7):
     eye = ff.Matrix.identity(f7, 2)
     assert rep.fixed_space_dim(eye) == 3
     assert rep.class_dim(eye) == 0
-    torus = ff.Matrix.diagonal(f7, [2, 4])
+    torus = oracles.diagonal(f7, [2, 4])
     assert rep.fixed_space_dim(torus) == 1
     assert rep.class_dim(torus) == 2
     unipotent = ff.Matrix.from_rows(f7, [[1, 1], [0, 1]])
     assert rep.fixed_space_dim(unipotent) == 1
     assert rep.class_dim(unipotent) == 2
     rep3 = adjoint.adjoint_rep(f7, 3)
-    regular = ff.Matrix.diagonal(f7, [1, 2, 4])
+    regular = oracles.diagonal(f7, [1, 2, 4])
     assert rep3.class_dim(regular) == 6
-    assert rep3.class_dim(ff.Matrix.diagonal(f7, [2, 2, 2])) == 0
+    assert rep3.class_dim(oracles.diagonal(f7, [2, 2, 2])) == 0
 
 
 def test_every_noncentral_psl2_element_has_class_dim_two():
@@ -337,7 +337,7 @@ def test_class_dim_of_realized_witness_matches_j_value():
         suffix_sums = [sum(entry.witness[i:]) for i in range(rank + 1)]
         diag = [pow(zeta, s, p) for s in suffix_sums]
         rep = adjoint.adjoint_rep(F, rank + 1)
-        assert rep.class_dim(ff.Matrix.diagonal(F, diag)) == entry.j
+        assert rep.class_dim(oracles.diagonal(F, diag)) == entry.j
 
 
 # ---------------------------------------------------------------------------
@@ -347,14 +347,14 @@ def test_class_dim_of_realized_witness_matches_j_value():
 # projective orders: diag(2, 4) over F7 has 3, a transvection p, a scalar 1
 
 def test_is_semisimple(f7):
-    assert adjoint.is_semisimple(ff.Matrix.diagonal(f7, [2, 4]), 3)
+    assert adjoint.is_semisimple(oracles.diagonal(f7, [2, 4]), 3)
     assert adjoint.is_semisimple(ff.Matrix.identity(f7, 2), 1)
     assert not adjoint.is_semisimple(
         ff.Matrix.from_rows(f7, [[1, 1], [0, 1]]), 7)
 
 
 def test_smoothness_flags(f7):
-    assert adjoint.smoothness_flags(ff.Matrix.diagonal(f7, [2, 4]), 3) == ()
+    assert adjoint.smoothness_flags(oracles.diagonal(f7, [2, 4]), 3) == ()
     flagged = adjoint.smoothness_flags(
         ff.Matrix.from_rows(f7, [[1, 1], [0, 1]]), 7)
     assert any("semisimple" in f for f in flagged)

@@ -34,7 +34,7 @@ def test_identity_tuple_has_full_coinvariants(q, n):
 
 def test_single_torus_element_spans_its_class():
     F = ff.field_create(7)
-    c = ff.Matrix.diagonal(F, [3, 5])
+    c = oracles.diagonal(F, [3, 5])
     t = matgrp.group_tuple((c, c.inverse()), (3, 3))
     res = coinv.coinvariant_dim(t)
     assert res.span_dim == 2
@@ -143,7 +143,7 @@ def test_longer_words_never_change_the_answer(q, data):
 
 def test_cyclic_tuple_word_closure():
     F = ff.field_create(7)
-    c = ff.Matrix.diagonal(F, [3, 5])
+    c = oracles.diagonal(F, [3, 5])
     t = matgrp.group_tuple((c, c.inverse()), (3, 3))
     assert oracles.coinvariant_dim_via_words(t, 6).span_dim == 2
 

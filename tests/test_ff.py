@@ -6,6 +6,7 @@ import operator
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from rigiditylab.errors import InputError
@@ -239,6 +240,55 @@ def test_packed_arithmetic_matches_entrywise_oracle(p, k):
                      for j in range(r)) == a.vals
 
 
+# A prime field, XOR and Zech addition, and polynomial arithmetic past the
+# tables.
+MATMUL_FIELDS = [(13, 1), (2, 3), (3, 2), (257, 2)]
+
+
+@st.composite
+def matrices(draw, field, rows: int, cols: int):
+    """Packed entries, about half of them zero."""
+    entry = st.one_of(st.just(0), st.integers(1, field.q - 1))
+    return ff.Matrix(field, rows, cols, draw(
+        st.lists(entry, min_size=rows * cols, max_size=rows * cols)))
+
+
+@pytest.mark.parametrize("p,k", MATMUL_FIELDS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_products_on_both_sides_of_the_tall_switch_match_the_oracle(
+        p, k, data):
+    # 8 r rows times an r-row factor is summed by columns, 8 r - 1 rows
+    # entry by entry
+    F = ff.field_create(p, k)
+    r = data.draw(st.integers(1, 4))
+    rows = data.draw(st.sampled_from([8 * r - 1, 8 * r]))
+    m = data.draw(st.integers(1, 4))
+    a = data.draw(matrices(F, rows, r))
+    b = data.draw(matrices(F, r, m))
+    assert a @ b == oracles.matmul_entrywise(a, b)
+
+
+@pytest.mark.parametrize("p,k", MATMUL_FIELDS)
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_a_stacked_level_of_2184_rows_matches_the_oracle(p, k, seed, data):
+    # the shape of all of PSL2(13) stacked, times a drawn 2 x 2 factor
+    F = ff.field_create(p, k)
+    rng = random.Random(seed)
+    a = ff.Matrix(F, 2184, 2, [rng.randrange(F.q) for _ in range(4368)])
+    b = data.draw(matrices(F, 2, 2))
+    assert a @ b == oracles.matmul_entrywise(a, b)
+
+
+@pytest.mark.parametrize("p,k", MATMUL_FIELDS)
+@pytest.mark.parametrize("rows", [0, 3, 16])
+def test_a_product_through_an_empty_inner_dimension_is_zero(p, k, rows):
+    F = ff.field_create(p, k)
+    a = ff.Matrix(F, rows, 0, [])
+    b = ff.Matrix(F, 0, 2, [])
+    assert a @ b == ff.Matrix.zero(F, rows, 2)
+
 
 def test_rank_examples():
     F5 = ff.field_create(5)
@@ -420,8 +470,8 @@ def test_matrix_power_and_scalar_recognition():
     u = ff.Matrix.from_rows(F, [[1, 1], [0, 1]])
     assert (u ** 7).is_identity()
     assert (u ** 3).row_values() == [[1, 3], [0, 1]]
-    assert ff.Matrix.diagonal(F, [3, 3]).is_scalar()
-    assert not ff.Matrix.diagonal(F, [3, 5]).is_scalar()
+    assert oracles.diagonal(F, [3, 3]).is_scalar()
+    assert not oracles.diagonal(F, [3, 5]).is_scalar()
 
 
 def test_matrix_power_squares_once_per_bit_after_the_leading_one(
@@ -452,7 +502,7 @@ def test_entries_are_packed_ints():
     m = ff.Matrix.from_rows(F9, [[[1, 2], 1], [0, [0, 1]]])
     assert m.vals == (7, 1, 0, 3) and m[0, 0] == 7
     assert m.trace() == F9.add(7, 3) and m.det() == F9.mul(7, 3)
-    assert ff.Matrix.diagonal(F9, [[1, 2], 2]).vals == (7, 0, 0, 2)
+    assert oracles.diagonal(F9, [[1, 2], 2]).vals == (7, 0, 0, 2)
     assert m.scale(3).vals == tuple(F9.mul(3, v) for v in m.vals)
 
 

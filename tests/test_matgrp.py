@@ -38,9 +38,9 @@ def test_order_examples():
     assert orders(ff.Matrix.identity(F7, 2)) == (1, 1)
     assert orders(ff.Matrix.from_rows(F7, [[0, 1], [-1 % 7, 0]])) == (4, 2)
     assert orders(ff.Matrix.from_rows(F7, [[1, 1], [0, 1]])) == (7, 7)
-    assert orders(ff.Matrix.diagonal(F7, [6, 6])) == (2, 1)
+    assert orders(oracles.diagonal(F7, [6, 6])) == (2, 1)
     # 2 has order 12 in F13*, so diag(2, 2^-1) has projective order 6
-    assert orders(ff.Matrix.diagonal(F13, [2, 7])) == (12, 6)
+    assert orders(oracles.diagonal(F13, [2, 7])) == (12, 6)
 
 
 # fields F2, F3, F4, F5, F7, F8, F9 and F13 as (p, k)
@@ -145,7 +145,7 @@ def test_orders_reject_a_singular_matrix_or_a_bad_multiple():
     # multiple 1 is checked without any power
     with pytest.raises(InputError, match="power 1 is not"):
         matgrp.projective_order(u, 1)
-    assert matgrp.projective_order(ff.Matrix.diagonal(F, [2, 2]), 1) == 1
+    assert matgrp.projective_order(oracles.diagonal(F, [2, 2]), 1) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +304,27 @@ def test_batched_closure_matches_the_per_product_closure(case, projective):
 
 
 @pytest.mark.parametrize("projective", [False, True])
+@pytest.mark.parametrize("q, n", [(13, 2), (8, 2), (9, 2), (257 ** 2, 2),
+                                  (9, 3)])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_level_keys_are_the_keys_of_each_product(q, n, projective, data):
+    # a level's keys, made by columns in one batch, against each product's
+    # own key: its entries, or projectively Matrix.projective_key
+    F = field(q)
+    mats = data.draw(st.lists(oracles.sl_matrices(F, n), min_size=1,
+                              max_size=6))
+    # and a cyclic permutation, whose first row leads with n - 1 zeros
+    mats.append(ff.Matrix(F, n, n, [int(j == (i - 1) % n) for i in range(n)
+                                    for j in range(n)]))
+    vals = tuple(x for m in mats for x in m.vals)
+    got, keys = matgrp._Closure(mats[:1], projective)._keyed(vals)
+    assert got == vals
+    assert keys == [m.projective_key() if projective else m.vals
+                    for m in mats]
+
+
+@pytest.mark.parametrize("projective", [False, True])
 def test_batched_closure_cap_boundary_and_resume(projective):
     gens = _closure_gens("F9")
     mats, right = oracles.closure_by_products(gens, 10 ** 6, projective)
@@ -378,7 +399,7 @@ def test_table_arithmetic_matches_matrix_arithmetic(q, n, projective):
 
 def test_irreducibility_examples():
     F7 = field(7)
-    assert not matgrp.is_absolutely_irreducible([ff.Matrix.diagonal(F7, [3, 5])])
+    assert not matgrp.is_absolutely_irreducible([oracles.diagonal(F7, [3, 5])])
     assert not matgrp.is_absolutely_irreducible(
         [ff.Matrix.from_rows(F7, [[1, 1], [0, 1]])])
     a, b = matgrp.generating_pair(field(4), 2)
@@ -451,7 +472,7 @@ def test_half_group_cap_picks_the_full_closure_pair(q, n):
 
 def test_group_tuple_validation():
     F = field(7)
-    c = ff.Matrix.diagonal(F, [3, 5])
+    c = oracles.diagonal(F, [3, 5])
     t = matgrp.group_tuple((c, c.inverse()), (6, 6))
     assert t.length == 2 and t.declared_orders == (6, 6)
     # declared order may be any multiple of the projective order
@@ -460,7 +481,7 @@ def test_group_tuple_validation():
         matgrp.group_tuple((c, c.inverse()), (4, 6))
     with pytest.raises(InputError):
         matgrp.group_tuple((c, c), (6, 6))  # product not scalar
-    bad_det = ff.Matrix.diagonal(F, [3, 3])
+    bad_det = oracles.diagonal(F, [3, 3])
     with pytest.raises(InputError):
         matgrp.group_tuple((bad_det, bad_det.inverse()), (6, 6))
 
@@ -510,7 +531,7 @@ def test_prefixes_run_from_the_identity_to_the_product():
 def test_product_may_be_any_scalar():
     F = field(5)
     a = oracles.random_sl_matrix(F, 2, random.Random(3))
-    b = a.inverse() @ ff.Matrix.diagonal(F, [4, 4])
+    b = a.inverse() @ oracles.diagonal(F, [4, 4])
     orders = [oracles.order_by_walk(m, projective=True) for m in (a, b)]
     t = matgrp.group_tuple((a, b), orders)
     assert t.product().is_scalar()
@@ -519,7 +540,7 @@ def test_product_may_be_any_scalar():
 
 def test_tuple_from_matrices_infers_projective_orders():
     F = field(7)
-    c = ff.Matrix.diagonal(F, [3, 5])
+    c = oracles.diagonal(F, [3, 5])
     t = oracles.tuple_from_matrices([c, c.inverse()])
     assert t.declared_orders == (3, 3)
 

@@ -110,7 +110,7 @@ def test_tangent_rank_of_trivial_and_cyclic_tuples():
     eye = ff.Matrix.identity(F, 2)
     t = matgrp.group_tuple([eye, eye], [1, 1])
     assert rigidity.tangent_product_rank(t) == 0
-    c = ff.Matrix.diagonal(F, [3, 5])
+    c = oracles.diagonal(F, [3, 5])
     pair = matgrp.group_tuple((c, c.inverse()), (3, 3))
     assert rigidity.tangent_product_rank(pair) == 2
 
@@ -143,9 +143,9 @@ def test_tangent_rank_matches_the_conjugate_formula(seed, n, p, length,
         zeta = next((z for z in range(2, p) if pow(z, n, p) == 1), None)
         assume(zeta is not None)
         gens = list(t.generators)
-        gens[-1] = gens[-1] @ ff.Matrix.diagonal(F, [zeta] * n)
+        gens[-1] = gens[-1] @ oracles.diagonal(F, [zeta] * n)
         t = oracles.tuple_from_matrices(gens)
-        assert t.product() == ff.Matrix.diagonal(F, [zeta] * n)
+        assert t.product() == oracles.diagonal(F, [zeta] * n)
     assert rigidity.tangent_product_rank(t) == \
         oracles.tangent_rank_conjugates(t)
 
@@ -274,7 +274,7 @@ def test_relator_matrix_matches_linear_sum_relator():
 def test_central_lift_appends_the_inverse_scalar():
     F = ff.field_create(5)
     a = oracles.random_sl_matrix(F, 2, random.Random(14))
-    b = a.inverse() @ ff.Matrix.diagonal(F, [4, 4])
+    b = a.inverse() @ oracles.diagonal(F, [4, 4])
     orders = [oracles.order_by_walk(m, projective=True) for m in (a, b)]
     t = matgrp.group_tuple((a, b), orders)
     lifted = rigidity.central_lift(t)
@@ -289,10 +289,10 @@ def test_central_lift_appends_the_inverse_scalar():
 def test_scalar_product_tuple_matches_manual_extension():
     F = ff.field_create(5)
     a = oracles.random_sl_matrix(F, 2, random.Random(16))
-    b = a.inverse() @ ff.Matrix.diagonal(F, [4, 4])
+    b = a.inverse() @ oracles.diagonal(F, [4, 4])
     orders = [oracles.order_by_walk(m, projective=True) for m in (a, b)]
     t = matgrp.group_tuple((a, b), orders)
-    manual = oracles.tuple_from_matrices([a, b, ff.Matrix.diagonal(F, [4, 4])])
+    manual = oracles.tuple_from_matrices([a, b, oracles.diagonal(F, [4, 4])])
     got = rigidity.rigidity_verdict(t)
     want = rigidity.rigidity_verdict(manual)
     assert got.lifted_order == 2 and want.lifted_order is None
@@ -331,7 +331,7 @@ def test_verdict_work_cap_counts_the_trial_divisions(psl27_triple):
 
 def test_hypothesis_failed_for_reducible_tuple():
     F = ff.field_create(7)
-    c = ff.Matrix.diagonal(F, [3, 5])
+    c = oracles.diagonal(F, [3, 5])
     t = matgrp.group_tuple((c, c.inverse()), (3, 3))
     report = rigidity.rigidity_verdict(t)
     assert report.verdict == rigidity.VERDICT_HYPOTHESIS_FAILED
@@ -362,7 +362,7 @@ def test_report_is_conjugation_invariant():
 
 def test_declared_order_mismatch_is_flagged_not_fatal():
     F = ff.field_create(7)
-    c = ff.Matrix.diagonal(F, [3, 5])
+    c = oracles.diagonal(F, [3, 5])
     t = matgrp.group_tuple((c, c.inverse()), (6, 3))
     report = rigidity.rigidity_verdict(t)
     assert any("declared order" in f for f in report.flags)
@@ -415,7 +415,7 @@ def test_weil_formula_when_p_divides_no_declared_order(seed, n, p, scalar):
         # product zeta I for a nontrivial n-th root of unity zeta
         zeta = next((z for z in range(2, p) if pow(z, n, p) == 1), None)
         assume(zeta is not None)
-        gens[-1] = gens[-1] @ ff.Matrix.diagonal(F, [zeta] * n)
+        gens[-1] = gens[-1] @ oracles.diagonal(F, [zeta] * n)
     t = oracles.tuple_from_matrices(gens)
     assume(all(a % p for a in rigidity.central_lift(t).declared_orders))
     report = rigidity.rigidity_verdict(t)
