@@ -17,7 +17,9 @@ Three layers, all exact:
   mismatch is reported as an internal invariant failure.
 * rigidity_verdict: class dimensions, coinvariants, irreducibility and
   the dimension-count test assembled into a RigidityReport.  When p
-  divides no declared order, Weil's formula h1 = z1 - b1 is checked too.
+  divides no declared order, Weil's formula h1 = z1 - b1 is checked too;
+  b1 is checked against the displacement span when p does not divide n,
+  and against dim - [p | n] on a verified irreducible tuple.
   Each generator's projective order is found once, by dividing primes out
   of its declared order, and gives both the declared-order flag and the
   semisimplicity flag (semisimple exactly when p does not divide it).
@@ -261,6 +263,22 @@ def rigidity_verdict(t: GroupTuple, irreducibility: str = "verify",
     spaces = cocycle_spaces(lifted)
     fiber_h1 = sum_dims - df - spaces.b1_dim
     p = t.field.p
+    # b1 is dim minus the invariants.  When p does not divide n the trace
+    # form on sl_n is nondegenerate and Ad-invariant, so the invariants are
+    # dual to the coinvariants; an absolutely irreducible tuple fixes only
+    # the scalars (Schur), which are traceless exactly when p divides n.
+    centre = int(t.n % p == 0)
+    if not centre and spaces.b1_dim != co.span_dim:
+        raise InvariantViolation(
+            f"p = {p} does not divide n = {t.n}, yet b1 = {spaces.b1_dim} "
+            f"differs from the displacement span {co.span_dim}"
+        )
+    if (irreducible == IRREDUCIBLE_VERIFIED
+            and spaces.b1_dim != rep.dim - centre):
+        raise InvariantViolation(
+            f"absolutely irreducible tuple has b1 = {spaces.b1_dim}, not "
+            f"dim - {centre} = {rep.dim - centre} (Schur's lemma)"
+        )
     if (all(a % p for a in lifted.declared_orders)
             and fiber_h1 != spaces.z1_dim - spaces.b1_dim):
         raise InvariantViolation(

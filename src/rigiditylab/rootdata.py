@@ -2,10 +2,12 @@
 
 A root system is stored as its Cartan matrix plus the list of positive
 roots, each root an integer coefficient vector over the simple-root basis.
-Positive roots are generated from the simple roots by the usual root-string
-closure, height by height.  Everything downstream (dim G, Cartan
-determinants, the class-dimension bounds j_d, enumeration of tuples meeting
-the dimension condition) reads off this data.
+Positive roots are generated from the simple roots height by height: each
+root carries its simple-coroot pairings and the lengths of the simple root
+strings below it, which decide its successors without looking any root up.
+Everything downstream (dim G, Cartan determinants, the class-dimension
+bounds j_d, enumeration of tuples meeting the dimension condition) reads
+off this data.
 
 Conventions: cartan[i][j] is the pairing of simple root i against simple
 coroot j, so the rows of the B-series matrices end with a -2 entry.  Node
@@ -37,7 +39,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from operator import add, mod
 from typing import NamedTuple
 
 from .errors import InputError, InvariantViolation, WorkCapExceeded
@@ -100,36 +103,31 @@ def _cartan_matrix(type_letter: str, rank: int) -> list[list[int]]:
 
 
 def _closure(cartan: list[list[int]], rank: int) -> list[tuple[int, ...]]:
-    """All positive roots, by root-string closure from the simple roots.
+    """All positive roots, height by height from the simple roots.
 
-    For a root b and simple root index j, b + alpha_j is a root exactly when
-    p - <b, alpha_j-check> >= 1, where p counts how far the string extends
-    below b.  Iterates height by height until no new roots appear.
+    Each root b carries its pairings <b, alpha_j-check> and, for each j,
+    the length p_j of its alpha_j-string below it.  b + alpha_j is a root
+    exactly when p_j > <b, alpha_j-check>; it then gets the pairings of b
+    plus Cartan row j, and p_j + 1 as its own p_j.  Its other string
+    lengths come from its other predecessors of the same height, and stay
+    0 where it has none.  Each height is sorted by coefficient tuple.
     """
-    simple = [tuple(1 if t == j else 0 for t in range(rank)) for j in range(rank)]
-    roots = set(simple)
-    frontier = list(simple)
-    while frontier:
-        nxt = []
-        for b in frontier:
-            for j in range(rank):
-                pairing = sum(c * cartan[i][j] for i, c in enumerate(b) if c)
-                down = list(b)
-                p = 0
-                while True:
-                    down[j] -= 1
-                    if down[j] < 0 or tuple(down) not in roots:
-                        break
-                    p += 1
-                if p - pairing >= 1:
-                    up = list(b)
-                    up[j] += 1
-                    cand = tuple(up)
-                    if cand not in roots:
-                        roots.add(cand)
-                        nxt.append(cand)
-        frontier = nxt
-    return sorted(roots, key=lambda r: (sum(r), r))
+    level = {tuple(int(t == j) for t in range(rank)): (cartan[j], [0] * rank)
+             for j in range(rank)}
+    roots = []
+    while level:
+        roots += sorted(level)
+        nxt = {}
+        for b, (pairings, below) in level.items():
+            for j, (pairing, p) in enumerate(zip(pairings, below)):
+                if p > pairing:
+                    up = (*b[:j], b[j] + 1, *b[j + 1:])
+                    if up not in nxt:
+                        nxt[up] = (tuple(map(add, pairings, cartan[j])),
+                                   [0] * rank)
+                    nxt[up][1][j] = p + 1
+        level = nxt
+    return roots
 
 
 @dataclass(frozen=True)
@@ -151,6 +149,23 @@ class RootSystem:
 
     def __repr__(self) -> str:
         return f"RootSystem({self.type_letter}{self.rank})"
+
+    @cached_property
+    def _columns(self) -> tuple[tuple[int, ...], ...]:
+        """Column i holds coefficient i of every positive root."""
+        return tuple(zip(*self.positive_roots))
+
+    @cached_property
+    def _tails(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """With the roots grouped by the last coordinate of their support,
+        entry i is coefficient i of the roots whose support ends at i or
+        later, and the number that end at i."""
+        ends = [max(i for i, c in enumerate(root) if c)
+                for root in self.positive_roots]
+        roots = [root for _, root in sorted(zip(ends, self.positive_roots))]
+        ends.sort()
+        return tuple((tuple(root[i] for root in roots[ends.index(i):]),
+                      ends.count(i)) for i in range(self.rank))
 
 
 @lru_cache(maxsize=None)
@@ -225,45 +240,49 @@ def _alcove_j(rs: RootSystem, d: int) -> int:
     carrying the values alpha.s of all positive roots.
     """
     npos = len(rs.positive_roots)
-    cols = [tuple(root[i] for root in rs.positive_roots)
-            for i in range(rs.rank)]
+    cols = rs._columns
     marks = rs.positive_roots[-1]  # the highest root; heights sort it last
+    last = rs.rank - 1
     fewest = npos + 1
-    # (next coordinate, budget left, gcd(d, s so far), root values so far)
+    # (coordinate, budget left, gcd(d, s before it), root values so far)
     stack = [(0, d, d, (0,) * npos)]
     while stack:
         i, budget, g, vals = stack.pop()
-        if i == rs.rank:
-            if g == 1:
+        col, mark = cols[i], marks[i]
+        for k in range(budget // mark + 1):
+            if k:
+                vals = tuple(map(add, vals, col))
+            if i < last:
+                stack.append((i + 1, budget - k * mark, math.gcd(g, k), vals))
+            elif math.gcd(g, k) == 1:
                 killed = vals.count(0) + vals.count(d)
                 if killed < fewest:
                     fewest = killed
-                    if killed == 0:
-                        break  # regular point; nothing does better
-            continue
-        col, mark = cols[i], marks[i]
-        for k in range(budget // mark + 1):
-            stack.append((i + 1, budget - k * mark, math.gcd(g, k), vals))
-            vals = tuple(v + c for v, c in zip(vals, col))
+                    if killed == 0:  # regular point; nothing does better
+                        stack.clear()
+                        break
     if fewest > npos:
         raise InvariantViolation(f"no order-{d} alcove point found (rank {rs.rank})")
     return 2 * (npos - fewest)
 
 
-def _least_leaf(ending, d: int, allowed: int, prefix: tuple[int, ...],
-                killed: int, g: int) -> tuple[int, tuple[int, ...]] | None:
+def _least_leaf(tails, d: int, allowed: int, prefix: tuple[int, ...],
+                vals: tuple[int, ...], killed: int,
+                g: int) -> tuple[int, tuple[int, ...]] | None:
     """Lex-least exponent tuple extending prefix with gcd 1 and at most
     allowed vanishing positive roots, with its vanishing count, or None.
 
-    ending[i] lists the roots whose support ends at coordinate i, as
-    (coefficients before i, coefficient at i); they are decided here.
+    vals holds the exponent sums mod d, over prefix, of the roots still
+    undecided, in the order of RootSystem._tails; the first n of them,
+    n from tails[len(prefix)], are decided here.
     """
     i = len(prefix)
-    heads = [(sum(c * a for c, a in zip(head, prefix)), c)
-             for head, c in ending[i]]
-    leaf = i == len(ending) - 1
+    col, n = tails[i]
+    leaf = i == len(tails) - 1
     for x in range(d):
-        k = killed + sum(1 for p, c in heads if (p + c * x) % d == 0)
+        if x:
+            vals = tuple(map(mod, map(add, vals, col), itertools.repeat(d)))
+        k = killed + vals[:n].count(0)
         if k > allowed:
             continue
         g_x = math.gcd(g, x)
@@ -271,7 +290,8 @@ def _least_leaf(ending, d: int, allowed: int, prefix: tuple[int, ...],
             if g_x == 1:
                 return k, (*prefix, x)
         else:
-            found = _least_leaf(ending, d, allowed, (*prefix, x), k, g_x)
+            found = _least_leaf(tails, d, allowed, (*prefix, x), vals[n:],
+                                k, g_x)
             if found is not None:
                 return found
     return None
@@ -303,12 +323,8 @@ def j_scan(rs: RootSystem, d: int, work_cap: int | None = None) -> JEntry:
             f"~{cost} root evaluations, above the cap {work_cap}"
         )
     j = _alcove_j(rs, d)
-    ending: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(rs.rank)]
-    for root in rs.positive_roots:
-        last = max(i for i, c in enumerate(root) if c)
-        ending[last].append((root[:last], root[last]))
     allowed = npos - j // 2
-    found = _least_leaf(ending, d, allowed, (), 0, d)
+    found = _least_leaf(rs._tails, d, allowed, (), (0,) * npos, 0, d)
     if found is None or found[0] != allowed:
         raise InvariantViolation(
             f"alcove j_{d}({rs.type_letter}{rs.rank}) = {j} disagrees with "
@@ -426,7 +442,7 @@ def rigid_tuples(rs: RootSystem, n: int, a_max: int,
     target = 2 * rs.dim_g
     hits = tuple(
         t for t in itertools.combinations_with_replacement(range(2, a_max + 1), n)
-        if sum(jmap[a] for a in t) == target
+        if sum(map(jmap.__getitem__, t)) == target
     )
     return RigidTupleResult(root_system=rs, n=n, a_max=a_max,
                             tuples=hits, plateau=plateau)

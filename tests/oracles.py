@@ -31,7 +31,8 @@ helpers and checks only the early exit of the package's predicate.  The
 random tuple helpers and the hypothesis strategies sl_matrices and
 sl_tuples build package matrices and tuples as test inputs; their declared
 orders come from order_by_walk.  diagonal builds diagonal test matrices
-from constants or coefficient lists.
+from constants or coefficient lists.  positive_roots_by_reflection takes
+only the package's Cartan matrix, which the Cartan determinant tests pin.
 """
 
 from __future__ import annotations
@@ -456,6 +457,32 @@ def classical_positive_count(letter: str, rank: int) -> int:
 # Cartan matrices used by the package (B2: <a1,a2v> = -2; G2: <a2,a1v> = -3).
 B2_POSITIVE = {(1, 0), (0, 1), (1, 1), (1, 2)}
 G2_POSITIVE = {(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)}
+
+
+def positive_roots_by_reflection(cartan) -> list[tuple[int, ...]]:
+    """The positive roots of the Cartan matrix, ordered by height and then
+    by coefficient tuple, as the positive part of the Weyl-group orbit of
+    the simple roots.
+
+    The orbit is closed under the simple reflections
+    s_j(b) = b - <b, alpha_j-check> alpha_j, with
+    <b, alpha_j-check> = sum_i b_i cartan[i][j]; no root strings are used.
+    """
+    rank = len(cartan)
+    simple = [tuple(int(t == j) for t in range(rank)) for j in range(rank)]
+    orbit = set(simple)
+    todo = list(simple)
+    while todo:
+        b = todo.pop()
+        for j in range(rank):
+            pairing = sum(c * cartan[i][j] for i, c in enumerate(b))
+            image = tuple(c - pairing * (i == j) for i, c in enumerate(b))
+            if image not in orbit:
+                orbit.add(image)
+                todo.append(image)
+    return sorted((r for r in orbit if min(r) >= 0),
+                  key=lambda r: (sum(r), r))
+
 
 CARTAN_DETERMINANTS = {
     ("A", 1): 2, ("A", 2): 3, ("A", 3): 4, ("A", 7): 8,

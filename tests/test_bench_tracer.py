@@ -4,9 +4,10 @@
 and raises when one is missing, which fails every traced benchmark run.
 Installing it here, in a fresh interpreter so the wrappers never reach
 this test process, turns a renamed or dropped entry point into a test
-failure.  Running one traced census job and one traced verdict there
-checks that every span the benchmark expects of its census-hurwitz and
-rigidity-batch passes actually fires.
+failure.  Running one traced census job, one traced verdict, and one
+traced ``rootdata`` and ``rigid-tuples`` job there checks that every span
+the benchmark expects of its census-hurwitz, rigidity-batch and
+rootdata-exceptional passes actually fires.
 """
 
 import json
@@ -37,15 +38,20 @@ import spans
 from run import EXPECTED_SPANS
 tracer = spans.install()
 jobs = {
-    "census-hurwitz": ["census", "--type", "A", "--rank", "1", "--q", "7",
-                       "--signature", "2,3,7"],
-    "rigidity-batch": ["rigidity", "--in", sys.argv[1]],
+    "census-hurwitz": [["census", "--type", "A", "--rank", "1", "--q", "7",
+                        "--signature", "2,3,7"]],
+    "rigidity-batch": [["rigidity", "--in", sys.argv[1]]],
+    "rootdata-exceptional": [
+        ["rootdata", "--type", "E", "--rank", "6", "--d-max", "3"],
+        ["rigid-tuples", "--type", "F", "--rank", "4", "--n", "3",
+         "--a-max", "6"]],
 }
 calls = {}
-for workload, argv in jobs.items():
+for workload, argvs in jobs.items():
     before = {name: stat[0] for name, stat in tracer.stats.items()}
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(argv) == 0, workload
+    for argv in argvs:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0, argv
     calls[workload] = {name: stat[0] - before[name]
                        for name, stat in tracer.stats.items()}
 print(json.dumps({"calls": calls, "counts": tracer.counts,
@@ -68,8 +74,8 @@ def test_benchmark_tracer_installs():
 
 @pytest.fixture(scope="module")
 def traced_jobs():
-    # one census-hurwitz job and one verdict of an SL3/F5 tuple, traced in
-    # one fresh interpreter
+    # one census-hurwitz job, one verdict of an SL3/F5 tuple, and an E6
+    # j_d table and F4 rigid-tuples job, traced in one fresh interpreter
     tuple_path = ROOT / "tests" / "golden" / "tuples" / "sl3_f5.json"
     return json.loads(_run(JOBS_SCRIPT, str(tuple_path)))
 
@@ -85,10 +91,19 @@ def test_traced_verdict_fires_the_linear_algebra_spans(traced_jobs):
     assert traced_jobs["counts"]["ff.matmul.mults"] > 0
 
 
-@pytest.mark.parametrize("workload", ["census-hurwitz", "rigidity-batch"])
+@pytest.mark.parametrize("workload", ["census-hurwitz", "rigidity-batch",
+                                      "rootdata-exceptional"])
 def test_traced_job_fires_the_benchmark_expected_spans(traced_jobs, workload):
     # a traced benchmark pass fails when one of these spans reads zero
     calls = traced_jobs["calls"][workload]
     silent = [name for name in traced_jobs["expected"][workload]
               if calls.get(name, 0) == 0]
     assert not silent, silent
+
+
+def test_traced_j_scans_count_their_evaluation_bound(traced_jobs):
+    # the E6 table scans d = 2 and 3, each bounded by d^6 times 36 roots;
+    # the rigid-tuples job takes its j values from the alcove alone
+    assert traced_jobs["calls"]["rootdata-exceptional"]["rootdata.j_scan"] == 3
+    assert traced_jobs["counts"]["rootdata.j_scan.evals_bound"] == (
+        (2 ** 6 + 3 ** 6) * 36)

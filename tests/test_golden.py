@@ -5,7 +5,10 @@ Each case is one ``rigiditylab`` invocation; its expected stdout is
 code as it stood before any refactor of the group layer, and the
 root-data files by the exhaustive (Z/d)^rank scan before the alcove scan
 replaced it, so they pin the bytes of every count, class numbering, j_d
-value and witness.  The ``rigidity`` and ``coinv`` files were produced
+value and witness.  ``rootdata_e8_4`` and ``rigid_e7_3_18`` came later,
+from the alcove scan and the root-string closure as they stood before
+root strings were carried on each root and the scan tables were built
+once per root system.  The ``rigidity`` and ``coinv`` files were produced
 from the tuples in ``tests/golden/tuples/`` by matrix arithmetic on
 per-entry field-element objects and the linear cocycle norm sum, before
 the packed-integer matrix core and the norm by doubling replaced them;
@@ -58,6 +61,10 @@ ROOTDATA_CASES = {
                      "--n", "3", "--a-max", "8"),
     "rigid_f4_3_12_csv": ("rigid-tuples", "--type", "F", "--rank", "4",
                           "--n", "3", "--a-max", "12", "--format", "csv"),
+    "rootdata_e8_4": ("rootdata", "--type", "E", "--rank", "8",
+                      "--d-max", "4"),
+    "rigid_e7_3_18": ("rigid-tuples", "--type", "E", "--rank", "7",
+                      "--n", "3", "--a-max", "18"),
 }
 
 # SL2/F7, SL3/F5, SL3/F9 and SL4/F3 tuples with product the identity, an

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import oracles
-from rigiditylab.errors import InputError, WorkCapExceeded
+from rigiditylab.errors import InputError, InvariantViolation, WorkCapExceeded
 from rigiditylab import adjoint, cli, coinv, ff, matgrp, rigidity
 
 TUPLES = pathlib.Path(__file__).with_name("golden") / "tuples"
@@ -453,3 +453,51 @@ def test_invariant_failure_carries_a_repro(monkeypatch, capsys, tmp_path):
     assert cli.main(["rigidity", "--in", str(repro)]) == cli.EXIT_OK
     assert capsys.readouterr().out == (
         TUPLES.parent / "rigidity_sl3_f5.json").read_text(encoding="utf-8")
+
+
+# ---------------------------------------------------------------------------
+# b1 against the displacement span and Schur's lemma
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), case=st.sampled_from([(2, 2, 1), (2, 2, 2), (2, 3, 1),
+                                             (2, 5, 1), (3, 3, 1), (3, 2, 2),
+                                             (3, 5, 1)]))
+def test_b1_matches_span_and_schur(data, case):
+    n, p, k = case
+    t = data.draw(oracles.sl_tuples(ff.field_create(p, k), n, 3))
+    report = rigidity.rigidity_verdict(t)
+    if n % p:
+        assert report.b1_dim == report.span_dim
+    if report.irreducible == rigidity.IRREDUCIBLE_VERIFIED:
+        assert report.b1_dim == n * n - 1 - (n % p == 0)
+
+
+def _b1_plus_one(monkeypatch):
+    cocycle_spaces = rigidity.cocycle_spaces
+
+    def inflated(t):
+        spaces = cocycle_spaces(t)
+        return rigidity.CocycleSpaces(spaces.z1_dim, spaces.b1_dim + 1,
+                                      spaces.relator_matrix)
+
+    monkeypatch.setattr(rigidity, "cocycle_spaces", inflated)
+
+
+def test_inflated_b1_fails_the_span_check(monkeypatch):
+    # p = 5 does not divide n = 3; asserting irreducibility leaves the
+    # span check as the only one that can fire
+    t = matgrp.load_tuple(str(TUPLES / "sl3_f5.json"))
+    _b1_plus_one(monkeypatch)
+    with pytest.raises(InvariantViolation, match="displacement span"):
+        rigidity.rigidity_verdict(t, irreducibility="assert")
+
+
+def test_inflated_b1_fails_the_schur_check(monkeypatch, capsys):
+    # p = 3 divides n = 3 and the tuple is verified irreducible
+    path = str(TUPLES / "sl3_f9.json")
+    _b1_plus_one(monkeypatch)
+    assert cli.main(["rigidity", "--in", path]) == cli.EXIT_INVARIANT
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["kind"] == "invariant" and "Schur" in error["message"]

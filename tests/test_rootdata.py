@@ -42,6 +42,20 @@ def test_b2_and_g2_root_sets_pinned():
     assert set(rootdata.build("G", 2).positive_roots) == oracles.G2_POSITIVE
 
 
+# every valid system up to rank 8
+RANK_8_SYSTEMS = ([("A", r) for r in range(1, 9)]
+                  + [(letter, r) for letter in "BC" for r in range(2, 9)]
+                  + [("D", r) for r in range(3, 9)]
+                  + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+
+
+@pytest.mark.parametrize("letter,rank", RANK_8_SYSTEMS)
+def test_positive_roots_match_the_weyl_orbit(letter, rank):
+    rs = rootdata.build(letter, rank)
+    assert list(rs.positive_roots) == oracles.positive_roots_by_reflection(
+        rs.cartan)
+
+
 @pytest.mark.parametrize("letter,rank", ALL_SYSTEMS)
 def test_root_heights_and_highest_root(letter, rank):
     rs = rootdata.build(letter, rank)
@@ -165,6 +179,14 @@ def _system_and_order(draw):
 @given(_system_and_order())
 def test_j_scan_matches_exhaustive_scan(case):
     letter, rank, d = case
+    rs = rootdata.build(letter, rank)
+    assert tuple(rootdata.j_scan(rs, d)) == oracles.j_scan_exhaustive(rs, d)
+
+
+# the E7 and E8 scans of the rootdata-exceptional benchmark workload
+@pytest.mark.parametrize("letter,rank,d", [("E", 7, d) for d in range(2, 5)]
+                         + [("E", 8, d) for d in range(2, 4)])
+def test_benchmark_exceptional_scans_match_exhaustive_scan(letter, rank, d):
     rs = rootdata.build(letter, rank)
     assert tuple(rootdata.j_scan(rs, d)) == oracles.j_scan_exhaustive(rs, d)
 
