@@ -4,7 +4,7 @@ The basis is fixed once per (field, n): the off-diagonal units E_ij in
 row-major order, then the diagonal differences E_ii - E_(i+1)(i+1).  The
 matrix of Ad(g): X -> g X g^(-1) in this basis drives every dimension
 computed downstream, so entries are exact field elements and results are
-cached per group element (projectively, since scalars act trivially).
+cached per group element, keyed by its entries.
 Each column is read off the entries of g and g^(-1), with no matrix
 product: (g E_ij g^(-1))[k, l] = g[k, i] g^(-1)[j, l].  The norm
 sum_{t<a} Ad(g)^t of a power relator comes from the minimal polynomial of
@@ -27,7 +27,7 @@ from operator import itemgetter
 from typing import Sequence
 
 from .errors import InputError
-from .ff import Echelon, FiniteField, Matrix, kernel_dim
+from .ff import Echelon, FiniteField, Matrix, _power, kernel_dim
 from .matgrp import element_order
 
 
@@ -57,13 +57,10 @@ class AdjointRep:
             raise InputError("matrix does not live in this Lie algebra model")
         if x.trace() != 0:
             raise InputError("matrix is not traceless")
-        return self._coords(x.vals)
-
-    def _coords(self, vals: Sequence[int]) -> list[int]:
         n, add = self.n, self.field.add
-        out = [v for t, v in enumerate(vals) if t % (n + 1)]
+        out = [v for t, v in enumerate(x.vals) if t % (n + 1)]
         acc = 0
-        for v in vals[:-1:n + 1]:
+        for v in x.vals[:-1:n + 1]:
             acc = add(acc, v)
             out.append(acc)
         return out
@@ -111,13 +108,11 @@ class AdjointRep:
     def ad_matrix(self, g: Matrix) -> Matrix:
         """Matrix of X -> g X g^(-1) in the fixed basis."""
         self._check(g)
-        # Scalar multiples share a key and are all invertible or all
-        # singular, so a cache hit needs no determinant.
+        # only invertible matrices are cached, so a hit needs no determinant
+        hit = self._cache.get(g.vals)
+        if hit is not None:
+            return hit
         try:
-            key = g.projective_key()
-            hit = self._cache.get(key)
-            if hit is not None:
-                return hit
             ginv = g.inverse()
         except ZeroDivisionError:
             raise InputError("Ad of a non-invertible matrix") from None
@@ -125,7 +120,7 @@ class AdjointRep:
         f = self.field
         out = self._matrix_of([x for u in g.vals
                                for x in f.scale(u, ginv.vals)])
-        self._cache[key] = out
+        self._cache[g.vals] = out
         return out
 
     def norm(self, g: Matrix, a: int) -> Matrix:
@@ -179,7 +174,8 @@ class AdjointRep:
         grid = [f.scale(f.neg(mu[0]), qbar)]
         r = [0] * m
         for j in range(m - 1, 0, -1):
-            r = _times_x_mod(f, f.add_scaled(r, mu[j + 1], qbar), mu)
+            r = _poly_divmod(f, [0, *f.add_scaled(r, mu[j + 1], qbar)],
+                             mu)[1]
             grid.insert(1, r)
         # sum_r vec(R_r(g)) vec(g^r)^T = K^T S K, with K's rows vec(g^s)
         # and S[s][r] the x^s coefficient of R_r
@@ -225,20 +221,10 @@ def _poly_divmod(f: FiniteField, a: Sequence[int],
     return quot, a[:deg] + [0] * (deg - len(a))
 
 
-def _times_x_mod(f: FiniteField, a: list[int],
-                 mod: Sequence[int]) -> list[int]:
-    """x a modulo the monic mod, for a of degree < deg(mod)."""
-    return f.add_scaled([0, *a[:-1]], f.neg(a[-1]), mod)
-
-
 def _x_pow_mod(f: FiniteField, e: int, mod: Sequence[int]) -> list[int]:
-    """x^e modulo the monic mod of degree >= 2, from the top bit of e: a
-    square per bit, times x per set bit."""
-    r = [0, 1] + [0] * (len(mod) - 3)
-    for bit in bin(e)[3:]:
-        sq = _poly_mul(f, r, r)
-        r = _poly_divmod(f, [0, *sq] if bit == "1" else sq, mod)[1]
-    return r
+    """x^e modulo the monic mod of degree >= 2, for e >= 1."""
+    return _power([0, 1] + [0] * (len(mod) - 3), e,
+                  lambda a, b: _poly_divmod(f, _poly_mul(f, a, b), mod)[1])
 
 
 @lru_cache(maxsize=None)

@@ -113,9 +113,9 @@ def _repro(t):
 # ---------------------------------------------------------------------------
 
 def _run_rootdata(args: argparse.Namespace, work_cap: int) -> str:
-    rs = rootdata_mod.build(args.type, args.rank)
     if args.d_max < 1:
         raise InputError(f"--d-max must be >= 1, got {args.d_max}")
+    rs = rootdata_mod.build(args.type, args.rank, work_cap)
     table = rootdata_mod.class_dim_table(rs, args.d_max, work_cap)
     if args.format == "csv":
         rows = [[rs.type_letter, rs.rank, d, e.j, " ".join(map(str, e.witness))]
@@ -133,7 +133,7 @@ def _run_rootdata(args: argparse.Namespace, work_cap: int) -> str:
 
 
 def _run_rigid_tuples(args: argparse.Namespace, work_cap: int) -> str:
-    rs = rootdata_mod.build(args.type, args.rank)
+    rs = rootdata_mod.build(args.type, args.rank, work_cap)
     res = rootdata_mod.rigid_tuples(rs, args.n, args.a_max, work_cap)
     if args.format == "csv":
         rows = [[rs.type_letter, rs.rank, res.plateau, " ".join(map(str, t))]

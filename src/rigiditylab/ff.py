@@ -10,7 +10,8 @@ An element is a plain int, the packed value sum(c_i * p^i) in [0, q); the
 coefficient tuple (the wire format) is ``FiniteField.unpack`` of it, and
 ``FiniteField.element`` packs one.  All field arithmetic is done by the
 FiniteField methods on packed values (``add``, ``sub``, ``neg``, ``mul``,
-``inv``, ``pow``, ``scale``, ``add_scaled``).
+``inv``, ``pow``, ``scale``, ``add_scaled``).  ``pow``, ``Matrix.__pow__``
+and the polynomial powers share one square-and-multiply, ``_power``.
 
 Over F_p, arithmetic is integer arithmetic mod p.  Extension fields with
 at most 2**16 elements precompute discrete log / antilog tables for a
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache, reduce
-from operator import add, mul, xor
+from operator import add, matmul, mul, xor
 from typing import Iterable, Sequence
 
 from .errors import InputError
@@ -59,6 +60,18 @@ def _prime_factors(n: int) -> list[int]:
 
 def is_prime(n: int) -> bool:
     return _prime_factors(n) == [n]
+
+
+def _power(x, e: int, mul):
+    """x^e for e >= 1 under the associative product mul, from the top bit
+    of e: one square per later bit, and one product by x per set one
+    (Knuth, TAOCP vol. 2, 4.6.3)."""
+    result = x
+    for bit in bin(e)[3:]:
+        result = mul(result, result)
+        if bit == "1":
+            result = mul(result, x)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -97,29 +110,15 @@ def _poly_modred(a: Sequence[int], mod: Sequence[int], p: int) -> list[int]:
 
 
 def _poly_powmod(a: Sequence[int], e: int, mod: Sequence[int], p: int) -> list[int]:
-    result = [1] + [0] * (len(mod) - 2)
-    base = _poly_modred(a, mod, p)
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, base, mod, p)
-        base = _poly_mulmod(base, base, mod, p)
-        e >>= 1
-    return result
+    return _power(_poly_modred(a, mod, p), e,
+                  lambda x, y: _poly_mulmod(x, y, mod, p))
 
 
 def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     a, b = _poly_trim(list(a)), _poly_trim(list(b))
     while b:
-        inv = pow(b[-1], p - 2, p)
-        # remainder of a by b
-        a = list(a)
-        while len(a) >= len(b) and a:
-            c = a[-1] * inv % p
-            shift = len(a) - len(b)
-            for j in range(len(b)):
-                a[shift + j] = (a[shift + j] - c * b[j]) % p
-            _poly_trim(a)
-        a, b = b, a
+        monic = [c * pow(b[-1], p - 2, p) % p for c in b]
+        a, b = b, _poly_trim(_poly_modred(a, monic, p))
     return a
 
 
@@ -261,20 +260,12 @@ class FiniteField:
             return pow(a, self.p - 2, self.p)
         if self._exp is not None:
             return self._exp[(self.q - 1) - self._log[a]]
-        # a^(q-2) by square and multiply
         return self.pow(a, self.q - 2)
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             return self.pow(self.inv(a), -e)
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        return _power(a, e, self.mul) if e else 1
 
     # -- packed vectors -------------------------------------------------------
 
@@ -453,14 +444,6 @@ class Matrix:
         """Hashable canonical key (shape plus packed entries)."""
         return (self.rows, self.cols, self.vals)
 
-    def projective_key(self) -> tuple:
-        """Key of the matrix up to nonzero scalars: the packed entries
-        after scaling the first nonzero entry to 1 (the zero matrix has
-        none, and raises ZeroDivisionError)."""
-        f = self.field
-        inv = f.inv(next((v for v in self.vals if v), 0))
-        return tuple(f.scale(inv, self.vals))
-
     # -- arithmetic -----------------------------------------------------------
 
     def _check_same(self, other: Matrix) -> None:
@@ -581,13 +564,9 @@ class Matrix:
             raise InputError("power of a non-square matrix")
         if e < 0:
             return self.inverse() ** (-e)
-        # from the top bit: one square per later bit, one product per set one
-        result = self if e else Matrix.identity(self.field, self.rows)
-        for bit in bin(e)[3:]:
-            result = result @ result
-            if bit == "1":
-                result = result @ self
-        return result
+        # through @, so a patched __matmul__ sees every product
+        return (_power(self, e, matmul) if e
+                else Matrix.identity(self.field, self.rows))
 
     # -- predicates -------------------------------------------------------------
 

@@ -303,7 +303,6 @@ class FiniteGroupTable:
         self.right = right
         self._words: list[tuple[list[int], ...]] | None = None
         self._inverses: list[int] | None = None
-        self._orders: list[int] | None = None
         self._classes: tuple[tuple[int, ...], ...] | None = None
 
     @property
@@ -358,16 +357,11 @@ class FiniteGroupTable:
     def order_of(self, i: int) -> int:
         """Order of element i in the table's group (projective order when
         the table is projective)."""
-        if self._orders is None:
-            self._orders = [0] * self.size
-        if self._orders[i] == 0:
-            e = 1
-            j = i
-            while j != 0:
-                j = self.mul(j, i)
-                e += 1
-            self._orders[i] = e
-        return self._orders[i]
+        e, j = 1, i
+        while j != 0:
+            j = self.mul(j, i)
+            e += 1
+        return e
 
     # -- conjugacy classes ---------------------------------------------------
 

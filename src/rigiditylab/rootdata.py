@@ -169,22 +169,28 @@ class RootSystem:
 
 
 @lru_cache(maxsize=None)
-def build(type_letter: str, rank: int) -> RootSystem:
+def build(type_letter: str, rank: int,
+          work_cap: int | None = None) -> RootSystem:
     """The root system of the given simple type and rank.
 
     Valid pairs: A (rank >= 1), B and C (rank >= 2), D (rank >= 3),
-    E6/E7/E8, F4, G2.
+    E6/E7/E8, F4, G2.  The build is charged rank^2 for the Cartan matrix
+    plus rank per positive root for the roots and their pairings, checked
+    against work_cap before any of it is done.
     """
     letter = str(type_letter).upper()
     if letter not in _VALID_RANKS:
         raise InputError(f"unknown type letter {type_letter!r}")
     if not isinstance(rank, int) or not _VALID_RANKS[letter](rank):
         raise InputError(f"invalid rank {rank} for type {letter}")
+    expected = _classical_positive_count(letter, rank)
+    cost = rank * rank + rank * expected
+    if work_cap is not None and cost > work_cap:
+        raise WorkCapExceeded(f"building {letter}{rank} needs ~{cost} root "
+                              f"coefficients, above the cap {work_cap}")
 
     cartan = _cartan_matrix(letter, rank)
     roots = _closure(cartan, rank)
-
-    expected = _classical_positive_count(letter, rank)
     if len(roots) != expected:
         raise InvariantViolation(
             f"{letter}{rank}: closure found {len(roots)} positive roots, "

@@ -21,18 +21,21 @@ rule: a full linear closure of |SL_n(q)| elements, not a projective one
 capped at half of PSL_n(q).  order_by_walk multiplies with the package's
 Matrix product (checked against matmul_entrywise in the ff tests); what it
 checks is the order found by prime division, not the product;
-closure_by_products likewise multiplies and keys one product at a time
-with the package's Matrix product and keys, and checks the batched
-closure's bookkeeping.  norm_by_doubling sums the powers of an Ad
-matrix by doubling with the package's Matrix product; it checks the
-closed-form norm of the adjoint module at orders too large to sum term by
-term.  frobenius_is_irreducible reuses ff's polynomial
-helpers and checks only the early exit of the package's predicate.  The
-random tuple helpers and the hypothesis strategies sl_matrices and
-sl_tuples build package matrices and tuples as test inputs; their declared
+closure_by_products likewise multiplies one product at a time with the
+package's Matrix product, keys each with its entries or with
+projective_key (one field multiplication per entry, not the package's
+batched keys), and checks the batched closure's bookkeeping.
+norm_by_doubling sums the powers of an Ad matrix by doubling with the
+package's Matrix product; it checks the closed-form norm of the adjoint
+module at orders too large to sum term by term.  frobenius_is_irreducible
+reuses ff's polynomial helpers and checks only the early exit of the
+package's predicate.  The random tuple helpers and the hypothesis
+strategies sl_matrices and sl_tuples build package matrices and tuples as test inputs; their declared
 orders come from order_by_walk.  diagonal builds diagonal test matrices
-from constants or coefficient lists.  positive_roots_by_reflection takes
-only the package's Cartan matrix, which the Cartan determinant tests pin.
+from constants or coefficient lists.  class_dim_gl reads a class dimension
+off the commutator map on all of gl_n, with rank_mod_p, and no Ad matrix.
+positive_roots_by_reflection takes only the package's Cartan matrix,
+which the Cartan determinant tests pin.
 """
 
 from __future__ import annotations
@@ -107,6 +110,18 @@ def rank_mod_p(rows: list[list[int]], p: int) -> int:
                 rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[pivot])]
         pivot += 1
     return pivot
+
+
+def class_dim_gl(g) -> int:
+    """n^2 - dim C_{M_n}(g) for g over a prime field: the rank of
+    X -> g X - X g on all n x n matrices, with plain integers mod p.  The
+    row of the unit E_ij holds the entries of g E_ij - E_ij g: column
+    (k, l) gets g[k, i] where l = j, minus g[j, l] where k = i."""
+    n = g.rows
+    rows = [[(g[k, i] if l == j else 0) - (g[j, l] if k == i else 0)
+             for k in range(n) for l in range(n)]
+            for i in range(n) for j in range(n)]
+    return rank_mod_p(rows, g.field.p)
 
 
 def exact_determinant(grid) -> int:
@@ -630,13 +645,22 @@ def generating_pair_by_full_closure(field, n):
 # group closure one product at a time
 # ---------------------------------------------------------------------------
 
+def projective_key(m) -> tuple:
+    """The entries of m divided, one field operation at a time, by its
+    first nonzero entry: equal for m and its nonzero scalar multiples
+    only."""
+    f = m.field
+    inv = f.inv(next(v for v in m.vals if v))
+    return tuple(f.mul(inv, v) for v in m.vals)
+
+
 def closure_by_products(gens, cap: int, projective: bool = False):
     """Breadth-first closure, one ``Matrix @`` and one key per product:
     (mats, right) with right[k][i] = index(mats[i] @ gens[k]).  Raises
     WorkCapExceeded on element cap + 1."""
     from rigiditylab.errors import WorkCapExceeded
     from rigiditylab.ff import Matrix
-    key = Matrix.projective_key if projective else Matrix.key
+    key = projective_key if projective else Matrix.key
     ident = Matrix.identity(gens[0].field, gens[0].rows)
     mats = [ident]
     index = {key(ident): 0}

@@ -169,8 +169,6 @@ def test_ad_matrix_cache_hit_runs_no_elimination(f7, monkeypatch):
         original(self, *args)
 
     monkeypatch.setattr(ff.Echelon, "__init__", counted)
-    # a scalar multiple shares the projective key, so it hits the cache
-    assert rep.ad_matrix(g.scale(2)) is first
     assert rep.ad_matrix(g) is first
     assert eliminations == []
     rep.ad_matrix(h)  # a miss inverts, which is one elimination
@@ -323,6 +321,23 @@ def test_class_dim_invariant_under_conjugation_and_extension(data):
     d = rep.class_dim(g)
     assert rep.class_dim(h @ g @ h.inverse()) == d
     assert rep_big.class_dim(oracles.embed_matrix(g, big)) == d
+
+
+@pytest.mark.parametrize("p, n", [(5, 3), (7, 2), (3, 4), (2, 3), (7, 3),
+                                  (3, 2), (3, 3), (2, 2), (2, 4)])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_class_dim_matches_the_gl_n_centralizer(p, n, data):
+    # n^2 - dim C_{M_n}(g) is the class dimension in every characteristic;
+    # the rank of Ad(g) - 1 on sl_n equals it when p does not divide n,
+    # and can read 1 lower when it does (sl_n then holds the scalars)
+    F = ff.field_create(p)
+    g = data.draw(oracles.sl_matrices(F, n))
+    if data.draw(st.booleans()):
+        # half the order: non-regular and unipotent elements too
+        g = g ** max(oracles.order_by_walk(g) // 2, 1)
+    gap = oracles.class_dim_gl(g) - adjoint.adjoint_rep(F, n).class_dim(g)
+    assert gap in ((0, 1) if n % p == 0 else (0,))
 
 
 def test_class_dim_of_realized_witness_matches_j_value():

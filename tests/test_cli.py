@@ -308,6 +308,27 @@ def test_rigid_tuples_reach_e6_e7_under_default_cap(capsys, rank, plateau):
     assert json.loads(out)["plateau"] == plateau
 
 
+@pytest.mark.parametrize("argv", [
+    ("rootdata", "--type", "A", "--rank", "100000", "--d-max", "1"),
+    ("rootdata", "--type", "A", "--rank", "300", "--d-max", "1"),
+    ("rigid-tuples", "--type", "B", "--rank", "3000", "--n", "3",
+     "--a-max", "2"),
+])
+def test_oversized_root_systems_exit_3_before_building(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 0.5
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"]["kind"] == "work-cap"
+
+
+def test_d_max_is_checked_before_the_root_system_is_built(capsys):
+    code, _, err = run(capsys, "rootdata", "--type", "A", "--rank", "100000",
+                       "--d-max", "0")
+    assert code == 2
+    assert "--d-max" in json.loads(err)["error"]["message"]
+
+
 def test_rigid_tuples_e8_exits_3_before_scanning(capsys, monkeypatch):
     def no_scan(rs, d):
         raise AssertionError("scanned before the work-cap check")

@@ -123,6 +123,23 @@ def test_modular_reduction_matches_polynomial_oracle(p, k):
         assert ff._poly_mulmod(b, c, mod, p) == want + [0] * (k - len(want))
 
 
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from([2, 3, 7]), data=st.data())
+def test_poly_gcd_matches_euclid_on_oracle_remainders(p, data):
+    def trim(f):
+        return f[:max((i + 1 for i, c in enumerate(f) if c), default=0)]
+
+    def monic(f):
+        return [c * pow(f[-1], -1, p) % p for c in f] if f else []
+
+    polys = st.lists(st.integers(0, p - 1), max_size=8)
+    a, b = data.draw(polys), data.draw(polys)
+    x, y = trim(a), trim(b)
+    while y:
+        x, y = y, oracles.poly_rem(x, monic(y), p)
+    assert monic(ff._poly_gcd(a, b, p)) == monic(x)
+
+
 @pytest.mark.parametrize("p,k", SMALL_FIELDS)
 def test_field_axioms_on_random_samples(p, k):
     F = ff.field_create(p, k)
@@ -512,15 +529,6 @@ def test_matrix_key_distinguishes_entries_and_shape():
     b = ff.Matrix.from_rows(F, [[1, 2], [3, 4]])
     c = ff.Matrix.from_rows(F, [[1, 2], [3, 0]])
     assert a.key() == b.key() != c.key()
-
-
-def test_projective_key_is_the_entry_tuple_scaled_to_a_leading_one():
-    F = ff.field_create(7)
-    a = ff.Matrix.from_rows(F, [[0, 3], [5, 1]])
-    assert a.projective_key() == (0, 1, 4, 5)  # times 3^-1 = 5
-    assert a.scale(2).projective_key() == a.projective_key()
-    with pytest.raises(ZeroDivisionError):
-        ff.Matrix.zero(F, 2, 2).projective_key()
 
 
 def test_embedding_is_an_injective_field_homomorphism():

@@ -14,6 +14,10 @@ from rigiditylab import adjoint, cli, coinv, ff, matgrp, rigidity
 
 TUPLES = pathlib.Path(__file__).with_name("golden") / "tuples"
 
+properties = settings(max_examples=40, deadline=None,
+                      suppress_health_check=[HealthCheck.too_slow,
+                                             HealthCheck.filter_too_much])
+
 
 @pytest.fixture(scope="module")
 def psl27_triple():
@@ -61,42 +65,42 @@ def test_psl27_triple_cocycle_dimensions_pinned(psl27_triple):
     assert (cs.z1_dim, cs.b1_dim, cs.z1_dim - cs.b1_dim) == (4, 3, 1)
 
 
-def test_z1_matches_independent_rank_computation():
-    rng = random.Random(3)
-    for q in (5, 7, 13):
-        F = ff.field_create(q)
-        for _ in range(6):
-            t = oracles.random_sl_tuple(F, 2, 3, rng)
-            cs = rigidity.cocycle_spaces(t)
-            grid = cs.relator_matrix.row_values()
-            cols = cs.relator_matrix.cols
-            assert cs.z1_dim == cols - oracles.rank_mod_p(grid, q)
+def _field(q: int) -> ff.FiniteField:
+    return ff.field_create(*{4: (2, 2), 9: (3, 2)}.get(q, (q, 1)))
 
 
-def test_b1_is_the_whole_tuple_coboundary_rank():
+@properties
+@given(q=st.sampled_from([5, 7, 13]), data=st.data())
+def test_z1_matches_independent_rank_computation(q, data):
+    t = data.draw(oracles.sl_tuples(ff.field_create(q), 2, 3))
+    cs = rigidity.cocycle_spaces(t)
+    grid = cs.relator_matrix.row_values()
+    cols = cs.relator_matrix.cols
+    assert cs.z1_dim == cols - oracles.rank_mod_p(grid, q)
+
+
+@properties
+@given(data=st.data())
+def test_b1_is_the_whole_tuple_coboundary_rank(data):
     F = ff.field_create(5)
     rep = adjoint.adjoint_rep(F, 2)
-    rng = random.Random(5)
-    for _ in range(10):
-        t = oracles.random_sl_tuple(F, 2, 3, rng)
-        cs = rigidity.cocycle_spaces(t)
-        eye = ff.Matrix.identity(F, rep.dim)
-        stacked = []
-        for g in t.generators:
-            ad = rep.ad_matrix(g)
-            stacked += [[F.sub(ad[i, j], int(i == j))
-                         for j in range(rep.dim)] for i in range(rep.dim)]
-        # rank of the stacked (Ad - 1) blocks, transposed into one map
-        cols = [[row[j] for row in stacked] for j in range(rep.dim)]
-        assert cs.b1_dim == ff.rank_of_rows(F, cols)
+    t = data.draw(oracles.sl_tuples(F, 2, 3))
+    cs = rigidity.cocycle_spaces(t)
+    stacked = []
+    for g in t.generators:
+        ad = rep.ad_matrix(g)
+        stacked += [[F.sub(ad[i, j], int(i == j))
+                     for j in range(rep.dim)] for i in range(rep.dim)]
+    # rank of the stacked (Ad - 1) blocks, transposed into one map
+    cols = [[row[j] for row in stacked] for j in range(rep.dim)]
+    assert cs.b1_dim == ff.rank_of_rows(F, cols)
 
 
-def test_cocycles_contain_coboundaries(psl27_triple):
-    rng = random.Random(8)
+@properties
+@given(data=st.data())
+def test_cocycles_contain_coboundaries(psl27_triple, data):
     F = ff.field_create(5)
-    tuples = [psl27_triple] + [oracles.random_sl_tuple(F, 2, 3, rng)
-                               for _ in range(10)]
-    for t in tuples:
+    for t in (psl27_triple, data.draw(oracles.sl_tuples(F, 2, 3))):
         cs = rigidity.cocycle_spaces(t)
         assert 0 <= cs.b1_dim <= cs.z1_dim
 
@@ -115,16 +119,15 @@ def test_tangent_rank_of_trivial_and_cyclic_tuples():
     assert rigidity.tangent_product_rank(pair) == 2
 
 
-def test_tangent_rank_equals_span_dim():
-    rng = random.Random(12)
-    for q, n in [(4, 2), (5, 2), (7, 2), (9, 2), (13, 2), (2, 3), (5, 3)]:
-        p = {4: 2, 9: 3}.get(q, q)
-        k = {4: 2, 9: 2}.get(q, 1)
-        F = ff.field_create(p, k)
-        for _ in range(8):
-            t = oracles.random_sl_tuple(F, n, rng.randrange(2, 5), rng)
-            assert rigidity.tangent_product_rank(t) == \
-                coinv.coinvariant_dim(t).span_dim
+@properties
+@given(qn=st.sampled_from([(4, 2), (5, 2), (7, 2), (9, 2), (13, 2), (2, 3),
+                           (5, 3)]),
+       length=st.integers(2, 4), data=st.data())
+def test_tangent_rank_equals_span_dim(qn, length, data):
+    q, n = qn
+    t = data.draw(oracles.sl_tuples(_field(q), n, length))
+    assert rigidity.tangent_product_rank(t) == \
+        coinv.coinvariant_dim(t).span_dim
 
 
 @settings(max_examples=40, deadline=None,
@@ -347,17 +350,15 @@ def test_hypothesis_failed_for_identity_padding():
     assert report.verdict == rigidity.VERDICT_HYPOTHESIS_FAILED
 
 
-def test_report_is_conjugation_invariant():
+@properties
+@given(data=st.data())
+def test_report_is_conjugation_invariant(data):
     F = ff.field_create(5)
-    rng = random.Random(18)
-    for _ in range(6):
-        t = oracles.random_sl_tuple(F, 2, 3, rng)
-        h = oracles.random_sl_matrix(F, 2, rng)
-        conj = matgrp.group_tuple([h @ g @ h.inverse() for g in t.generators],
-                                  t.declared_orders)
-        a = rigidity.rigidity_verdict(t)
-        b = rigidity.rigidity_verdict(conj)
-        assert a == b
+    t = data.draw(oracles.sl_tuples(F, 2, 3))
+    h = data.draw(oracles.sl_matrices(F, 2))
+    conj = matgrp.group_tuple([h @ g @ h.inverse() for g in t.generators],
+                              t.declared_orders)
+    assert rigidity.rigidity_verdict(t) == rigidity.rigidity_verdict(conj)
 
 
 def test_declared_order_mismatch_is_flagged_not_fatal():
@@ -376,18 +377,14 @@ def test_irreducibility_modes(psl27_triple):
         rigidity.rigidity_verdict(psl27_triple, irreducibility="maybe")
 
 
-def test_h1_dim_nonnegative_across_random_tuples():
-    rng = random.Random(20)
-    for q in (4, 5, 7, 9):
-        p = {4: 2, 9: 3}.get(q, q)
-        k = {4: 2, 9: 2}.get(q, 1)
-        F = ff.field_create(p, k)
-        for _ in range(6):
-            t = oracles.random_sl_tuple(F, 2, 3, rng)
-            report = rigidity.rigidity_verdict(t)
-            assert report.h1_dim >= 0
-            assert report.sum_class_dims == report.df_rank + report.b1_dim \
-                + report.h1_dim
+@properties
+@given(q=st.sampled_from([4, 5, 7, 9]), data=st.data())
+def test_h1_dim_nonnegative_across_random_tuples(q, data):
+    t = data.draw(oracles.sl_tuples(_field(q), 2, 3))
+    report = rigidity.rigidity_verdict(t)
+    assert report.h1_dim >= 0
+    assert report.sum_class_dims == report.df_rank + report.b1_dim \
+        + report.h1_dim
 
 
 def test_report_to_json_is_plain_data(psl27_triple):

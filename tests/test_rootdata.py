@@ -37,6 +37,18 @@ def test_unknown_or_undersized_systems_rejected(letter, rank):
         rootdata.build(letter, rank)
 
 
+@pytest.mark.parametrize("letter,rank", [("A", 20), ("B", 9), ("D", 12),
+                                         ("E", 8)])
+def test_build_charges_the_cartan_matrix_and_the_root_pairings(
+        letter, rank, monkeypatch):
+    cost = rank * rank + rank * oracles.classical_positive_count(letter, rank)
+    assert rootdata.build(letter, rank, cost).rank == rank
+    # refused before any of it is built
+    monkeypatch.setattr(rootdata, "_cartan_matrix", None)
+    with pytest.raises(WorkCapExceeded):
+        rootdata.build(letter, rank, cost - 1)
+
+
 def test_b2_and_g2_root_sets_pinned():
     assert set(rootdata.build("B", 2).positive_roots) == oracles.B2_POSITIVE
     assert set(rootdata.build("G", 2).positive_roots) == oracles.G2_POSITIVE
