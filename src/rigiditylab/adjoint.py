@@ -4,7 +4,8 @@ The basis is fixed once per (field, n): the off-diagonal units E_ij in
 row-major order, then the diagonal differences E_ii - E_(i+1)(i+1).  The
 matrix of Ad(g): X -> g X g^(-1) in this basis drives every dimension
 computed downstream, so entries are exact field elements and results are
-cached per group element, keyed by its entries.
+cached per group element, keyed by its entries, for the last
+``_AD_CACHE_SIZE`` elements used.
 Each column is read off the entries of g and g^(-1), with no matrix
 product: (g E_ij g^(-1))[k, l] = g[k, i] g^(-1)[j, l].  The norm
 sum_{t<a} Ad(g)^t of a power relator comes from the minimal polynomial of
@@ -21,6 +22,7 @@ power.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from functools import lru_cache
 from itertools import accumulate
 from operator import itemgetter
@@ -29,6 +31,10 @@ from typing import Sequence
 from .errors import InputError
 from .ff import Echelon, FiniteField, Matrix, _power, kernel_dim
 from .matgrp import element_order
+
+# Ad matrices kept per AdjointRep, least recently used dropped first; a
+# verdict builds a few, and 39 verdicts over five groups built 161
+_AD_CACHE_SIZE = 1024
 
 
 class AdjointRep:
@@ -40,7 +46,7 @@ class AdjointRep:
         self.field = field
         self.n = n
         self.dim = n * n - 1
-        self._cache: dict[tuple, Matrix] = {}
+        self._cache: OrderedDict[tuple, Matrix] = OrderedDict()
         nn = n * n
         self._pick_off = itemgetter(*[t for t in range(nn) if t % (n + 1)])
         # entry ((k, i), (j, l)) of an n^2 x n^2 product, moved to row
@@ -111,6 +117,7 @@ class AdjointRep:
         # only invertible matrices are cached, so a hit needs no determinant
         hit = self._cache.get(g.vals)
         if hit is not None:
+            self._cache.move_to_end(g.vals)
             return hit
         try:
             ginv = g.inverse()
@@ -121,6 +128,8 @@ class AdjointRep:
         out = self._matrix_of([x for u in g.vals
                                for x in f.scale(u, ginv.vals)])
         self._cache[g.vals] = out
+        if len(self._cache) > _AD_CACHE_SIZE:
+            self._cache.popitem(last=False)
         return out
 
     def norm(self, g: Matrix, a: int) -> Matrix:

@@ -25,8 +25,9 @@ product that builds the tables and searches for the modulus.
 A Matrix holds its entries as one tuple of packed ints, row major, in
 ``vals``; ``m[i, j]``, ``trace`` and ``det`` return packed ints too.  Its
 constructor takes packed entries unchecked; ``from_rows`` packs ints or
-coefficient lists.  A product is one fused dot product per entry, or for a
-tall left factor (a stacked BFS level) one running sum per column.
+coefficient lists.  A product over an extension field, and over F_p with a
+tall left factor (a stacked BFS level), is one running sum per column;
+other prime-field products are one fused integer dot product per entry.
 
 Everything here is immutable after construction.
 """
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache, reduce
-from operator import add, matmul, mul, xor
+from operator import matmul, mul, xor
 from typing import Iterable, Sequence
 
 from .errors import InputError
@@ -286,13 +287,8 @@ class FiniteField:
         if self.k == 1:
             p = self.p
             return [(x + c * y) % p for x, y in zip(xs, ys)]
-        return list(map(self._adder(), xs, self.scale(c, ys)))
-
-    def _adder(self):
-        """The fastest two-argument packed addition of an extension field."""
-        if self.p == 2:
-            return xor
-        return self._zech_add or self.add
+        plus = xor if self.p == 2 else self._zech_add or self.add
+        return list(map(plus, xs, self.scale(c, ys)))
 
     # -- polynomial product and tables ------------------------------------------
 
@@ -465,39 +461,31 @@ class Matrix:
         return self._add_scaled(self.field.neg(1), other, "subtraction")
 
     def __matmul__(self, other: Matrix) -> Matrix:
-        """A tall left factor (8 rows per column or more) and any field
-        past the tables build each column as a running ``add_scaled`` of
-        the left factor's columns.  Otherwise each entry is one fused dot
-        product: an integer sum reduced mod p over prime fields; over
-        table fields the terms come from the antilog table, indexed by
-        sums of logs, and are folded by XOR (p = 2) or Zech addition.
-        From 8 rows per column on, the column form measured at least as
-        fast for every inner dimension up to 4, over prime and table
-        fields; squares are up to 2.4 times as fast entry by entry
-        (``matmul_crossover`` in BENCH_17.json)."""
+        """Over an extension field, and over F_p for a tall left factor (8
+        rows per column or more), each column of the product is a running
+        ``add_scaled`` of the left factor's columns.  Other prime-field
+        products take one fused dot product per entry, an integer sum
+        reduced mod p.
+
+        ``matmul_crossover`` in BENCH_17.json times both forms.  Over F8
+        and F9 the column form is 1.04 to 5.1 times as fast from 2 rows
+        per column on; at one row per column it is 0.83 to 1.22 times as
+        fast for squares with r <= 4, and 0.71 to 0.85 for the norm's
+        m x m by m x n^2 products (m, n = 3, 4).  Over F13 it is at least as fast from 8
+        rows per column on for every inner dimension up to 4, while
+        squares are up to 2.4 times as fast entry by entry."""
         self._check_same(other)
         if self.cols != other.rows:
             raise InputError("matrix shape mismatch in product")
         f = self.field
         r, m = self.cols, other.cols
-        a, b = self.vals, other.vals
-        if self.rows >= 8 * r or f.k > 1 and f._exp is None:
+        if f.k > 1 or self.rows >= 8 * r:
             return self._by_columns(other)
+        a, b, p = self.vals, other.vals, f.p
         rows = [a[i * r:(i + 1) * r] for i in range(self.rows)]
         cols = [b[j::m] for j in range(m)]
-        if f.k == 1:
-            p = f.p
-            vals = [sum(map(mul, row, col)) % p
-                    for row in rows for col in cols]
-        else:
-            log = f._log
-            term = f._exp.__getitem__
-            plus = f._adder()
-            rows = [[log[x] for x in row] for row in rows]
-            cols = [[log[x] for x in col] for col in cols]
-            vals = [reduce(plus, map(term, map(add, row, col)), 0)
-                    for row in rows for col in cols]
-        return Matrix(f, self.rows, m, vals)
+        return Matrix(f, self.rows, m, [sum(map(mul, row, col)) % p
+                                        for row in rows for col in cols])
 
     __mul__ = __matmul__
 

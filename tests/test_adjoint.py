@@ -175,6 +175,26 @@ def test_ad_matrix_cache_hit_runs_no_elimination(f7, monkeypatch):
     assert len(eliminations) == 1
 
 
+def test_ad_matrix_cache_is_bounded(monkeypatch):
+    # the 11^3 upper unitriangular matrices of SL3(11), more than the bound
+    f11 = ff.field_create(11)
+    rep = adjoint.AdjointRep(f11, 3)
+    bound = adjoint._AD_CACHE_SIZE
+    assert 11 ** 3 > bound
+    for a in range(11):
+        for b in range(11):
+            for c in range(11):
+                g = ff.Matrix(f11, 3, 3, [1, a, b, 0, 1, c, 0, 0, 1])
+                rep.ad_matrix(g)
+                assert len(rep._cache) <= bound
+    assert len(rep._cache) == bound
+    eliminations = []
+    monkeypatch.setattr(ff.Echelon, "__init__",
+                        lambda self, *args: eliminations.append(args))
+    rep.ad_matrix(g)
+    assert eliminations == []
+
+
 # ---------------------------------------------------------------------------
 # the norm sum_{t<a} Ad(c)^t of a power relator
 # ---------------------------------------------------------------------------

@@ -275,15 +275,36 @@ def matrices(draw, field, rows: int, cols: int):
 @given(data=st.data())
 def test_products_on_both_sides_of_the_tall_switch_match_the_oracle(
         p, k, data):
-    # 8 r rows times an r-row factor is summed by columns, 8 r - 1 rows
-    # entry by entry
+    # over F_p, 8 r rows times an r-row factor is summed by columns and
+    # fewer rows entry by entry; extension fields always sum columns
     F = ff.field_create(p, k)
     r = data.draw(st.integers(1, 4))
-    rows = data.draw(st.sampled_from([8 * r - 1, 8 * r]))
+    rows = data.draw(st.sampled_from([r, 2 * r, 8 * r - 1, 8 * r]))
     m = data.draw(st.integers(1, 4))
     a = data.draw(matrices(F, rows, r))
     b = data.draw(matrices(F, r, m))
     assert a @ b == oracles.matmul_entrywise(a, b)
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (257, 2), (13, 1)])
+def test_extension_fields_and_tall_prime_products_sum_columns(
+        p, k, monkeypatch):
+    F = ff.field_create(p, k)
+    calls = []
+    original = ff.Matrix._by_columns
+
+    def counted(self, other):
+        calls.append(self.rows)
+        return original(self, other)
+
+    monkeypatch.setattr(ff.Matrix, "_by_columns", counted)
+    rng = random.Random(p * 100 + k)
+    for r in (1, 2, 3, 4):
+        for rows in (r, 2 * r, 8 * r - 1, 8 * r):
+            random_matrix(F, rows, r, rng) @ random_matrix(F, r, 3, rng)
+            column_form = k > 1 or rows >= 8 * r
+            assert calls == ([rows] if column_form else []), (r, rows)
+            calls.clear()
 
 
 @pytest.mark.parametrize("p,k", MATMUL_FIELDS)
