@@ -15,9 +15,13 @@ the packed-integer matrix core and the norm by doubling replaced them;
 field elements have since become plain packed ints everywhere.  Those
 tuples also round-trip through the wire format unchanged, which pins the
 packed parsing and printing of coefficient lists (k = 2 in ``sl3_f9``).
-Regenerate them only for a deliberate output change::
+``sl2_17_339_linear``, ``sl2_8_237_linear`` and ``psl3_4_255`` were
+produced by the closure that multiplied stacked matrix levels, before the
+closure moved to permutations of projective points.  Regenerate a file
+only for a deliberate output change, naming its case (with no names, every
+file is written)::
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py NAME ...
 """
 
 import io
@@ -48,6 +52,15 @@ CASES = {
     "psl2_5_2223": (*_CENSUS, "--rank", "1", "--q", "5",
                     "--signature", "2,2,2,3"),
     "psl3_2_237": (*_CENSUS, "--rank", "2", "--q", "2", "--signature", "2,3,7"),
+    # SL2(17): a linear table with a centre, whose 288 nonzero vectors do
+    # not fit a byte
+    "sl2_17_339_linear": (*_CENSUS, "--rank", "1", "--q", "17",
+                          "--signature", "3,3,9", "--no-projective"),
+    # SL2(8) linear: gcd(2, 7) = 1, so the table continues the projective
+    # closure of the pair search
+    "sl2_8_237_linear": (*_CENSUS, "--rank", "1", "--q", "8",
+                         "--signature", "2,3,7", "--no-projective"),
+    "psl3_4_255": (*_CENSUS, "--rank", "2", "--q", "4", "--signature", "2,5,5"),
 }
 
 ROOTDATA_CASES = {
@@ -127,7 +140,10 @@ def test_workers_flag_is_accepted_and_changes_no_byte():
 
 
 if __name__ == "__main__":
+    unknown = sorted(set(sys.argv[1:]) - set(ALL_CASES))
+    if unknown:
+        sys.exit(f"unknown golden cases: {', '.join(unknown)}")
     GOLDEN.mkdir(exist_ok=True)
-    for case in sorted(ALL_CASES):
+    for case in sorted(sys.argv[1:] or ALL_CASES):
         _path(case).write_text(_stdout(ALL_CASES[case]), encoding="utf-8")
         print(f"wrote {_path(case)}", file=sys.stderr)
