@@ -10,9 +10,10 @@ never enumerated.
 
 Every group operation here is an index lookup on the table: ``mul`` and
 ``inv`` follow the table's shortest words over its generators through the
-right-multiplication permutations recorded by the closure, so the census
-multiplies no matrices.  Element orders are computed once per conjugacy
-class, since order is a class function.
+right-multiplication permutations recorded by the closure.  The census
+multiplies matrices only to rebuild each entry's witness from its BFS
+path (``FiniteGroupTable.matrix``).  Element orders are computed once per
+conjugacy class, since order is a class function.
 
 Generation is decided once per C(x_1)-orbit.  Conjugating a tuple by an
 element of the centralizer of x_1 keeps x_1, the orders, the product and
@@ -223,7 +224,7 @@ def census(table: FiniteGroupTable, signature: tuple[int, ...],
     for cls in sorted(cells):
         hom, epi, wit_hom, wit_epi = cells[cls]
         wit_idx = wit_epi if wit_epi is not None else wit_hom
-        witness = tuple(table.mats[i] for i in wit_idx)
+        witness = tuple(map(table.matrix, wit_idx))
         entries.append(CensusEntry(
             classes=cls, hom_count=hom, epi_count=epi,
             witness=witness, witness_is_epi=wit_epi is not None,

@@ -25,9 +25,9 @@ product that builds the tables and searches for the modulus.
 A Matrix holds its entries as one tuple of packed ints, row major, in
 ``vals``; ``m[i, j]``, ``trace`` and ``det`` return packed ints too.  Its
 constructor takes packed entries unchecked; ``from_rows`` packs ints or
-coefficient lists.  A product over an extension field, and over F_p with a
-tall left factor (a stacked BFS level), is one running sum per column;
-other prime-field products are one fused integer dot product per entry.
+coefficient lists.  A product over an extension field is one running sum
+per column; a prime-field product is one fused integer dot product per
+entry.
 
 Everything here is immutable after construction.
 """
@@ -461,25 +461,24 @@ class Matrix:
         return self._add_scaled(self.field.neg(1), other, "subtraction")
 
     def __matmul__(self, other: Matrix) -> Matrix:
-        """Over an extension field, and over F_p for a tall left factor (8
-        rows per column or more), each column of the product is a running
-        ``add_scaled`` of the left factor's columns.  Other prime-field
-        products take one fused dot product per entry, an integer sum
-        reduced mod p.
+        """Over an extension field each column of the product is a running
+        ``add_scaled`` of the left factor's columns.  Prime-field products
+        take one fused dot product per entry, an integer sum reduced mod p.
 
         ``matmul_crossover`` in BENCH_17.json times both forms.  Over F8
         and F9 the column form is 1.04 to 5.1 times as fast from 2 rows
         per column on; at one row per column it is 0.83 to 1.22 times as
         fast for squares with r <= 4, and 0.71 to 0.85 for the norm's
-        m x m by m x n^2 products (m, n = 3, 4).  Over F13 it is at least as fast from 8
-        rows per column on for every inner dimension up to 4, while
-        squares are up to 2.4 times as fast entry by entry."""
+        m x m by m x n^2 products (m, n = 3, 4).  Over F13 squares are up
+        to 2.4 times as fast entry by entry, and the column form pays
+        only from 8 rows per column on, which the group closure no longer
+        makes: it stacks no matrices."""
         self._check_same(other)
         if self.cols != other.rows:
             raise InputError("matrix shape mismatch in product")
         f = self.field
         r, m = self.cols, other.cols
-        if f.k > 1 or self.rows >= 8 * r:
+        if f.k > 1:
             return self._by_columns(other)
         a, b, p = self.vals, other.vals, f.p
         rows = [a[i * r:(i + 1) * r] for i in range(self.rows)]

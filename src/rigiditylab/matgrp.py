@@ -13,16 +13,18 @@ the caller supplies: in the verdict, a tuple's declared order, which
 ``group_tuple`` has checked.  The element order is the projective order
 times the order of the scalar it reaches, one power more.
 
-Group tables index elements by a canonical key.  Working projectively, the
-key is the entry tuple after scaling the first nonzero entry to 1, so a
-table element stands for a full scalar class while its stored matrix stays
-an honest determinant-one representative.  Matrix products happen only
-during a closure, linear or projective, which multiplies each BFS level
-by each generator in one stacked product, keys the level's products in one
-batch, and records right multiplication by each generator as a permutation
-of the indices; products, inverses, element orders and conjugacy classes
-in the table are then index lookups along shortest words in the
-generators.  ``generating_pair`` decides generation with projective
+A closure, linear or projective, holds each element as the permutation it
+induces on the points of P^(n-1) reached from a projective frame, one byte
+per point, so a product by a generator is one ``bytes.translate``; the
+permutation is the projective key, and with the scalar on e_1 it is the
+linear one (Á. Seress, *Permutation Group Algorithms*, CUP 2003, ch. 4,
+for groups as permutations).  A frame orbit of more than 256 points is
+refused with :class:`InputError` before any element is added.  It records
+right multiplication by each generator as a permutation of the indices,
+and each element's BFS parent, so a table rebuilds a matrix only when
+asked (a census, for its witnesses).  Products, inverses, element orders
+and conjugacy classes in the table are index lookups along shortest words
+in the generators.  ``generating_pair`` decides generation with projective
 closures capped at half of PSL_n(q), and a census continues the winner's
 closure from where the cap stopped it (unless it closes SL_n(q) with
 nontrivial scalars), so no element of the census table is multiplied by a
@@ -279,12 +281,13 @@ class FiniteGroupTable:
 
     Elements are indexed densely in breadth-first discovery order starting
     from the identity (index 0).  With ``projective=True`` two matrices
-    differing by a scalar share one index; the stored representative is the
-    first determinant-one matrix reached for that scalar class.
+    differing by a scalar share one index.
 
-    No matrix is multiplied after the closure.  The closure expands every
-    element once by each generator and keeps the products as index
-    permutations, ``right[k][i] = index(mats[i] @ generators[k])``.  The
+    The table keeps no matrices.  The closure expands every element once by
+    each generator and keeps the products as index permutations,
+    ``right[k][i] = index(matrix(i) @ generators[k])``, and each element's
+    BFS parent, from which ``matrix(i)`` rebuilds the first product that
+    reached i (a determinant-one representative, projectively too).  The
     first ``mul`` or ``inv`` call searches the Cayley graph on the
     generators and their inverses breadth-first, which gives every element
     a shortest word; a word is held as the tuple of its letters'
@@ -293,21 +296,30 @@ class FiniteGroupTable:
     for their size never pay for the words.
     """
 
-    def __init__(self, generators: Sequence[Matrix], mats: list[Matrix],
-                 right: tuple[list[int], ...], projective: bool):
-        self.generators = tuple(generators)
-        self.field = generators[0].field
-        self.n = generators[0].rows
+    def __init__(self, closure: _Closure, projective: bool):
+        self.generators = closure.gens
+        self.field = closure.gens[0].field
+        self.n = closure.gens[0].rows
         self.projective = projective
-        self.mats = mats
-        self.right = right
+        self.right = closure.right
+        self._parent = closure.parent
         self._words: list[tuple[list[int], ...]] | None = None
         self._inverses: list[int] | None = None
         self._classes: tuple[tuple[int, ...], ...] | None = None
 
     @property
     def size(self) -> int:
-        return len(self.mats)
+        return len(self._parent)
+
+    def matrix(self, i: int) -> Matrix:
+        """Element i, as the product of the generators on its BFS path."""
+        m = Matrix.identity(self.field, self.n)
+        while i:
+            p = self._parent[i]
+            # the first generator taking the parent to i is the one that did
+            m = self.generators[[perm[p] for perm in self.right].index(i)] @ m
+            i = p
+        return m
 
     # -- arithmetic by index lookups ----------------------------------------
 
@@ -321,16 +333,13 @@ class FiniteGroupTable:
             letters += [perm, back]
         spelled: list[tuple[int, ...] | None] = [None] * self.size
         spelled[0] = ()
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for i in frontier:
-                for letter, perm in enumerate(letters):
-                    j = perm[i]
-                    if spelled[j] is None:
-                        spelled[j] = (*spelled[i], letter)
-                        nxt.append(j)
-            frontier = nxt
+        queue = [0]
+        for i in queue:  # grows as new elements are spelled
+            for letter, perm in enumerate(letters):
+                j = perm[i]
+                if spelled[j] is None:
+                    spelled[j] = (*spelled[i], letter)
+                    queue.append(j)
         inverses = []
         for word in spelled:
             x = 0
@@ -381,18 +390,15 @@ class FiniteGroupTable:
         for start in range(self.size):
             if seen[start]:
                 continue
-            orbit = {start}
-            stack = [start]
+            orbit = [start]
             seen[start] = True
-            while stack:
-                x = stack.pop()
+            for x in orbit:  # grows as new conjugates are found
                 for perm in self.right:
                     # g^-1 x g = inv(inv(x g) g)
                     y = inverses[perm[inverses[perm[x]]]]
                     if not seen[y]:
                         seen[y] = True
-                        orbit.add(y)
-                        stack.append(y)
+                        orbit.append(y)
             classes.append(tuple(sorted(orbit)))
         self._classes = tuple(classes)
         return self._classes
@@ -409,23 +415,25 @@ class FiniteGroupTable:
 class _Closure:
     """A breadth-first closure that can stop at a cap and go on later.
 
-    Its state is the table built so far: ``mats``, the key-to-index dict,
-    and the permutations ``right``, which fill in (element, generator)
-    order, so their lengths tell which product comes next.  Each BFS level
-    is multiplied at once: the level ``mats[start:stop]``, stacked as one
-    (B n) x n matrix, times each generator, one ``Matrix @`` per generator.
-    Each such product is keyed in one batch by columns (``_keyed``) and
-    then indexed one element at a time; a ``Matrix`` is sliced out only for
-    a new element.  The level's products and keys stay until they are
-    indexed, so a closure stopped by its cap and run again with a larger
-    one multiplies no element by a generator twice.
+    An element is held as the permutation it induces on the points of
+    P^(n-1) (vectors whose first nonzero entry is 1) reached from the
+    frame <e_1>, ..., <e_n>, <e_1 + ... + e_n>, one byte per point.  Only
+    scalars fix every frame point, so projectively the permutation is the
+    element's key; linearly the key is (permutation, c), where
+    e_1 g = c <e_1 g>, which tells the scalar multiples apart.  The
+    product by generator k is ``x.translate(tables[k])``, and its c is c_x
+    times the scalar that generator k puts on the point <e_1 x>.
+
+    The state is the list of keys ``elts``, the key-to-index dict, the
+    permutations ``right``, which fill in (element, generator) order, so
+    their lengths tell which product comes next, and each element's BFS
+    ``parent`` (0 for the identity).
     """
 
     def __init__(self, gens: Sequence[Matrix], projective: bool):
         if not gens:
             raise InputError("group closure needs at least one generator")
-        field = gens[0].field
-        n = gens[0].rows
+        field, n = gens[0].field, gens[0].rows
         for g in gens:
             if g.field != field or g.rows != n or g.cols != n:
                 raise InputError(
@@ -434,65 +442,59 @@ class _Closure:
                 raise InputError("closure generator is not invertible")
         self.gens = tuple(gens)
         self.projective = projective
-        ident = Matrix.identity(field, n)
-        self.mats = [ident]
-        self.index = {ident.vals: 0}
+        frame = [*map(tuple, Matrix.identity(field, n).row_values()), (1,) * n]
+        points = list(dict.fromkeys(frame))  # e_1 + ... + e_n = e_1 at n = 1
+        where = {v: i for i, v in enumerate(points)}
+        images = tuple([] for _ in gens)
+        self.scalars = tuple([] for _ in gens)
+        for v in points:  # grows as new points are reached
+            for g, image, scalars in zip(gens, images, self.scalars):
+                w = (Matrix(field, 1, n, v) @ g).vals
+                lead = next(filter(None, w))
+                w = tuple(field.scale(field.inv(lead), w))
+                image.append(where.setdefault(w, len(points)))
+                if image[-1] == len(points):
+                    points.append(w)
+                scalars.append(lead)
+        if len(points) > 256:
+            raise InputError(f"the generators move the frame of P^{n - 1}"
+                             f"(F_{field.q}) through {len(points)} points, "
+                             f"more than a closure indexes (256)")
+        pad = bytes(range(len(points), 256))
+        self.tables = [bytes(image) + pad for image in images]
+        ident = bytes(range(len(points)))
+        self.elts = [ident if projective else (ident, 1)]
+        self.index = {self.elts[0]: 0}
         self.right = tuple([] for _ in gens)
-        self.start = self.stop = 0
-        self.level: list[tuple[tuple[int, ...], list[tuple[int, ...]]]] = []
-
-    def _keyed(self, vals: tuple[int, ...]) -> tuple:
-        """A level's products and their keys, all keyed at once by columns:
-        column s holds entry s of every product.  Projectively, each
-        product is scaled by the inverse of its first nonzero entry, which
-        lies in the first row of an invertible matrix."""
-        field, n = self.gens[0].field, self.gens[0].rows
-        cols = [vals[s::n * n] for s in range(n * n)]
-        if self.projective:
-            lead = cols[0]
-            for col in cols[1:n]:
-                lead = [x or y for x, y in zip(lead, col)]
-            inv = {x: field.inv(x) for x in set(lead)}
-            invs = [inv[x] for x in lead]
-            cols = [list(map(field.mul, invs, col)) for col in cols]
-        return vals, list(zip(*cols))
+        self.parent = [0]
 
     def run(self, cap: int) -> None:
         """Go on until the table closes, or raise :class:`WorkCapExceeded`
         on element cap + 1 (the state stays as it was at the raise)."""
-        gens, mats, index, right = self.gens, self.mats, self.index, self.right
-        if len(mats) > cap:
+        elts, index, parent = self.elts, self.index, self.parent
+        if len(elts) > cap:
             raise _cap_exceeded(cap)
-        field, n = gens[0].field, gens[0].rows
-        n2 = n * n
-        r = len(gens)
-        # Expanding in index order is breadth-first order: each level is
-        # the run of indices appended while the level before it expanded.
-        while len(right[-1]) < len(mats):
-            i = len(right[-1])
-            if i == self.stop:
-                stack = Matrix(field, (len(mats) - i) * n, n,
-                               itertools.chain.from_iterable(
-                                   m.vals for m in mats[i:]))
-                self.level = [self._keyed((stack @ g).vals) for g in gens]
-                self.start, self.stop = i, len(mats)
-            level, start = self.level, self.start
-            # a raise may have left element i expanded by the first k0 only
-            k0 = sum(len(perm) > i for perm in right)
-            for e in range(i - start, self.stop - start):
-                for k in range(k0, r):
-                    vals, keys = level[k]
-                    kv = keys[e]
-                    j = index.get(kv)
-                    if j is None:
-                        if len(mats) >= cap:
-                            raise _cap_exceeded(cap)
-                        j = index[kv] = len(mats)
-                        mats.append(Matrix(field, n, n,
-                                           vals[e * n2:(e + 1) * n2]))
-                    right[k].append(j)
-                k0 = 0
-        self.level = []  # a search closure lives on in its pair
+        mul = self.gens[0].field.mul
+        linear = not self.projective
+        moves = list(zip(self.tables, self.scalars, self.right))
+        i = len(self.right[-1])
+        # a raise may have left element i expanded by the first k0 only
+        k0 = sum(len(perm) > i for perm in self.right)
+        while i < len(elts):
+            x, c = elts[i] if linear else (elts[i], 1)
+            for table, scalars, perm in moves[k0:]:
+                y = x.translate(table)
+                key = (y, mul(c, scalars[x[0]])) if linear else y
+                j = index.get(key)
+                if j is None:
+                    if len(elts) >= cap:
+                        raise _cap_exceeded(cap)
+                    j = index[key] = len(elts)
+                    elts.append(key)
+                    parent.append(i)
+                perm.append(j)
+            k0 = 0
+            i += 1
 
 
 def _cap_exceeded(cap: int) -> WorkCapExceeded:
@@ -526,8 +528,7 @@ def group_closure(gens: Sequence[Matrix], cap: int,
     else:
         closure = _Closure(gens, projective)
     closure.run(cap)
-    return FiniteGroupTable(closure.gens, closure.mats, closure.right,
-                            projective)
+    return FiniteGroupTable(closure, projective)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,8 @@ checks is the order found by prime division, not the product;
 closure_by_products likewise multiplies one product at a time with the
 package's Matrix product, keys each with its entries or with
 projective_key (one field multiplication per entry, not the package's
-batched keys), and checks the batched closure's bookkeeping.
+point permutations), and checks the closure's indices, its
+right-multiplication permutations and the matrices a table rebuilds.
 norm_by_doubling sums the powers of an Ad matrix by doubling with the
 package's Matrix product; it checks the closed-form norm of the adjoint
 module at orders too large to sum term by term.  frobenius_is_irreducible

@@ -325,7 +325,7 @@ def test_every_noncentral_psl2_element_has_class_dim_two():
     a, b = matgrp.generating_pair(F, 2)
     table = matgrp.group_closure([a, b], cap=10 ** 6)
     rep = adjoint.adjoint_rep(F, 2)
-    for m in table.mats:
+    for m in map(table.matrix, range(table.size)):
         assert rep.class_dim(m) == (0 if m.is_scalar() else 2)
 
 

@@ -85,22 +85,23 @@ def test_census_multiplies_each_element_by_each_generator_once(
             break
         rejected += len(oracles.closure_by_products(list(cand), 10 ** 6,
                                                     True)[0])
-    rows = {}
-    matmul = ff.Matrix.__matmul__
+    made = []
 
-    def counting(a, b):
-        rows[b.key()] = rows.get(b.key(), 0) + a.rows
-        return matmul(a, b)
+    class Tracked(matgrp._Closure):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
 
-    monkeypatch.setattr(ff.Matrix, "__matmul__", counting)
+    monkeypatch.setattr(matgrp, "_Closure", Tracked)
     with contextlib.redirect_stdout(io.StringIO()) as out:
         code = cli.main(["census", "--type", "A", "--rank", "1", "--q",
                          str(q), "--signature", "2,3,7", *flags])
     assert code == 0
     assert json.loads(out.getvalue())["group_size"] == size
-    # n = 2 stacked rows per element
-    assert rows[pair[1].key()] == 2 * size
-    assert sum(rows.values()) == 2 * 2 * (rejected + size)
+    # the winner's closure, continued, holds every product of the table
+    assert len(made[-1].right[1]) == size
+    assert sum(len(perm) for c in made for perm in c.right) \
+        == 2 * (rejected + size)
     assert (rejected > 0) == (q == 8)
 
 
@@ -183,7 +184,8 @@ def test_epi_total_divisible_by_group_order(psl25, psl27):
 def test_witnesses_satisfy_the_relations(psl27):
     res = census.census(psl27, (2, 3, 7))
     F = psl27.field
-    index = {oracles.projective_key(m): i for i, m in enumerate(psl27.mats)}
+    index = {oracles.projective_key(psl27.matrix(i)): i
+             for i in range(psl27.size)}
     for e in res.entries:
         assert len(e.witness) == 3
         prod = ff.Matrix.identity(F, 2)

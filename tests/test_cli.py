@@ -41,7 +41,7 @@ def psl27_triple():
                 continue
             k = table.inv(table.mul(i, j))
             if table.order_of(k) == 7:
-                gens = [table.mats[i], table.mats[j], table.mats[k]]
+                gens = [table.matrix(i), table.matrix(j), table.matrix(k)]
                 if (gens[0] @ gens[1] @ gens[2]).is_identity():
                     return oracles.tuple_from_matrices(gens)
     raise AssertionError("no triple found")
@@ -166,6 +166,18 @@ def test_bad_input_exits_2_with_error_record(capsys):
     record = json.loads(err)
     assert record["error"]["kind"] == "input"
     assert record["error"]["exit_code"] == 2
+
+
+def test_census_past_256_projective_points_exits_2_at_once(capsys):
+    # PSL2(257) is under the default cap, but P^1(F_257) has 258 points,
+    # more than a closure indexes; the first pair candidate refuses it
+    start = time.perf_counter()
+    code, out, err = run(capsys, "census", "--type", "A", "--rank", "1",
+                         "--q", "257", "--signature", "2,3,7")
+    assert time.perf_counter() - start < 2.0
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "input" and "258 points" in error["message"]
 
 
 def test_unreadable_tuple_file_exits_2(capsys, tmp_path):

@@ -194,8 +194,8 @@ def test_subgroup_orders_divide_group_order():
     table = matgrp.group_closure([a, b], cap=10 ** 6)
     rng = random.Random(31)
     for _ in range(8):
-        g = table.mats[rng.randrange(table.size)]
-        h = table.mats[rng.randrange(table.size)]
+        g = table.matrix(rng.randrange(table.size))
+        h = table.matrix(rng.randrange(table.size))
         sub = matgrp.group_closure([g, h], cap=10 ** 6)
         assert table.size % sub.size == 0
 
@@ -223,11 +223,12 @@ def test_projective_table_identifies_scalar_multiples():
     F = field(5)
     a, b = matgrp.generating_pair(F, 2)
     table = matgrp.group_closure([a, b], cap=10 ** 6, projective=True)
-    index = {oracles.projective_key(m): i for i, m in enumerate(table.mats)}
+    index = {oracles.projective_key(table.matrix(i)): i
+             for i in range(table.size)}
     assert len(index) == table.size == matgrp.psl_order(5, 2)
     minus_a = a.scale(4)
     assert minus_a != a
-    assert table.mats[index[oracles.projective_key(minus_a)]] == a
+    assert table.matrix(index[oracles.projective_key(minus_a)]) == a
 
 
 def test_conjugacy_classes_partition_the_group():
@@ -237,7 +238,7 @@ def test_conjugacy_classes_partition_the_group():
     classes = table.conjugacy_classes()
     flat = [i for cls in classes for i in cls]
     assert sorted(flat) == list(range(table.size))
-    assert classes[0] == (0,) and table.mats[0].is_identity()
+    assert classes[0] == (0,) and table.matrix(0).is_identity()
     assert all(table.size % len(cls) == 0 for cls in classes)
     class_map = table.class_of()
     rng = random.Random(17)
@@ -258,7 +259,7 @@ def test_class_sizes_of_psl2_5_pinned():
 
 
 # ---------------------------------------------------------------------------
-# batched closure against the per-product closure
+# the point-permutation closure against the per-product closure
 # ---------------------------------------------------------------------------
 
 def _dicyclic_past_the_tables():
@@ -281,47 +282,50 @@ def _dicyclic_past_the_tables():
 def _closure_gens(case):
     if case == "F257^2":
         return _dicyclic_past_the_tables()
+    if case == "scalar_F7":
+        return [oracles.diagonal(field(7), [3, 3])]  # 3 has order 6 mod 7
+    if case == "GL2_F7":
+        # determinants 3 and 6, so the group meets the scalars in more than
+        # SL2(7) does
+        return [ff.Matrix.from_rows(field(7), [[3, 1], [0, 1]]),
+                ff.Matrix.from_rows(field(7), [[0, 1], [1, 1]])]
     q, n = {"F13": (13, 2), "F8": (8, 2), "F9": (9, 2), "SL3_F2": (2, 3)}[case]
     return list(matgrp.generating_pair(field(q), n))
 
 
 def _same_table(table, mats, right):
-    return ([m.key() for m in table.mats] == [m.key() for m in mats]
-            and table.right == right)
+    return ([table.matrix(i).key() for i in range(table.size)]
+            == [m.key() for m in mats] and table.right == right)
 
 
 @pytest.mark.parametrize("projective", [False, True])
-@pytest.mark.parametrize("case", ["F13", "F8", "F9", "SL3_F2", "F257^2"])
+@pytest.mark.parametrize("case", ["F13", "F8", "F9", "SL3_F2", "F257^2",
+                                  "scalar_F7", "GL2_F7"])
 def test_batched_closure_matches_the_per_product_closure(case, projective):
     # F13 is a prime field, F8 adds by XOR, F9 by Zech logarithms, and
-    # F(257^2) multiplies by polynomial arithmetic
+    # F(257^2) multiplies by polynomial arithmetic; the scalar and GL2(7)
+    # cases have scalars that only the linear key tells apart
     gens = _closure_gens(case)
     mats, right = oracles.closure_by_products(gens, 10 ** 6, projective)
     table = matgrp.group_closure(gens, cap=10 ** 6, projective=projective)
     assert _same_table(table, mats, right)
-    if case == "F257^2":
-        assert table.size == (16 if projective else 32)
+    sizes = {"F257^2": (32, 16), "scalar_F7": (6, 1),
+             "GL2_F7": (6 * matgrp.sl_order(7, 2), matgrp.sl_order(7, 2))}
+    if case in sizes:
+        assert table.size == sizes[case][projective]
 
 
-@pytest.mark.parametrize("projective", [False, True])
-@pytest.mark.parametrize("q, n", [(13, 2), (8, 2), (9, 2), (257 ** 2, 2),
-                                  (9, 3)])
-@settings(max_examples=20, deadline=None)
-@given(data=st.data())
-def test_level_keys_are_the_keys_of_each_product(q, n, projective, data):
-    # a level's keys, made by columns in one batch, against each product's
-    # own key: its entries, or projectively oracles.projective_key
-    F = field(q)
-    mats = data.draw(st.lists(oracles.sl_matrices(F, n), min_size=1,
-                              max_size=6))
-    # and a cyclic permutation, whose first row leads with n - 1 zeros
-    mats.append(ff.Matrix(F, n, n, [int(j == (i - 1) % n) for i in range(n)
-                                    for j in range(n)]))
-    vals = tuple(x for m in mats for x in m.vals)
-    got, keys = matgrp._Closure(mats[:1], projective)._keyed(vals)
-    assert got == vals
-    assert keys == [oracles.projective_key(m) if projective else m.vals
-                    for m in mats]
+def test_a_frame_orbit_past_256_points_is_refused_before_any_element(
+        monkeypatch):
+    # P^1(F_257) has 258 points, one too many for a byte
+    ran = []
+    monkeypatch.setattr(matgrp._Closure, "run", ran.append)
+    pair = next(matgrp._pair_candidates(field(257), 2))
+    for projective in (False, True):
+        with pytest.raises(InputError, match="258 points"):
+            matgrp.group_closure(list(pair), cap=10 ** 7,
+                                 projective=projective)
+    assert ran == []
 
 
 @pytest.mark.parametrize("projective", [False, True])
@@ -340,16 +344,17 @@ def test_batched_closure_cap_boundary_and_resume(projective):
         for cap in caps:
             with pytest.raises(WorkCapExceeded):
                 closure.run(cap)
-            assert len(closure.mats) == cap
+            assert len(closure.elts) == cap
         closure.run(size)
-        assert _same_table(closure, mats, right)
+        assert _same_table(matgrp.FiniteGroupTable(closure, projective),
+                           mats, right)
 
 
 @pytest.mark.parametrize("q, n", [(7, 2), (8, 2), (9, 2), (2, 3), (3, 3)])
 def test_census_closure_continues_the_winning_search(q, n):
     pair = matgrp.generating_pair(field(q), n)
     half = matgrp.psl_order(q, n) // 2
-    assert len(pair.search.mats) == half
+    assert len(pair.search.elts) == half
     mats, right = oracles.closure_by_products(list(pair), 10 ** 6, True)
     linear = matgrp.group_closure(pair, cap=10 ** 6)
     assert _same_table(linear, *oracles.closure_by_products(list(pair),
@@ -358,7 +363,7 @@ def test_census_closure_continues_the_winning_search(q, n):
     # without scalars besides 1 the linear closure continues the search;
     # otherwise it starts over and leaves the search where it stopped
     scalars = math.gcd(n, q - 1)
-    assert len(pair.search.mats) == (len(mats) if scalars == 1 else half)
+    assert len(pair.search.elts) == (len(mats) if scalars == 1 else half)
     resumed = matgrp.group_closure(pair, cap=10 ** 6, projective=True)
     assert _same_table(resumed, mats, right)
     assert resumed.projective and resumed.generators == tuple(pair)
@@ -380,8 +385,8 @@ def test_table_arithmetic_matches_matrix_arithmetic(q, n, projective):
     F = field(q)
     a, b = matgrp.generating_pair(F, n)
     table = matgrp.group_closure([a, b], cap=10 ** 6, projective=projective)
-    mats = table.mats
     size = table.size
+    mats = [table.matrix(i) for i in range(size)]
     key = oracles.projective_key if projective else ff.Matrix.key
     index = {key(m): i for i, m in enumerate(mats)}
     products = [[index[key(x @ y)] for y in mats] for x in mats]

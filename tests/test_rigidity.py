@@ -34,7 +34,7 @@ def psl27_triple():
             k = table.inv(table.mul(i, j))
             if table.order_of(k) != 7:
                 continue
-            gens = [table.mats[i], table.mats[j], table.mats[k]]
+            gens = [table.matrix(i), table.matrix(j), table.matrix(k)]
             if oracles.subgroup_generated(table, (i, j, k)) == table.size:
                 prod = gens[0] @ gens[1] @ gens[2]
                 if prod.is_identity():
