@@ -17,7 +17,9 @@ tuples also round-trip through the wire format unchanged, which pins the
 packed parsing and printing of coefficient lists (k = 2 in ``sl3_f9``).
 ``sl2_17_339_linear``, ``sl2_8_237_linear`` and ``psl3_4_255`` were
 produced by the closure that multiplied stacked matrix levels, before the
-closure moved to permutations of projective points.  Regenerate a file
+closure moved to permutations of projective points, and ``psl2_41_237``
+by the table that did its arithmetic along shortest words, before
+projective tables computed on their point permutations.  Regenerate a file
 only for a deliberate output change, naming its case (with no names, every
 file is written)::
 
@@ -61,6 +63,10 @@ CASES = {
     "sl2_8_237_linear": (*_CENSUS, "--rank", "1", "--q", "8",
                          "--signature", "2,3,7", "--no-projective"),
     "psl3_4_255": (*_CENSUS, "--rank", "2", "--q", "4", "--signature", "2,5,5"),
+    # PSL2(41): 34,440 elements, many epimorphism tests and centralizer
+    # spreads
+    "psl2_41_237": (*_CENSUS, "--rank", "1", "--q", "41",
+                    "--signature", "2,3,7"),
 }
 
 ROOTDATA_CASES = {
