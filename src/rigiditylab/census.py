@@ -8,18 +8,21 @@ weight, which leaves every count exact while dividing the work by roughly
 the class count.  The last coordinate is solved from the running product,
 never enumerated.
 
-Every group operation here is an index lookup on the table: ``mul`` and
-``inv`` follow the table's shortest words over its generators through the
-right-multiplication permutations recorded by the closure.  The census
-multiplies matrices only to rebuild each entry's witness from its BFS
-path (``FiniteGroupTable.matrix``).  Element orders are computed once per
-conjugacy class, since order is a class function.
+Every group operation here goes through the table: ``mul`` and ``inv``
+act on each element's permutation of projective points when the table
+keeps them (``FiniteGroupTable.perms``), and otherwise follow shortest
+words over the generators through the closure's right-multiplication
+permutations.  The census multiplies matrices only to rebuild each
+entry's witness from its BFS path (``FiniteGroupTable.matrix``).  Element
+orders are computed once per conjugacy class, since order is a class
+function.
 
 Generation is decided once per C(x_1)-orbit.  Conjugating a tuple by an
 element of the centralizer of x_1 keeps x_1, the orders, the product and
 whether the tuple generates, so one epimorphism test (it closes the tuple
-inside the table, stopping as soon as more than half the group is
-reached, which a proper subgroup cannot do) decides the whole orbit, and
+inside the table, on its permutations when the table has them, stopping as
+soon as more than half the group is reached, which a proper subgroup
+cannot do) decides the whole orbit, and
 its verdict, accepted or rejected, is recorded for every member.  The
 centralizer is found by index lookups at the second orbit tested for its
 x_1, and kept for the rest of the census; an x_1 with one orbit to test
@@ -74,15 +77,24 @@ class CensusResult:
 # ---------------------------------------------------------------------------
 
 def _generates(table: FiniteGroupTable, gens_idx: tuple[int, ...]) -> bool:
+    """Whether the elements generate the table's group: closes them, on
+    the table's permutations when it has them (``bytes.translate`` into a
+    set) and by ``table.mul`` otherwise, until more than half the group is
+    reached, which a proper subgroup cannot do."""
+    perms = table.perms
+    if perms is None:
+        start, letters, step = 0, gens_idx, table.mul
+    else:
+        start, step = perms[0], bytes.translate
+        letters = [perms[g] + table.pad for g in gens_idx]
     half = table.size // 2
-    seen = {0}
-    frontier = [0]
-    mul = table.mul
+    seen = {start}
+    frontier = [start]
     while frontier:
         nxt = []
         for i in frontier:
-            for g in gens_idx:
-                j = mul(i, g)
+            for g in letters:
+                j = step(i, g)
                 if j not in seen:
                     seen.add(j)
                     if len(seen) > half:

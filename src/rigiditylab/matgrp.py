@@ -19,16 +19,18 @@ per point, so a product by a generator is one ``bytes.translate``; the
 permutation is the projective key, and with the scalar on e_1 it is the
 linear one (Á. Seress, *Permutation Group Algorithms*, CUP 2003, ch. 4,
 for groups as permutations).  A frame orbit of more than 256 points is
-refused with :class:`InputError` before any element is added.  It records
-right multiplication by each generator as a permutation of the indices,
-and each element's BFS parent, so a table rebuilds a matrix only when
-asked (a census, for its witnesses).  Products, inverses, element orders
-and conjugacy classes in the table are index lookups along shortest words
-in the generators.  ``generating_pair`` decides generation with projective
-closures capped at half of PSL_n(q), and a census continues the winner's
-closure from where the cap stopped it (unless it closes SL_n(q) with
-nontrivial scalars), so no element of the census table is multiplied by a
-generator twice.
+refused with :class:`InputError` at its 257th point, before any element
+is added.  It records right multiplication by each generator as a
+permutation of the indices, and each element's BFS parent, so a table
+rebuilds a matrix only when asked (a census, for its witnesses).  A table
+whose closure is keyed by the permutations alone (a projective one, which
+a linear table continues when 1 is its only scalar) multiplies, inverts
+and takes orders on them; a linear table with a centre does so by index
+lookups along shortest words in the generators.  ``generating_pair``
+decides generation with projective closures capped at half of PSL_n(q),
+and a census continues the winner's closure from where the cap stopped it
+(unless it closes SL_n(q) with nontrivial scalars), so no element of the
+census table is multiplied by a generator twice.
 """
 
 from __future__ import annotations
@@ -287,13 +289,21 @@ class FiniteGroupTable:
     each generator and keeps the products as index permutations,
     ``right[k][i] = index(matrix(i) @ generators[k])``, and each element's
     BFS parent, from which ``matrix(i)`` rebuilds the first product that
-    reached i (a determinant-one representative, projectively too).  The
-    first ``mul`` or ``inv`` call searches the Cayley graph on the
-    generators and their inverses breadth-first, which gives every element
-    a shortest word; a word is held as the tuple of its letters'
-    permutations.  ``mul(i, j)`` applies j's word to i, and ``inv(i)`` is
-    i's reversed inverse word applied to the identity.  Closures built only
-    for their size never pay for the words.
+    reached i (a determinant-one representative, projectively too).
+
+    When the closure keys each element by its permutation of the frame
+    orbit alone (a projective closure, which a linear table continues
+    when it has no scalars but 1), the table keeps those keys as
+    ``perms`` and computes on them: ``mul(i, j)`` is one
+    ``bytes.translate`` and a key lookup, every inverse is made at once by
+    ``bytes.maketrans``, and an order is the lcm of the cycle lengths (the
+    action on the orbit is faithful).  A linear table with a centre keys
+    by (permutation, scalar) instead; ``perms`` is None, and its first
+    ``mul`` or ``inv`` searches the Cayley graph on the generators and
+    their inverses breadth-first, which gives every element a shortest
+    word, held as the tuple of its letters' permutations.  ``mul(i, j)``
+    applies j's word to i, and ``inv(i)`` is i's reversed inverse word
+    applied to the identity.
     """
 
     def __init__(self, closure: _Closure, projective: bool):
@@ -303,6 +313,10 @@ class FiniteGroupTable:
         self.projective = projective
         self.right = closure.right
         self._parent = closure.parent
+        self.perms: list[bytes] | None = None
+        if closure.projective:
+            self.perms, self._index = closure.elts, closure.index
+            self.pad = bytes(range(len(self.perms[0]), 256))
         self._words: list[tuple[list[int], ...]] | None = None
         self._inverses: list[int] | None = None
         self._classes: tuple[tuple[int, ...], ...] | None = None
@@ -321,7 +335,17 @@ class FiniteGroupTable:
             i = p
         return m
 
-    # -- arithmetic by index lookups ----------------------------------------
+    # -- arithmetic ----------------------------------------------------------
+
+    def _build_inverses(self) -> list[int]:
+        perms = self.perms
+        if perms is None:
+            self._build_words()
+        else:
+            ident, index = perms[0], self._index
+            self._inverses = [index[bytes.maketrans(x, ident)[:len(x)]]
+                              for x in perms]
+        return self._inverses
 
     def _build_words(self) -> list[tuple[list[int], ...]]:
         """Shortest words and the inverse of every element."""
@@ -352,24 +376,40 @@ class FiniteGroupTable:
 
     def mul(self, i: int, j: int) -> int:
         words = self._words
-        if words is None:
+        if words is None:  # a table with permutations never spells words
+            perms = self.perms
+            if perms is not None:
+                return self._index[perms[i].translate(perms[j] + self.pad)]
             words = self._build_words()
         for perm in words[j]:
             i = perm[i]
         return i
 
     def inv(self, i: int) -> int:
-        if self._inverses is None:
-            self._build_words()
-        return self._inverses[i]
+        inverses = self._inverses
+        if inverses is None:
+            inverses = self._build_inverses()
+        return inverses[i]
 
     def order_of(self, i: int) -> int:
         """Order of element i in the table's group (projective order when
         the table is projective)."""
-        e, j = 1, i
-        while j != 0:
-            j = self.mul(j, i)
-            e += 1
+        if self.perms is None:
+            e, j = 1, i
+            while j != 0:
+                j = self.mul(j, i)
+                e += 1
+            return e
+        x = self.perms[i]
+        e, seen = 1, bytearray(len(x))
+        for p in range(len(x)):
+            length = 0
+            while not seen[p]:  # the cycle through p, unless already seen
+                seen[p] = 1
+                p = x[p]
+                length += 1
+            if length:
+                e = math.lcm(e, length)
         return e
 
     # -- conjugacy classes ---------------------------------------------------
@@ -382,9 +422,9 @@ class FiniteGroupTable:
         """
         if self._classes is not None:
             return self._classes
-        if self._inverses is None:
-            self._build_words()
         inverses = self._inverses
+        if inverses is None:
+            inverses = self._build_inverses()
         seen = [False] * self.size
         classes = []
         for start in range(self.size):
@@ -454,12 +494,13 @@ class _Closure:
                 w = tuple(field.scale(field.inv(lead), w))
                 image.append(where.setdefault(w, len(points)))
                 if image[-1] == len(points):
+                    if len(points) == 256:  # the walk stops at point 257
+                        raise InputError(
+                            f"the generators move the frame of P^{n - 1}"
+                            f"(F_{field.q}) through more than 256 points, "
+                            "the most a closure indexes")
                     points.append(w)
                 scalars.append(lead)
-        if len(points) > 256:
-            raise InputError(f"the generators move the frame of P^{n - 1}"
-                             f"(F_{field.q}) through {len(points)} points, "
-                             f"more than a closure indexes (256)")
         pad = bytes(range(len(points), 256))
         self.tables = [bytes(image) + pad for image in images]
         ident = bytes(range(len(points)))

@@ -500,6 +500,19 @@ def positive_roots_by_reflection(cartan) -> list[tuple[int, ...]]:
                   key=lambda r: (sum(r), r))
 
 
+def j_type_a(n: int, d: int) -> int:
+    """j_d(A_(n-1)) in closed form.
+
+    A torus element of SL_n whose eigenvalues are d-th roots of unity with
+    multiplicities m_1, ..., m_d has class dimension n^2 - sum m_i^2, the
+    most when the multiplicities are as even as they can be: with
+    n = kd + r, 0 <= r < d, r of them k + 1 and d - r of them k.  For
+    d >= n (k = 0) that is n^2 - n, a regular element.
+    """
+    k, r = divmod(n, d)
+    return n * n - (r * (k + 1) ** 2 + (d - r) * k * k)
+
+
 CARTAN_DETERMINANTS = {
     ("A", 1): 2, ("A", 2): 3, ("A", 3): 4, ("A", 7): 8,
     ("B", 2): 2, ("B", 4): 2, ("C", 3): 2, ("D", 4): 4, ("D", 5): 4,

@@ -44,6 +44,13 @@ def psl29():
 
 
 @pytest.fixture(scope="module")
+def sl25():
+    # linear with a centre: the table walks shortest words
+    return matgrp.group_closure(matgrp.generating_pair(ff.field_create(5), 2),
+                                cap=10 ** 6, projective=False)
+
+
+@pytest.fixture(scope="module")
 def psl213():
     return matgrp.group_closure(matgrp.generating_pair(ff.field_create(13), 2),
                                 cap=10 ** 6, projective=True)
@@ -151,13 +158,14 @@ def test_no_partial_closure_outlives_its_caller(monkeypatch):
 # verdicts come from the orbit cache, but every nontrivial tuple generates;
 # PSL2(5) on (3,3,5) and PSL2(9) on (3,3,4) mix generating and
 # non-generating orbits under one x_1, so a verdict spread to a tuple
-# outside its orbit changes a count
+# outside its orbit changes a count; SL2(5) on (4,6,10) is a linear table
+# with a centre, whose arithmetic walks shortest words
 @pytest.mark.parametrize("group, signature", [
     ("psl25", (2, 3, 5)), ("psl25", (2, 5, 5)), ("psl25", (3, 3, 3)),
     ("psl27", (2, 3, 7)), ("psl28", (2, 3, 7)), ("psl25", (3, 3, 5)),
-    ("psl29", (3, 3, 4)),
+    ("psl29", (3, 3, 4)), ("sl25", (4, 6, 10)),
 ], ids=["signature0", "signature1", "signature2", "psl27-237", "psl28-237",
-        "psl25-335", "psl29-334"])
+        "psl25-335", "psl29-334", "sl25-4610"])
 def test_counts_match_flat_enumeration(request, group, signature):
     table = request.getfixturevalue(group)
     res = census.census(table, signature, epi_test=True)

@@ -177,7 +177,8 @@ def test_census_past_256_projective_points_exits_2_at_once(capsys):
     assert time.perf_counter() - start < 2.0
     assert code == 2 and out == ""
     error = json.loads(err)["error"]
-    assert error["kind"] == "input" and "258 points" in error["message"]
+    assert error["kind"] == "input" and \
+        "more than 256 points" in error["message"]
 
 
 def test_unreadable_tuple_file_exits_2(capsys, tmp_path):

@@ -140,6 +140,12 @@ def test_golden_tuple_round_trips_through_the_wire_format(name):
     assert matgrp.tuple_to_json(matgrp.load_tuple(str(path))) == doc
 
 
+def test_every_golden_file_is_a_case_and_every_case_has_its_file():
+    # tuples/ holds inputs, not outputs
+    files = {path for path in GOLDEN.iterdir() if path.is_file()}
+    assert files == {_path(name) for name in ALL_CASES}
+
+
 def test_workers_flag_is_accepted_and_changes_no_byte():
     argv = (*CASES["psl2_13_237"], "--workers", "2")
     assert _stdout(argv) == _path("psl2_13_237").read_text(encoding="utf-8")

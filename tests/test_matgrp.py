@@ -322,10 +322,28 @@ def test_a_frame_orbit_past_256_points_is_refused_before_any_element(
     monkeypatch.setattr(matgrp._Closure, "run", ran.append)
     pair = next(matgrp._pair_candidates(field(257), 2))
     for projective in (False, True):
-        with pytest.raises(InputError, match="258 points"):
+        with pytest.raises(InputError, match="more than 256 points"):
             matgrp.group_closure(list(pair), cap=10 ** 7,
                                  projective=projective)
     assert ran == []
+
+
+def test_the_frame_orbit_walk_stops_at_its_257th_point(monkeypatch):
+    # P^2(F_211) has 44,733 points; the walk maps each point it reaches
+    # by each generator, one 1 x 3 product apiece, and must stop at the
+    # 257th point instead of listing the orbit
+    products = []
+    matmul = ff.Matrix.__matmul__
+
+    def counted(a, b):
+        products.append(a.rows)
+        return matmul(a, b)
+
+    pair = next(matgrp._pair_candidates(field(211), 3))
+    monkeypatch.setattr(ff.Matrix, "__matmul__", counted)
+    with pytest.raises(InputError, match="more than 256 points"):
+        matgrp.group_closure(list(pair), cap=10, projective=True)
+    assert 0 < len(products) <= 2 * 257 and set(products) == {1}
 
 
 @pytest.mark.parametrize("projective", [False, True])
@@ -378,13 +396,19 @@ def test_census_closure_continues_the_winning_search(q, n):
 # table arithmetic against matrix arithmetic
 # ---------------------------------------------------------------------------
 
+# A table computes on its point permutations, unless it is linear with a
+# centre (SL2(5), SL2(7)): then it walks shortest words.  SL2(8) and
+# SL3(2) linear continue the projective closure of the pair search.
 @pytest.mark.parametrize("q, n, projective", [
-    (5, 2, True), (8, 2, True), (5, 2, False), (2, 3, False),
+    (5, 2, True), (8, 2, True), (5, 2, False), (2, 3, False), (7, 2, False),
+    (8, 2, False),
 ])
 def test_table_arithmetic_matches_matrix_arithmetic(q, n, projective):
     F = field(q)
-    a, b = matgrp.generating_pair(F, n)
-    table = matgrp.group_closure([a, b], cap=10 ** 6, projective=projective)
+    table = matgrp.group_closure(matgrp.generating_pair(F, n), cap=10 ** 6,
+                                 projective=projective)
+    centre = not projective and math.gcd(n, q - 1) > 1
+    assert (table.perms is None) == centre
     size = table.size
     mats = [table.matrix(i) for i in range(size)]
     key = oracles.projective_key if projective else ff.Matrix.key
@@ -396,6 +420,20 @@ def test_table_arithmetic_matches_matrix_arithmetic(q, n, projective):
         assert [table.mul(i, j) for j in range(size)] == products[i]
     assert [table.inv(i) for i in range(size)] == inverses
     assert [table.order_of(i) for i in range(size)] == orders
+
+
+def test_an_order_is_the_lcm_of_unequal_cycle_lengths():
+    # the permutation matrix of (1 2)(3 4 5) moves the frame of P^4(F_2)
+    # in a 2-cycle and a 3-cycle, and no point lies on a 6-cycle
+    rows = [[0] * 5 for _ in range(5)]
+    for i, j in [(0, 1), (1, 0), (2, 3), (3, 4), (4, 2)]:
+        rows[i][j] = 1
+    g = ff.Matrix.from_rows(field(2), rows)
+    table = matgrp.group_closure([g], cap=10, projective=True)
+    assert table.perms is not None
+    assert [table.order_of(i) for i in range(table.size)] == [
+        oracles.order_by_walk(table.matrix(i), True)
+        for i in range(table.size)] == [1, 6, 3, 2, 3, 6]
 
 
 # ---------------------------------------------------------------------------

@@ -162,6 +162,13 @@ def test_j_value_bounded_by_regular_dimension(letter, rank):
         assert rootdata.j_scan(rs, d).j <= ceiling
 
 
+def test_type_a_j_matches_its_closed_form():
+    for n in range(2, 10):
+        rs = rootdata.build("A", n - 1)
+        assert [rootdata.j_scan(rs, d).j for d in range(1, 25)] == [
+            oracles.j_type_a(n, d) for d in range(1, 25)]
+
+
 # Systems checked against the exhaustive scan, each for every d with
 # d^rank * |positive roots| <= ORACLE_EVALS.
 ORACLE_SYSTEMS = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
