@@ -22,11 +22,10 @@ element of the centralizer of x_1 keeps x_1, the orders, the product and
 whether the tuple generates, so one epimorphism test (it closes the tuple
 inside the table, on its permutations when the table has them, stopping as
 soon as more than half the group is reached, which a proper subgroup
-cannot do) decides the whole orbit, and
-its verdict, accepted or rejected, is recorded for every member.  The
-centralizer is found by index lookups at the second orbit tested for its
-x_1, and kept for the rest of the census; an x_1 with one orbit to test
-never computes it.  Every tuple is still classified on its own, so counts
+cannot do) decides the whole orbit, and its verdict, accepted or
+rejected, is recorded for every member.  The centralizer is found by
+``mul`` at the second orbit tested for its x_1, and kept for the rest of
+the census; an x_1 with one orbit to test never computes it.  Every tuple is still classified on its own, so counts
 and witnesses do not depend on which member of an orbit was tested.
 """
 
@@ -134,7 +133,7 @@ def _orbit_generates(table: FiniteGroupTable, idx_tuple: tuple[int, ...],
 
 
 def _centralizer(table: FiniteGroupTable, rep: int) -> list[int]:
-    """The elements that commute with rep, by index lookups."""
+    """The elements that commute with rep, by ``table.mul``."""
     mul = table.mul
     return [c for c in range(table.size) if mul(rep, c) == mul(c, rep)]
 

@@ -338,6 +338,8 @@ class FiniteGroupTable:
     # -- arithmetic ----------------------------------------------------------
 
     def _build_inverses(self) -> list[int]:
+        """The inverse of every element: maketrans(x, identity) is x's
+        inverse padded to a translate table, or else from the words."""
         perms = self.perms
         if perms is None:
             self._build_words()
