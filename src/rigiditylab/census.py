@@ -8,25 +8,25 @@ weight, which leaves every count exact while dividing the work by roughly
 the class count.  The last coordinate is solved from the running product,
 never enumerated.
 
-Every group operation here goes through the table: ``mul`` and ``inv``
-act on each element's permutation of projective points when the table
-keeps them (``FiniteGroupTable.perms``), and otherwise follow shortest
-words over the generators through the closure's right-multiplication
-permutations.  The census multiplies matrices only to rebuild each
-entry's witness from its BFS path (``FiniteGroupTable.matrix``).  Element
-orders are computed once per conjugacy class, since order is a class
-function.
+Every group operation here goes through the table: ``mul``, ``inv`` and
+the epimorphism test ``generates`` act on each element's permutation of
+projective points when the table keeps them, and otherwise follow
+shortest words over the generators through the closure's
+right-multiplication permutations.  The census multiplies matrices only
+to rebuild each entry's witness from its BFS path
+(``FiniteGroupTable.matrix``).  Element orders are computed once per
+conjugacy class, since order is a class function.
 
 Generation is decided once per C(x_1)-orbit.  Conjugating a tuple by an
 element of the centralizer of x_1 keeps x_1, the orders, the product and
 whether the tuple generates, so one epimorphism test (it closes the tuple
-inside the table, on its permutations when the table has them, stopping as
-soon as more than half the group is reached, which a proper subgroup
-cannot do) decides the whole orbit, and its verdict, accepted or
-rejected, is recorded for every member.  The centralizer is found by
-``mul`` at the second orbit tested for its x_1, and kept for the rest of
-the census; an x_1 with one orbit to test never computes it.  Every tuple is still classified on its own, so counts
-and witnesses do not depend on which member of an orbit was tested.
+inside the table, stopping as soon as more than half the group is
+reached, which a proper subgroup cannot do) decides the whole orbit, and
+its verdict, accepted or rejected, is recorded for every member.  The
+centralizer is found by ``mul`` at the second orbit tested for its x_1,
+and kept for the rest of the census; an x_1 with one orbit to test never
+computes it.  Every tuple is still classified on its own, so counts and
+witnesses do not depend on which member of an orbit was tested.
 """
 
 from __future__ import annotations
@@ -75,34 +75,6 @@ class CensusResult:
 # generation tests
 # ---------------------------------------------------------------------------
 
-def _generates(table: FiniteGroupTable, gens_idx: tuple[int, ...]) -> bool:
-    """Whether the elements generate the table's group: closes them, on
-    the table's permutations when it has them (``bytes.translate`` into a
-    set) and by ``table.mul`` otherwise, until more than half the group is
-    reached, which a proper subgroup cannot do."""
-    perms = table.perms
-    if perms is None:
-        start, letters, step = 0, gens_idx, table.mul
-    else:
-        start, step = perms[0], bytes.translate
-        letters = [perms[g] + table.pad for g in gens_idx]
-    half = table.size // 2
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for g in letters:
-                j = step(i, g)
-                if j not in seen:
-                    seen.add(j)
-                    if len(seen) > half:
-                        return True
-                    nxt.append(j)
-        frontier = nxt
-    return len(seen) == table.size
-
-
 def _orbit_generates(table: FiniteGroupTable, idx_tuple: tuple[int, ...],
                      verdicts_by_rep: dict[int, dict],
                      centralizers: dict[int, list[int]]) -> bool:
@@ -124,7 +96,7 @@ def _orbit_generates(table: FiniteGroupTable, idx_tuple: tuple[int, ...],
         (first, verdict), = verdicts.items()
         _spread(table, centralizers[rep], first, verdict, verdicts)
     if middle not in verdicts:
-        verdict = _generates(table, idx_tuple)
+        verdict = table.generates(idx_tuple)
         if rep in centralizers:
             _spread(table, centralizers[rep], middle, verdict, verdicts)
         else:

@@ -25,12 +25,13 @@ permutation of the indices, and each element's BFS parent, so a table
 rebuilds a matrix only when asked (a census, for its witnesses).  A table
 whose closure is keyed by the permutations alone (a projective one, which
 a linear table continues when 1 is its only scalar) multiplies, inverts
-and takes orders on them; a linear table with a centre does so by index
-lookups along shortest words in the generators.  ``generating_pair``
-decides generation with projective closures capped at half of PSL_n(q),
-and a census continues the winner's closure from where the cap stopped it
-(unless it closes SL_n(q) with nontrivial scalars), so no element of the
-census table is multiplied by a generator twice.
+and closes generated subgroups on them; a linear table with a centre
+does so by index lookups along shortest words in the generators.
+``generating_pair`` decides generation with projective closures capped
+at half of PSL_n(q), and a census continues the winner's closure from
+where the cap stopped it (unless it closes SL_n(q) with nontrivial
+scalars), so no element of the census table is multiplied by a generator
+twice.
 """
 
 from __future__ import annotations
@@ -296,14 +297,14 @@ class FiniteGroupTable:
     when it has no scalars but 1), the table keeps those keys as
     ``perms`` and computes on them: ``mul(i, j)`` is one
     ``bytes.translate`` and a key lookup, every inverse is made at once by
-    ``bytes.maketrans``, and an order is the lcm of the cycle lengths (the
-    action on the orbit is faithful).  A linear table with a centre keys
-    by (permutation, scalar) instead; ``perms`` is None, and its first
-    ``mul`` or ``inv`` searches the Cayley graph on the generators and
-    their inverses breadth-first, which gives every element a shortest
-    word, held as the tuple of its letters' permutations.  ``mul(i, j)``
-    applies j's word to i, and ``inv(i)`` is i's reversed inverse word
-    applied to the identity.
+    ``bytes.maketrans``, and ``generates`` closes permutations into a set.
+    A linear table with a centre keys by (permutation, scalar) instead;
+    ``perms`` is None, and its first ``mul`` or ``inv`` searches the
+    Cayley graph on the generators and their inverses breadth-first, which
+    gives every element a shortest word, held as the tuple of its letters'
+    permutations.  ``mul(i, j)`` applies j's word to i, ``inv(i)`` is i's
+    reversed inverse word applied to the identity, and ``generates``
+    closes indices by ``mul``.
     """
 
     def __init__(self, closure: _Closure, projective: bool):
@@ -393,25 +394,40 @@ class FiniteGroupTable:
             inverses = self._build_inverses()
         return inverses[i]
 
+    def generates(self, gens_idx: Sequence[int]) -> bool:
+        """Whether the elements generate the table's group: closes them,
+        by ``bytes.translate`` into a set of permutations when the table
+        keeps them and by ``mul`` otherwise, until more than half the group
+        is reached, which a proper subgroup cannot do."""
+        perms = self.perms
+        if perms is None:
+            start, letters, step = 0, gens_idx, self.mul
+        else:
+            start, step = perms[0], bytes.translate
+            letters = [perms[g] + self.pad for g in gens_idx]
+        half = self.size // 2
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for i in frontier:
+                for g in letters:
+                    j = step(i, g)
+                    if j not in seen:
+                        seen.add(j)
+                        if len(seen) > half:
+                            return True
+                        nxt.append(j)
+            frontier = nxt
+        return len(seen) == self.size
+
     def order_of(self, i: int) -> int:
         """Order of element i in the table's group (projective order when
         the table is projective)."""
-        if self.perms is None:
-            e, j = 1, i
-            while j != 0:
-                j = self.mul(j, i)
-                e += 1
-            return e
-        x = self.perms[i]
-        e, seen = 1, bytearray(len(x))
-        for p in range(len(x)):
-            length = 0
-            while not seen[p]:  # the cycle through p, unless already seen
-                seen[p] = 1
-                p = x[p]
-                length += 1
-            if length:
-                e = math.lcm(e, length)
+        e, j = 1, i
+        while j != 0:
+            j = self.mul(j, i)
+            e += 1
         return e
 
     # -- conjugacy classes ---------------------------------------------------

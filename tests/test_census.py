@@ -271,9 +271,9 @@ def test_generation_is_tested_once_per_centralizer_orbit(monkeypatch,
     # acts freely on the generating tuples: 6552 / 1092 = 6 orbits, so six
     # accepted generation tests, one centralizer, and six verdicts spread
     accepted, centralized, spread = [], [], []
-    generates, centralizer, spread_verdict = (
-        census._generates, census._centralizer, census._spread)
-    monkeypatch.setattr(census, "_generates", lambda t, idx: (
+    generates = matgrp.FiniteGroupTable.generates
+    centralizer, spread_verdict = census._centralizer, census._spread
+    monkeypatch.setattr(matgrp.FiniteGroupTable, "generates", lambda t, idx: (
         generates(t, idx) and not accepted.append(idx)))
     monkeypatch.setattr(census, "_centralizer", lambda t, rep: (
         centralized.append(rep) or centralizer(t, rep)))
@@ -292,10 +292,10 @@ def test_no_centralizer_for_a_single_orbit(monkeypatch):
     table = matgrp.group_closure(matgrp.generating_pair(F, 2),
                                  cap=10 ** 6, projective=True)
     centralized, tested = [], []
-    generates = census._generates
+    generates = matgrp.FiniteGroupTable.generates
     monkeypatch.setattr(census, "_centralizer",
                         lambda *args: centralized.append(args))
-    monkeypatch.setattr(census, "_generates", lambda t, idx: (
+    monkeypatch.setattr(matgrp.FiniteGroupTable, "generates", lambda t, idx: (
         tested.append(idx) or generates(t, idx)))
     res = census.census(table, (2, 3, 7))
     assert res.total_hom == 1 and res.total_epi == 0
@@ -313,8 +313,8 @@ def test_rejected_orbits_are_tested_once(monkeypatch, psl34):
     # PSL3(4) (2,5,5) has thousands of tuples that do not generate; each
     # C(x_1)-orbit, accepted or rejected, gets one generation test
     tested = []
-    generates = census._generates
-    monkeypatch.setattr(census, "_generates", lambda t, idx: (
+    generates = matgrp.FiniteGroupTable.generates
+    monkeypatch.setattr(matgrp.FiniteGroupTable, "generates", lambda t, idx: (
         tested.append(idx) or generates(t, idx)))
     res = census.census(psl34, (2, 5, 5))
     assert len(tested) == 53

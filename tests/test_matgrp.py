@@ -422,20 +422,6 @@ def test_table_arithmetic_matches_matrix_arithmetic(q, n, projective):
     assert [table.order_of(i) for i in range(size)] == orders
 
 
-def test_an_order_is_the_lcm_of_unequal_cycle_lengths():
-    # the permutation matrix of (1 2)(3 4 5) moves the frame of P^4(F_2)
-    # in a 2-cycle and a 3-cycle, and no point lies on a 6-cycle
-    rows = [[0] * 5 for _ in range(5)]
-    for i, j in [(0, 1), (1, 0), (2, 3), (3, 4), (4, 2)]:
-        rows[i][j] = 1
-    g = ff.Matrix.from_rows(field(2), rows)
-    table = matgrp.group_closure([g], cap=10, projective=True)
-    assert table.perms is not None
-    assert [table.order_of(i) for i in range(table.size)] == [
-        oracles.order_by_walk(table.matrix(i), True)
-        for i in range(table.size)] == [1, 6, 3, 2, 3, 6]
-
-
 # ---------------------------------------------------------------------------
 # absolute irreducibility
 # ---------------------------------------------------------------------------
