@@ -19,7 +19,10 @@ packed parsing and printing of coefficient lists (k = 2 in ``sl3_f9``).
 produced by the closure that multiplied stacked matrix levels, before the
 closure moved to permutations of projective points, and ``psl2_41_237``
 by the table that did its arithmetic along shortest words, before
-projective tables computed on their point permutations.  Regenerate a file
+projective tables computed on their point permutations.
+``rigid_e7_3_24`` and ``rigid_e8_3_6`` were produced by the alcove scan
+that walked the alcove afresh for every order d, before one walk served
+every order of a request.  Regenerate a file
 only for a deliberate output change, naming its case (with no names, every
 file is written)::
 
@@ -84,6 +87,13 @@ ROOTDATA_CASES = {
                       "--d-max", "4"),
     "rigid_e7_3_18": ("rigid-tuples", "--type", "E", "--rank", "7",
                       "--n", "3", "--a-max", "18"),
+    # past the Coxeter number h = 18, where every j_d is the ceiling
+    "rigid_e7_3_24": ("rigid-tuples", "--type", "E", "--rank", "7",
+                      "--n", "3", "--a-max", "24"),
+    # made with --work-cap 20000000: the per-order alcove walks were
+    # charged 13,342,665, above the default cap
+    "rigid_e8_3_6": ("rigid-tuples", "--type", "E", "--rank", "8",
+                     "--n", "3", "--a-max", "6"),
 }
 
 # SL2/F7, SL3/F5, SL3/F9 and SL4/F3 tuples with product the identity, an
