@@ -23,9 +23,9 @@ whether the tuple generates, so one epimorphism test (it closes the tuple
 inside the table, stopping as soon as more than half the group is
 reached, which a proper subgroup cannot do) decides the whole orbit, and
 its verdict, accepted or rejected, is recorded for every member.  The
-centralizer is found by ``mul`` at the second orbit tested for its x_1,
-and kept for the rest of the census; an x_1 with one orbit to test never
-computes it.  Every tuple is still classified on its own, so counts and
+table finds the centralizer at the second orbit tested for its x_1, and
+the census keeps it for the rest of the run; an x_1 with one orbit to
+test never computes it.  Every tuple is still classified on its own, so counts and
 witnesses do not depend on which member of an orbit was tested.
 """
 
@@ -92,7 +92,7 @@ def _orbit_generates(table: FiniteGroupTable, idx_tuple: tuple[int, ...],
     rep, middle = idx_tuple[0], idx_tuple[1:-1]
     verdicts = verdicts_by_rep.setdefault(rep, {})
     if middle not in verdicts and verdicts and rep not in centralizers:
-        centralizers[rep] = _centralizer(table, rep)
+        centralizers[rep] = table.centralizer(rep)
         (first, verdict), = verdicts.items()
         _spread(table, centralizers[rep], first, verdict, verdicts)
     if middle not in verdicts:
@@ -102,12 +102,6 @@ def _orbit_generates(table: FiniteGroupTable, idx_tuple: tuple[int, ...],
         else:
             verdicts[middle] = verdict
     return verdicts[middle]
-
-
-def _centralizer(table: FiniteGroupTable, rep: int) -> list[int]:
-    """The elements that commute with rep, by ``table.mul``."""
-    mul = table.mul
-    return [c for c in range(table.size) if mul(rep, c) == mul(c, rep)]
 
 
 def _spread(table: FiniteGroupTable, centralizer: list[int],

@@ -297,14 +297,15 @@ class FiniteGroupTable:
     when it has no scalars but 1), the table keeps those keys as
     ``perms`` and computes on them: ``mul(i, j)`` is one
     ``bytes.translate`` and a key lookup, every inverse is made at once by
-    ``bytes.maketrans``, and ``generates`` closes permutations into a set.
-    A linear table with a centre keys by (permutation, scalar) instead;
-    ``perms`` is None, and its first ``mul`` or ``inv`` searches the
+    ``bytes.maketrans``, ``generates`` closes permutations into a set, and
+    ``centralizer`` compares two translates.  A linear table with a centre
+    keys by (permutation, scalar) instead; ``perms`` is None, and its
+    first ``mul`` or ``inv`` searches the
     Cayley graph on the generators and their inverses breadth-first, which
     gives every element a shortest word, held as the tuple of its letters'
     permutations.  ``mul(i, j)`` applies j's word to i, ``inv(i)`` is i's
-    reversed inverse word applied to the identity, and ``generates``
-    closes indices by ``mul``.
+    reversed inverse word applied to the identity, and ``generates`` and
+    ``centralizer`` work by ``mul``.
     """
 
     def __init__(self, closure: _Closure, projective: bool):
@@ -393,6 +394,18 @@ class FiniteGroupTable:
         if inverses is None:
             inverses = self._build_inverses()
         return inverses[i]
+
+    def centralizer(self, i: int) -> list[int]:
+        """The elements that commute with i: by one ``bytes.translate``
+        each way when the table keeps permutations, by ``mul`` otherwise."""
+        perms = self.perms
+        if perms is None:
+            mul = self.mul
+            return [c for c in range(self.size) if mul(i, c) == mul(c, i)]
+        x, pad = perms[i], self.pad
+        x_pad = x + pad
+        return [c for c, y in enumerate(perms)
+                if x.translate(y + pad) == y.translate(x_pad)]
 
     def generates(self, gens_idx: Sequence[int]) -> bool:
         """Whether the elements generate the table's group: closes them,

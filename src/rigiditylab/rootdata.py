@@ -28,7 +28,12 @@ algebras, 8.6; Reeder, Enseign. Math. 56, 2010).  For order d the alcove
 points are the Kac coordinates s >= 0 with sum m_i s_i <= d, m the
 coefficients of the highest root; there every positive root has
 0 <= alpha.s <= d, so it vanishes exactly when alpha.s is 0 or d.  j_d is
-the best such point with gcd(s, d) = 1.  The witness reported with j_d is
+the best such point with gcd(s, d) = 1.  One walk over the s with
+sum m_i s_i <= top serves every order up to top at once, each point
+visited once, and the root system keeps the longest table walked.  The
+walk never goes past h - 1, h the Coxeter number: from h on j_d is the
+ceiling 2|positive roots|, attained at s = (1, ..., 1), where every root
+takes its height, between 1 and h - 1.  The witness reported with j_d is
 still the lexicographically least maximizer in (Z/d)^rank, found by a
 depth-first search in lex order that knows the target j_d and prunes a
 prefix as soon as the roots it already decides vanish too often.
@@ -151,9 +156,17 @@ class RootSystem:
         return f"RootSystem({self.type_letter}{self.rank})"
 
     @cached_property
-    def _columns(self) -> tuple[tuple[int, ...], ...]:
-        """Column i holds coefficient i of every positive root."""
-        return tuple(zip(*self.positive_roots))
+    def _supports(self) -> tuple[tuple[int, int], ...]:
+        """Entry i holds two bit masks over the positive roots: the roots
+        with coefficient i nonzero, and those whose coefficient i is below
+        the highest root's."""
+        theta = self.positive_roots[-1]
+        return tuple(
+            (sum(1 << r for r, root in enumerate(self.positive_roots)
+                 if root[i]),
+             sum(1 << r for r, root in enumerate(self.positive_roots)
+                 if root[i] < theta[i]))
+            for i in range(self.rank))
 
     @cached_property
     def _tails(self) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -166,6 +179,12 @@ class RootSystem:
         ends.sort()
         return tuple((tuple(root[i] for root in roots[ends.index(i):]),
                       ends.count(i)) for i in range(self.rank))
+
+    @cached_property
+    def _j_values(self) -> list[int]:
+        """j_d for d below its length, from the longest alcove walk run
+        so far (see _walked); it grows in place."""
+        return [0, 0]
 
 
 @lru_cache(maxsize=None)
@@ -239,37 +258,91 @@ class JEntry(NamedTuple):
     witness: tuple[int, ...]
 
 
-def _alcove_j(rs: RootSystem, d: int) -> int:
-    """j_d for d >= 2, the best alcove point of order d.
+def _kac_points(rs: RootSystem, top: int):
+    """(gcd(s), h(s), roots with alpha.s = 0, roots with alpha.s = h(s))
+    for every s >= 0 with h(s) = sum m_i s_i <= top, each once.
 
-    Walks the Kac points s >= 0 with sum m_i s_i <= d depth first,
-    carrying the values alpha.s of all positive roots.
+    Both counts depend on the support of s alone: alpha.s = 0 exactly when
+    s vanishes on the support of alpha, and alpha.s = h(s) = theta.s
+    exactly when s vanishes on that of theta - alpha (the highest root
+    theta bounds every root coefficientwise).  The walk goes depth first
+    over the coordinates and carries, as bit masks, the roots that the
+    support so far keeps off 0 and off h(s).  Every prefix
+    (s_1, ..., s_i) is one node.
     """
     npos = len(rs.positive_roots)
-    cols = rs._columns
-    marks = rs.positive_roots[-1]  # the highest root; heights sort it last
+    marks, supports = rs.positive_roots[-1], rs._supports
     last = rs.rank - 1
-    fewest = npos + 1
-    # (coordinate, budget left, gcd(d, s before it), root values so far)
-    stack = [(0, d, d, (0,) * npos)]
+    # (coordinate, h and gcd of s before it, roots kept off 0 and off h)
+    stack = [(0, 0, 0, 0, 0)]
     while stack:
-        i, budget, g, vals = stack.pop()
-        col, mark = cols[i], marks[i]
-        for k in range(budget // mark + 1):
-            if k:
-                vals = tuple(map(add, vals, col))
+        i, h, g, off_zero, off_top = stack.pop()
+        mark, (at_i, below_i) = marks[i], supports[i]
+        for k in range((top - h) // mark + 1):
+            if k == 1:
+                off_zero, off_top = off_zero | at_i, off_top | below_i
             if i < last:
-                stack.append((i + 1, budget - k * mark, math.gcd(g, k), vals))
-            elif math.gcd(g, k) == 1:
-                killed = vals.count(0) + vals.count(d)
-                if killed < fewest:
-                    fewest = killed
-                    if killed == 0:  # regular point; nothing does better
-                        stack.clear()
-                        break
-    if fewest > npos:
-        raise InvariantViolation(f"no order-{d} alcove point found (rank {rs.rank})")
-    return 2 * (npos - fewest)
+                stack.append((i + 1, h + k * mark, math.gcd(g, k),
+                              off_zero, off_top))
+            else:
+                yield (math.gcd(g, k), h + k * mark,
+                       npos - off_zero.bit_count(), npos - off_top.bit_count())
+
+
+def _alcove_walk(rs: RootSystem, top: int) -> list[int]:
+    """js[d] = j_d for d = 2 .. top (js[0] = js[1] = 0), from one walk.
+
+    For each pair (gcd(s), h(s)) over the points of _kac_points, keeps the
+    fewest roots with alpha.s = 0, and the fewest with alpha.s in
+    {0, h(s)}.  A Kac point of order d is an s with h(s) <= d and
+    gcd(s, d) = 1, and there a root vanishes when alpha.s is 0 or d,
+    which only h(s) = d reaches.  So j_d takes the prefix minima of the
+    first count over h(s) < d and the second at h(s) = d, over the gcds
+    prime to d.
+    """
+    npos = len(rs.positive_roots)
+    # inner[h][g], edge[h][g]: the two fewest counts at h(s) = h, gcd g
+    inner: list[dict[int, int]] = [{} for _ in range(top + 1)]
+    edge: list[dict[int, int]] = [{} for _ in range(top + 1)]
+    for g, h, zeros, tops in _kac_points(rs, top):
+        if zeros < inner[h].get(g, npos + 1):
+            inner[h][g] = zeros
+        zeros += tops
+        if zeros < edge[h].get(g, 2 * npos + 1):
+            edge[h][g] = zeros
+
+    below: dict[int, int] = {}  # gcd -> fewest at 0 over h(s) < d
+    js = [0, 0]
+    for d in range(2, top + 1):
+        for g, zeros in inner[d - 1].items():
+            if zeros < below.get(g, npos + 1):
+                below[g] = zeros
+        fewest = min(zeros for g, zeros in (*below.items(), *edge[d].items())
+                     if math.gcd(g, d) == 1)
+        js.append(2 * (npos - fewest))
+    return js
+
+
+def _alcove_j(rs: RootSystem, d: int) -> int:
+    """j_d for d >= 2, from the longest walk kept with the root system.
+
+    From the Coxeter number h on, j_d is the ceiling 2|positive roots|
+    with no walk: s = (1, ..., 1) has alpha.s = ht(alpha) in [1, h - 1],
+    so it is regular, of order d, with gcd 1.  Below h the walk runs to d
+    unless a longer one already has.
+    """
+    if d >= rs.coxeter_number:
+        return 2 * len(rs.positive_roots)
+    return _walked(rs, d)[d]
+
+
+def _walked(rs: RootSystem, top: int) -> list[int]:
+    """The kept j_d table, walked to min(top, h - 1) if it is shorter."""
+    js = rs._j_values
+    top = min(top, rs.coxeter_number - 1)
+    if len(js) <= top:
+        js[:] = _alcove_walk(rs, top)
+    return js
 
 
 def _least_leaf(tails, d: int, allowed: int, prefix: tuple[int, ...],
@@ -303,6 +376,17 @@ def _least_leaf(tails, d: int, allowed: int, prefix: tuple[int, ...],
     return None
 
 
+def _check_scan_cap(rs: RootSystem, d: int, work_cap: int | None) -> None:
+    """Refuse j_scan's witness search for order d when its worst case,
+    d^rank times the root count, is above work_cap."""
+    cost = d**rs.rank * len(rs.positive_roots)
+    if work_cap is not None and cost > work_cap:
+        raise WorkCapExceeded(
+            f"j_d scan for {rs.type_letter}{rs.rank}, d = {d} needs "
+            f"~{cost} root evaluations, above the cap {work_cap}"
+        )
+
+
 def j_scan(rs: RootSystem, d: int, work_cap: int | None = None) -> JEntry:
     """j_d together with its lexicographically least maximizer.
 
@@ -321,13 +405,8 @@ def j_scan(rs: RootSystem, d: int, work_cap: int | None = None) -> JEntry:
         raise InputError(f"order d = {d} must be >= 1")
     if d == 1:
         return JEntry(0, (0,) * rs.rank)
+    _check_scan_cap(rs, d, work_cap)
     npos = len(rs.positive_roots)
-    cost = d**rs.rank * npos
-    if work_cap is not None and cost > work_cap:
-        raise WorkCapExceeded(
-            f"j_d scan for {rs.type_letter}{rs.rank}, d = {d} needs "
-            f"~{cost} root evaluations, above the cap {work_cap}"
-        )
     j = _alcove_j(rs, d)
     allowed = npos - j // 2
     found = _least_leaf(rs._tails, d, allowed, (), (0,) * npos, 0, d)
@@ -353,6 +432,20 @@ def _alcove_point_counts(rs: RootSystem, d_max: int) -> list[int]:
     return counts
 
 
+def _walk_nodes(rs: RootSystem, top: int) -> int:
+    """The nodes _kac_points visits on its way to top: for i = 1 .. rank,
+    the prefixes (s_1, ..., s_i) with sum m_j s_j <= top.  Those of length
+    i are counted as Kac points of order top over the first i marks, by
+    the recurrence of _alcove_point_counts."""
+    counts = [1] * (top + 1)  # after the mark m_0 = 1
+    nodes = 0
+    for mark in rs.positive_roots[-1]:
+        for d in range(mark, top + 1):
+            counts[d] += counts[d - mark]
+        nodes += counts[top]
+    return nodes
+
+
 @dataclass(frozen=True)
 class ClassDimTable:
     """j_d values (with witnesses) for d = 1 .. d_max."""
@@ -365,6 +458,9 @@ def class_dim_table(rs: RootSystem, d_max: int,
                     work_cap: int | None = None) -> ClassDimTable:
     if d_max < 1:
         raise InputError(f"d_max = {d_max} must be >= 1")
+    for d in range(2, d_max + 1):  # every order, before any walk
+        _check_scan_cap(rs, d, work_cap)
+    _walked(rs, d_max)
     entries = []
     ceiling = rs.dim_g - rs.rank
     for d in range(1, d_max + 1):
@@ -409,41 +505,31 @@ def rigid_tuples(rs: RootSystem, n: int, a_max: int,
 
     Also reports the plateau order: the least d at which j_d reaches its
     ceiling dim G - rank, so families beyond a_max can be extrapolated.
-    The plateau always exists by d = the Coxeter number (the all-ones
-    exponent tuple meets no root there, since root heights stop short
-    of it).
+    It is the Coxeter number h: from h on every j_d is the ceiling (see
+    _alcove_j), and below h no Kac point is regular.
 
-    The table runs to max(a_max, Coxeter number) and takes its j values
-    from the alcove alone, with no witnesses.  work_cap is checked once,
-    before any scan, against the alcove points of the whole table times
-    the root count, plus n entries for each of the C(a_max + n - 2, n)
-    tuples enumerated.
+    The j values come from one alcove walk to h - 1, with no witnesses.
+    work_cap is checked once, before the walk, against the nodes the walk
+    visits times the root count, plus n entries for each of the
+    C(a_max + n - 2, n) tuples enumerated.
     """
     if n < 3:
         raise InputError(f"tuple length n = {n} must be >= 3")
     if a_max < 2:
         raise InputError(f"a_max = {a_max} must be >= 2")
-    d_top = max(a_max, rs.coxeter_number)
-    cost = n * _multisets(a_max - 1, n, work_cap)
-    # past the cap, a_max may be too large to count the alcove points
-    if work_cap is None or cost <= work_cap:
-        cost += (sum(_alcove_point_counts(rs, d_top)[2:])
-                 * len(rs.positive_roots))
+    h = rs.coxeter_number
+    cost = (n * _multisets(a_max - 1, n, work_cap)
+            + _walk_nodes(rs, h - 1) * len(rs.positive_roots))
     if work_cap is not None and cost > work_cap:
         raise WorkCapExceeded(
             f"rigid tuples for {rs.type_letter}{rs.rank}, n = {n}, "
             f"a_max = {a_max} need ~{cost} tuple entries and root "
             f"evaluations, above the cap {work_cap}"
         )
-    jmap = {1: 0, **{d: _alcove_j(rs, d) for d in range(2, d_top + 1)}}
-
+    _walked(rs, h - 1)
+    jmap = {1: 0, **{d: _alcove_j(rs, d) for d in range(2, max(a_max, h) + 1)}}
     ceiling = rs.dim_g - rs.rank
-    plateau = next((d for d, j in jmap.items() if j == ceiling), None)
-    if plateau is None:
-        raise InvariantViolation(
-            f"no regular order found up to the Coxeter number for "
-            f"{rs.type_letter}{rs.rank}"
-        )
+    plateau = next(d for d, j in jmap.items() if j == ceiling)
 
     target = 2 * rs.dim_g
     hits = tuple(

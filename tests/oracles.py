@@ -36,7 +36,10 @@ orders come from order_by_walk.  diagonal builds diagonal test matrices
 from constants or coefficient lists.  class_dim_gl reads a class dimension
 off the commutator map on all of gl_n, with rank_mod_p, and no Ad matrix.
 positive_roots_by_reflection takes only the package's Cartan matrix,
-which the Cartan determinant tests pin.
+which the Cartan determinant tests pin.  alcove_j_by_order takes the
+package's positive roots, which the Weyl-orbit tests pin, and walks the
+Kac points of one order d alone, the package's walk before one walk
+served every order of a request.
 """
 
 from __future__ import annotations
@@ -552,6 +555,35 @@ def j_scan_exhaustive(rs, d: int) -> tuple[int, tuple[int, ...]]:
                 break  # regular witness; no tuple can do better
     assert best >= 0, f"no order-{d} exponent tuple found (rank {rs.rank})"
     return best, witness
+
+
+def alcove_j_by_order(rs, d: int) -> int:
+    """j_d for d >= 2 from the Kac points of order d alone.
+
+    Walks the s >= 0 with sum m_i s_i <= d depth first (m the highest
+    root's coefficients), carrying every positive root's value alpha.s;
+    a root vanishes at s when alpha.s is 0 or d, and only the s with
+    gcd(s, d) = 1 count.  Stops at the first regular point.
+    """
+    npos = len(rs.positive_roots)
+    cols = list(zip(*rs.positive_roots))
+    marks = max(rs.positive_roots, key=sum)
+    last = rs.rank - 1
+    fewest = npos + 1
+    # (coordinate, budget left, gcd(d, s before it), root values so far)
+    stack = [(0, d, d, (0,) * npos)]
+    while stack and fewest:
+        i, budget, g, vals = stack.pop()
+        for k in range(budget // marks[i] + 1):
+            if k:
+                vals = tuple(v + c for v, c in zip(vals, cols[i]))
+            if i < last:
+                stack.append((i + 1, budget - k * marks[i], math.gcd(g, k),
+                              vals))
+            elif math.gcd(g, k) == 1:
+                fewest = min(fewest, vals.count(0) + vals.count(d))
+    assert fewest <= npos, f"no order-{d} alcove point (rank {rs.rank})"
+    return 2 * (npos - fewest)
 
 
 # ---------------------------------------------------------------------------

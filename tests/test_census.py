@@ -272,11 +272,13 @@ def test_generation_is_tested_once_per_centralizer_orbit(monkeypatch,
     # accepted generation tests, one centralizer, and six verdicts spread
     accepted, centralized, spread = [], [], []
     generates = matgrp.FiniteGroupTable.generates
-    centralizer, spread_verdict = census._centralizer, census._spread
+    centralizer = matgrp.FiniteGroupTable.centralizer
+    spread_verdict = census._spread
     monkeypatch.setattr(matgrp.FiniteGroupTable, "generates", lambda t, idx: (
         generates(t, idx) and not accepted.append(idx)))
-    monkeypatch.setattr(census, "_centralizer", lambda t, rep: (
-        centralized.append(rep) or centralizer(t, rep)))
+    monkeypatch.setattr(matgrp.FiniteGroupTable, "centralizer",
+                        lambda t, rep: (centralized.append(rep)
+                                        or centralizer(t, rep)))
     monkeypatch.setattr(census, "_spread", lambda t, c, middle, verdict, v: (
         spread.append(verdict), spread_verdict(t, c, middle, verdict, v)))
     res = census.census(psl213, (2, 3, 7))
@@ -293,7 +295,7 @@ def test_no_centralizer_for_a_single_orbit(monkeypatch):
                                  cap=10 ** 6, projective=True)
     centralized, tested = [], []
     generates = matgrp.FiniteGroupTable.generates
-    monkeypatch.setattr(census, "_centralizer",
+    monkeypatch.setattr(matgrp.FiniteGroupTable, "centralizer",
                         lambda *args: centralized.append(args))
     monkeypatch.setattr(matgrp.FiniteGroupTable, "generates", lambda t, idx: (
         tested.append(idx) or generates(t, idx)))
@@ -307,6 +309,18 @@ def test_no_centralizer_for_a_single_orbit(monkeypatch):
 def psl34():
     return matgrp.group_closure(matgrp.generating_pair(ff.field_create(2, 2), 3),
                                 cap=10 ** 6, projective=True)
+
+
+@pytest.mark.parametrize("name", ["psl213", "psl34", "sl25"])
+def test_centralizer_matches_the_mul_definition(name, request):
+    # PSL2(13) and PSL3(4) compare translates; SL2(5) has a centre and
+    # takes its products along words
+    table = request.getfixturevalue(name)
+    mul = table.mul
+    for cls in table.conjugacy_classes():
+        rep = cls[0]
+        assert table.centralizer(rep) == [
+            c for c in range(table.size) if mul(rep, c) == mul(c, rep)]
 
 
 def test_rejected_orbits_are_tested_once(monkeypatch, psl34):

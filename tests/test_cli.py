@@ -343,11 +343,13 @@ def test_d_max_is_checked_before_the_root_system_is_built(capsys):
 
 
 def test_rigid_tuples_e8_exits_3_before_scanning(capsys, monkeypatch):
-    def no_scan(rs, d):
-        raise AssertionError("scanned before the work-cap check")
-    monkeypatch.setattr(rootdata, "_alcove_j", no_scan)
+    # the walk to h - 1 = 29 is charged 3,255,840; the 4,499,950 triples
+    # from {2..300} push the whole request above the default cap
+    def no_scan(rs, top):
+        raise AssertionError("walked before the work-cap check")
+    monkeypatch.setattr(rootdata, "_walked", no_scan)
     code, _, err = run(capsys, "rigid-tuples", "--type", "E", "--rank", "8",
-                       "--n", "3", "--a-max", "6")
+                       "--n", "3", "--a-max", "300")
     assert code == 3
     assert json.loads(err)["error"]["kind"] == "work-cap"
 

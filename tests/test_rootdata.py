@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import types
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -167,47 +168,49 @@ def test_type_a_j_matches_its_closed_form():
         rs = rootdata.build("A", n - 1)
         assert [rootdata.j_scan(rs, d).j for d in range(1, 25)] == [
             oracles.j_type_a(n, d) for d in range(1, 25)]
+    # the table alone, without the witness search, reaches further
+    for n in range(2, 13):
+        rs = rootdata.build("A", n - 1)
+        rootdata._walked(rs, 40)
+        assert [rootdata._alcove_j(rs, d) for d in range(2, 41)] == [
+            oracles.j_type_a(n, d) for d in range(2, 41)]
 
 
-# Systems checked against the exhaustive scan, each for every d with
-# d^rank * |positive roots| <= ORACLE_EVALS.
-ORACLE_SYSTEMS = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
-                  ("C", 3), ("D", 4), ("G", 2), ("F", 4), ("E", 6)]
-ORACLE_EVALS = 2 * 10 ** 6
+# The per-order walk visits the Kac points of order d, each at the cost
+# of the root count: checked wherever that is at most PER_ORDER_EVALS, and
+# at the Coxeter number h, where the ceiling starts.
+PER_ORDER_EVALS = 10 ** 5
 
 
-def _oracle_d_max(letter, rank):
-    npos = len(rootdata.build(letter, rank).positive_roots)
-    d = 1
-    while (d + 1) ** rank * npos <= ORACLE_EVALS:
-        d += 1
-    return d
-
-
-@st.composite
-def _system_and_order(draw):
-    letter, rank = draw(st.sampled_from(ORACLE_SYSTEMS))
-    d_max = _oracle_d_max(letter, rank)
-    # half the draws stay at small d, where j_d still varies
-    d = draw(st.one_of(st.integers(1, min(d_max, 12)), st.integers(1, d_max)))
-    return letter, rank, d
-
-
-@settings(max_examples=60, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(_system_and_order())
-def test_j_scan_matches_exhaustive_scan(case):
-    letter, rank, d = case
+@pytest.mark.parametrize("letter,rank", RANK_8_SYSTEMS)
+def test_j_table_matches_the_per_order_walk(letter, rank):
     rs = rootdata.build(letter, rank)
-    assert tuple(rootdata.j_scan(rs, d)) == oracles.j_scan_exhaustive(rs, d)
+    rootdata._walked(rs, 24)
+    orders = [d for d in range(2, 25)
+              if d == rs.coxeter_number
+              or (rootdata._alcove_point_counts(rs, d)[d]
+                  * len(rs.positive_roots) <= PER_ORDER_EVALS)]
+    assert [rootdata._alcove_j(rs, d) for d in orders] == [
+        oracles.alcove_j_by_order(rs, d) for d in orders]
 
 
-# the E7 and E8 scans of the rootdata-exceptional benchmark workload
-@pytest.mark.parametrize("letter,rank,d", [("E", 7, d) for d in range(2, 5)]
-                         + [("E", 8, d) for d in range(2, 4)])
-def test_benchmark_exceptional_scans_match_exhaustive_scan(letter, rank, d):
+@pytest.mark.parametrize("letter,rank,top", [("A", 3, 3), ("B", 4, 6),
+                                             ("G", 2, 5), ("F", 4, 11),
+                                             ("E", 6, 11), ("E", 8, 9)])
+def test_walk_evaluates_each_point_once(letter, rank, top, monkeypatch):
     rs = rootdata.build(letter, rank)
-    assert tuple(rootdata.j_scan(rs, d)) == oracles.j_scan_exhaustive(rs, d)
+    gcds = []
+
+    def counting_gcd(a, b):
+        gcds.append(1)
+        return math.gcd(a, b)
+
+    # one gcd per node: the walk visits the nodes the work meter charges
+    monkeypatch.setattr(rootdata, "math",
+                        types.SimpleNamespace(gcd=counting_gcd))
+    leaves = sum(1 for _ in rootdata._kac_points(rs, top))
+    assert len(gcds) == rootdata._walk_nodes(rs, top)
+    assert leaves == rootdata._alcove_point_counts(rs, top)[top]
 
 
 def test_rigid_tuples_j_values_match_exhaustive_scan(monkeypatch):
@@ -228,6 +231,23 @@ def test_rigid_tuples_j_values_match_exhaustive_scan(monkeypatch):
     assert res.tuples == tuple(
         t for t in itertools.combinations_with_replacement(range(2, 13), 3)
         if sum(oracle[a] for a in t) == 2 * f4.dim_g)
+
+
+def test_class_dim_table_checks_every_cap_before_any_walk(monkeypatch):
+    # d = 5 is the first order whose witness search, 5^8 * 120, is above
+    # the cap
+    e8 = rootdata.build("E", 8)
+    with pytest.raises(WorkCapExceeded) as by_scan:
+        rootdata.j_scan(e8, 5, work_cap=10_000_000)
+
+    def ran(*args):
+        raise AssertionError("walked or searched before the cap check")
+
+    monkeypatch.setattr(rootdata, "_walked", ran)
+    monkeypatch.setattr(rootdata, "_least_leaf", ran)
+    with pytest.raises(WorkCapExceeded) as by_table:
+        rootdata.class_dim_table(e8, 5, work_cap=10_000_000)
+    assert str(by_table.value) == str(by_scan.value)
 
 
 def test_class_dim_table_reaches_plateau():
@@ -294,11 +314,16 @@ def test_multiset_count_is_the_binomial(kinds, n):
 
 
 def test_rigid_tuples_work_cap_counts_alcove_and_tuples():
+    # the walk runs to h - 1 = 5; its nodes are the prefixes (s_1) and
+    # (s_1, s_2) with 3 s_1 <= 5 and 3 s_1 + 2 s_2 <= 5 (marks 3, 2)
     rs = rootdata.build("G", 2)
-    d_top = max(8, rs.coxeter_number)
-    alcove = (sum(rootdata._alcove_point_counts(rs, d_top)[2:])
-              * len(rs.positive_roots))
-    cost = alcove + 3 * math.comb(7 + 3 - 1, 3)
+    marks = rs.positive_roots[-1]
+    nodes = sum(
+        1 for i in range(1, rs.rank + 1)
+        for s in itertools.product(range(rs.coxeter_number), repeat=i)
+        if sum(m * x for m, x in zip(marks, s)) < rs.coxeter_number)
+    assert nodes == 2 + 5
+    cost = nodes * len(rs.positive_roots) + 3 * math.comb(7 + 3 - 1, 3)
     assert rootdata.rigid_tuples(rs, 3, 8, work_cap=cost).tuples
     with pytest.raises(WorkCapExceeded):
         rootdata.rigid_tuples(rs, 3, 8, work_cap=cost - 1)
