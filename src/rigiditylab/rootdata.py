@@ -418,26 +418,12 @@ def j_scan(rs: RootSystem, d: int, work_cap: int | None = None) -> JEntry:
     return JEntry(j, found[1])
 
 
-def _alcove_point_counts(rs: RootSystem, d_max: int) -> list[int]:
-    """counts[d] = number of Kac points at order d, for d = 0 .. d_max.
-
-    Kac points at order d are the s_0, s >= 0 with s_0 + sum m_i s_i = d,
-    so the counts are the coefficients of prod 1 / (1 - x^m_i) over the
-    marks m_0 = 1 and the highest root's coefficients.
-    """
-    counts = [1] + [0] * d_max
-    for mark in (1, *rs.positive_roots[-1]):
-        for d in range(mark, d_max + 1):
-            counts[d] += counts[d - mark]
-    return counts
-
-
 def _walk_nodes(rs: RootSystem, top: int) -> int:
     """The nodes _kac_points visits on its way to top: for i = 1 .. rank,
-    the prefixes (s_1, ..., s_i) with sum m_j s_j <= top.  Those of length
-    i are counted as Kac points of order top over the first i marks, by
-    the recurrence of _alcove_point_counts."""
-    counts = [1] * (top + 1)  # after the mark m_0 = 1
+    the prefixes (s_1, ..., s_i) with sum m_j s_j <= top.  With s_0 = top -
+    sum m_j s_j, those of length i number the coefficient of x^top in
+    1 / (1 - x) prod_{j <= i} 1 / (1 - x^m_j)."""
+    counts = [1] * (top + 1)  # the coefficients of 1 / (1 - x)
     nodes = 0
     for mark in rs.positive_roots[-1]:
         for d in range(mark, top + 1):

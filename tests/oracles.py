@@ -39,7 +39,8 @@ positive_roots_by_reflection takes only the package's Cartan matrix,
 which the Cartan determinant tests pin.  alcove_j_by_order takes the
 package's positive roots, which the Weyl-orbit tests pin, and walks the
 Kac points of one order d alone, the package's walk before one walk
-served every order of a request.
+served every order of a request.  kac_point_count counts those points
+from the marks alone.
 """
 
 from __future__ import annotations
@@ -555,6 +556,17 @@ def j_scan_exhaustive(rs, d: int) -> tuple[int, tuple[int, ...]]:
                 break  # regular witness; no tuple can do better
     assert best >= 0, f"no order-{d} exponent tuple found (rank {rs.rank})"
     return best, witness
+
+
+def kac_point_count(marks, d: int) -> int:
+    """The number of s >= 0 with sum m_i s_i <= d, by counting the
+    partitions of d into parts 1 and the marks m_i (each mark a distinct
+    kind of part), part kind by part kind."""
+    counts = [1] + [0] * d
+    for mark in (1, *marks):
+        for t in range(mark, d + 1):
+            counts[t] += counts[t - mark]
+    return counts[d]
 
 
 def alcove_j_by_order(rs, d: int) -> int:

@@ -188,7 +188,7 @@ def test_j_table_matches_the_per_order_walk(letter, rank):
     rootdata._walked(rs, 24)
     orders = [d for d in range(2, 25)
               if d == rs.coxeter_number
-              or (rootdata._alcove_point_counts(rs, d)[d]
+              or (oracles.kac_point_count(rs.positive_roots[-1], d)
                   * len(rs.positive_roots) <= PER_ORDER_EVALS)]
     assert [rootdata._alcove_j(rs, d) for d in orders] == [
         oracles.alcove_j_by_order(rs, d) for d in orders]
@@ -209,8 +209,10 @@ def test_walk_evaluates_each_point_once(letter, rank, top, monkeypatch):
     monkeypatch.setattr(rootdata, "math",
                         types.SimpleNamespace(gcd=counting_gcd))
     leaves = sum(1 for _ in rootdata._kac_points(rs, top))
-    assert len(gcds) == rootdata._walk_nodes(rs, top)
-    assert leaves == rootdata._alcove_point_counts(rs, top)[top]
+    marks = rs.positive_roots[-1]
+    assert leaves == oracles.kac_point_count(marks, top)
+    assert len(gcds) == rootdata._walk_nodes(rs, top) == sum(
+        oracles.kac_point_count(marks[:i], top) for i in range(1, rank + 1))
 
 
 def test_rigid_tuples_j_values_match_exhaustive_scan(monkeypatch):
