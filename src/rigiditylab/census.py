@@ -25,8 +25,9 @@ reached, which a proper subgroup cannot do) decides the whole orbit, and
 its verdict, accepted or rejected, is recorded for every member.  The
 table finds the centralizer at the second orbit tested for its x_1, and
 the census keeps it for the rest of the run; an x_1 with one orbit to
-test never computes it.  Every tuple is still classified on its own, so counts and
-witnesses do not depend on which member of an orbit was tested.
+test never computes it.  Every tuple is still classified on its own, so
+counts and witnesses do not depend on which member of an orbit was
+tested.
 """
 
 from __future__ import annotations

@@ -300,12 +300,12 @@ class FiniteGroupTable:
     ``bytes.maketrans``, ``generates`` closes permutations into a set, and
     ``centralizer`` compares two translates.  A linear table with a centre
     keys by (permutation, scalar) instead; ``perms`` is None, and its
-    first ``mul`` or ``inv`` searches the
-    Cayley graph on the generators and their inverses breadth-first, which
-    gives every element a shortest word, held as the tuple of its letters'
-    permutations.  ``mul(i, j)`` applies j's word to i, ``inv(i)`` is i's
-    reversed inverse word applied to the identity, and ``generates`` and
-    ``centralizer`` work by ``mul``.
+    first ``mul`` or ``inv`` searches the Cayley graph on the generators
+    and their inverses breadth-first, which gives every element a shortest
+    word, held as the tuple of its letters' permutations.  ``mul(i, j)``
+    applies j's word to i, ``inv(i)`` is i's reversed inverse word applied
+    to the identity, and ``generates`` and ``centralizer`` work by
+    ``mul``.
     """
 
     def __init__(self, closure: _Closure, projective: bool):

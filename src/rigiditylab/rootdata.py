@@ -157,16 +157,18 @@ class RootSystem:
 
     @cached_property
     def _supports(self) -> tuple[tuple[int, int], ...]:
-        """Entry i holds two bit masks over the positive roots: the roots
-        with coefficient i nonzero, and those whose coefficient i is below
-        the highest root's."""
-        theta = self.positive_roots[-1]
+        """Entry i holds two masks over the positive roots, one byte (0 or
+        1) a root, so that or-ing keeps them masks and int.bit_count
+        counts roots: the roots with coefficient i nonzero, and those
+        whose coefficient i is below the highest root's."""
+        def mask(col: bytes, table: bytes) -> int:
+            return int.from_bytes(col.translate(table), "little")
+
+        nonzero = bytes(1) + b"\1" * 255
         return tuple(
-            (sum(1 << r for r, root in enumerate(self.positive_roots)
-                 if root[i]),
-             sum(1 << r for r, root in enumerate(self.positive_roots)
-                 if root[i] < theta[i]))
-            for i in range(self.rank))
+            (mask(col, nonzero), mask(col, b"\1" * top + bytes(256 - top)))
+            for col, top in zip(map(bytes, zip(*self.positive_roots)),
+                                self.positive_roots[-1]))
 
     @cached_property
     def _tails(self) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -266,9 +268,9 @@ def _kac_points(rs: RootSystem, top: int):
     s vanishes on the support of alpha, and alpha.s = h(s) = theta.s
     exactly when s vanishes on that of theta - alpha (the highest root
     theta bounds every root coefficientwise).  The walk goes depth first
-    over the coordinates and carries, as bit masks, the roots that the
-    support so far keeps off 0 and off h(s).  Every prefix
-    (s_1, ..., s_i) is one node.
+    over the coordinates and carries, as masks of RootSystem._supports,
+    the roots that the support so far keeps off 0 and off h(s).  Every
+    prefix (s_1, ..., s_i) is one node.
     """
     npos = len(rs.positive_roots)
     marks, supports = rs.positive_roots[-1], rs._supports
