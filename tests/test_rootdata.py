@@ -215,6 +215,47 @@ def test_walk_evaluates_each_point_once(letter, rank, top, monkeypatch):
         oracles.kac_point_count(marks[:i], top) for i in range(1, rank + 1))
 
 
+# Systems checked against the exhaustive scan, each for every d with
+# d^rank * |positive roots| <= ORACLE_EVALS.
+ORACLE_SYSTEMS = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
+                  ("C", 3), ("D", 4), ("G", 2), ("F", 4), ("E", 6)]
+ORACLE_EVALS = 2 * 10 ** 6
+
+
+def _oracle_d_max(letter, rank):
+    npos = len(rootdata.build(letter, rank).positive_roots)
+    d = 1
+    while (d + 1) ** rank * npos <= ORACLE_EVALS:
+        d += 1
+    return d
+
+
+@st.composite
+def _system_and_order(draw):
+    letter, rank = draw(st.sampled_from(ORACLE_SYSTEMS))
+    d_max = _oracle_d_max(letter, rank)
+    # half the draws stay at small d, where j_d still varies
+    d = draw(st.one_of(st.integers(1, min(d_max, 12)), st.integers(1, d_max)))
+    return letter, rank, d
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_system_and_order())
+def test_j_scan_matches_exhaustive_scan(case):
+    letter, rank, d = case
+    rs = rootdata.build(letter, rank)
+    assert tuple(rootdata.j_scan(rs, d)) == oracles.j_scan_exhaustive(rs, d)
+
+
+# the E7 and E8 scans of the rootdata-exceptional benchmark workload
+@pytest.mark.parametrize("letter,rank,d", [("E", 7, d) for d in range(2, 5)]
+                         + [("E", 8, d) for d in range(2, 4)])
+def test_benchmark_exceptional_scans_match_exhaustive_scan(letter, rank, d):
+    rs = rootdata.build(letter, rank)
+    assert tuple(rootdata.j_scan(rs, d)) == oracles.j_scan_exhaustive(rs, d)
+
+
 def test_rigid_tuples_j_values_match_exhaustive_scan(monkeypatch):
     f4 = rootdata.build("F", 4)
     seen = {}
