@@ -13,14 +13,17 @@ FiniteField methods on packed values (``add``, ``sub``, ``neg``, ``mul``,
 ``inv``, ``pow``, ``scale``, ``add_scaled``).  ``pow``, ``Matrix.__pow__``
 and the polynomial powers share one square-and-multiply, ``_power``.
 
-Over F_p, arithmetic is integer arithmetic mod p.  Extension fields with
-at most 2**16 elements precompute discrete log / antilog tables for a
-generator g, so multiplication and inversion are one lookup.  For odd p
-they also precompute the Zech logarithms Z(n) = log(1 + g^n), so that
-g^i + g^j = g^(i + Z(j - i)) is one lookup too (K. Huber, "Some comments
-on Zech's logarithms", IEEE Trans. IT 36, 1990); for p = 2 addition is
-XOR.  Larger fields multiply by polynomial arithmetic, with the same
-product that builds the tables and searches for the modulus.
+Fields with q <= 64 (``_SQUARE_TABLE_LIMIT``) add and multiply by table:
+q rows of q packed ints each, plus a negation row, so every row operation
+on them is lookups alone.  Above that bound addition takes one of three
+forms.  Over F_p, arithmetic is integer arithmetic mod p.  Extension
+fields with at most 2**16 elements precompute discrete log / antilog
+tables for a generator g, so multiplication and inversion are one lookup.
+For odd p they also precompute the Zech logarithms Z(n) = log(1 + g^n), so
+that g^i + g^j = g^(i + Z(j - i)) is one lookup too (K. Huber, "Some
+comments on Zech's logarithms", IEEE Trans. IT 36, 1990); for p = 2
+addition is XOR.  Larger fields multiply by polynomial arithmetic, with
+the same product that builds the tables and searches for the modulus.
 
 A Matrix holds its entries as one tuple of packed ints, row major, in
 ``vals``; ``m[i, j]``, ``trace`` and ``det`` return packed ints too.  Its
@@ -42,6 +45,11 @@ from typing import Iterable, Sequence
 from .errors import InputError
 
 _TABLE_LIMIT = 1 << 16
+# Fields with at most this many elements get q x q addition and
+# multiplication tables.  Building them costs at most 2 q^2 = 8,192
+# entries, and the bound covers every field the benchmark and the golden
+# corpus use (q <= 41).
+_SQUARE_TABLE_LIMIT = 64
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -193,8 +201,14 @@ class FiniteField:
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
         self._zech_add = None
+        self._add_rows: list[list[int]] | None = None
+        self._mul_rows: list[list[int]] | None = None
+        self._neg_row: list[int] | None = None
+        zech = None
         if k > 1 and self.q <= _TABLE_LIMIT:
-            self._build_tables()
+            zech = self._build_tables()
+        if self.q <= _SQUARE_TABLE_LIMIT:
+            self._build_square_tables(zech)
 
     # -- construction helpers ------------------------------------------------
 
@@ -224,6 +238,8 @@ class FiniteField:
     # -- packed arithmetic ----------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
+        if self._add_rows is not None:
+            return self._add_rows[a][b]
         if self.k == 1:
             return (a + b) % self.p
         if self.p == 2:
@@ -240,6 +256,8 @@ class FiniteField:
         return out
 
     def neg(self, a: int) -> int:
+        if self._neg_row is not None:
+            return self._neg_row[a]
         return self.mul(self.p - 1, a)  # -1 packs to the constant p - 1
 
     def sub(self, a: int, b: int) -> int:
@@ -272,6 +290,9 @@ class FiniteField:
 
     def scale(self, c: int, xs: Sequence[int]) -> list[int]:
         """[c x for x in xs]."""
+        if self._mul_rows is not None:
+            mc = self._mul_rows[c]
+            return [mc[x] for x in xs]
         if self.k == 1:
             p = self.p
             return [c * x % p for x in xs]
@@ -283,7 +304,12 @@ class FiniteField:
 
     def add_scaled(self, xs: Sequence[int], c: int,
                    ys: Sequence[int]) -> list[int]:
-        """[x + c y for x, y in zip(xs, ys)]."""
+        """[x + c y for x, y in zip(xs, ys)]: by table for q <= 64, else
+        as (x + c y) % p over F_p, XOR over F_{2^k} and Zech logarithms
+        over the other extension fields."""
+        if self._add_rows is not None:
+            add, mc = self._add_rows, self._mul_rows[c]
+            return [add[x][mc[y]] for x, y in zip(xs, ys)]
         if self.k == 1:
             p = self.p
             return [(x + c * y) % p for x, y in zip(xs, ys)]
@@ -299,8 +325,9 @@ class FiniteField:
                             self.modulus_poly, self.p)
         return sum(map(mul, prod, self._pow_p))
 
-    def _build_tables(self) -> None:
-        """Antilog, log and (odd p) Zech tables for a generator g.
+    def _build_tables(self) -> list[int] | None:
+        """Antilog, log and (odd p) Zech tables for a generator g; returns
+        the Zech table, or None for p = 2.
 
         log[0] is the sentinel 2(q - 1), and exp holds two periods of g^i
         followed by zeros, so exp[log[a] + log[b]] is a b for every a and b,
@@ -341,6 +368,30 @@ class FiniteField:
                 return exp[la + zech[log[b] - la]]
 
             self._zech_add = zech_add
+            return zech
+        return None
+
+    def _build_square_tables(self, zech: list[int] | None) -> None:
+        """The q x q addition and multiplication tables and the negation
+        row, one comprehension per row.  Over F_p an addition row is a
+        rotation of range(p); over extension fields products come from the
+        log tables, sums by XOR (p = 2) or by the Zech table zech."""
+        p, r = self.p, range(self.q)
+        if self.k == 1:
+            add = [[*r[a:], *r[:a]] for a in r]
+            mul = [[a * b % p for b in r] for a in r]
+        else:
+            exp, log = self._exp, self._log
+            mul = [[exp[la + lb] for lb in log] for la in log]
+            if p == 2:
+                add = [[a ^ b for b in r] for a in r]
+            else:
+                # a + 0 = a; otherwise the Zech step of _build_tables
+                add = [list(r)] + [
+                    [a] + [exp[la + zech[lb - la]] for lb in log[1:]]
+                    for a, la in zip(r[1:], log[1:])]
+        self._add_rows, self._mul_rows = add, mul
+        self._neg_row = mul[p - 1]  # -1 packs to the constant p - 1
 
     # -- identity -------------------------------------------------------------
 
@@ -373,11 +424,21 @@ def field_cost(p: int, k: int) -> int:
     powers of bit_length(p) products of k^2 coefficient multiplications:
     the p binomials x^k + c may all be reducible (every element is a k-th
     power when gcd(k, p - 1) = 1), and beyond them irreducibles have
-    density about 1/k.
+    density about 1/k.  Each table entry is charged one: for k > 1 and
+    q <= 2**16 the q log, 4(q - 1) + 1 antilog and (odd p) q - 1 Zech
+    entries, and for q <= 64 the 2 q^2 entries of the addition and
+    multiplication tables.
     """
     cost = math.isqrt(max(p, 0))
     if k > 1:
         cost += (max(p, 0) + k) * k**3 * p.bit_length()
+    # k <= 16 keeps p**k from being computed for a huge k
+    if p > 1 and 0 < k <= 16 and p**k <= _TABLE_LIMIT:
+        q = p**k
+        if k > 1:
+            cost += q + 4 * (q - 1) + 1 + (p > 2) * (q - 1)
+        if q <= _SQUARE_TABLE_LIMIT:
+            cost += 2 * q * q
     return cost
 
 
@@ -465,14 +526,18 @@ class Matrix:
         ``add_scaled`` of the left factor's columns.  Prime-field products
         take one fused dot product per entry, an integer sum reduced mod p.
 
-        ``matmul_crossover`` in BENCH_17.json times both forms.  Over F8
-        and F9 the column form is 1.04 to 5.1 times as fast from 2 rows
-        per column on; at one row per column it is 0.83 to 1.22 times as
-        fast for squares with r <= 4, and 0.71 to 0.85 for the norm's
-        m x m by m x n^2 products (m, n = 3, 4).  Over F13 squares are up
-        to 2.4 times as fast entry by entry, and the column form pays
-        only from 8 rows per column on, which the group closure no longer
-        makes: it stacks no matrices."""
+        Timed in process on (c r) x r by r x m factors, r <= 15, over F4,
+        F8 and F9 (``matmul_crossover`` in BENCH_25.json): the column
+        form, on the addition and multiplication tables, is 1.25 to 6.8
+        times as fast as the entry-wise sums with XOR or Zech addition of
+        BENCH_17.json from 2 rows per column on, and 0.95 to 2.25 times at
+        one row per column.  A running table sum per entry would be 1.25
+        to 1.9 times as fast as the columns at one row per column (squares
+        with r <= 4 and the norm's m x m by m x n^2 products), 0.77 to
+        1.22 at two, and slower from four on.  Over F13 squares are 1.3 to
+        2.2 times as fast entry by entry, and the column form pays only
+        from 4 rows per column on (r <= 4), which the group closure no
+        longer makes: it stacks no matrices."""
         self._check_same(other)
         if self.cols != other.rows:
             raise InputError("matrix shape mismatch in product")
@@ -596,6 +661,9 @@ class Echelon:
     cleared at the pivots of the rows before it, then scaled to 1 at its
     own pivot, its first nonzero column; ``pivot_values`` keeps the entry
     before scaling, for determinants.  Input rows are never modified.
+    Over fields with q <= 64 each clearing step is one list comprehension
+    over the field's addition and multiplication tables; above that it is
+    one ``add_scaled``.
     """
 
     def __init__(self, field: FiniteField, width: int):
@@ -607,11 +675,22 @@ class Echelon:
 
     def _reduce(self, row: list[int], start: int) -> None:
         """Clear row in place at the pivots of basis rows start, start + 1..."""
-        add_scaled, neg = self.field.add_scaled, self.field.neg
-        for piv, brow in zip(self.pivots[start:], self.rows[start:]):
+        f = self.field
+        steps = zip(self.pivots[start:], self.rows[start:])
+        # brow is zero before piv
+        if f._add_rows is None:
+            add_scaled, neg = f.add_scaled, f.neg
+            for piv, brow in steps:
+                if row[piv]:
+                    row[piv:] = add_scaled(row[piv:], neg(row[piv]),
+                                           brow[piv:])
+            return
+        add, mul, neg = f._add_rows, f._mul_rows, f._neg_row
+        for piv, brow in steps:
             if row[piv]:
-                # brow is zero before piv
-                row[piv:] = add_scaled(row[piv:], neg(row[piv]), brow[piv:])
+                mc = mul[neg[row[piv]]]
+                row[piv:] = [add[x][mc[y]]
+                             for x, y in zip(row[piv:], brow[piv:])]
 
     def add(self, row: Sequence[int]) -> bool:
         """Reduce a copy of row against the basis; absorb it if it is

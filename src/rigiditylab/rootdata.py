@@ -175,12 +175,11 @@ class RootSystem:
         """With the roots grouped by the last coordinate of their support,
         entry i is coefficient i of the roots whose support ends at i or
         later, and the number that end at i."""
-        ends = [max(i for i, c in enumerate(root) if c)
-                for root in self.positive_roots]
-        roots = [root for _, root in sorted(zip(ends, self.positive_roots))]
-        ends.sort()
-        return tuple((tuple(root[i] for root in roots[ends.index(i):]),
-                      ends.count(i)) for i in range(self.rank))
+        ends, roots = zip(*sorted(
+            (max(itertools.compress(range(self.rank), root)), root)
+            for root in self.positive_roots))
+        return tuple((col[ends.index(i):], ends.count(i))
+                     for i, col in enumerate(zip(*roots)))
 
     @cached_property
     def _j_values(self) -> list[int]:

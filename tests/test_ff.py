@@ -223,20 +223,69 @@ def test_table_addition_matches_digit_arithmetic(p, k):
 
 
 def test_odd_extensions_add_by_zech_logarithms():
-    F = ff.field_create(3, 2)
-    assert F._zech_add is not None
-    assert ff.field_create(2, 3)._zech_add is None   # XOR instead
+    # F81 is the smallest odd extension field past the addition tables
+    F = ff.field_create(3, 4)
+    assert F._zech_add is not None and F._add_rows is None
+    assert ff.field_create(2, 7)._zech_add is None   # XOR instead
     assert ff.field_create(3, 11)._zech_add is None  # beyond the tables
+
+
+# Every field with q <= 64: the 18 primes up to 61 and the extension fields.
+SQUARE_TABLE_FIELDS = [(p, 1) for p in range(2, 64) if oracles.is_prime(p)]
+SQUARE_TABLE_FIELDS += [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3),
+                        (5, 2), (7, 2)]
+
+
+def test_fields_up_to_64_elements_have_square_tables():
+    assert len(SQUARE_TABLE_FIELDS) == 27
+    for p, k in SQUARE_TABLE_FIELDS:
+        F = ff.field_create(p, k)
+        assert F._add_rows is not None and F._mul_rows is not None
+    for p, k in [(67, 1), (3, 4), (2, 7)]:
+        F = ff.field_create(p, k)
+        assert F._add_rows is F._mul_rows is F._neg_row is None
+
+
+def test_square_tables_match_digit_and_polynomial_oracles():
+    rng = random.Random(64)
+    for p, k in SQUARE_TABLE_FIELDS:
+        F = ff.field_create(p, k)
+        q, r = F.q, range(F.q)
+        mod = list(F.modulus_poly)
+        prod = []
+        for c in r:
+            cs = list(F.unpack(c))
+            row = []
+            for y in r:
+                want = oracles.poly_rem(
+                    oracles.poly_mul(cs, list(F.unpack(y)), p), mod, p)
+                row.append(sum(v * p ** i for i, v in enumerate(want)))
+            prod.append(row)
+        for a in r:
+            assert F.neg(a) == oracles.digit_add(p, k, 0, a, -1)
+            assert [F.add(a, b) for b in r] == [
+                oracles.digit_add(p, k, a, b) for b in r]
+            assert [F.sub(a, b) for b in r] == [
+                oracles.digit_add(p, k, a, b, -1) for b in r]
+        xss = [rng.sample(r, q) for _ in range(3)]
+        for c in r:
+            assert F.scale(c, r) == prod[c], (p, k, c)
+            for xs in xss:
+                assert F.add_scaled(xs, c, r) == [
+                    oracles.digit_add(p, k, x, prod[c][y])
+                    for x, y in zip(xs, r)], (p, k, c)
 
 
 # ---------------------------------------------------------------------------
 # matrices and Gaussian elimination
 # ---------------------------------------------------------------------------
 
-# Prime fields, the table fields F4, F8, F9, F25 and F27 (XOR and Zech
-# addition), and one even and one odd extension too large for tables.
+# Prime fields, the table fields F4, F8, F9, F25 and F27, and past the
+# q <= 64 tables F67 (mod p), F81 (Zech) and F128 (XOR), plus one even and
+# one odd extension too large for log tables.
 ARITHMETIC_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2),
-                     (5, 2), (3, 3), (2, 17), (3, 11)]
+                     (5, 2), (3, 3), (2, 17), (3, 11), (67, 1), (3, 4),
+                     (2, 7)]
 
 
 @pytest.mark.parametrize("p,k", ARITHMETIC_FIELDS)
@@ -257,9 +306,9 @@ def test_packed_arithmetic_matches_entrywise_oracle(p, k):
                      for j in range(r)) == a.vals
 
 
-# A prime field, XOR and Zech addition, and polynomial arithmetic past the
-# tables.
-MATMUL_FIELDS = [(13, 1), (2, 3), (3, 2), (257, 2)]
+# Table fields (F13, F8, F9), F67, F81 and F128 with mod p, Zech and XOR
+# addition, and polynomial arithmetic past the log tables.
+MATMUL_FIELDS = [(13, 1), (2, 3), (3, 2), (257, 2), (67, 1), (3, 4), (2, 7)]
 
 
 @st.composite
@@ -364,7 +413,7 @@ def test_column_space_union_example():
     assert oracles.column_space_union([]) == 0
 
 
-@pytest.mark.parametrize("p", [5, 7, 13])
+@pytest.mark.parametrize("p", [5, 7, 13, 67])
 def test_rank_matches_independent_elimination(p):
     F = ff.field_create(p)
     rng = random.Random(p)
@@ -375,7 +424,8 @@ def test_rank_matches_independent_elimination(p):
             assert ff.rank(m) == oracles.rank_mod_p(grid, p)
 
 
-@pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (5, 1), (7, 1)])
+@pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (5, 1), (7, 1), (67, 1),
+                                 (3, 4), (2, 7)])
 def test_rank_nullity_holds(p, k):
     F = ff.field_create(p, k)
     rng = random.Random(10 * p + k)
@@ -450,8 +500,10 @@ def test_determinant_and_inverse_consistency():
 
 
 # (p, k, n_max): q^n_max stays near 10^4 so span_rank's enumeration is cheap.
+# F67, F81 and F128 eliminate past the q <= 64 tables.
 ORACLE_FIELDS = [(2, 1, 4), (3, 1, 4), (5, 1, 4), (7, 1, 4), (13, 1, 3),
-                 (2, 2, 4), (2, 3, 4), (3, 2, 4), (5, 2, 3)]
+                 (2, 2, 4), (2, 3, 4), (3, 2, 4), (5, 2, 3), (67, 1, 2),
+                 (3, 4, 2), (2, 7, 2)]
 
 
 @pytest.mark.parametrize("p,k,n_max", ORACLE_FIELDS)
@@ -485,7 +537,7 @@ def test_det_rank_inverse_match_elimination_free_oracles(p, k, n_max):
     assert singular >= n_max and invertible >= n_max
 
 
-@pytest.mark.parametrize("p,k", [(5, 1), (2, 2), (3, 2)])
+@pytest.mark.parametrize("p,k", [(5, 1), (2, 2), (3, 2), (67, 1), (3, 4)])
 def test_eliminations_leave_their_input_rows_untouched(p, k):
     F = ff.field_create(p, k)
     rng = random.Random(77 * p + k)
