@@ -534,10 +534,10 @@ class Matrix:
         one row per column.  A running table sum per entry would be 1.25
         to 1.9 times as fast as the columns at one row per column (squares
         with r <= 4 and the norm's m x m by m x n^2 products), 0.77 to
-        1.22 at two, and slower from four on.  Over F13 squares are 1.3 to
-        2.2 times as fast entry by entry, and the column form pays only
-        from 4 rows per column on (r <= 4), which the group closure no
-        longer makes: it stacks no matrices."""
+        1.22 at two, and slower from four on.  Over F13 one row per column
+        is 1.3 to 2.2 times as fast entry by entry, and the column form is
+        level or faster only from 4 rows per column on (r <= 4), which the
+        group closure no longer makes: it stacks no matrices."""
         self._check_same(other)
         if self.cols != other.rows:
             raise InputError("matrix shape mismatch in product")

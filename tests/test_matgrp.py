@@ -597,7 +597,9 @@ def test_field_setup_is_checked_against_the_work_cap(p, k):
     # table entry: log, antilog and (odd p) Zech tables up to q = 2^16,
     # addition and multiplication tables up to q = 64
     q = p ** k
-    logs = (1 < k and q <= 2 ** 16) * (q + 4 * (q - 1) + 1 + (p > 2) * (q - 1))
+    logs = 0
+    if 1 < k and q <= 2 ** 16:
+        logs = q + 4 * (q - 1) + 1 + (p > 2) * (q - 1)
     cost = ff.field_cost(p, k)
     assert cost == (math.isqrt(p) + (k > 1) * (p + k) * k ** 3 * p.bit_length()
                     + logs + (q <= 64) * 2 * q * q)
