@@ -22,7 +22,6 @@ power.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from functools import lru_cache
 from itertools import accumulate
 from operator import itemgetter
@@ -46,7 +45,7 @@ class AdjointRep:
         self.field = field
         self.n = n
         self.dim = n * n - 1
-        self._cache: OrderedDict[tuple, Matrix] = OrderedDict()
+        self._ad = lru_cache(maxsize=_AD_CACHE_SIZE)(self._ad_of)
         nn = n * n
         self._pick_off = itemgetter(*[t for t in range(nn) if t % (n + 1)])
         # entry ((k, i), (j, l)) of an n^2 x n^2 product, moved to row
@@ -114,23 +113,18 @@ class AdjointRep:
     def ad_matrix(self, g: Matrix) -> Matrix:
         """Matrix of X -> g X g^(-1) in the fixed basis."""
         self._check(g)
-        # only invertible matrices are cached, so a hit needs no determinant
-        hit = self._cache.get(g.vals)
-        if hit is not None:
-            self._cache.move_to_end(g.vals)
-            return hit
+        return self._ad(g.vals)
+
+    def _ad_of(self, vals: tuple[int, ...]) -> Matrix:
+        """Ad of the n x n matrix with entries vals, the one-term case
+        u = g, v = g^(-1).  A call that raises is not cached, so only
+        invertible matrices are, and a hit needs no determinant."""
+        f = self.field
         try:
-            ginv = g.inverse()
+            ginv = Matrix(f, self.n, self.n, vals).inverse()
         except ZeroDivisionError:
             raise InputError("Ad of a non-invertible matrix") from None
-        # the one-term case u = g, v = g^(-1)
-        f = self.field
-        out = self._matrix_of([x for u in g.vals
-                               for x in f.scale(u, ginv.vals)])
-        self._cache[g.vals] = out
-        if len(self._cache) > _AD_CACHE_SIZE:
-            self._cache.popitem(last=False)
-        return out
+        return self._matrix_of([x for u in vals for x in f.scale(u, ginv.vals)])
 
     def norm(self, g: Matrix, a: int) -> Matrix:
         """Matrix of the norm sum_{t<a} Ad(g)^t: X -> sum_{t<a} g^t X g^(-t),

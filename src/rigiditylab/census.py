@@ -37,8 +37,7 @@ from dataclasses import dataclass, replace
 from .adjoint import adjoint_rep
 from .errors import InputError, WorkCapExceeded
 from .ff import Matrix, field_create
-from .matgrp import (FiniteGroupTable, group_tuple, matrix_from_wire,
-                     matrix_to_wire)
+from .matgrp import FiniteGroupTable, group_tuple, matrix_to_wire
 from .rigidity import RigidityReport, rigidity_verdict
 from .rootdata import RootSystem
 
@@ -294,36 +293,3 @@ def census_to_json(result: CensusResult) -> dict:
         ],
     }
 
-
-def census_from_json(doc: dict) -> CensusResult:
-    if not isinstance(doc, dict):
-        raise InputError("census document must be a JSON object")
-    if doc.get("schema", 1) != 1:
-        raise InputError(f"unsupported schema version {doc.get('schema')!r}")
-    try:
-        field = field_create(doc["p"], doc["k"])
-        n = doc["n"]
-        entries = tuple(
-            CensusEntry(
-                classes=tuple(e["classes"]),
-                hom_count=e["hom_count"],
-                epi_count=e["epi_count"],
-                witness=tuple(matrix_from_wire(field, n, w)
-                              for w in e["witness"]),
-                witness_is_epi=e["witness_is_epi"],
-            )
-            for e in doc["entries"]
-        )
-        return CensusResult(
-            group_id=doc["group"], p=doc["p"], k=doc["k"], n=n,
-            projective=doc["projective"], group_size=doc["group_size"],
-            signature=tuple(doc["signature"]),
-            class_orders=tuple(doc["class_orders"]),
-            class_sizes=tuple(doc["class_sizes"]),
-            entries=entries,
-            epi_tested=doc["epi_tested"],
-            total_hom=doc["total_hom"],
-            total_epi=doc["total_epi"],
-        )
-    except KeyError as exc:
-        raise InputError(f"census document missing field {exc}") from exc

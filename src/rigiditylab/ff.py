@@ -3,8 +3,9 @@
 Elements of F_{p^k} are polynomials of degree < k over F_p, reduced modulo a
 monic irreducible polynomial of degree k.  The modulus is chosen canonically:
 the monic irreducible whose coefficient vector, read as the base-p integer
-c_{k-1} p^{k-1} + ... + c_1 p + c_0, is smallest.  This makes element
-serialization reproducible across runs and machines.
+c_{k-1} p^{k-1} + ... + c_1 p + c_0, is smallest, each candidate tested by
+Ben-Or's test.  This makes element serialization reproducible across runs
+and machines.
 
 An element is a plain int, the packed value sum(c_i * p^i) in [0, q); the
 coefficient tuple (the wire format) is ``FiniteField.unpack`` of it, and
@@ -14,16 +15,17 @@ FiniteField methods on packed values (``add``, ``sub``, ``neg``, ``mul``,
 and the polynomial powers share one square-and-multiply, ``_power``.
 
 Fields with q <= 64 (``_SQUARE_TABLE_LIMIT``) add and multiply by table:
-q rows of q packed ints each, plus a negation row, so every row operation
-on them is lookups alone.  Above that bound addition takes one of three
-forms.  Over F_p, arithmetic is integer arithmetic mod p.  Extension
-fields with at most 2**16 elements precompute discrete log / antilog
-tables for a generator g, so multiplication and inversion are one lookup.
-For odd p they also precompute the Zech logarithms Z(n) = log(1 + g^n), so
-that g^i + g^j = g^(i + Z(j - i)) is one lookup too (K. Huber, "Some
-comments on Zech's logarithms", IEEE Trans. IT 36, 1990); for p = 2
-addition is XOR.  Larger fields multiply by polynomial arithmetic, with
-the same product that builds the tables and searches for the modulus.
+q rows of q packed ints each, plus a negation row, built once from the
+field's own add and mul, so every row operation on them is lookups alone.
+Above that bound addition takes one of three forms.  Over F_p, arithmetic
+is integer arithmetic mod p.  Extension fields with at most 2**16 elements
+precompute discrete log / antilog tables for a generator g, so
+multiplication and inversion are one lookup.  For odd p they also
+precompute the Zech logarithms Z(n) = log(1 + g^n), so that
+g^i + g^j = g^(i + Z(j - i)) is one lookup too (K. Huber, "Some comments
+on Zech's logarithms", IEEE Trans. IT 36, 1990); for p = 2 addition is
+XOR.  Larger fields multiply by polynomial arithmetic, with the same
+product that builds the tables and searches for the modulus.
 
 A Matrix holds its entries as one tuple of packed ints, row major, in
 ``vals``; ``m[i, j]``, ``trace`` and ``det`` return packed ints too.  Its
@@ -132,33 +134,19 @@ def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def _is_irreducible(poly: Sequence[int], p: int) -> bool:
-    """Monic degree-k polynomial irreducible over F_p.
-
-    Uses the Frobenius criterion: f is irreducible iff x^(p^k) = x mod f and
-    gcd(x^(p^(k/t)) - x, f) = 1 for every prime t dividing k.  A root in
-    F_p, gcd(x^p - x, f) != 1, rejects f after the first power already.
-    """
-    k = len(poly) - 1
-    if k == 1:
-        return True
-
-    def shares_factor(frob: list[int]) -> bool:
-        """gcd(frob - x, f) != 1."""
+    """Monic degree-k polynomial f irreducible over F_p, by Ben-Or's test:
+    gcd(x^(p^i) - x, f) = 1 for i = 1, ..., k // 2.  x^(p^i) - x is the
+    product of the monic irreducibles whose degree divides i, and a
+    reducible f has an irreducible factor of degree at most k / 2
+    (M. Ben-Or, "Probabilistic algorithms in finite fields", FOCS 1981)."""
+    frob = [0, 1]
+    for _ in range((len(poly) - 1) // 2):
+        frob = _poly_powmod(frob, p, poly, p)
         diff = list(frob)
         diff[1] = (diff[1] - 1) % p
-        return len(_poly_gcd(diff, list(poly), p)) > 1
-
-    frob = [0, 1]
-    frob_steps = {}
-    for i in range(1, k + 1):
-        frob = _poly_powmod(frob, p, poly, p)
-        frob_steps[i] = frob
-        if i == 1 and shares_factor(frob):
+        if len(_poly_gcd(diff, list(poly), p)) > 1:
             return False
-    if _poly_trim(list(frob_steps[k])) != [0, 1]:
-        return False
-    return not any(shares_factor(frob_steps[k // t])
-                   for t in _prime_factors(k))
+    return True
 
 
 def _least_irreducible(p: int, k: int) -> tuple[int, ...]:
@@ -204,11 +192,10 @@ class FiniteField:
         self._add_rows: list[list[int]] | None = None
         self._mul_rows: list[list[int]] | None = None
         self._neg_row: list[int] | None = None
-        zech = None
         if k > 1 and self.q <= _TABLE_LIMIT:
-            zech = self._build_tables()
+            self._build_tables()
         if self.q <= _SQUARE_TABLE_LIMIT:
-            self._build_square_tables(zech)
+            self._build_square_tables()
 
     # -- construction helpers ------------------------------------------------
 
@@ -325,9 +312,8 @@ class FiniteField:
                             self.modulus_poly, self.p)
         return sum(map(mul, prod, self._pow_p))
 
-    def _build_tables(self) -> list[int] | None:
-        """Antilog, log and (odd p) Zech tables for a generator g; returns
-        the Zech table, or None for p = 2.
+    def _build_tables(self) -> None:
+        """Antilog, log and (odd p) Zech tables for a generator g.
 
         log[0] is the sentinel 2(q - 1), and exp holds two periods of g^i
         followed by zeros, so exp[log[a] + log[b]] is a b for every a and b,
@@ -368,30 +354,17 @@ class FiniteField:
                 return exp[la + zech[log[b] - la]]
 
             self._zech_add = zech_add
-            return zech
-        return None
 
-    def _build_square_tables(self, zech: list[int] | None) -> None:
+    def _build_square_tables(self) -> None:
         """The q x q addition and multiplication tables and the negation
-        row, one comprehension per row.  Over F_p an addition row is a
-        rotation of range(p); over extension fields products come from the
-        log tables, sums by XOR (p = 2) or by the Zech table zech."""
-        p, r = self.p, range(self.q)
-        if self.k == 1:
-            add = [[*r[a:], *r[:a]] for a in r]
-            mul = [[a * b % p for b in r] for a in r]
-        else:
-            exp, log = self._exp, self._log
-            mul = [[exp[la + lb] for lb in log] for la in log]
-            if p == 2:
-                add = [[a ^ b for b in r] for a in r]
-            else:
-                # a + 0 = a; otherwise the Zech step of _build_tables
-                add = [list(r)] + [
-                    [a] + [exp[la + zech[lb - la]] for lb in log[1:]]
-                    for a, la in zip(r[1:], log[1:])]
+        row, from add and mul themselves.  This relies on the tables not
+        existing yet: add reads them only once _add_rows is set, so here
+        it still takes the integer, XOR or Zech form."""
+        r = range(self.q)
+        add = [[self.add(a, b) for b in r] for a in r]
+        mul = [[self.mul(a, b) for b in r] for a in r]
         self._add_rows, self._mul_rows = add, mul
-        self._neg_row = mul[p - 1]  # -1 packs to the constant p - 1
+        self._neg_row = mul[self.p - 1]  # -1 packs to the constant p - 1
 
     # -- identity -------------------------------------------------------------
 
@@ -420,8 +393,9 @@ def field_cost(p: int, k: int) -> int:
     cap before any of it is done.
 
     Testing p takes up to sqrt(p) trial divisions.  For k > 1 the modulus
-    search is charged p + k candidates, each tested with k Frobenius
-    powers of bit_length(p) products of k^2 coefficient multiplications:
+    search is charged p + k candidates, each with k Frobenius powers
+    (Ben-Or's test makes at most k // 2, so this is an upper bound) of
+    bit_length(p) products of k^2 coefficient multiplications:
     the p binomials x^k + c may all be reducible (every element is a k-th
     power when gcd(k, p - 1) = 1), and beyond them irreducibles have
     density about 1/k.  Each table entry is charged one: for k > 1 and

@@ -236,22 +236,18 @@ def cartan_det(rs: RootSystem) -> int:
 
 
 def _int_det(m: list[list[int]]) -> int:
-    """Fraction-free (Bareiss) determinant of an integer matrix."""
+    """Fraction-free (Bareiss) determinant of a Cartan matrix, with no row
+    swaps: the k-th pivot is the k-th leading principal minor, and every
+    one is positive, since a finite-type Cartan matrix has a positive
+    definite symmetrization."""
     n = len(m)
-    sign = 1
     prev = 1
     for k in range(n - 1):
-        if m[k][k] == 0:
-            piv = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
-            if piv is None:
-                return 0
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    return m[n - 1][n - 1]
 
 
 class JEntry(NamedTuple):

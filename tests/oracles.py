@@ -29,8 +29,9 @@ right-multiplication permutations and the matrices a table rebuilds.
 norm_by_doubling sums the powers of an Ad matrix by doubling with the
 package's Matrix product; it checks the closed-form norm of the adjoint
 module at orders too large to sum term by term.  frobenius_is_irreducible
-reuses ff's polynomial helpers and checks only the early exit of the
-package's predicate.  The random tuple helpers and the hypothesis
+is the full Frobenius criterion, a second algorithm beside the package's
+Ben-Or test; it reuses ff's polynomial powers and gcd, so it checks the
+criterion, not those helpers.  The random tuple helpers and the hypothesis
 strategies sl_matrices and sl_tuples build package matrices and tuples as test inputs; their declared
 orders come from order_by_walk.  diagonal builds diagonal test matrices
 from constants or coefficient lists.  class_dim_gl reads a class dimension
@@ -418,11 +419,10 @@ def minimal_irreducible(p: int, k: int) -> tuple[int, ...]:
 
 
 def frobenius_is_irreducible(poly, p: int) -> bool:
-    """The Frobenius criterion with no early exit: x^(p^k) = x mod f and
-    gcd(x^(p^(k/t)) - x, f) = 1 for every prime t dividing k, from all k
-    Frobenius powers.  It reuses ff's polynomial helpers; what it checks
-    is that rejecting a root in F_p after the first power changes no
-    answer."""
+    """The Frobenius criterion: x^(p^k) = x mod f and gcd(x^(p^(k/t)) - x,
+    f) = 1 for every prime t dividing k, from all k Frobenius powers.  It
+    reuses ff's polynomial helpers; what it checks is the package's
+    irreducibility test (Ben-Or's), by a second criterion."""
     from rigiditylab import ff
     k = len(poly) - 1
     if k == 1:

@@ -186,8 +186,8 @@ def test_ad_matrix_cache_is_bounded(monkeypatch):
             for c in range(11):
                 g = ff.Matrix(f11, 3, 3, [1, a, b, 0, 1, c, 0, 0, 1])
                 rep.ad_matrix(g)
-                assert len(rep._cache) <= bound
-    assert len(rep._cache) == bound
+                assert rep._ad.cache_info().currsize <= bound
+    assert rep._ad.cache_info().currsize == bound
     eliminations = []
     monkeypatch.setattr(ff.Echelon, "__init__",
                         lambda self, *args: eliminations.append(args))

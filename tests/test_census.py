@@ -368,21 +368,6 @@ def test_signature_validation(psl25):
 
 
 # ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def test_census_json_round_trip(psl27):
-    res = census.census(psl27, (2, 3, 7))
-    doc = census.census_to_json(res)
-    back = census.census_from_json(doc)
-    assert census.census_to_json(back) == doc
-    assert back.group_id == res.group_id
-    assert back.total_hom == res.total_hom
-    assert back.entries[1].classes == res.entries[1].classes
-    assert back.entries[1].witness[0].key() == res.entries[1].witness[0].key()
-
-
-# ---------------------------------------------------------------------------
 # pinned regressions
 # ---------------------------------------------------------------------------
 

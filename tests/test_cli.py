@@ -146,6 +146,25 @@ def test_output_is_idempotent(capsys):
     assert first.endswith("\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("census", "--type", "A", "--rank", "1", "--q", "8",
+     "--signature", "2,3,7"),
+    ("rootdata", "--type", "E", "--rank", "6", "--d-max", "3"),
+    ("rigidity", "--in", str(GOLDEN_TUPLES / "sl3_f9.json")),
+], ids=["census", "rootdata", "rigidity"])
+def test_output_bytes_do_not_depend_on_the_hash_seed(argv):
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    outs = []
+    for seed in ("0", "12345"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "rigiditylab.cli", *argv],
+            capture_output=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed))
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1] and outs[0]
+
+
 def test_out_flag_writes_the_same_bytes(capsys, tmp_path):
     args = ("rootdata", "--type", "G", "--rank", "2", "--d-max", "6")
     _, stdout_text, _ = run(capsys, *args)
@@ -295,6 +314,20 @@ def test_help_still_prints_usage_and_exits_0(capsys):
     assert exc.value.code == 0
     out, err = capsys.readouterr()
     assert out.startswith("usage: rigiditylab census") and err == ""
+
+
+def test_census_rank_below_one_exits_2(capsys):
+    code, out, err = run(capsys, "census", "--type", "A", "--rank", "0",
+                         "--q", "7", "--signature", "2,3,7")
+    assert code == 2 and out == ""
+    assert "--rank" in json.loads(err)["error"]["message"]
+
+
+def test_csv_not_available_for_coinv(capsys):
+    path = str(GOLDEN_TUPLES / "sl2_f7.json")
+    code, out, err = run(capsys, "coinv", "--in", path, "--format", "csv")
+    assert code == 2 and out == ""
+    assert "json" in json.loads(err)["error"]["message"]
 
 
 def test_csv_not_available_for_rigidity(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Field construction, packed field arithmetic, and exact linear algebra."""
 
 import copy
+import itertools
 import math
 import operator
 import random
@@ -39,9 +40,35 @@ def test_modulus_is_first_irreducible_in_packed_order(p, k):
     assert ff.field_create(p, k).modulus_poly == oracles.minimal_irreducible(p, k)
 
 
-def test_root_test_leaves_every_modulus_unchanged():
-    # rejecting a root in F_p after the first Frobenius power must pick the
-    # modulus the full criterion picks, for every p^k <= 2 * 10^5
+def test_irreducibility_matches_trial_division():
+    # Ben-Or's test against trial division by every monic polynomial of
+    # degree <= k / 2, on every monic polynomial of degree 2-6 over F2, F3,
+    # F5 and F7 with p^k <= 2,500
+    checked = 0
+    for p in (2, 3, 5, 7):
+        for k in range(2, 7):
+            if p ** k > 2500:
+                continue
+            for tail in itertools.product(range(p), repeat=k):
+                poly = [*tail, 1]
+                assert ff._is_irreducible(poly, p) == \
+                    oracles.poly_is_irreducible(poly, p), (p, poly)
+                checked += 1
+    assert checked == 124 + 1089 + 775 + 2793
+    # among them, reducible quartics with no root in F_p, which a root test
+    # alone would pass: (x^2 + x + 1)^2 over F2 and (x^2 + 1)(x^2 + x + 2)
+    # over F3
+    for p, a, b in [(2, [1, 1, 1], [1, 1, 1]), (3, [1, 0, 1], [2, 1, 1])]:
+        poly = oracles.poly_mul(a, b, p)
+        assert all(sum(c * x ** i for i, c in enumerate(poly)) % p
+                   for x in range(p))
+        assert not ff._is_irreducible(poly, p)
+
+
+def test_ben_or_picks_the_modulus_the_frobenius_criterion_picks():
+    # a second algorithm: the full Frobenius criterion (x^(p^k) = x and
+    # gcd(x^(p^(k/t)) - x, f) = 1 for each prime t | k) must pick the same
+    # canonical modulus as Ben-Or's test, for every p^k <= 2 * 10^5
     bound = 2 * 10 ** 5
     checked = 0
     for p in range(2, math.isqrt(bound) + 1):

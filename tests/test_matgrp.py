@@ -315,6 +315,16 @@ def test_batched_closure_matches_the_per_product_closure(case, projective):
         assert table.size == sizes[case][projective]
 
 
+@pytest.mark.parametrize("q", [3, 5, 7])
+@pytest.mark.parametrize("n", [4, 6])
+def test_the_signed_cycle_of_an_even_degree_lies_in_sl_n(q, n):
+    # a plain n-cycle has determinant (-1)^(n-1) = -1 for even n; the
+    # candidate stream flips the sign of one entry to land in SL_n
+    cycle = next(matgrp._pair_candidates(field(q), n))[1]
+    assert cycle[0, n - 1] == field(q).neg(1)
+    assert oracles.leibniz_det(cycle) == 1
+
+
 def test_a_frame_orbit_past_256_points_is_refused_before_any_element(
         monkeypatch):
     # P^1(F_257) has 258 points, one too many for a byte

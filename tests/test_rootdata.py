@@ -106,6 +106,19 @@ def test_cartan_determinants_pinned():
         assert rootdata.cartan_det(rootdata.build(letter, rank)) == det
 
 
+@pytest.mark.parametrize("letter,rank", (
+    [(letter, r) for letter, low in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+     for r in range(low, 13)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]))
+def test_every_leading_principal_minor_of_a_cartan_matrix_is_positive(
+        letter, rank):
+    # each Bareiss pivot of cartan_det is one of these minors, which is why
+    # it needs no row swaps
+    cartan = rootdata.build(letter, rank).cartan
+    for k in range(1, rank + 1):
+        assert oracles.exact_determinant([row[:k] for row in cartan[:k]]) > 0
+
+
 # ---------------------------------------------------------------------------
 # j_d scan
 # ---------------------------------------------------------------------------
