@@ -213,6 +213,10 @@ def _run_census(args: argparse.Namespace, work_cap: int) -> str:
         raise too_big
     table = group_closure(generating_pair(field, n), cap=target + 1,
                           projective=args.projective)
+    if table.size != target:
+        raise InvariantViolation(
+            f"the closure has {table.size} elements, not the group order "
+            f"{target}")
     result = census_mod.census(table, signature, epi_test=args.epi_test,
                                work_cap=work_cap)
     if args.format == "csv":

@@ -16,9 +16,19 @@ and the polynomial powers share one square-and-multiply, ``_power``.
 
 Fields with q <= 64 (``_SQUARE_TABLE_LIMIT``) add and multiply by table:
 q rows of q packed ints each, plus a negation row, built once from the
-field's own add and mul, so every row operation on them is lookups alone.
-Above that bound addition takes one of three forms.  Over F_p, arithmetic
-is integer arithmetic mod p.  Extension fields with at most 2**16 elements
+field's own add and mul.  Fields with q <= 16 (so q^2 <= 256) also keep
+byte tables: ``_mul_bytes[c]`` translates a row of ``bytes`` y to c y,
+and ``_pair`` maps the byte x q + y to x + y.  So a whole row operation
+x + c y on such rows is two ``bytes.translate`` calls around one integer
+multiply-add, int(x) q + int(c y) with each row read as a big-endian int:
+no byte carries, since x q + y <= q^2 - 1.  Packing small-field elements
+side by side in machine words is the technique of Dumas, Fousse and Salvy
+("Simultaneous modular reduction and Kronecker substitution for small
+finite fields", J. Symb. Comput. 46, 2011).  ``Echelon`` and the column
+sums of ``Matrix @`` run on these rows.
+
+Above q = 64 addition takes one of three forms.  Over F_p, arithmetic is
+integer arithmetic mod p.  Extension fields with at most 2**16 elements
 precompute discrete log / antilog tables for a generator g, so
 multiplication and inversion are one lookup.  For odd p they also
 precompute the Zech logarithms Z(n) = log(1 + g^n), so that
@@ -31,8 +41,8 @@ A Matrix holds its entries as one tuple of packed ints, row major, in
 ``vals``; ``m[i, j]``, ``trace`` and ``det`` return packed ints too.  Its
 constructor takes packed entries unchecked; ``from_rows`` packs ints or
 coefficient lists.  A product over an extension field is one running sum
-per column; a prime-field product is one fused integer dot product per
-entry.
+per column, of byte rows for q <= 16; a prime-field product is one fused
+integer dot product per entry.
 
 Everything here is immutable after construction.
 """
@@ -192,6 +202,8 @@ class FiniteField:
         self._add_rows: list[list[int]] | None = None
         self._mul_rows: list[list[int]] | None = None
         self._neg_row: list[int] | None = None
+        self._mul_bytes: list[bytes] | None = None
+        self._pair: bytes | None = None
         if k > 1 and self.q <= _TABLE_LIMIT:
             self._build_tables()
         if self.q <= _SQUARE_TABLE_LIMIT:
@@ -357,14 +369,20 @@ class FiniteField:
 
     def _build_square_tables(self) -> None:
         """The q x q addition and multiplication tables and the negation
-        row, from add and mul themselves.  This relies on the tables not
-        existing yet: add reads them only once _add_rows is set, so here
-        it still takes the integer, XOR or Zech form."""
+        row, from add and mul themselves, and for q <= 16 the byte tables
+        read from them (see the module docstring).  This relies on the
+        tables not existing yet: add reads them only once _add_rows is
+        set, so here it still takes the integer, XOR or Zech form."""
         r = range(self.q)
         add = [[self.add(a, b) for b in r] for a in r]
         mul = [[self.mul(a, b) for b in r] for a in r]
         self._add_rows, self._mul_rows = add, mul
         self._neg_row = mul[self.p - 1]  # -1 packs to the constant p - 1
+        q = self.q
+        if q * q <= 256:
+            # a pair (x, y) of elements packs into one byte as x q + y
+            self._mul_bytes = [bytes(row) + bytes(256 - q) for row in mul]
+            self._pair = b"".join(map(bytes, add)) + bytes(256 - q * q)
 
     # -- identity -------------------------------------------------------------
 
@@ -400,8 +418,9 @@ def field_cost(p: int, k: int) -> int:
     power when gcd(k, p - 1) = 1), and beyond them irreducibles have
     density about 1/k.  Each table entry is charged one: for k > 1 and
     q <= 2**16 the q log, 4(q - 1) + 1 antilog and (odd p) q - 1 Zech
-    entries, and for q <= 64 the 2 q^2 entries of the addition and
-    multiplication tables.
+    entries, for q <= 64 the 2 q^2 entries of the addition and
+    multiplication tables, and for q <= 16 the q 256 + 256 entries of the
+    byte tables.
     """
     cost = math.isqrt(max(p, 0))
     if k > 1:
@@ -413,6 +432,8 @@ def field_cost(p: int, k: int) -> int:
             cost += q + 4 * (q - 1) + 1 + (p > 2) * (q - 1)
         if q <= _SQUARE_TABLE_LIMIT:
             cost += 2 * q * q
+        if q * q <= 256:
+            cost += q * 256 + 256
     return cost
 
 
@@ -497,21 +518,23 @@ class Matrix:
 
     def __matmul__(self, other: Matrix) -> Matrix:
         """Over an extension field each column of the product is a running
-        ``add_scaled`` of the left factor's columns.  Prime-field products
-        take one fused dot product per entry, an integer sum reduced mod p.
+        sum of the left factor's columns, of bytes for q <= 16 (see
+        ``_by_columns``).  Prime-field products take one fused dot product
+        per entry, an integer sum reduced mod p.
 
         Timed in process on (c r) x r by r x m factors, r <= 15, over F4,
-        F8 and F9 (``matmul_crossover`` in BENCH_25.json): the column
-        form, on the addition and multiplication tables, is 1.25 to 6.8
-        times as fast as the entry-wise sums with XOR or Zech addition of
-        BENCH_17.json from 2 rows per column on, and 0.95 to 2.25 times at
-        one row per column.  A running table sum per entry would be 1.25
-        to 1.9 times as fast as the columns at one row per column (squares
-        with r <= 4 and the norm's m x m by m x n^2 products), 0.77 to
-        1.22 at two, and slower from four on.  Over F13 one row per column
-        is 1.3 to 2.2 times as fast entry by entry, and the column form is
-        level or faster only from 4 rows per column on (r <= 4), which the
-        group closure no longer makes: it stacks no matrices."""
+        F8 and F9 (``matmul_crossover`` in BENCH_27.json): the byte
+        columns are 1.0 to 2.1 times as fast as running ``add_scaled``
+        columns on the q x q tables at one row per column, and 1.24 to
+        4.7 times at eight.  A running table sum per entry would be 1.25
+        to 1.47 times as fast as the byte columns at one row per column
+        with r <= 4 (squares and the norm's m x m by m x n^2 products),
+        and level or slower from r = 8 or two rows per column on.  Over
+        F3, F7 and F13 the fused dot products are 1.12 to 1.96 times as
+        fast as byte columns at one row per column with r <= 8, and
+        slower from two rows per column on, so taking byte columns over
+        F_p too would mean choosing a form by shape; the form depends on
+        the field alone."""
         self._check_same(other)
         if self.cols != other.rows:
             raise InputError("matrix shape mismatch in product")
@@ -528,18 +551,32 @@ class Matrix:
     __mul__ = __matmul__
 
     def _by_columns(self, other: Matrix) -> Matrix:
-        """The product as running ``add_scaled`` sums, one per column."""
+        """The product as running sums, one per column: over q <= 16 of
+        ``bytes``, with one translate, multiply-add and translate a term
+        (see the module docstring), else of ``add_scaled``."""
         f, r, m = self.field, self.cols, other.cols
         if not r:
             return Matrix.zero(f, self.rows, m)
         a, b = self.vals, other.vals
         vals = [0] * (self.rows * m)
-        acols = [a[t::r] for t in range(r)]
-        for j in range(m):
-            col = f.scale(b[j], acols[0])
-            for t in range(1, r):
-                col = f.add_scaled(col, b[t * m + j], acols[t])
-            vals[j::m] = col
+        if f._pair is None:
+            acols = [a[t::r] for t in range(r)]
+            for j in range(m):
+                col = f.scale(b[j], acols[0])
+                for t in range(1, r):
+                    col = f.add_scaled(col, b[t * m + j], acols[t])
+                vals[j::m] = col
+        else:
+            q, n, mul, pair = f.q, self.rows, f._mul_bytes, f._pair
+            acols = [bytes(a[t::r]) for t in range(r)]
+            for j in range(m):
+                col = acols[0].translate(mul[b[j]])
+                for t in range(1, r):
+                    cy = acols[t].translate(mul[b[t * m + j]])
+                    col = (int.from_bytes(col, "big") * q
+                           + int.from_bytes(cy, "big")
+                           ).to_bytes(n, "big").translate(pair)
+                vals[j::m] = col
         return Matrix(f, self.rows, m, vals)
 
     def scale(self, c: int) -> Matrix:
@@ -635,36 +672,43 @@ class Echelon:
     cleared at the pivots of the rows before it, then scaled to 1 at its
     own pivot, its first nonzero column; ``pivot_values`` keeps the entry
     before scaling, for determinants.  Input rows are never modified.
-    Over fields with q <= 64 each clearing step is one list comprehension
-    over the field's addition and multiplication tables; above that it is
-    one ``add_scaled``.
+    Over fields with q <= 16 the basis rows are ``bytes``, one element a
+    byte: the pivot is found by ``lstrip``, and clearing one is two
+    ``bytes.translate`` calls and one integer multiply-add for the whole
+    row (see the module docstring).  Over larger fields the rows are
+    lists and each clearing step is one ``add_scaled``.  ``reduced``
+    returns lists of packed ints either way.
     """
 
     def __init__(self, field: FiniteField, width: int):
         self.field = field
         self.width = width
-        self.rows: list[list[int]] = []
+        self.rows: list[bytes] | list[list[int]] = []
         self.pivots: list[int] = []
         self.pivot_values: list[int] = []
 
-    def _reduce(self, row: list[int], start: int) -> None:
-        """Clear row in place at the pivots of basis rows start, start + 1..."""
+    def _reduce(self, row, start: int):
+        """row cleared at the pivots of basis rows start, start + 1...;
+        a list row is cleared in place."""
         f = self.field
         steps = zip(self.pivots[start:], self.rows[start:])
-        # brow is zero before piv
-        if f._add_rows is None:
+        if f._pair is None:
             add_scaled, neg = f.add_scaled, f.neg
             for piv, brow in steps:
                 if row[piv]:
+                    # brow is zero before piv
                     row[piv:] = add_scaled(row[piv:], neg(row[piv]),
                                            brow[piv:])
-            return
-        add, mul, neg = f._add_rows, f._mul_rows, f._neg_row
+            return row
+        q, n, mul, pair = f.q, len(row), f._mul_bytes, f._pair
+        neg = f._neg_row
         for piv, brow in steps:
             if row[piv]:
-                mc = mul[neg[row[piv]]]
-                row[piv:] = [add[x][mc[y]]
-                             for x, y in zip(row[piv:], brow[piv:])]
+                cy = brow.translate(mul[neg[row[piv]]])
+                row = (int.from_bytes(row, "big") * q
+                       + int.from_bytes(cy, "big")
+                       ).to_bytes(n, "big").translate(pair)
+        return row
 
     def add(self, row: Sequence[int]) -> bool:
         """Reduce a copy of row against the basis; absorb it if it is
@@ -672,23 +716,28 @@ class Echelon:
         the rank is full, nothing is independent and no work is done."""
         if len(self.pivots) == self.width:
             return False
-        row = list(row)
-        self._reduce(row, 0)
-        lead = next((j for j, x in enumerate(row) if x), None)
-        if lead is None:
-            return False
         f = self.field
+        if f._pair is None:
+            row = self._reduce(list(row), 0)
+            lead = next((j for j, x in enumerate(row) if x), len(row))
+        else:
+            row = self._reduce(bytes(row), 0)
+            lead = len(row) - len(row.lstrip(b"\0"))
+        if lead == len(row):
+            return False
+        c = f.inv(row[lead])
         self.pivots.append(lead)
         self.pivot_values.append(row[lead])
-        self.rows.append(f.scale(f.inv(row[lead]), row))
+        self.rows.append(f.scale(c, row) if f._pair is None
+                         else row.translate(f._mul_bytes[c]))
         return True
 
     def reduced(self) -> list[list[int]]:
         """Back-substitute into reduced row-echelon form (unique for the
         row space) and return the rows sorted by pivot."""
         for i in range(len(self.rows) - 2, -1, -1):
-            self._reduce(self.rows[i], i + 1)
-        return [row for _, row in sorted(zip(self.pivots, self.rows))]
+            self.rows[i] = self._reduce(self.rows[i], i + 1)
+        return [list(row) for _, row in sorted(zip(self.pivots, self.rows))]
 
 
 def rank_of_rows(field: FiniteField, grid: list[list[int]]) -> int:

@@ -41,7 +41,10 @@ which the Cartan determinant tests pin.  alcove_j_by_order takes the
 package's positive roots, which the Weyl-orbit tests pin, and walks the
 Kac points of one order d alone, the package's walk before one walk
 served every order of a request.  kac_point_count counts those points
-from the marks alone.
+from the marks alone.  reduced_by_add_scaled is textbook Gauss-Jordan
+elimination on lists with the field's scale, inv, neg and add_scaled,
+never its Echelon; it checks the row-echelon forms that the package keeps
+as bytes over fields with q <= 16.
 """
 
 from __future__ import annotations
@@ -191,6 +194,25 @@ def span_rank(m) -> int:
         rank += 1
     assert F.q ** rank == len(span), "a span's size is a power of q"
     return rank
+
+
+def reduced_by_add_scaled(field, grid) -> list[list[int]]:
+    """Reduced row-echelon basis of the row space of grid (rows of packed
+    ints), column by column: swap a row with a nonzero entry up, scale it
+    to 1 and clear the column in every other row with add_scaled."""
+    rows = [list(row) for row in grid]
+    top = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pick = next((i for i in range(top, len(rows)) if rows[i][col]), None)
+        if pick is None:
+            continue
+        rows[top], rows[pick] = rows[pick], rows[top]
+        rows[top] = field.scale(field.inv(rows[top][col]), rows[top])
+        for i, row in enumerate(rows):
+            if i != top and row[col]:
+                rows[i] = field.add_scaled(row, field.neg(row[col]), rows[top])
+        top += 1
+    return rows[:top]
 
 
 # ---------------------------------------------------------------------------

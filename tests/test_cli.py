@@ -429,6 +429,18 @@ def test_invariant_violation_exits_4(capsys, monkeypatch):
         "message": "forced for the exit-code contract"}
 
 
+def test_census_group_order_mismatch_exits_4(capsys, monkeypatch):
+    # the closure of PSL2(7) has 168 elements; a wrong order leaves the
+    # closure cap room to finish and then fails the comparison
+    monkeypatch.setattr(cli, "psl_order", lambda q, n: 2 * 168)
+    code, out, err = run(capsys, "census", "--type", "A", "--rank", "1",
+                         "--q", "7", "--signature", "2,3,7")
+    assert (code, out) == (4, "")
+    assert json.loads(err)["error"] == {
+        "exit_code": 4, "kind": "invariant",
+        "message": "the closure has 168 elements, not the group order 336"}
+
+
 def test_coinv_invariant_violation_carries_a_repro(capsys, monkeypatch):
     """An exit-4 record of coinv holds the input tuple in wire format."""
     def explode(t):

@@ -271,6 +271,16 @@ def test_fields_up_to_64_elements_have_square_tables():
     for p, k in [(67, 1), (3, 4), (2, 7)]:
         F = ff.field_create(p, k)
         assert F._add_rows is F._mul_rows is F._neg_row is None
+    # byte rows for q^2 <= 256 only
+    for p, k in SQUARE_TABLE_FIELDS + [(67, 1), (3, 4), (2, 7)]:
+        F = ff.field_create(p, k)
+        assert (F._pair is not None) == (F._mul_bytes is not None) \
+            == (F.q <= 16), F
+        if F._pair is not None:
+            r = range(F.q)
+            assert [[F._pair[x * F.q + y] for y in r] for x in r] == \
+                F._add_rows
+            assert [list(row[:F.q]) for row in F._mul_bytes] == F._mul_rows
 
 
 def test_square_tables_match_digit_and_polynomial_oracles():
@@ -585,6 +595,57 @@ def test_eliminations_leave_their_input_rows_untouched(p, k):
                 ech.add(row)
             ech.reduced()
             assert grid == before
+
+
+# Every field with q <= 16 keeps its Echelon rows as bytes; F17, F25, F27
+# and F32, prime and extension fields past that bound, keep lists.
+BYTE_ROW_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
+                   (11, 1), (13, 1), (2, 4)]
+
+
+@pytest.mark.parametrize("p,k", BYTE_ROW_FIELDS + [(17, 1), (5, 2), (3, 3),
+                                                   (2, 5)])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_byte_rows_and_list_rows_match_the_oracles(p, k, data):
+    F = ff.field_create(p, k)
+    entry = st.one_of(st.just(0), st.integers(1, F.q - 1))
+    nonzero = st.integers(1, F.q - 1)
+    width = data.draw(st.integers(0, 4))
+    # q^rank spanned vectors for span_rank, so two free rows past q = 16
+    free = data.draw(st.integers(1, 3 if F.q <= 16 else 2))
+    grid = [data.draw(st.lists(entry, min_size=width, max_size=width))
+            for _ in range(free)]
+    if width and free > 1:
+        # the first pivot lies in a later row
+        grid[0][0], grid[1][0] = 0, data.draw(nonzero)
+    # a zero row and a row that depends on the rows before it
+    grid += [[0] * width, F.add_scaled(grid[0], data.draw(entry), grid[-1])]
+    m = ff.Matrix(F, len(grid), width, [x for row in grid for x in row])
+    assert ff.rank_of_rows(F, grid) == oracles.span_rank(m)
+    want = oracles.reduced_by_add_scaled(F, grid)
+    ech = ff.Echelon(F, width)
+    for row in grid:
+        ech.add(row)
+    assert all(isinstance(row, bytes) == (F.q <= 16) for row in ech.rows)
+    for got in (ff.row_space_basis(F, grid), ech.reduced()):
+        assert got == want
+        assert all(type(x) is int for row in got for x in row)
+    b = data.draw(matrices(F, width, data.draw(st.integers(0, 4))))
+    assert m @ b == oracles.matmul_entrywise(m, b)
+    n = data.draw(st.integers(0, 4))
+    sq = [data.draw(st.lists(entry, min_size=n, max_size=n))
+          for _ in range(n)]
+    if n > 1:
+        sq[0][0], sq[1][0] = 0, data.draw(nonzero)
+    a = ff.Matrix(F, n, n, [x for row in sq for x in row])
+    det = a.det()
+    assert det == oracles.leibniz_det(a)
+    if det:
+        assert a @ a.inverse() == ff.Matrix.identity(F, n)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a.inverse()
 
 
 def test_singular_inverse_rejected():

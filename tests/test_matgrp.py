@@ -601,18 +601,21 @@ def test_tuple_json_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize("p, k", [(7, 1), (3, 2), (2, 3), (10007, 1),
-                                  (3, 4), (2, 17)])
+                                  (3, 4), (2, 17), (2, 4), (17, 1)])
 def test_field_setup_is_checked_against_the_work_cap(p, k):
     # sqrt(p) trial divisions, for k > 1 the modulus search, and one per
     # table entry: log, antilog and (odd p) Zech tables up to q = 2^16,
-    # addition and multiplication tables up to q = 64
+    # addition and multiplication tables up to q = 64, and the q
+    # multiplication translates and the pair table, 256 bytes each, up to
+    # q = 16
     q = p ** k
     logs = 0
     if 1 < k and q <= 2 ** 16:
         logs = q + 4 * (q - 1) + 1 + (p > 2) * (q - 1)
     cost = ff.field_cost(p, k)
     assert cost == (math.isqrt(p) + (k > 1) * (p + k) * k ** 3 * p.bit_length()
-                    + logs + (q <= 64) * 2 * q * q)
+                    + logs + (q <= 64) * 2 * q * q
+                    + (q <= 16) * (q * 256 + 256))
     doc = {"p": p, "k": k, "n": 1, "generators": [[[1]]], "orders": [1]}
     assert matgrp.tuple_from_json(doc, work_cap=cost).field.q == p ** k
     with pytest.raises(WorkCapExceeded):
