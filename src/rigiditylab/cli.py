@@ -8,6 +8,15 @@ Subcommands map one-to-one onto the library layers:
 * ``rigidity``      the full verdict report for a tuple document
 * ``census``        homomorphism census over PSL_n(q) or SL_n(q)
 
+Each subcommand's options are declared once, in ``_COMMANDS``.  ``main``
+reads a well-formed command line straight from that table: the
+subcommand, then exact option names, each destination once, every value
+present, valid and not starting with "-".  Any other command line (help,
+a usage error, an abbreviation, ``--opt=value``, a repeated option, a
+negative number, ``--``) goes to the argparse parser that
+:func:`build_parser` builds from the same table, so argparse is imported
+only for help and for the message of a usage error.
+
 Exit codes: 0 success, 2 invalid input or schema violation, 3 work cap
 exceeded, 4 internal invariant failure (a bug, never a user error).  On
 any failure a one-line JSON error record goes to stderr.  An exit-4
@@ -23,7 +32,6 @@ environment variable.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import csv
 import functools
@@ -31,6 +39,8 @@ import io
 import json
 import os
 import sys
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from . import census as census_mod
 from . import rootdata as rootdata_mod
@@ -112,7 +122,7 @@ def _repro(t):
 # subcommand implementations
 # ---------------------------------------------------------------------------
 
-def _run_rootdata(args: argparse.Namespace, work_cap: int) -> str:
+def _run_rootdata(args: SimpleNamespace, work_cap: int) -> str:
     if args.d_max < 1:
         raise InputError(f"--d-max must be >= 1, got {args.d_max}")
     rs = rootdata_mod.build(args.type, args.rank, work_cap)
@@ -132,7 +142,7 @@ def _run_rootdata(args: argparse.Namespace, work_cap: int) -> str:
     })
 
 
-def _run_rigid_tuples(args: argparse.Namespace, work_cap: int) -> str:
+def _run_rigid_tuples(args: SimpleNamespace, work_cap: int) -> str:
     rs = rootdata_mod.build(args.type, args.rank, work_cap)
     res = rootdata_mod.rigid_tuples(rs, args.n, args.a_max, work_cap)
     if args.format == "csv":
@@ -150,7 +160,7 @@ def _run_rigid_tuples(args: argparse.Namespace, work_cap: int) -> str:
     })
 
 
-def _run_coinv(args: argparse.Namespace, work_cap: int) -> str:
+def _run_coinv(args: SimpleNamespace, work_cap: int) -> str:
     if args.format == "csv":
         raise InputError("coinv emits JSON only; use --format json")
     t = load_tuple(args.infile, work_cap)
@@ -164,7 +174,7 @@ def _run_coinv(args: argparse.Namespace, work_cap: int) -> str:
     })
 
 
-def _run_rigidity(args: argparse.Namespace, work_cap: int) -> str:
+def _run_rigidity(args: SimpleNamespace, work_cap: int) -> str:
     if args.format == "csv":
         raise InputError("rigidity emits JSON only; use --format json")
     t = load_tuple(args.infile, work_cap)
@@ -185,7 +195,7 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
     return p, k
 
 
-def _run_census(args: argparse.Namespace, work_cap: int) -> str:
+def _run_census(args: SimpleNamespace, work_cap: int) -> str:
     if args.workers < 1:
         raise InputError(f"worker count must be >= 1, got {args.workers}")
     if args.type.upper() != "A":
@@ -241,86 +251,170 @@ _RUNNERS = {
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# the command line
 # ---------------------------------------------------------------------------
 
-class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as an :class:`InputError`, so it leaves
-    through the same one-line JSON record and exit code 2 as any other
-    invalid input; subcommand parsers inherit the class."""
+_STORE_TRUE = "store_true"  # --x sets dest to True
+_SWITCH = "switch"          # --x sets dest to True, --no-x to False
 
-    def error(self, message: str):
-        raise InputError(f"{self.prog}: {message}")
+
+class _Option(NamedTuple):
+    """One option of a subcommand.  kind is int or str for an option that
+    takes a value, the tuple of values it accepts, _STORE_TRUE or
+    _SWITCH."""
+    flag: str
+    dest: str
+    kind: object
+    required: bool = False
+    default: object = None
+    help: str | None = None
+    metavar: str | None = None
+
+
+_COMMON = (
+    _Option("--out", "out", str, metavar="PATH",
+            help="write the artifact here instead of stdout"),
+    _Option("--format", "format", ("json", "csv"), default="json"),
+    _Option("--work-cap", "work_cap", int, metavar="N",
+            help=f"refuse jobs beyond N elementary evaluations "
+                 f"(default {DEFAULT_WORK_CAP}, env {WORK_CAP_ENV})"),
+)
+
+# subcommand -> (help, options); every subcommand also takes _COMMON last
+_COMMANDS = {
+    "rootdata": ("j_d table for a root system", (
+        _Option("--type", "type", str, True, help="A, B, C, D, E, F or G"),
+        _Option("--rank", "rank", int, True),
+        _Option("--d-max", "d_max", int, True),
+    )),
+    "rigid-tuples": ("tuples whose j-values sum to 2 dim G", (
+        _Option("--type", "type", str, True),
+        _Option("--rank", "rank", int, True),
+        _Option("--n", "n", int, True, help="tuple length"),
+        _Option("--a-max", "a_max", int, True),
+    )),
+    "coinv": ("coinvariant dimensions for a tuple", (
+        _Option("--in", "infile", str, True, metavar="PATH"),
+    )),
+    "rigidity": ("full rigidity report for a tuple", (
+        _Option("--in", "infile", str, True, metavar="PATH"),
+        _Option("--assert-irreducible", "assert_irreducible", _STORE_TRUE,
+                default=False,
+                help="record irreducibility as asserted instead of "
+                     "running the span test"),
+    )),
+    "census": ("homomorphism census over (P)SL_n(q)", (
+        _Option("--type", "type", str, True, help="only A is supported"),
+        _Option("--rank", "rank", int, True,
+                help="Lie rank; the matrix size is rank + 1"),
+        _Option("--q", "q", int, True),
+        _Option("--signature", "signature", str, True,
+                help="comma list, e.g. 2,3,7"),
+        _Option("--projective", "projective", _SWITCH, default=True,
+                help="work in PSL (default) or SL with --no-projective"),
+        _Option("--epi-test", "epi_test", _SWITCH, default=True,
+                help="test each tuple for generation (default on)"),
+        _Option("--workers", "workers", int, default=1,
+                help="accepted for compatibility (must be >= 1); the "
+                     "census runs in one process"),
+    )),
+}
+
+
+def _option_names(options):
+    """Each option string -> (dest, kind, the value a flag sets)."""
+    names = {}
+    for opt in options:
+        names[opt.flag] = (opt.dest, opt.kind, True)
+        if opt.kind is _SWITCH:
+            names["--no-" + opt.flag[2:]] = (opt.dest, opt.kind, False)
+    return names
+
+
+# subcommand -> (option strings, defaults, required destinations)
+_READER = {
+    command: (_option_names(options + _COMMON),
+              {opt.dest: opt.default for opt in options + _COMMON},
+              {opt.dest for opt in options if opt.required})
+    for command, (_, options) in _COMMANDS.items()
+}
+
+
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace of ``COMMAND (--OPTION VALUE | --FLAG)*`` with exact
+    option names, each destination set once, every value present, not
+    starting with "-" and valid, and every required option given; None
+    for any other command line, which :func:`build_parser` then reads."""
+    if not argv or argv[0] not in _READER:
+        return None
+    names, defaults, required = _READER[argv[0]]
+    args = dict(defaults)
+    seen = set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        entry = names.get(token)
+        if entry is None or entry[0] in seen:
+            return None
+        dest, kind, value = entry
+        seen.add(dest)
+        if kind is not _STORE_TRUE and kind is not _SWITCH:
+            value = next(tokens, "-")
+            if value.startswith("-"):
+                return None
+            if kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    return None
+            elif kind is not str and value not in kind:
+                return None
+        args[dest] = value
+    if not required <= seen:
+        return None
+    return SimpleNamespace(command=argv[0], **args)
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once and reused by every main() call."""
+def build_parser():
+    """The argparse parser of the same options, built once and used only
+    for what :func:`_read_argv` declines: help, and the message of a
+    usage error, which it raises as an :class:`InputError` so that it
+    leaves through the one-line JSON record and exit code 2."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        # subcommand parsers inherit the class
+        def error(self, message: str):
+            raise InputError(f"{self.prog}: {message}")
+
     parser = _Parser(
         prog="rigiditylab",
         description="Exact-arithmetic rigidity toolkit for generator tuples "
                     "in matrix groups over finite fields.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--out", default=None, metavar="PATH",
-                       help="write the artifact here instead of stdout")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--work-cap", type=int, default=None, metavar="N",
-                       help=f"refuse jobs beyond N elementary evaluations "
-                            f"(default {DEFAULT_WORK_CAP}, env {WORK_CAP_ENV})")
-
-    p_root = sub.add_parser("rootdata", help="j_d table for a root system")
-    p_root.add_argument("--type", required=True, help="A, B, C, D, E, F or G")
-    p_root.add_argument("--rank", required=True, type=int)
-    p_root.add_argument("--d-max", required=True, type=int)
-    common(p_root)
-
-    p_rig = sub.add_parser("rigid-tuples",
-                           help="tuples whose j-values sum to 2 dim G")
-    p_rig.add_argument("--type", required=True)
-    p_rig.add_argument("--rank", required=True, type=int)
-    p_rig.add_argument("--n", required=True, type=int, help="tuple length")
-    p_rig.add_argument("--a-max", required=True, type=int)
-    common(p_rig)
-
-    p_co = sub.add_parser("coinv", help="coinvariant dimensions for a tuple")
-    p_co.add_argument("--in", dest="infile", required=True, metavar="PATH")
-    common(p_co)
-
-    p_ver = sub.add_parser("rigidity", help="full rigidity report for a tuple")
-    p_ver.add_argument("--in", dest="infile", required=True, metavar="PATH")
-    p_ver.add_argument("--assert-irreducible", action="store_true",
-                       help="record irreducibility as asserted instead of "
-                            "running the span test")
-    common(p_ver)
-
-    p_cen = sub.add_parser("census",
-                           help="homomorphism census over (P)SL_n(q)")
-    p_cen.add_argument("--type", required=True, help="only A is supported")
-    p_cen.add_argument("--rank", required=True, type=int,
-                       help="Lie rank; the matrix size is rank + 1")
-    p_cen.add_argument("--q", required=True, type=int)
-    p_cen.add_argument("--signature", required=True,
-                       help="comma list, e.g. 2,3,7")
-    p_cen.add_argument("--projective", action=argparse.BooleanOptionalAction,
-                       default=True,
-                       help="work in PSL (default) or SL with --no-projective")
-    p_cen.add_argument("--epi-test", action=argparse.BooleanOptionalAction,
-                       default=True,
-                       help="test each tuple for generation (default on)")
-    p_cen.add_argument("--workers", type=int, default=1,
-                       help="accepted for compatibility (must be >= 1); the "
-                            "census runs in one process")
-    common(p_cen)
-
+    for command, (help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for opt in options + _COMMON:
+            if opt.kind is _STORE_TRUE or opt.kind is _SWITCH:
+                p.add_argument(opt.flag, dest=opt.dest, default=opt.default,
+                               help=opt.help, action=(
+                                   opt.kind if opt.kind is _STORE_TRUE
+                                   else argparse.BooleanOptionalAction))
+            else:
+                p.add_argument(
+                    opt.flag, dest=opt.dest, required=opt.required,
+                    default=opt.default, metavar=opt.metavar, help=opt.help,
+                    type=int if opt.kind is int else None,
+                    choices=opt.kind if isinstance(opt.kind, tuple) else None)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _read_argv(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            args = SimpleNamespace(**vars(build_parser().parse_args(argv)))
         text = _RUNNERS[args.command](args, _resolve_work_cap(args.work_cap))
         _emit(text, args.out)
         return EXIT_OK

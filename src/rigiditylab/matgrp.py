@@ -155,9 +155,12 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def group_tuple(generators: Sequence[Matrix],
-                declared_orders: Sequence[int]) -> GroupTuple:
-    """Validated constructor for :class:`GroupTuple`."""
+def group_tuple(generators: Sequence[Matrix], declared_orders: Sequence[int],
+                work_cap: int | None = None) -> GroupTuple:
+    """Validated constructor for :class:`GroupTuple`.  Checking that each
+    g^a is scalar takes a.bit_length() + a.bit_count() - 2 products of
+    n x n matrices (:func:`ff._power`); with a work_cap, their n^3 entry
+    products each are checked against it before the first power."""
     if not generators:
         raise InputError("empty generator tuple")
     field = generators[0].field
@@ -176,6 +179,13 @@ def group_tuple(generators: Sequence[Matrix],
                    declared_orders=tuple(int(a) for a in declared_orders))
     if not t.product().is_scalar():
         raise InputError("product of the generators is not a scalar matrix")
+    if work_cap is not None:
+        cost = n ** 3 * sum(a.bit_length() + a.bit_count() - 2
+                            for a in t.declared_orders)
+        if cost > work_cap:
+            raise WorkCapExceeded(
+                f"checking the declared orders needs {cost} entry products, "
+                f"more than the work cap {work_cap}")
     # g^a is scalar exactly when the projective order divides a
     for i, (g, a) in enumerate(zip(t.generators, t.declared_orders)):
         if not (g ** a).is_scalar():
@@ -210,7 +220,8 @@ def tuple_from_json(doc: dict, work_cap: int | None = None) -> GroupTuple:
     sequence of a field element, low degree first (a bare int is accepted
     as shorthand for a length-1 sequence).  The field's setup cost
     (:func:`ff.field_cost`) is checked against work_cap before the field
-    is built.
+    is built, and the powers that check the declared orders before the
+    first of them (:func:`group_tuple`).
     """
     if not isinstance(doc, dict):
         raise InputError("input document must be a JSON object")
@@ -235,7 +246,7 @@ def tuple_from_json(doc: dict, work_cap: int | None = None) -> GroupTuple:
     orders = doc["orders"]
     if not isinstance(orders, list):
         raise InputError("orders must be a list of positive integers")
-    return group_tuple(gens, orders)
+    return group_tuple(gens, orders, work_cap)
 
 
 def matrix_to_wire(m: Matrix) -> list:

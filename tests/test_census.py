@@ -51,6 +51,14 @@ def sl25():
 
 
 @pytest.fixture(scope="module")
+def sl217():
+    # linear with a centre, as `census --no-projective` builds it
+    return matgrp.group_closure(
+        matgrp.generating_pair(ff.field_create(17), 2), cap=10 ** 6,
+        projective=False)
+
+
+@pytest.fixture(scope="module")
 def psl213():
     return matgrp.group_closure(matgrp.generating_pair(ff.field_create(13), 2),
                                 cap=10 ** 6, projective=True)
@@ -311,16 +319,19 @@ def psl34():
                                 cap=10 ** 6, projective=True)
 
 
-@pytest.mark.parametrize("name", ["psl213", "psl34", "sl25"])
+@pytest.mark.parametrize("name", ["psl213", "psl34", "sl25", "sl217"])
 def test_centralizer_matches_the_mul_definition(name, request):
-    # PSL2(13) and PSL3(4) compare translates; SL2(5) has a centre and
-    # takes its products along words
+    # PSL2(13) and PSL3(4) compare translates; SL2(5) and SL2(17) have a
+    # centre and take their products along words
     table = request.getfixturevalue(name)
     mul = table.mul
     for cls in table.conjugacy_classes():
         rep = cls[0]
-        assert table.centralizer(rep) == [
+        centralizer = table.centralizer(rep)
+        assert centralizer == [
             c for c in range(table.size) if mul(rep, c) == mul(c, rep)]
+        # orbit-stabilizer ties the centralizer to the class walk
+        assert len(centralizer) * len(cls) == table.size
 
 
 def test_rejected_orbits_are_tested_once(monkeypatch, psl34):

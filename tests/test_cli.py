@@ -1,5 +1,6 @@
 """Command line interface: artifacts, determinism, exit codes."""
 
+import importlib.util
 import json
 import os
 import pathlib
@@ -9,8 +10,10 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
+import test_golden
 from rigiditylab import cli, ff, matgrp, rootdata
 from rigiditylab.errors import InvariantViolation, WorkCapExceeded
 
@@ -308,6 +311,110 @@ def test_cli_import_loads_no_process_pool():
     assert proc.stdout.strip() == "[]"
 
 
+def test_a_well_formed_command_line_loads_no_argparse():
+    # argparse serves only help and usage errors; a valid job never loads it
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    probe = f"""
+import contextlib, io, json, sys
+from rigiditylab import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["rootdata", "--type", "G", "--rank", "2",
+                       "--d-max", "6"]),
+             cli.main(["rigidity", "--in", {str(GOLDEN_TUPLES / "sl2_f7.json")!r}])]
+loaded = "argparse" in sys.modules
+err = io.StringIO()
+with contextlib.redirect_stderr(err):
+    codes.append(cli.main(["census", "--type", "A"]))
+print(json.dumps([codes, loaded, err.getvalue()]))
+"""
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded, err = json.loads(proc.stdout)
+    assert codes == [0, 0, 2] and not loaded
+    assert json.loads(err)["error"]["message"] == (
+        "rigiditylab census: the following arguments are required: --rank, "
+        "--q, --signature")
+
+
+def _benchmark_jobs(tmp_path):
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+    spec = importlib.util.spec_from_file_location(
+        "workloads", path / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [argv for name in workloads.WORKLOADS
+            for _, argv in workloads.jobs(name, 1, 0, str(tmp_path))]
+
+
+def test_every_golden_and_benchmark_command_line_takes_the_reader(tmp_path):
+    # a command line the reader declines still works through argparse,
+    # only slower; this keeps the corpus and the benchmark on the fast path
+    golden = list(test_golden.ALL_CASES.values())
+    golden += [(*argv, "--workers", "2") for argv in test_golden.CASES.values()]
+    for argv in golden + _benchmark_jobs(tmp_path):
+        got = cli._read_argv(list(argv))
+        assert got is not None, argv
+        assert vars(got) == vars(cli.build_parser().parse_args(list(argv)))
+
+
+_COMMAND_WORDS = ["rootdata", "rigid-tuples", "coinv", "rigidity", "census",
+                  "frobnicate"]
+_OPTION_WORDS = [
+    "--type", "--rank", "--d-max", "--n", "--a-max", "--in",
+    "--assert-irreducible", "--q", "--signature", "--projective",
+    "--no-projective", "--epi-test", "--no-epi-test", "--workers", "--out",
+    "--format", "--work-cap", "-h", "--help", "--",
+    # abbreviations
+    "--typ", "--ra", "--d", "--a", "--as", "--sig", "--no-p", "--epi",
+    "--wor", "--work", "--fo",
+    # --opt=value
+    "--type=A", "--rank=1", "--d-max=3", "--q=7", "--format=csv",
+    "--in=x.json", "--workers=2", "--work-cap=100", "--no-projective=1",
+]
+_VALUE_WORDS = ["0", "1", "2", "3", "7", "-1", "-7", "two", "", "json", "csv",
+                "xml", "1" * 5000, "A", "E", "2,3,7", "x.json"]
+_WELL_FORMED = [
+    ["rootdata", "--type", "E", "--rank", "6", "--d-max", "3"],
+    ["rigid-tuples", "--type", "F", "--rank", "4", "--n", "3", "--a-max", "12",
+     "--format", "csv"],
+    ["coinv", "--in", "x.json", "--out", "y.json"],
+    ["rigidity", "--in", "x.json", "--assert-irreducible", "--work-cap", "7"],
+    ["census", "--type", "A", "--rank", "1", "--q", "7", "--signature",
+     "2,3,7", "--no-projective", "--epi-test", "--workers", "2"],
+]
+_WORDS = _COMMAND_WORDS + _OPTION_WORDS + _VALUE_WORDS
+
+
+@st.composite
+def _command_lines(draw):
+    """Free draws from the vocabulary, and well-formed lines with a word or
+    two inserted or replaced."""
+    if draw(st.booleans()):
+        head = draw(st.lists(st.sampled_from(_COMMAND_WORDS), max_size=1))
+        return head + draw(st.lists(st.sampled_from(_OPTION_WORDS
+                                                    + _VALUE_WORDS),
+                                    max_size=12))
+    argv = list(draw(st.sampled_from(_WELL_FORMED)))
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(1, len(argv)))
+        word = draw(st.sampled_from(_WORDS))
+        if i < len(argv) and draw(st.booleans()):
+            argv[i] = word
+        else:
+            argv.insert(i, word)
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(_command_lines())
+def test_the_reader_agrees_with_argparse_or_declines(argv):
+    got = cli._read_argv(argv)
+    if got is not None:
+        assert vars(got) == vars(cli.build_parser().parse_args(argv))
+
+
 def test_help_still_prints_usage_and_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["census", "--help"])
@@ -540,6 +647,35 @@ def test_oversized_wire_integers_exit_3_before_the_work(
     assert time.perf_counter() - start < 1
     assert code == 3 and out == ""
     assert json.loads(err)["error"]["kind"] == "work-cap"
+
+
+@pytest.mark.parametrize("command", ["rigidity", "coinv"])
+@pytest.mark.parametrize("n, p, order", [
+    (24, 2, 10 ** 1000),  # three orders of a thousand digits
+    (8, 7, int("7" * 4000)),  # three orders of four thousand digits
+], ids=["n24", "n8"])
+def test_declared_order_powers_are_charged_before_the_first(
+        capsys, tmp_path, command, n, p, order):
+    # checking g^a for each declared order a takes about 1.5 log2(a)
+    # products of n x n matrices, seconds of work for these documents
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    path = _identity_tuple(tmp_path, p=p, n=n, generators=[eye] * 3,
+                           orders=[order] * 3)
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, "--in", path)
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"]["kind"] == "work-cap"
+
+
+def test_a_bad_declared_order_is_invalid_input_before_the_charge(capsys,
+                                                                tmp_path):
+    # a negative order of a thousand digits is rejected, not charged
+    path = _identity_tuple(tmp_path, orders=[-10 ** 1000])
+    code, out, err = run(capsys, "coinv", "--in", path)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["message"].endswith(
+        "must be a positive integer")
 
 
 def test_an_integer_too_long_to_read_is_invalid_input(capsys, tmp_path):
