@@ -314,13 +314,14 @@ def test_cli_import_loads_no_process_pool():
 def test_a_well_formed_command_line_loads_no_argparse():
     # argparse serves only help and usage errors; a valid job never loads it
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    tuple_path = str(GOLDEN_TUPLES / "sl2_f7.json")
     probe = f"""
 import contextlib, io, json, sys
 from rigiditylab import cli
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(["rootdata", "--type", "G", "--rank", "2",
                        "--d-max", "6"]),
-             cli.main(["rigidity", "--in", {str(GOLDEN_TUPLES / "sl2_f7.json")!r}])]
+             cli.main(["rigidity", "--in", {tuple_path!r}])]
 loaded = "argparse" in sys.modules
 err = io.StringIO()
 with contextlib.redirect_stderr(err):
@@ -352,7 +353,8 @@ def test_every_golden_and_benchmark_command_line_takes_the_reader(tmp_path):
     # a command line the reader declines still works through argparse,
     # only slower; this keeps the corpus and the benchmark on the fast path
     golden = list(test_golden.ALL_CASES.values())
-    golden += [(*argv, "--workers", "2") for argv in test_golden.CASES.values()]
+    golden += [(*argv, "--workers", "2")
+               for argv in test_golden.CASES.values()]
     for argv in golden + _benchmark_jobs(tmp_path):
         got = cli._read_argv(list(argv))
         assert got is not None, argv
