@@ -20,6 +20,9 @@ produced by the closure that multiplied stacked matrix levels, before the
 closure moved to permutations of projective points, and ``psl2_41_237``
 by the table that did its arithmetic along shortest words, before
 projective tables computed on their point permutations.
+``psl2_13_2233``, ``psl2_29_2233`` and ``sl2_19_237_linear`` were
+produced by the epimorphism test that closed each tuple inside the table
+past half the group, before it became a Schreier–Sims sift.
 ``rigid_e7_3_24`` and ``rigid_e8_3_6`` were produced by the alcove scan
 that walked the alcove afresh for every order d, before one walk served
 every order of a request.  Regenerate a file
@@ -70,6 +73,14 @@ CASES = {
     # spreads
     "psl2_41_237": (*_CENSUS, "--rank", "1", "--q", "41",
                     "--signature", "2,3,7"),
+    # m = 4: PSL2(29) makes 851 generation tests
+    "psl2_13_2233": (*_CENSUS, "--rank", "1", "--q", "13",
+                     "--signature", "2,2,3,3"),
+    "psl2_29_2233": (*_CENSUS, "--rank", "1", "--q", "29",
+                     "--signature", "2,2,3,3"),
+    # a linear table with a centre on the Hurwitz signature
+    "sl2_19_237_linear": (*_CENSUS, "--rank", "1", "--q", "19",
+                          "--signature", "2,3,7", "--no-projective"),
 }
 
 ROOTDATA_CASES = {
