@@ -8,21 +8,22 @@ weight, which leaves every count exact while dividing the work by roughly
 the class count.  The last coordinate is solved from the running product,
 never enumerated.
 
-Every group operation here goes through the table: ``mul``, ``inv`` and
-the epimorphism test ``generates`` act on each element's permutation of
-projective points when the table keeps them, and otherwise follow
-shortest words over the generators through the closure's
-right-multiplication permutations.  The census multiplies matrices only
-to rebuild each entry's witness from its BFS path
-(``FiniteGroupTable.matrix``).  Element orders are computed once per
+Every group operation here goes through the table: ``mul`` and ``inv``
+act on each element's permutation of projective points when the table
+keeps them, and otherwise follow shortest words over the generators
+through the closure's right-multiplication permutations.  The census
+multiplies matrices only to rebuild each entry's witness from its BFS
+path (``FiniteGroupTable.matrix``).  Element orders are computed once per
 conjugacy class, since order is a class function.
 
 Generation is decided once per C(x_1)-orbit.  Conjugating a tuple by an
 element of the centralizer of x_1 keeps x_1, the orders, the product and
-whether the tuple generates, so one epimorphism test (it closes the tuple
-inside the table, stopping as soon as more than half the group is
-reached, which a proper subgroup cannot do) decides the whole orbit, and
-its verdict, accepted or rejected, is recorded for every member.  The
+whether the tuple generates, so one epimorphism test decides the whole
+orbit, and its verdict, accepted or rejected, is recorded for every
+member.  The test (``FiniteGroupTable.generates``) is a Schreier–Sims
+sift of the point permutations of x_1, ..., x_(m-1), since x_m is the
+inverse of their product; it stops as soon as the partial stabilizer
+chain reaches the group's order.  The
 table finds the centralizer at the second orbit tested for its x_1, and
 the census keeps it for the rest of the run; an x_1 with one orbit to
 test never computes it.  Every tuple is still classified on its own, so
@@ -96,7 +97,7 @@ def _orbit_generates(table: FiniteGroupTable, idx_tuple: tuple[int, ...],
         (first, verdict), = verdicts.items()
         _spread(table, centralizers[rep], first, verdict, verdicts)
     if middle not in verdicts:
-        verdict = table.generates(idx_tuple)
+        verdict = table.generates(idx_tuple[:-1])
         if rep in centralizers:
             _spread(table, centralizers[rep], middle, verdict, verdicts)
         else:

@@ -24,9 +24,13 @@ is added.  It records right multiplication by each generator as a
 permutation of the indices, and each element's BFS parent, so a table
 rebuilds a matrix only when asked (a census, for its witnesses).  A table
 whose closure is keyed by the permutations alone (a projective one, which
-a linear table continues when 1 is its only scalar) multiplies, inverts
-and closes generated subgroups on them; a linear table with a centre
-does so by index lookups along shortest words in the generators.
+a linear table continues when 1 is its only scalar) multiplies and
+inverts on them; a linear table with a centre does so by index lookups
+along shortest words in the generators.  Every table decides whether
+elements generate its group by a deterministic Schreier–Sims on their
+permutations (C. C. Sims, "Computational methods in the study of
+permutation groups", 1970; Seress, ch. 4), stopped as soon as the
+partial stabilizer chain proves the group's order.
 ``generating_pair`` decides generation with projective closures capped
 at half of PSL_n(q), and a census continues the winner's closure from
 where the cap stopped it (unless it closes SL_n(q) with nontrivial
@@ -40,7 +44,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterable, Sequence
 
 from .errors import InputError, InvariantViolation, WorkCapExceeded
@@ -287,6 +291,108 @@ def load_tuple(path: str, work_cap: int | None = None) -> GroupTuple:
 
 
 # ---------------------------------------------------------------------------
+# generation of a permutation group (Schreier–Sims)
+# ---------------------------------------------------------------------------
+
+_IDENTITY = bytes(range(256))
+
+
+def _reaches_order(gens: Sequence[bytes], order: int) -> bool:
+    """Whether the permutations generate a group of ``order`` elements,
+    given that they generate at most that many.  Each is a 256-byte
+    ``bytes.translate`` table, x[p] the image of point p, so x.translate(y)
+    is x followed by y.
+
+    A deterministic Schreier–Sims (C. C. Sims, "Computational methods in
+    the study of permutation groups", 1970; Á. Seress, *Permutation Group
+    Algorithms*, CUP 2003, ch. 4), bottom up.  Level l keeps a base point
+    b_l, strong generators S_l that fix b_0, ..., b_(l-1), and the orbit
+    of b_l under them, with a transversal element u_d taking b_l to each
+    orbit point d and its inverse.  A Schreier generator u_d s u_(ds)^-1
+    of level l is sifted through the levels below; a residue that is not
+    the identity joins S_(l+1), ..., S_j, where j is the level it stopped
+    at (a new base point if it fixes them all), and level j is taken up
+    next.  The orbit of b_l under S_l lies in its orbit under the
+    stabilizer of b_0, ..., b_(l-1) in the group, so the product of the
+    orbit lengths never exceeds the group's order: reaching ``order``
+    answers True at once, and a chain whose Schreier generators all sift,
+    which then has that product as its order, answers False below it.
+    """
+    gens = [g for g in gens if g != _IDENTITY]
+    if not gens:
+        return order == 1
+    base: list[int] = []
+    strong: list[list[bytes]] = []
+    orbits: list[list[int]] = []
+    trans: list[dict[int, bytes]] = []
+    backs: list[dict[int, bytes]] = []
+    done: list[set[tuple[int, int]]] = []
+
+    def join(h: bytes, level: int) -> bool:
+        """Add h to S_level and grow the level's orbit; True once the
+        orbit lengths reach the order."""
+        if level == len(base):
+            b = next(p for p, x in enumerate(h) if p != x)
+            base.append(b)
+            strong.append([])
+            orbits.append([b])
+            trans.append({b: _IDENTITY})
+            backs.append({b: _IDENTITY})
+            done.append(set())
+        gens_l, orbit, u, back = (strong[level], orbits[level], trans[level],
+                                  backs[level])
+        gens_l.append(h)
+        old = len(orbit)
+        for a, d in enumerate(orbit):  # grows as new points are reached
+            for s in gens_l if a >= old else (h,):
+                e = s[d]
+                if e not in u:
+                    u[e] = x = u[d].translate(s)
+                    back[e] = bytes.maketrans(x, _IDENTITY)
+                    orbit.append(e)
+        return math.prod(map(len, orbits)) >= order
+
+    def residue(i: int) -> tuple[bytes, int] | None:
+        """The first untested Schreier generator of level i that does not
+        sift, as its residue and the level where the sift stopped."""
+        u, back, tested = trans[i], backs[i], done[i]
+        for d in orbits[i]:
+            for k, s in enumerate(strong[i]):
+                if (d, k) in tested:
+                    continue
+                tested.add((d, k))
+                e = s[d]
+                y = u[d].translate(s)
+                if y == u[e]:
+                    continue
+                y = y.translate(back[e])
+                j = i + 1
+                while j < len(base):
+                    t = backs[j].get(y[base[j]])
+                    if t is None:
+                        break
+                    y = y.translate(t)
+                    j += 1
+                if j < len(base) or y != _IDENTITY:
+                    return y, j
+        return None
+
+    if any(join(g, 0) for g in gens):
+        return True
+    i = 0
+    while i >= 0:
+        found = residue(i)
+        if found is None:
+            i -= 1
+            continue
+        y, j = found
+        if any(join(y, level) for level in range(i + 1, j + 1)):
+            return True
+        i = j
+    return False
+
+
+# ---------------------------------------------------------------------------
 # group closure
 # ---------------------------------------------------------------------------
 
@@ -308,15 +414,17 @@ class FiniteGroupTable:
     when it has no scalars but 1), the table keeps those keys as
     ``perms`` and computes on them: ``mul(i, j)`` is one
     ``bytes.translate`` and a key lookup, every inverse is made at once by
-    ``bytes.maketrans``, ``generates`` closes permutations into a set, and
-    ``centralizer`` compares two translates.  A linear table with a centre
-    keys by (permutation, scalar) instead; ``perms`` is None, and its
-    first ``mul`` or ``inv`` searches the Cayley graph on the generators
-    and their inverses breadth-first, which gives every element a shortest
-    word, held as the tuple of its letters' permutations.  ``mul(i, j)``
-    applies j's word to i, ``inv(i)`` is i's reversed inverse word applied
-    to the identity, and ``generates`` and ``centralizer`` work by
-    ``mul``.
+    ``bytes.maketrans``, and ``centralizer`` compares two translates.  A
+    linear table with a centre keys by (permutation, scalar) instead;
+    ``perms`` is None, and its first ``mul`` or ``inv`` searches the
+    Cayley graph on the generators and their inverses breadth-first,
+    which gives every element a shortest word, held as the tuple of its
+    letters' permutations.  ``mul(i, j)`` applies j's word to i,
+    ``inv(i)`` is i's reversed inverse word applied to the identity, and
+    ``centralizer`` works by ``mul``.  ``generates`` sifts point
+    permutations in either kind of table: a table with a centre rebuilds
+    each from its BFS path, as ``matrix`` does, and counts its scalars
+    (the elements that fix every point) once, when it is made.
     """
 
     def __init__(self, closure: _Closure, projective: bool):
@@ -326,10 +434,15 @@ class FiniteGroupTable:
         self.projective = projective
         self.right = closure.right
         self._parent = closure.parent
+        self._moves = closure.tables
         self.perms: list[bytes] | None = None
         if closure.projective:
             self.perms, self._index = closure.elts, closure.index
             self.pad = bytes(range(len(self.perms[0]), 256))
+            self._scalars = 1
+        else:
+            ident = closure.elts[0][0]
+            self._scalars = sum(x == ident for x, _ in closure.elts)
         self._words: list[tuple[list[int], ...]] | None = None
         self._inverses: list[int] | None = None
         self._classes: tuple[tuple[int, ...], ...] | None = None
@@ -338,15 +451,33 @@ class FiniteGroupTable:
     def size(self) -> int:
         return len(self._parent)
 
-    def matrix(self, i: int) -> Matrix:
-        """Element i, as the product of the generators on its BFS path."""
-        m = Matrix.identity(self.field, self.n)
+    def _path(self, i: int) -> list[int]:
+        """The generator numbers on element i's BFS path, from the
+        identity."""
+        path = []
         while i:
             p = self._parent[i]
             # the first generator taking the parent to i is the one that did
-            m = self.generators[[perm[p] for perm in self.right].index(i)] @ m
+            path.append([perm[p] for perm in self.right].index(i))
             i = p
+        return path[::-1]
+
+    def matrix(self, i: int) -> Matrix:
+        """Element i, as the product of the generators on its BFS path."""
+        m = Matrix.identity(self.field, self.n)
+        for k in self._path(i):
+            m = m @ self.generators[k]
         return m
+
+    def _point_perm(self, i: int) -> bytes:
+        """Element i's permutation of the frame orbit, as a 256-byte
+        translate table."""
+        if self.perms is not None:
+            return self.perms[i] + self.pad
+        x = _IDENTITY
+        for k in self._path(i):
+            x = x.translate(self._moves[k])
+        return x
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -419,31 +550,18 @@ class FiniteGroupTable:
                 if x.translate(y + pad) == y.translate(x_pad)]
 
     def generates(self, gens_idx: Sequence[int]) -> bool:
-        """Whether the elements generate the table's group: closes them,
-        by ``bytes.translate`` into a set of permutations when the table
-        keeps them and by ``mul`` otherwise, until more than half the group
-        is reached, which a proper subgroup cannot do."""
-        perms = self.perms
-        if perms is None:
-            start, letters, step = 0, gens_idx, self.mul
-        else:
-            start, step = perms[0], bytes.translate
-            letters = [perms[g] + self.pad for g in gens_idx]
-        half = self.size // 2
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for i in frontier:
-                for g in letters:
-                    j = step(i, g)
-                    if j not in seen:
-                        seen.add(j)
-                        if len(seen) > half:
-                            return True
-                        nxt.append(j)
-            frontier = nxt
-        return len(seen) == self.size
+        """Whether the elements generate the table's group.
+
+        Sifts their permutations of the frame orbit, on which the group
+        modulo its scalars acts faithfully (:func:`_reaches_order`),
+        against ``size`` over the number of scalars in the table.  So a table
+        keyed by permutations gets an exact answer.  A linear table with
+        a centre gets whether the elements generate the group modulo its
+        scalars; for SL_n(q) that is the same, by the perfectness argument
+        in :func:`generating_pair`'s docstring.
+        """
+        return _reaches_order([self._point_perm(i) for i in gens_idx],
+                         self.size // self._scalars)
 
     def order_of(self, i: int) -> int:
         """Order of element i in the table's group (projective order when
@@ -529,9 +647,11 @@ class _Closure:
         where = {v: i for i, v in enumerate(points)}
         images = tuple([] for _ in gens)
         self.scalars = tuple([] for _ in gens)
+        add, mul = field.add, field.mul
+        columns = [[g.vals[j::n] for j in range(n)] for g in gens]
         for v in points:  # grows as new points are reached
-            for g, image, scalars in zip(gens, images, self.scalars):
-                w = (Matrix(field, 1, n, v) @ g).vals
+            for cols, image, scalars in zip(columns, images, self.scalars):
+                w = [reduce(add, map(mul, v, col)) for col in cols]
                 lead = next(filter(None, w))
                 w = tuple(field.scale(field.inv(lead), w))
                 image.append(where.setdefault(w, len(points)))

@@ -44,7 +44,10 @@ served every order of a request.  kac_point_count counts those points
 from the marks alone.  reduced_by_add_scaled is textbook Gauss-Jordan
 elimination on lists with the field's scale, inv, neg and add_scaled,
 never its Echelon; it checks the row-echelon forms that the package keeps
-as bytes over fields with q <= 16.
+as bytes over fields with q <= 16.  generates_by_closure is the table's
+generation test as it stood before the Schreier–Sims sift: it closes the
+elements' point permutations into a set, or multiplies with the table's
+own ``mul`` (subgroup_generated) when the table keeps no permutations.
 """
 
 from __future__ import annotations
@@ -777,6 +780,34 @@ def subgroup_generated(table, idxs) -> int:
                 seen.add(y)
                 stack.append(y)
     return len(seen)
+
+
+def generates_by_closure(table, idxs) -> bool:
+    """Whether the elements generate the table's group, by closing them.
+
+    A table that keeps point permutations closes them by
+    ``bytes.translate`` into a set until more than half the group is
+    reached, which a proper subgroup cannot do; any other table compares
+    subgroup_generated with its size.
+    """
+    if table.perms is None:
+        return subgroup_generated(table, idxs) == table.size
+    letters = [table.perms[g] + table.pad for g in idxs]
+    half = table.size // 2
+    seen = {table.perms[0]}
+    frontier = [table.perms[0]]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in letters:
+                y = x.translate(g)
+                if y not in seen:
+                    seen.add(y)
+                    if len(seen) > half:
+                        return True
+                    nxt.append(y)
+        frontier = nxt
+    return len(seen) == table.size
 
 
 def direct_census(table, signature):

@@ -9,6 +9,7 @@ import math
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from rigiditylab.errors import InputError, WorkCapExceeded
@@ -252,14 +253,36 @@ def _hurwitz_epi_total(p, k):
     return c_q * k * math.gcd(2, q - 1) * matgrp.psl_order(q, 2)
 
 
+def _census_checking_generation(monkeypatch, table, signature):
+    """The census, with every generation test it makes checked against
+    the closure oracle, both on the m - 1 elements the census passes and
+    on the whole tuple, whose last element is their product's inverse."""
+    tested = []
+    generates = matgrp.FiniteGroupTable.generates
+    monkeypatch.setattr(matgrp.FiniteGroupTable, "generates", lambda t, idx: (
+        tested.append(tuple(idx)) or generates(t, idx)))
+    res = census.census(table, signature)
+    monkeypatch.undo()
+    assert tested
+    for head in tested:
+        prod = 0
+        for x in head:
+            prod = table.mul(prod, x)
+        whole = (*head, table.inv(prod))
+        verdict = oracles.generates_by_closure(table, head)
+        assert oracles.generates_by_closure(table, whole) == verdict
+        assert table.generates(head) == table.generates(whole) == verdict
+    return res
+
+
 @pytest.mark.parametrize("q", [q for q in range(2, 44) if _prime_power(q)])
-def test_macbeath_sweep(q):
+def test_macbeath_sweep(monkeypatch, q):
     p, k = _prime_power(q)
     F = ff.field_create(p, k)
     table = matgrp.group_closure(matgrp.generating_pair(F, 2), cap=10 ** 6,
                                  projective=True)
     assert table.size == matgrp.psl_order(q, 2)
-    res = census.census(table, (2, 3, 7))
+    res = _census_checking_generation(monkeypatch, table, (2, 3, 7))
     assert (res.total_epi > 0) == _macbeath_hurwitz(p, k)
     if _macbeath_hurwitz(p, k):
         assert res.total_epi == _hurwitz_epi_total(p, k)
@@ -297,7 +320,8 @@ def test_generation_is_tested_once_per_centralizer_orbit(monkeypatch,
 
 def test_no_centralizer_for_a_single_orbit(monkeypatch):
     # PSL2(11) has no element of order 7, so (1, 1, 1) is its one (2,3,7)
-    # tuple: one rejected test, and no centralizer
+    # tuple: one rejected test, of x_1 and x_2 (x_3 is their product's
+    # inverse), and no centralizer
     F = ff.field_create(11)
     table = matgrp.group_closure(matgrp.generating_pair(F, 2),
                                  cap=10 ** 6, projective=True)
@@ -309,7 +333,7 @@ def test_no_centralizer_for_a_single_orbit(monkeypatch):
         tested.append(idx) or generates(t, idx)))
     res = census.census(table, (2, 3, 7))
     assert res.total_hom == 1 and res.total_epi == 0
-    assert tested == [(0, 0, 0)]
+    assert tested == [(0, 0)]
     assert centralized == []
 
 
@@ -317,6 +341,40 @@ def test_no_centralizer_for_a_single_orbit(monkeypatch):
 def psl34():
     return matgrp.group_closure(matgrp.generating_pair(ff.field_create(2, 2), 3),
                                 cap=10 ** 6, projective=True)
+
+
+# PSL3(4) (2,5,5) rejects most of its orbits; SL2(5) and SL2(17) have a
+# centre, so their tables rebuild each permutation from its BFS path and
+# their oracle multiplies along words
+@pytest.mark.parametrize("name, signature", [
+    ("psl34", (2, 5, 5)), ("sl25", (4, 6, 10)), ("sl217", (3, 3, 9)),
+])
+def test_generation_verdicts_match_the_closure(monkeypatch, request, name,
+                                               signature):
+    _census_checking_generation(monkeypatch, request.getfixturevalue(name),
+                                signature)
+
+
+_SMALL_TABLES = {}
+
+
+def _small_table(q, n):
+    if (q, n) not in _SMALL_TABLES:
+        _SMALL_TABLES[q, n] = matgrp.group_closure(
+            matgrp.generating_pair(ff.field_create(*_prime_power(q)), n),
+            cap=10 ** 6, projective=True)
+    return _SMALL_TABLES[q, n]
+
+
+@settings(max_examples=200, deadline=None)
+@given(qn=st.sampled_from([(5, 2), (7, 2), (8, 2), (9, 2), (11, 2), (13, 2),
+                           (2, 3)]),
+       data=st.data())
+def test_random_pairs_generate_as_the_closure_says(qn, data):
+    table = _small_table(*qn)
+    pair = data.draw(st.lists(st.integers(0, table.size - 1), min_size=2,
+                              max_size=2))
+    assert table.generates(pair) == oracles.generates_by_closure(table, pair)
 
 
 @pytest.mark.parametrize("name", ["psl213", "psl34", "sl25", "sl217"])
@@ -345,7 +403,7 @@ def test_rejected_orbits_are_tested_once(monkeypatch, psl34):
     assert len(tested) == 53
     mul, inv = psl34.mul, psl34.inv
     centralizers, seen = {}, set()
-    for rep, x, last in tested:
+    for rep, x in tested:
         # the orbit of the middle coordinate under the centralizer of rep,
         # found from scratch; no later test may fall into it
         assert (rep, x) not in seen

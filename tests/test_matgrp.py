@@ -1,5 +1,6 @@
 """Matrix groups: orders, closure, irreducibility, tuple wire format."""
 
+import functools
 import json
 import math
 import pathlib
@@ -340,20 +341,23 @@ def test_a_frame_orbit_past_256_points_is_refused_before_any_element(
 
 def test_the_frame_orbit_walk_stops_at_its_257th_point(monkeypatch):
     # P^2(F_211) has 44,733 points; the walk maps each point it reaches
-    # by each generator, one 1 x 3 product apiece, and must stop at the
-    # 257th point instead of listing the orbit
-    products = []
-    matmul = ff.Matrix.__matmul__
+    # by each generator, one fold of field products per column of the
+    # generator (three a step), and must stop at the 257th point instead
+    # of listing the orbit
+    folds = []
+    reduce = functools.reduce
 
-    def counted(a, b):
-        products.append(a.rows)
-        return matmul(a, b)
+    def counted(*args):
+        folds.append(args)
+        return reduce(*args)
 
     pair = next(matgrp._pair_candidates(field(211), 3))
-    monkeypatch.setattr(ff.Matrix, "__matmul__", counted)
+    monkeypatch.setattr(matgrp, "reduce", counted)
+    monkeypatch.setattr(ff.Matrix, "__matmul__", None)  # the walk makes none
     with pytest.raises(InputError, match="more than 256 points"):
         matgrp.group_closure(list(pair), cap=10, projective=True)
-    assert 0 < len(products) <= 2 * 257 and set(products) == {1}
+    steps, rest = divmod(len(folds), 3)
+    assert 0 < steps <= 2 * 257 and rest == 0
 
 
 @pytest.mark.parametrize("projective", [False, True])
