@@ -12,8 +12,9 @@ Every group operation here goes through the table: ``mul`` and ``inv``
 act on each element's permutation of projective points when the table
 keeps them, and otherwise follow shortest words over the generators
 through the closure's right-multiplication permutations.  The census
-multiplies matrices only to rebuild each entry's witness from its BFS
-path (``FiniteGroupTable.matrix``).  Element orders are computed once per
+multiplies matrices only to rebuild each witness element from its BFS
+path (``FiniteGroupTable.matrix``), once however many entries share it.
+Element orders are computed once per
 conjugacy class, since order is a class function.
 
 Generation is decided once per C(x_1)-orbit.  Conjugating a tuple by an
@@ -34,6 +35,7 @@ tested.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 
 from .adjoint import adjoint_rep
 from .errors import InputError, WorkCapExceeded
@@ -128,9 +130,9 @@ def census(table: FiniteGroupTable, signature: tuple[int, ...],
     an epimorphism whenever one exists.
 
     work_cap bounds the number of candidate tuples evaluated; exceeding it
-    raises before any enumeration starts.  epi_test=False skips generation
-    checks (epi counts report 0), useful when per-tuple closures are too
-    costly but hom counts are still wanted.
+    raises before any enumeration starts.  epi_test=False skips the
+    generation tests, the Schreier–Sims sifts of ``table.generates`` (epi
+    counts report 0), when only hom counts are wanted.
     """
     sig = tuple(int(a) for a in signature)
     if len(sig) < 3:
@@ -199,10 +201,11 @@ def census(table: FiniteGroupTable, signature: tuple[int, ...],
     del rec  # rec's closure holds rec; the cycle would keep the table alive
 
     entries = []
+    matrix = cache(table.matrix)  # entries share witnesses; one rebuild each
     for cls in sorted(cells):
         hom, epi, wit_hom, wit_epi = cells[cls]
         wit_idx = wit_epi if wit_epi is not None else wit_hom
-        witness = tuple(map(table.matrix, wit_idx))
+        witness = tuple(map(matrix, wit_idx))
         entries.append(CensusEntry(
             classes=cls, hom_count=hom, epi_count=epi,
             witness=witness, witness_is_epi=wit_epi is not None,

@@ -24,18 +24,17 @@ is added.  It records right multiplication by each generator as a
 permutation of the indices, and each element's BFS parent, so a table
 rebuilds a matrix only when asked (a census, for its witnesses).  A table
 whose closure is keyed by the permutations alone (a projective one, which
-a linear table continues when 1 is its only scalar) multiplies and
+a linear table takes over when 1 is its only scalar) multiplies and
 inverts on them; a linear table with a centre does so by index lookups
 along shortest words in the generators.  Every table decides whether
 elements generate its group by a deterministic Schreier–Sims on their
 permutations (C. C. Sims, "Computational methods in the study of
 permutation groups", 1970; Seress, ch. 4), stopped as soon as the
 partial stabilizer chain proves the group's order.
-``generating_pair`` decides generation with projective closures capped
-at half of PSL_n(q), and a census continues the winner's closure from
-where the cap stopped it (unless it closes SL_n(q) with nontrivial
-scalars), so no element of the census table is multiplied by a generator
-twice.
+``generating_pair`` closes each candidate modulo scalars and takes the
+first whose closure is all of PSL_n(q); a census takes that closure over
+as its table (unless it closes SL_n(q) with nontrivial scalars), so no
+element of the census table is multiplied by a generator twice.
 """
 
 from __future__ import annotations
@@ -410,7 +409,7 @@ class FiniteGroupTable:
     reached i (a determinant-one representative, projectively too).
 
     When the closure keys each element by its permutation of the frame
-    orbit alone (a projective closure, which a linear table continues
+    orbit alone (a projective closure, which a linear table takes over
     when it has no scalars but 1), the table keeps those keys as
     ``perms`` and computes on them: ``mul(i, j)`` is one
     ``bytes.translate`` and a key lookup, every inverse is made at once by
@@ -613,7 +612,8 @@ class FiniteGroupTable:
 
 
 class _Closure:
-    """A breadth-first closure that can stop at a cap and go on later.
+    """A breadth-first closure, run to the end when it is made, or refused
+    with :class:`WorkCapExceeded` at element cap + 1.
 
     An element is held as the permutation it induces on the points of
     P^(n-1) (vectors whose first nonzero entry is 1) reached from the
@@ -624,13 +624,12 @@ class _Closure:
     product by generator k is ``x.translate(tables[k])``, and its c is c_x
     times the scalar that generator k puts on the point <e_1 x>.
 
-    The state is the list of keys ``elts``, the key-to-index dict, the
-    permutations ``right``, which fill in (element, generator) order, so
-    their lengths tell which product comes next, and each element's BFS
-    ``parent`` (0 for the identity).
+    It keeps the list of keys ``elts``, the key-to-index dict, the
+    permutations ``right`` and each element's BFS ``parent`` (0 for the
+    identity).
     """
 
-    def __init__(self, gens: Sequence[Matrix], projective: bool):
+    def __init__(self, gens: Sequence[Matrix], projective: bool, cap: int):
         if not gens:
             raise InputError("group closure needs at least one generator")
         field, n = gens[0].field, gens[0].rows
@@ -646,11 +645,11 @@ class _Closure:
         points = list(dict.fromkeys(frame))  # e_1 + ... + e_n = e_1 at n = 1
         where = {v: i for i, v in enumerate(points)}
         images = tuple([] for _ in gens)
-        self.scalars = tuple([] for _ in gens)
+        leads = tuple([] for _ in gens)
         add, mul = field.add, field.mul
         columns = [[g.vals[j::n] for j in range(n)] for g in gens]
         for v in points:  # grows as new points are reached
-            for cols, image, scalars in zip(columns, images, self.scalars):
+            for cols, image, scalars in zip(columns, images, leads):
                 w = [reduce(add, map(mul, v, col)) for col in cols]
                 lead = next(filter(None, w))
                 w = tuple(field.scale(field.inv(lead), w))
@@ -666,28 +665,16 @@ class _Closure:
         pad = bytes(range(len(points), 256))
         self.tables = [bytes(image) + pad for image in images]
         ident = bytes(range(len(points)))
-        self.elts = [ident if projective else (ident, 1)]
-        self.index = {self.elts[0]: 0}
+        elts = self.elts = [ident if projective else (ident, 1)]
+        index = self.index = {elts[0]: 0}
         self.right = tuple([] for _ in gens)
-        self.parent = [0]
-
-    def run(self, cap: int) -> None:
-        """Go on until the table closes, or raise :class:`WorkCapExceeded`
-        on element cap + 1 (the state stays as it was at the raise)."""
-        elts, index, parent = self.elts, self.index, self.parent
-        if len(elts) > cap:
-            raise _cap_exceeded(cap)
-        mul = self.gens[0].field.mul
-        linear = not self.projective
-        moves = list(zip(self.tables, self.scalars, self.right))
-        i = len(self.right[-1])
-        # a raise may have left element i expanded by the first k0 only
-        k0 = sum(len(perm) > i for perm in self.right)
-        while i < len(elts):
-            x, c = elts[i] if linear else (elts[i], 1)
-            for table, scalars, perm in moves[k0:]:
+        parent = self.parent = [0]
+        moves = list(zip(self.tables, leads, self.right))
+        for i, x in enumerate(elts):  # grows as new elements are reached
+            x, c = (x, 1) if projective else x
+            for table, scalars, perm in moves:
                 y = x.translate(table)
-                key = (y, mul(c, scalars[x[0]])) if linear else y
+                key = y if projective else (y, mul(c, scalars[x[0]]))
                 j = index.get(key)
                 if j is None:
                     if len(elts) >= cap:
@@ -696,8 +683,6 @@ class _Closure:
                     elts.append(key)
                     parent.append(i)
                 perm.append(j)
-            k0 = 0
-            i += 1
 
 
 def _cap_exceeded(cap: int) -> WorkCapExceeded:
@@ -705,11 +690,11 @@ def _cap_exceeded(cap: int) -> WorkCapExceeded:
 
 
 class _SearchPair(tuple):
-    """A candidate pair (a, b) with its projective closure in ``search``,
-    which :func:`group_closure` continues."""
+    """A pair (a, b) from :func:`generating_pair`, with its finished
+    projective closure in ``search``, which :func:`group_closure` hands
+    over as its table."""
 
-    def __init__(self, pair: tuple[Matrix, Matrix]):
-        self.search = _Closure(pair, projective=True)
+    search: _Closure
 
 
 def group_closure(gens: Sequence[Matrix], cap: int,
@@ -718,19 +703,19 @@ def group_closure(gens: Sequence[Matrix], cap: int,
 
     Raises :class:`WorkCapExceeded` when it reaches element cap + 1, so a
     group of exactly ``cap`` elements closes.  Given a pair from
-    :func:`generating_pair`, it continues the projective closure that the
-    search stopped at half of PSL_n(q) instead of starting again from the
-    identity, in projective mode, and in linear mode too when
-    gcd(n, q - 1) = 1: then 1 is the only determinant-one scalar, so the
-    projective closure is the linear one.  The table is the one a fresh
-    closure builds.
+    :func:`generating_pair`, it takes the projective closure that the
+    search finished instead of closing again, in projective mode, and in
+    linear mode too when gcd(n, q - 1) = 1: then 1 is the only
+    determinant-one scalar, so the projective closure is the linear one.
+    The table is the one a fresh closure builds.
     """
     if isinstance(gens, _SearchPair) and (
             projective or math.gcd(gens[0].rows, gens[0].field.q - 1) == 1):
         closure = gens.search
+        if len(closure.elts) > cap:
+            raise _cap_exceeded(cap)
     else:
-        closure = _Closure(gens, projective)
-    closure.run(cap)
+        closure = _Closure(gens, projective, cap)
     return FiniteGroupTable(closure, projective)
 
 
@@ -825,21 +810,17 @@ def generating_pair(field: FiniteField, n: int) -> tuple[Matrix, Matrix]:
     SL_n(q) exactly when its image generates PSL_n(q), because a subgroup
     H with HZ = G (Z central) is normal with abelian quotient, so it
     contains [G, G], and SL_n(q) is perfect except for SL_2(2), where
-    Z = 1, and SL_2(3), where Z = {+-1} lies in [G, G] = Q_8.  By Lagrange
-    a proper subgroup has at most half the elements of PSL_n(q), so each
-    candidate's projective closure is capped at |PSL_n(q)| // 2, and the
-    first that exceeds the cap wins.  No closure in the search is built
-    past half of PSL_n(q).  The winner's closure rides along with the
-    pair, and :func:`group_closure` continues it.
+    Z = 1, and SL_2(3), where Z = {+-1} lies in [G, G] = Q_8.  Each
+    candidate's projective closure is run to the end, and the first with
+    |PSL_n(q)| elements wins; by Lagrange a losing one stops at half of
+    that or below.  The winner's closure rides along with the pair, and
+    :func:`group_closure` hands it over.
     """
-    half = psl_order(field.q, n) // 2
-    for a, b in _pair_candidates(field, n):
-        pair = _SearchPair((a, b))
-        try:
-            group_closure(pair, cap=half, projective=True)
-        except WorkCapExceeded:
+    order = psl_order(field.q, n)
+    for pair in map(_SearchPair, _pair_candidates(field, n)):
+        pair.search = _Closure(pair, projective=True, cap=order)
+        if len(pair.search.elts) == order:
             return pair
     raise InvariantViolation(
         f"no generating pair found for SL_{n}({field.q}) in the candidate stream"
     )
-

@@ -441,8 +441,8 @@ def class_dim_table(rs: RootSystem, d_max: int,
                     work_cap: int | None = None) -> ClassDimTable:
     if d_max < 1:
         raise InputError(f"d_max = {d_max} must be >= 1")
-    for d in range(2, d_max + 1):  # every order, before any walk
-        _check_scan_cap(rs, d, work_cap)
+    if d_max > 1:  # the bound grows with d, so d_max's covers every order
+        _check_scan_cap(rs, d_max, work_cap)
     _walked(rs, d_max)
     entries = []
     ceiling = rs.dim_g - rs.rank

@@ -17,8 +17,8 @@ helpers, column_space_union and coinvariant_dim_via_words, do reuse the
 package's row reduction: what they check is the set of vectors that gets
 reduced, not the reduction.  generating_pair_by_full_closure keeps the
 package's candidate stream and closure, and checks only the acceptance
-rule: a full linear closure of |SL_n(q)| elements, not a projective one
-capped at half of PSL_n(q).  order_by_walk multiplies with the package's
+rule: a full linear closure of |SL_n(q)| elements, not the package's
+projective closure of |PSL_n(q)| elements.  order_by_walk multiplies with the package's
 Matrix product (checked against matmul_entrywise in the ff tests); what it
 checks is the order found by prime division, not the product;
 closure_by_products likewise multiplies one product at a time with the

@@ -88,11 +88,11 @@ def test_census_frees_its_table_without_the_cycle_collector():
 ])
 def test_census_multiplies_each_element_by_each_generator_once(
         monkeypatch, q, flags, size):
-    # a census closes its pair by continuing the winning search closure
+    # a census takes its table over from the winning search closure
     # (SL2(8) has no scalars besides 1, so its linear census does too):
-    # across the search and the census closure, every element of the
-    # census table is multiplied by each generator once, and every element
-    # of a rejected candidate's closure too
+    # across the search and the census, every element of the census table
+    # is multiplied by each generator once, and every element of a
+    # rejected candidate's closure too
     F = ff.field_create(*_prime_power(q))
     pair = matgrp.generating_pair(F, 2)
     rejected = 0
@@ -114,7 +114,7 @@ def test_census_multiplies_each_element_by_each_generator_once(
                          str(q), "--signature", "2,3,7", *flags])
     assert code == 0
     assert json.loads(out.getvalue())["group_size"] == size
-    # the winner's closure, continued, holds every product of the table
+    # the winner's closure, taken over, holds every product of the table
     assert len(made[-1].right[1]) == size
     assert sum(len(perm) for c in made for perm in c.right) \
         == 2 * (rejected + size)
@@ -123,14 +123,15 @@ def test_census_multiplies_each_element_by_each_generator_once(
 
 def test_no_partial_closure_outlives_its_caller(monkeypatch):
     # with the cyclic collector off, only reference counting can free a
-    # closure in progress: after a census, and after a capped closure
-    # raises, none may be left
+    # closure: after a census, and after a capped closure raises in its
+    # constructor, none may be left; each is registered before it runs,
+    # so a refused one is counted too
     made = []
 
     class Tracked(matgrp._Closure):
         def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
             made.append(weakref.ref(self))
+            super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(matgrp, "_Closure", Tracked)
     gc.collect()
@@ -215,6 +216,24 @@ def test_witnesses_satisfy_the_relations(psl27):
         idxs = [index[oracles.projective_key(m)] for m in e.witness]
         generated = oracles.subgroup_generated(psl27, idxs)
         assert e.witness_is_epi == (generated == psl27.size)
+
+
+def test_each_witness_element_is_rebuilt_once(monkeypatch, psl213):
+    # entries share witness elements; one census rebuilds each distinct
+    # one once, and the entries that share it share the matrix
+    rebuilt = []
+    matrix = matgrp.FiniteGroupTable.matrix
+
+    def counted(self, i):
+        rebuilt.append(i)
+        return matrix(self, i)
+
+    monkeypatch.setattr(matgrp.FiniteGroupTable, "matrix", counted)
+    res = census.census(psl213, (2, 3, 7))
+    witnesses = [m for e in res.entries for m in e.witness]
+    assert len(set(rebuilt)) == len(rebuilt) < len(witnesses)
+    assert len({id(m) for m in witnesses}) == len(rebuilt)
+    assert len({m.key() for m in witnesses}) == len(rebuilt)
 
 
 def test_epi_skipped_when_disabled(psl25):

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 import test_golden
 from rigiditylab import cli, ff, matgrp, rootdata
-from rigiditylab.errors import InvariantViolation, WorkCapExceeded
+from rigiditylab.errors import InvariantViolation
 
 GOLDEN_TUPLES = pathlib.Path(__file__).with_name("golden") / "tuples"
 
@@ -477,6 +477,18 @@ def test_oversized_root_systems_exit_3_before_building(capsys, argv):
     assert json.loads(err)["error"]["kind"] == "work-cap"
 
 
+def test_a_d_max_over_the_cap_exits_3_at_once(capsys):
+    # the witness-search bound d^rank |positive roots| grows with d, so the
+    # cap is checked at d_max alone, not at each of the 2 * 10^7 orders
+    start = time.perf_counter()
+    code, out, err = run(capsys, "rootdata", "--type", "A", "--rank", "1",
+                         "--d-max", "20000001")
+    assert time.perf_counter() - start < 0.5
+    assert code == 3 and out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "work-cap" and "d = 20000001" in error["message"]
+
+
 def test_d_max_is_checked_before_the_root_system_is_built(capsys):
     code, _, err = run(capsys, "rootdata", "--type", "A", "--rank", "100000",
                        "--d-max", "0")
@@ -719,28 +731,35 @@ def test_census_signature_is_parsed_before_the_cap(capsys):
 ])
 def test_census_closes_one_table_and_searches_below_half(capsys, monkeypatch,
                                                          q, flags, target):
-    # generating_pair's projective closures stop at half of PSL2(q); the
-    # census table is the one closure built in full, in the requested mode
+    # generating_pair closes each candidate modulo scalars: a losing one
+    # stops at half of PSL2(q) or below, and the winner reaches |PSL2(q)|.
+    # The census takes the winner over, except a linear census with a
+    # centre (SL2(7)), which builds exactly one more closure, a linear one
     built = []
-    closure = matgrp.group_closure
+
+    class Tracked(matgrp._Closure):
+        def __init__(self, gens, projective, cap):
+            super().__init__(gens, projective, cap)
+            built.append((len(self.elts), projective))
+
+    monkeypatch.setattr(matgrp, "_Closure", Tracked)
+    tables = []
+    closure = cli.group_closure
 
     def recorded(gens, cap, projective=False):
-        try:
-            table = closure(gens, cap, projective)
-        except WorkCapExceeded:
-            built.append((cap, projective))
-            raise
-        built.append((table.size, projective))
-        return table
+        tables.append(closure(gens, cap, projective))
+        return tables[-1]
 
-    monkeypatch.setattr(matgrp, "group_closure", recorded)
     monkeypatch.setattr(cli, "group_closure", recorded)
     code, _, _ = run(capsys, "census", "--type", "A", "--rank", "1",
                      "--q", str(q), "--signature", "2,3,7", *flags)
     assert code == 0
-    half = matgrp.psl_order(q, 2) // 2
-    *search, census_table = built
-    assert census_table == (target, "--no-projective" not in flags)
-    assert search and all(size <= half and projective
-                          for size, projective in search)
-    assert sum(size > half for size, _ in built) == 1
+    order = matgrp.psl_order(q, 2)
+    projective = "--no-projective" not in flags
+    search = built[:[size for size, _ in built].index(order) + 1]
+    assert all(p for _, p in search)
+    assert all(size <= order // 2 for size, _ in search[:-1])
+    centre = not projective and target > order
+    assert built[len(search):] == ([(target, False)] if centre else [])
+    table, = tables
+    assert (table.size, table.projective) == (target, projective)

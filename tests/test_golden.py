@@ -64,7 +64,7 @@ CASES = {
     # not fit a byte
     "sl2_17_339_linear": (*_CENSUS, "--rank", "1", "--q", "17",
                           "--signature", "3,3,9", "--no-projective"),
-    # SL2(8) linear: gcd(2, 7) = 1, so the table continues the projective
+    # SL2(8) linear: gcd(2, 7) = 1, so the table takes over the projective
     # closure of the pair search
     "sl2_8_237_linear": (*_CENSUS, "--rank", "1", "--q", "8",
                          "--signature", "2,3,7", "--no-projective"),

@@ -202,9 +202,10 @@ def test_subgroup_orders_divide_group_order():
 
 
 def test_closure_of_exactly_cap_elements_returns():
-    # the closure raises only on element cap + 1: the 3-cycle generates a
-    # subgroup of order 3, exactly half of SL2(2) = S3, which the half-group
-    # cap of generating_pair must accept as a closure and so reject as a pair
+    # the closure raises only on element cap + 1, so a group of exactly
+    # cap elements closes, as generating_pair's winner does under its cap
+    # of |PSL_n(q)|: the 3-cycle generates a subgroup of order 3, half of
+    # SL2(2) = S3
     cycle = ff.Matrix.from_rows(field(2), [[0, 1], [1, 1]])
     half = matgrp.sl_order(2, 2) // 2
     assert oracles.order_by_walk(cycle) == half == 3
@@ -328,15 +329,23 @@ def test_the_signed_cycle_of_an_even_degree_lies_in_sl_n(q, n):
 
 def test_a_frame_orbit_past_256_points_is_refused_before_any_element(
         monkeypatch):
-    # P^1(F_257) has 258 points, one too many for a byte
-    ran = []
-    monkeypatch.setattr(matgrp._Closure, "run", ran.append)
+    # P^1(F_257) has 258 points, one too many for a byte; each closure is
+    # refused in its frame walk, before it makes its element list
+    made = []
+
+    class Tracked(matgrp._Closure):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(matgrp, "_Closure", Tracked)
     pair = next(matgrp._pair_candidates(field(257), 2))
     for projective in (False, True):
         with pytest.raises(InputError, match="more than 256 points"):
             matgrp.group_closure(list(pair), cap=10 ** 7,
                                  projective=projective)
-    assert ran == []
+    assert len(made) == 2
+    assert not any(hasattr(closure, "elts") for closure in made)
 
 
 def test_the_frame_orbit_walk_stops_at_its_257th_point(monkeypatch):
@@ -361,45 +370,51 @@ def test_the_frame_orbit_walk_stops_at_its_257th_point(monkeypatch):
 
 
 @pytest.mark.parametrize("projective", [False, True])
-def test_batched_closure_cap_boundary_and_resume(projective):
+def test_batched_closure_cap_boundary(projective):
     gens = _closure_gens("F9")
     mats, right = oracles.closure_by_products(gens, 10 ** 6, projective)
     size = len(mats)
-    assert matgrp.group_closure(gens, cap=size, projective=projective).size \
-        == size
+    table = matgrp.group_closure(gens, cap=size, projective=projective)
+    assert _same_table(table, mats, right)
     with pytest.raises(WorkCapExceeded):
         matgrp.group_closure(gens, cap=size - 1, projective=projective)
-    # a closure stopped by its cap, once or more, goes on to the table a
-    # fresh closure builds
-    for caps in [(1,), (size // 3, size // 2), (size - 1,)]:
-        closure = matgrp._Closure(gens, projective)
-        for cap in caps:
-            with pytest.raises(WorkCapExceeded):
-                closure.run(cap)
-            assert len(closure.elts) == cap
-        closure.run(size)
-        assert _same_table(matgrp.FiniteGroupTable(closure, projective),
-                           mats, right)
+    # a closure refused by its cap raises at element cap + 1, having built
+    # the first cap elements of the full closure, in the same order
+    full = matgrp._Closure(gens, projective, size)
+    made = []
+
+    class Tracked(matgrp._Closure):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    for cap in (1, size // 3, size // 2, size - 1):
+        with pytest.raises(WorkCapExceeded, match=f"cap of {cap} elements"):
+            Tracked(gens, projective, cap)
+        assert made[-1].elts == full.elts[:cap]
+        assert made[-1].parent == full.parent[:cap]
 
 
 @pytest.mark.parametrize("q, n", [(7, 2), (8, 2), (9, 2), (2, 3), (3, 3)])
 def test_census_closure_continues_the_winning_search(q, n):
+    # the search closes the winner in full, and the census table is that
+    # closure, with no product made again
     pair = matgrp.generating_pair(field(q), n)
-    half = matgrp.psl_order(q, n) // 2
-    assert len(pair.search.elts) == half
+    assert len(pair.search.elts) == matgrp.psl_order(q, n)
     mats, right = oracles.closure_by_products(list(pair), 10 ** 6, True)
     linear = matgrp.group_closure(pair, cap=10 ** 6)
     assert _same_table(linear, *oracles.closure_by_products(list(pair),
                                                             10 ** 6))
     assert not linear.projective
-    # without scalars besides 1 the linear closure continues the search;
-    # otherwise it starts over and leaves the search where it stopped
+    # without scalars besides 1 the linear table is the search closure;
+    # otherwise it is closed afresh
     scalars = math.gcd(n, q - 1)
-    assert len(pair.search.elts) == (len(mats) if scalars == 1 else half)
-    resumed = matgrp.group_closure(pair, cap=10 ** 6, projective=True)
-    assert _same_table(resumed, mats, right)
-    assert resumed.projective and resumed.generators == tuple(pair)
-    # a closed search closes again at once, and still keeps to its cap
+    assert (linear.right is pair.search.right) == (scalars == 1)
+    taken = matgrp.group_closure(pair, cap=10 ** 6, projective=True)
+    assert taken.right is pair.search.right
+    assert _same_table(taken, mats, right)
+    assert taken.projective and taken.generators == tuple(pair)
+    # the finished search still keeps to the caller's cap
     again = matgrp.group_closure(pair, cap=len(mats), projective=True)
     assert _same_table(again, mats, right)
     with pytest.raises(WorkCapExceeded):
@@ -412,7 +427,7 @@ def test_census_closure_continues_the_winning_search(q, n):
 
 # A table computes on its point permutations, unless it is linear with a
 # centre (SL2(5), SL2(7)): then it walks shortest words.  SL2(8) and
-# SL3(2) linear continue the projective closure of the pair search.
+# SL3(2) linear take over the projective closure of the pair search.
 @pytest.mark.parametrize("q, n, projective", [
     (5, 2, True), (8, 2, True), (5, 2, False), (2, 3, False), (7, 2, False),
     (8, 2, False),
@@ -496,10 +511,10 @@ def test_generating_pair_is_deterministic_and_valid(q):
                                                     13, 16)]
                          + [(2, 3), (3, 3), (4, 3)])
 def test_half_group_cap_picks_the_full_closure_pair(q, n):
-    # a pair generates SL_n(q) exactly when its projective closure passes
-    # half of PSL_n(q) (q = 2, 3 included), so the capped search accepts
-    # the candidate a full linear closure would, and the census closes
-    # PSL_n(q) from the same pair as before
+    # a pair generates SL_n(q) exactly when its projective closure is all
+    # of PSL_n(q) (q = 2, 3 included), and a losing one stops at half of it
+    # or below, so the search accepts the candidate a full linear closure
+    # would, and the census closes PSL_n(q) from the same pair as before
     F = field(q)
     got = matgrp.generating_pair(F, n)
     want = oracles.generating_pair_by_full_closure(F, n)
