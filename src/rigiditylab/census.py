@@ -34,8 +34,8 @@ tested.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cache
+from typing import NamedTuple
 
 from .adjoint import adjoint_rep
 from .errors import InputError, WorkCapExceeded
@@ -45,8 +45,7 @@ from .rigidity import RigidityReport, rigidity_verdict
 from .rootdata import RootSystem
 
 
-@dataclass(frozen=True)
-class CensusEntry:
+class CensusEntry(NamedTuple):
     """Counts for one conjugacy-class tuple, with the least witness found
     (an epimorphism witness whenever one exists)."""
 
@@ -57,8 +56,7 @@ class CensusEntry:
     witness_is_epi: bool
 
 
-@dataclass(frozen=True)
-class CensusResult:
+class CensusResult(NamedTuple):
     group_id: str
     p: int
     k: int
@@ -230,8 +228,7 @@ def census(table: FiniteGroupTable, signature: tuple[int, ...],
 # the dimension-condition filter
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RigidCensus:
+class RigidCensus(NamedTuple):
     """Census entries surviving the dimension-count filter, with the full
     report for each survivor's witness tuple."""
 
@@ -262,9 +259,9 @@ def rigid_class_tuples(result: CensusResult, rs: RootSystem,
         t = group_tuple(list(entry.witness), list(result.signature))
         reports.append((entry.classes, rigidity_verdict(t, irreducibility)))
 
-    filtered = replace(result, entries=tuple(kept),
-                       total_hom=sum(e.hom_count for e in kept),
-                       total_epi=sum(e.epi_count for e in kept))
+    filtered = result._replace(entries=tuple(kept),
+                               total_hom=sum(e.hom_count for e in kept),
+                               total_epi=sum(e.epi_count for e in kept))
     return RigidCensus(result=filtered, reports=tuple(reports))
 
 

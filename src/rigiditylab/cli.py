@@ -33,7 +33,6 @@ environment variable.
 from __future__ import annotations
 
 import contextlib
-import csv
 import functools
 import io
 import json
@@ -85,6 +84,8 @@ def _json_text(doc: dict) -> str:
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
+    import csv  # only a CSV job loads it
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)

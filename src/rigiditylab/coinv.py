@@ -9,15 +9,14 @@ tests check against a brute-force span over all short words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .adjoint import AdjointRep, adjoint_rep
 from .ff import Matrix, row_space_basis
 from .matgrp import GroupTuple
 
 
-@dataclass(frozen=True)
-class CoinvariantResult:
+class CoinvariantResult(NamedTuple):
     """Dimensions of the displacement span and its quotient, plus an
     explicit echelon basis of the span as traceless matrices."""
 

@@ -42,7 +42,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Iterable, Sequence
 
@@ -119,19 +118,24 @@ def element_order(m: Matrix, po: int) -> int:
 # generator tuples and their wire format
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class GroupTuple:
     """A tuple (c_1, ..., c_m) of determinant-one matrices with declared
     orders, whose product is a scalar matrix.
 
     The declared order a_i is the target relator exponent, which the
     projective order of c_i must divide; it need not equal it.
+
+    It caches its prefixes, so it is a plain object that compares and
+    hashes by identity; nothing hashes one or compares two by value.
     """
 
-    field: FiniteField
-    n: int
-    generators: tuple[Matrix, ...]
-    declared_orders: tuple[int, ...]
+    def __init__(self, field: FiniteField, n: int,
+                 generators: tuple[Matrix, ...],
+                 declared_orders: tuple[int, ...]):
+        self.field = field
+        self.n = n
+        self.generators = generators
+        self.declared_orders = declared_orders
 
     @property
     def length(self) -> int:

@@ -34,7 +34,7 @@ unchanged; the report records the appended order for transparency.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .adjoint import adjoint_rep, smoothness_flags
 from .coinv import coinvariant_dim
@@ -69,8 +69,7 @@ def central_lift(t: GroupTuple) -> GroupTuple:
     return lifted
 
 
-@dataclass(frozen=True)
-class CocycleSpaces:
+class CocycleSpaces(NamedTuple):
     """Dimensions of the cocycle and coboundary spaces of the presentation,
     plus the stacked relator matrix whose kernel is Z1."""
 
@@ -138,8 +137,7 @@ def tangent_product_rank(t: GroupTuple) -> int:
     return rank(_assemble(t.field, [[a - b for a, b in zip(ads, ads[1:])]]))
 
 
-@dataclass(frozen=True)
-class RigidityReport:
+class RigidityReport(NamedTuple):
     """Everything the dimension-count criterion needs, plus the verdict.
 
     h1_dim is sum_class_dims - df_rank - b1_dim: the dimension of the
@@ -169,22 +167,8 @@ class RigidityReport:
     flags: tuple[str, ...]
 
     def to_json(self) -> dict:
-        return {
-            "schema": 1,
-            "class_dims": list(self.class_dims),
-            "sum_class_dims": self.sum_class_dims,
-            "two_dim_g": self.two_dim_g,
-            "coinv_dim": self.coinv_dim,
-            "span_dim": self.span_dim,
-            "irreducible": self.irreducible,
-            "df_rank": self.df_rank,
-            "z1_dim": self.z1_dim,
-            "b1_dim": self.b1_dim,
-            "h1_dim": self.h1_dim,
-            "lifted_order": self.lifted_order,
-            "verdict": self.verdict,
-            "flags": list(self.flags),
-        }
+        return {"schema": 1, **{k: list(v) if isinstance(v, tuple) else v
+                                for k, v in self._asdict().items()}}
 
 
 def rigidity_verdict(t: GroupTuple, irreducibility: str = "verify",

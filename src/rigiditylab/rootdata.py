@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import add, mod
 from typing import NamedTuple
@@ -135,14 +134,21 @@ def _closure(cartan: list[list[int]], rank: int) -> list[tuple[int, ...]]:
     return roots
 
 
-@dataclass(frozen=True)
 class RootSystem:
-    """A simple root system: type, rank, Cartan matrix, positive roots."""
+    """A simple root system: type, rank, Cartan matrix, positive roots.
 
-    type_letter: str
-    rank: int
-    cartan: tuple[tuple[int, ...], ...]
-    positive_roots: tuple[tuple[int, ...], ...]
+    It caches its masks and j values, so it is a plain object that
+    compares and hashes by identity: :func:`build` is cached, one object
+    per type and rank, and nothing hashes one or compares two by value.
+    """
+
+    def __init__(self, type_letter: str, rank: int,
+                 cartan: tuple[tuple[int, ...], ...],
+                 positive_roots: tuple[tuple[int, ...], ...]):
+        self.type_letter = type_letter
+        self.rank = rank
+        self.cartan = cartan
+        self.positive_roots = positive_roots
 
     @property
     def dim_g(self) -> int:
@@ -429,8 +435,7 @@ def _walk_nodes(rs: RootSystem, top: int) -> int:
     return nodes
 
 
-@dataclass(frozen=True)
-class ClassDimTable:
+class ClassDimTable(NamedTuple):
     """j_d values (with witnesses) for d = 1 .. d_max."""
 
     root_system: RootSystem
@@ -457,8 +462,7 @@ def class_dim_table(rs: RootSystem, d_max: int,
     return ClassDimTable(root_system=rs, entries=tuple(entries))
 
 
-@dataclass(frozen=True)
-class RigidTupleResult:
+class RigidTupleResult(NamedTuple):
     """Tuples meeting the dimension condition, plus the plateau order."""
 
     root_system: RootSystem

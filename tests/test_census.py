@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from rigiditylab.errors import InputError, WorkCapExceeded
-from rigiditylab import census, cli, ff, matgrp, rigidity, rootdata
+from rigiditylab import census, cli, coinv, ff, matgrp, rigidity, rootdata
 
 
 @pytest.fixture(scope="module")
@@ -486,6 +486,40 @@ def test_rigid_class_filter_validates_the_root_system(psl25):
         census.rigid_class_tuples(res, rootdata.build("A", 2))
     with pytest.raises(InputError):
         census.rigid_class_tuples(res, rootdata.build("B", 2))
+
+
+@pytest.fixture(scope="module")
+def records(psl25):
+    a1 = rootdata.build("A", 1)
+    res = census.census(psl25, (2, 3, 5))
+    rc = census.rigid_class_tuples(res, a1)
+    t = matgrp.group_tuple(list(rc.result.entries[0].witness), [2, 3, 5])
+    return {r.__class__.__name__: r for r in (
+        res.entries[0], res, rc, rc.reports[0][1], rigidity.cocycle_spaces(t),
+        coinv.coinvariant_dim(t), rootdata.class_dim_table(a1, 3),
+        rootdata.rigid_tuples(a1, 3, 7))}
+
+
+@pytest.mark.parametrize("name", [
+    "CensusEntry", "CensusResult", "RigidCensus", "RigidityReport",
+    "CocycleSpaces", "CoinvariantResult", "ClassDimTable",
+    "RigidTupleResult"])
+def test_result_records_refuse_assignment(records, name):
+    record = records[name]
+    for field in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+    if name == "RigidCensus":
+        # the filter replaces the entries and their totals, nothing else
+        full, kept = records["CensusResult"], record.result
+        assert type(kept) is census.CensusResult
+        assert len(kept.entries) < len(full.entries)
+        assert (kept.total_hom, kept.total_epi) == (
+            sum(e.hom_count for e in kept.entries),
+            sum(e.epi_count for e in kept.entries))
+        for field in full._fields:
+            if field not in ("entries", "total_hom", "total_epi"):
+                assert getattr(kept, field) == getattr(full, field), field
 
 
 def test_psl34_census_pinned_and_no_rigid_survivors():

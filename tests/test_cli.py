@@ -154,7 +154,10 @@ def test_output_is_idempotent(capsys):
      "--signature", "2,3,7"),
     ("rootdata", "--type", "E", "--rank", "6", "--d-max", "3"),
     ("rigidity", "--in", str(GOLDEN_TUPLES / "sl3_f9.json")),
-], ids=["census", "rootdata", "rigidity"])
+    ("rigid-tuples", "--type", "F", "--rank", "4", "--n", "3",
+     "--a-max", "12"),
+    ("coinv", "--in", str(GOLDEN_TUPLES / "sl3_f9.json")),
+], ids=["census", "rootdata", "rigidity", "rigid-tuples", "coinv"])
 def test_output_bytes_do_not_depend_on_the_hash_seed(argv):
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     outs = []
@@ -299,11 +302,15 @@ def test_one_parser_serves_calls_after_a_usage_error(capsys):
 
 
 def test_cli_import_loads_no_process_pool():
-    # the census runs in one process, so nothing imports a process pool
+    # the census runs in one process, so nothing imports a process pool;
+    # the result records are named tuples, so nothing imports dataclasses
+    # and what it loads (inspect, ast, dis) unless the bare interpreter
+    # already has, say from a site hook
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-    probe = ("import sys, rigiditylab.cli; print(sorted(m for m in "
-             "sys.modules if m.split('.')[0] in "
-             "('multiprocessing', 'concurrent')))")
+    probe = ("import sys; bare = set(sys.modules); import rigiditylab.cli; "
+             "print(sorted(m for m in set(sys.modules) - bare if "
+             "m.split('.')[0] in ('multiprocessing', 'concurrent', "
+             "'dataclasses', 'inspect', 'ast', 'dis')))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, timeout=60,
                           env=dict(os.environ, PYTHONPATH=src))
@@ -312,7 +319,8 @@ def test_cli_import_loads_no_process_pool():
 
 
 def test_a_well_formed_command_line_loads_no_argparse():
-    # argparse serves only help and usage errors; a valid job never loads it
+    # argparse serves only help and usage errors, and csv only CSV output;
+    # a valid JSON job loads neither
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     tuple_path = str(GOLDEN_TUPLES / "sl2_f7.json")
     probe = f"""
@@ -322,7 +330,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(["rootdata", "--type", "G", "--rank", "2",
                        "--d-max", "6"]),
              cli.main(["rigidity", "--in", {tuple_path!r}])]
-loaded = "argparse" in sys.modules
+loaded = [m for m in ("argparse", "csv") if m in sys.modules]
 err = io.StringIO()
 with contextlib.redirect_stderr(err):
     codes.append(cli.main(["census", "--type", "A"]))
@@ -333,7 +341,7 @@ print(json.dumps([codes, loaded, err.getvalue()]))
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     codes, loaded, err = json.loads(proc.stdout)
-    assert codes == [0, 0, 2] and not loaded
+    assert codes == [0, 0, 2] and loaded == []
     assert json.loads(err)["error"]["message"] == (
         "rigiditylab census: the following arguments are required: --rank, "
         "--q, --signature")
