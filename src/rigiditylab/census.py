@@ -6,7 +6,9 @@ to the identity, bucketed by conjugacy-class tuple.  The first coordinate
 runs over class representatives only and contributes its class size as a
 weight, which leaves every count exact while dividing the work by roughly
 the class count.  The last coordinate is solved from the running product,
-never enumerated.
+never enumerated.  So only the middle coordinates x_2, ..., x_(m-1) have
+candidate lists, each the sorted union of the conjugacy classes whose
+order divides its a_i; no list is built by a scan over the whole group.
 
 Every group operation here goes through the table: ``mul`` and ``inv``
 act on each element's permutation of projective points when the table
@@ -34,6 +36,7 @@ tested.
 
 from __future__ import annotations
 
+import math
 from functools import cache
 from typing import NamedTuple
 
@@ -142,16 +145,15 @@ def census(table: FiniteGroupTable, signature: tuple[int, ...],
     class_of = table.class_of()
     # order is a class function: one order computation per class
     class_orders = [table.order_of(c[0]) for c in classes]
-    orders = [class_orders[c] for c in class_of]
 
-    cands = [sorted(i for i in range(table.size) if a % orders[i] == 0)
-             for a in sig]
-    reps = [c[0] for c in classes if sig[0] % orders[c[0]] == 0]
+    # candidates for x_2, ..., x_(m-1) only: x_1 runs over representatives
+    # and x_m is solved for
+    cands = [sorted(i for c, o in zip(classes, class_orders) if a % o == 0
+                    for i in c)
+             for a in sig[1:-1]]
+    reps = [c[0] for c, o in zip(classes, class_orders) if sig[0] % o == 0]
 
-    middle = 1
-    for pos in range(1, len(sig) - 1):
-        middle *= len(cands[pos])
-    estimate = len(reps) * middle
+    estimate = len(reps) * math.prod(map(len, cands))
     if work_cap is not None and estimate > work_cap:
         raise WorkCapExceeded(
             f"census over {table.size} elements needs ~{estimate} tuple "
@@ -186,10 +188,10 @@ def census(table: FiniteGroupTable, signature: tuple[int, ...],
         pos = len(picked)
         if pos == m - 1:
             last = inv(prod)
-            if last_a % orders[last] == 0:
+            if last_a % class_orders[class_of[last]] == 0:
                 record((*picked, last), weight)
             return
-        for x in cands[pos]:
+        for x in cands[pos - 1]:
             picked.append(x)
             rec(picked, mul(prod, x), weight)
             picked.pop()

@@ -25,9 +25,15 @@ a tuple document that ``rigidity --in`` reads back.
 
 All output is deterministic: JSON keys are sorted, CSV rows follow
 canonical orderings, and repeated invocations produce byte-identical
-artifacts.  The work cap defaults to 10 million elementary evaluations
-and can be overridden by --work-cap or the RIGIDITYLAB_WORK_CAP
-environment variable.
+artifacts.  A JSON artifact is the bytes of ``json.dumps(doc,
+sort_keys=True, indent=2)``, written by a direct writer (``_json_text``):
+with an indent, ``json.dumps`` runs CPython's pure-Python encoder, which
+took about a tenth of a PSL2(q) (2,3,7) census job for q <= 13, while the
+writer joins each container's items once and escapes strings with the C
+``encode_basestring_ascii``.  The one-line error records have no indent
+and stay on ``json.dumps``.  The work cap defaults to 10 million
+elementary evaluations and can be overridden by --work-cap or the
+RIGIDITYLAB_WORK_CAP environment variable.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ import io
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -80,7 +87,42 @@ def _resolve_work_cap(flag_value: int | None) -> int:
 # ---------------------------------------------------------------------------
 
 def _json_text(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(doc, sort_keys=True, indent=2)`` and a newline, for
+    documents of str-keyed dicts, lists, tuples, str, int, bool and None;
+    any other value raises TypeError."""
+    return _json_value(doc, "\n") + "\n"
+
+
+def _json_value(value, newline: str) -> str:
+    # a container writes its plain ints (most of a census document)
+    # without a call; encode_basestring_ascii raises TypeError for a key
+    # that is not a str
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [int.__repr__(v) if type(v) is int else _json_value(v, inner)
+                 for v in value]
+        return f"[{inner}{(',' + inner).join(items)}{newline}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{encode_basestring_ascii(k)}: " + (
+                     int.__repr__(v) if type(v) is int
+                     else _json_value(v, inner))
+                 for k, v in sorted(value.items())]
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:

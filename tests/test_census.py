@@ -4,6 +4,7 @@ import contextlib
 import gc
 import hashlib
 import io
+import itertools
 import json
 import math
 import weakref
@@ -197,6 +198,39 @@ def test_epi_total_divisible_by_group_order(psl25, psl27):
         res = census.census(table, sig)
         assert res.total_epi > 0
         assert res.total_epi % table.size == 0
+
+
+# every m = 3 census on the fixtures; SL2(5) and SL2(17) have a centre
+@pytest.mark.parametrize("name, signature", [
+    ("psl25", (2, 3, 5)), ("psl25", (2, 5, 5)), ("psl25", (3, 3, 3)),
+    ("psl25", (3, 3, 5)), ("psl27", (2, 3, 7)), ("psl28", (2, 3, 7)),
+    ("psl29", (3, 3, 4)), ("psl213", (2, 3, 7)), ("psl34", (2, 5, 5)),
+    ("sl25", (4, 6, 10)), ("sl217", (3, 3, 9)),
+])
+def test_hom_counts_match_the_class_algebra(request, name, signature):
+    # for m = 3 the count of a class triple (a, b, c) is
+    # |C_c| * #{x in C_a : x^-1 z^-1 in C_b} for any one z in C_c (Serre,
+    # Topics in Galois Theory, 7.2): one pass over C_a per class c, with no
+    # candidate list and no enumeration of the middle coordinate
+    table = request.getfixturevalue(name)
+    res = census.census(table, signature, epi_test=False)
+    classes, class_of = table.conjugacy_classes(), table.class_of()
+    mul, inv = table.mul, table.inv
+    admissible = [[c for c, cls in enumerate(classes)
+                   if a % table.order_of(cls[0]) == 0] for a in signature]
+    formula = {}
+    for a in admissible[0]:
+        for c in admissible[2]:
+            z_inv = inv(min(classes[c]))
+            for x in classes[a]:
+                key = (a, class_of[mul(inv(x), z_inv)], c)
+                formula[key] = formula.get(key, 0) + len(classes[c])
+    counts = {e.classes: e.hom_count for e in res.entries}
+    triples = set(itertools.product(*admissible))
+    assert set(counts) <= triples
+    # the triples the census omits must count 0 by the formula too
+    assert {t: formula.get(t, 0) for t in triples} == {
+        t: counts.get(t, 0) for t in triples}
 
 
 def test_witnesses_satisfy_the_relations(psl27):

@@ -181,6 +181,50 @@ def test_out_flag_writes_the_same_bytes(capsys, tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# the JSON writer
+# ---------------------------------------------------------------------------
+
+_JSON_TEXT = st.text(st.characters() | st.sampled_from(
+    ['"', "\\", "/", "\x00", "\x1f", "\x7f", "\n", "\t", "é", " ",
+     "\ud800", "\U0001f600"]))
+_JSON_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.sampled_from([2 ** 70, -2 ** 70]) | _JSON_TEXT,
+    lambda children: (st.lists(children) | st.lists(children).map(tuple)
+                      | st.dictionaries(_JSON_TEXT, children)),
+    max_leaves=10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_DOCS)
+def test_the_json_writer_matches_json_dumps(doc):
+    assert cli._json_text(doc) == json.dumps(doc, sort_keys=True,
+                                             indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [1.5, {1, 2}, b"x", {1: 2}, {"a": 0, 1: 2}],
+                         ids=["float", "set", "bytes", "int-key", "mixed-keys"])
+def test_the_json_writer_refuses_what_it_would_write_differently(value):
+    for doc in (value, [value], {"k": (0, value)}):
+        with pytest.raises(TypeError):
+            cli._json_text(doc)
+
+
+def test_no_artifact_goes_through_the_pure_python_encoder(capsys,
+                                                          monkeypatch):
+    # json.dumps with an indent builds its encoder by _make_iterencode
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pure-Python JSON encoder ran")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    for name in ("psl2_13_237", "rootdata_b3_8", "rigid_g2_3_8",
+                 "coinv_sl3_f9", "rigidity_sl3_f9"):
+        code, out, err = run(capsys, *test_golden.ALL_CASES[name])
+        assert (code, err) == (0, "")
+        assert out == test_golden._path(name).read_text(encoding="utf-8")
+
+
+# ---------------------------------------------------------------------------
 # exit codes and error records
 # ---------------------------------------------------------------------------
 
