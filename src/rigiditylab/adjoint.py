@@ -5,7 +5,10 @@ row-major order, then the diagonal differences E_ii - E_(i+1)(i+1).  The
 matrix of Ad(g): X -> g X g^(-1) in this basis drives every dimension
 computed downstream, so entries are exact field elements and results are
 cached per group element, keyed by its entries, for the last
-``_AD_CACHE_SIZE`` elements used.
+``_AD_CACHE_SIZE`` elements used.  Each cache entry also keeps the
+displacement I - Ad(g), formed the first time it is asked for: the class
+dimension, the coinvariant span and the coboundary stack of a verdict all
+read that one matrix.
 Each column is read off the entries of g and g^(-1), with no matrix
 product: (g E_ij g^(-1))[k, l] = g[k, i] g^(-1)[j, l].  The norm
 sum_{t<a} Ad(g)^t of a power relator comes from the minimal polynomial of
@@ -16,13 +19,13 @@ dimension whenever the centralizer of g is smooth.  That is guaranteed for
 semisimple elements in comfortable characteristic; other cases get caveat
 flags from :func:`smoothness_flags` rather than silently trusted numbers.
 An element is semisimple exactly when the characteristic does not divide
-its projective order, which the caller passes in, so the test costs one
-power.
+its projective order, which the caller passes in together with the
+scalar g^po that found it, so the test costs no power.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from operator import itemgetter
 from typing import Sequence
@@ -34,6 +37,17 @@ from .matgrp import element_order
 # Ad matrices kept per AdjointRep, least recently used dropped first; a
 # verdict builds a few, and 39 verdicts over five groups built 161
 _AD_CACHE_SIZE = 1024
+
+
+class _AdEntry:
+    """One Ad cache entry: Ad(g), and I - Ad(g) once it is asked for."""
+
+    def __init__(self, ad: Matrix):
+        self.ad = ad
+
+    @cached_property
+    def displacement(self) -> Matrix:
+        return Matrix.identity(self.ad.field, self.ad.rows) - self.ad
 
 
 class AdjointRep:
@@ -113,9 +127,15 @@ class AdjointRep:
     def ad_matrix(self, g: Matrix) -> Matrix:
         """Matrix of X -> g X g^(-1) in the fixed basis."""
         self._check(g)
-        return self._ad(g.vals)
+        return self._ad(g.vals).ad
 
-    def _ad_of(self, vals: tuple[int, ...]) -> Matrix:
+    def displacement(self, g: Matrix) -> Matrix:
+        """Matrix of X -> X - g X g^(-1), I - Ad(g), formed once per cached
+        Ad(g)."""
+        self._check(g)
+        return self._ad(g.vals).displacement
+
+    def _ad_of(self, vals: tuple[int, ...]) -> _AdEntry:
         """Ad of the n x n matrix with entries vals, the one-term case
         u = g, v = g^(-1).  A call that raises is not cached, so only
         invertible matrices are, and a hit needs no determinant."""
@@ -124,7 +144,8 @@ class AdjointRep:
             ginv = Matrix(f, self.n, self.n, vals).inverse()
         except ZeroDivisionError:
             raise InputError("Ad of a non-invertible matrix") from None
-        return self._matrix_of([x for u in vals for x in f.scale(u, ginv.vals)])
+        return _AdEntry(self._matrix_of(
+            [x for u in vals for x in f.scale(u, ginv.vals)]))
 
     def norm(self, g: Matrix, a: int) -> Matrix:
         """Matrix of the norm sum_{t<a} Ad(g)^t: X -> sum_{t<a} g^t X g^(-t),
@@ -188,9 +209,8 @@ class AdjointRep:
         return self._matrix_of((krylov_t @ (grid_t @ krylov)).vals)
 
     def fixed_space_dim(self, g: Matrix) -> int:
-        """Dimension of the kernel of Ad(g) - I."""
-        d = self.dim
-        return kernel_dim(self.ad_matrix(g) - Matrix.identity(self.field, d))
+        """Dimension of the kernel of I - Ad(g)."""
+        return kernel_dim(self.displacement(g))
 
     def class_dim(self, g: Matrix) -> int:
         """Rank of Ad(g) - I: the class dimension under centralizer
@@ -235,29 +255,29 @@ def adjoint_rep(field: FiniteField, n: int) -> AdjointRep:
     return AdjointRep(field, n)
 
 
-def is_semisimple(g: Matrix, po: int) -> bool:
-    """Whether g, of projective order po, has trivial unipotent part, i.e.
-    order coprime to the characteristic p.
+def is_semisimple(g: Matrix, po: int, power: Matrix) -> bool:
+    """Whether g, of projective order po and scalar power g^po = power,
+    has trivial unipotent part, i.e. order coprime to the characteristic p.
 
-    The order is po * ord(g^po) (:func:`element_order`, one power), and
+    The order is po * ord(g^po) (:func:`element_order`, no power), and
     ord(g^po) divides q - 1, so g is semisimple exactly when p does not
     divide po.  Directly: write g = su (Jordan decomposition); if u != 1
     then u^po = lambda s^(-po) is both semisimple and unipotent, hence 1,
     so p | po.
     """
-    return element_order(g, po) % g.field.p != 0
+    return element_order(g, po, power) % g.field.p != 0
 
 
-def smoothness_flags(g: Matrix, po: int) -> tuple[str, ...]:
+def smoothness_flags(g: Matrix, po: int, power: Matrix) -> tuple[str, ...]:
     """Caveats under which class_dim may differ from the true class
-    dimension of g, whose projective order is po."""
+    dimension of g, whose projective order is po and g^po is power."""
     flags = []
     if g.field.p <= g.rows:
         flags.append(
             f"small characteristic p = {g.field.p} <= n = {g.rows}: "
             "centralizer smoothness assumed"
         )
-    if not is_semisimple(g, po):
+    if not is_semisimple(g, po, power):
         flags.append(
             "non-semisimple element: class_dim is the fixed-space bound, "
             "centralizer smoothness assumed"

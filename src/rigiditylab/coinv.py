@@ -25,11 +25,11 @@ class CoinvariantResult(NamedTuple):
     basis_witness: tuple[Matrix, ...]
 
 
-def _span_result(rep: AdjointRep, ad_images: list[Matrix]) -> CoinvariantResult:
-    ident = Matrix.identity(rep.field, rep.dim)
+def _span_result(rep: AdjointRep,
+                 displacements: list[Matrix]) -> CoinvariantResult:
     rows: list[list[int]] = []
-    for ad in ad_images:
-        rows.extend((ident - ad).transpose().row_values())
+    for disp in displacements:
+        rows.extend(disp.transpose().row_values())
     basis = row_space_basis(rep.field, rows)
     witness = tuple(rep.from_coords(row) for row in basis)
     span = len(basis)
@@ -40,4 +40,4 @@ def _span_result(rep: AdjointRep, ad_images: list[Matrix]) -> CoinvariantResult:
 def coinvariant_dim(t: GroupTuple) -> CoinvariantResult:
     """Span of the generator displacements, by one row reduction."""
     rep = adjoint_rep(t.field, t.n)
-    return _span_result(rep, [rep.ad_matrix(c) for c in t.generators])
+    return _span_result(rep, [rep.displacement(c) for c in t.generators])

@@ -10,8 +10,9 @@ Orders are never found by walking powers.  The projective order divides
 primes out of a known multiple (F. Celler and C. R. Leedham-Green,
 "Calculating the order of an invertible matrix", DIMACS 28, 1997), which
 the caller supplies: in the verdict, a tuple's declared order, which
-``group_tuple`` has checked.  The element order is the projective order
-times the order of the scalar it reaches, one power more.
+``group_tuple`` has checked by the power g^a that the tuple keeps.  The
+division hands back the scalar g^po it ended on, and the element order is
+the projective order times that scalar's order, with no power more.
 
 A closure, linear or projective, holds each element as the permutation it
 induces on the points of P^(n-1) reached from a projective frame, one byte
@@ -62,47 +63,44 @@ def _power_not_scalar(e: int) -> InputError:
                       f"divide {e}")
 
 
-def projective_order(m: Matrix, multiple: int) -> int:
-    """Least e >= 1 with m^e a scalar matrix.
+def projective_order(m: Matrix, multiple: int,
+                     power: Matrix) -> tuple[int, Matrix]:
+    """Least e >= 1 with m^e a scalar matrix, and that scalar m^e.
 
     Divides primes out of a known multiple o of the order (F. Celler and
     C. R. Leedham-Green, "Calculating the order of an invertible matrix",
     DIMACS 28, 1997): for each prime r | o, o <- o/r while m^(o/r) is
     still scalar, one power per test.  The exponents e with m^e scalar
     are the multiples of the projective order, so what is left is the
-    least.  The multiple is checked inside the first power, as
-    m^o = (m^(o/r))^r, and :class:`InputError` is raised when m^o is not
-    scalar (which covers a singular m).
+    least, and the last scalar power found is m^e.  power is m^multiple,
+    which the caller has (a tuple keeps each g^a from its check);
+    :class:`InputError` is raised when it is not scalar (which covers a
+    singular m).
     """
     if not _is_int(multiple) or multiple < 1:
         raise InputError(
             f"order multiple {multiple!r} must be a positive integer")
+    if not power.is_scalar():
+        raise _power_not_scalar(multiple)
     o = multiple
-    first = True
     for r in _prime_factors(multiple):
         while o % r == 0:
             low = m ** (o // r)
-            scalar = low.is_scalar()
-            if first and not scalar and not (low ** r).is_scalar():
-                raise _power_not_scalar(multiple)
-            first = False
-            if not scalar:
+            if not low.is_scalar():
                 break
-            o //= r
-    if multiple == 1 and not m.is_scalar():
-        raise _power_not_scalar(multiple)
-    return o
+            o, power = o // r, low
+    return o, power
 
 
-def element_order(m: Matrix, po: int) -> int:
+def element_order(m: Matrix, po: int, power: Matrix) -> int:
     """Least e >= 1 with m^e the identity, given m's projective order po.
 
     m^po is a scalar lambda and the order is po * ord(lambda): m^e = 1
-    forces m^e scalar, so po | e, and m^(po j) = lambda^j.  That is one
-    power, checked to be scalar; po must be the projective order itself,
-    not a multiple of it.
+    forces m^e scalar, so po | e, and m^(po j) = lambda^j.  power is m^po,
+    which :func:`projective_order` returns, so this takes no power; it is
+    checked to be scalar, and po must be the projective order itself, not
+    a multiple of it.
     """
-    power = m ** po
     if not power.is_scalar():
         raise _power_not_scalar(po)
     field = m.field
@@ -125,8 +123,9 @@ class GroupTuple:
     The declared order a_i is the target relator exponent, which the
     projective order of c_i must divide; it need not equal it.
 
-    It caches its prefixes, so it is a plain object that compares and
-    hashes by identity; nothing hashes one or compares two by value.
+    It caches its prefixes and powers, so it is a plain object that
+    compares and hashes by identity; nothing hashes one or compares two by
+    value.
     """
 
     def __init__(self, field: FiniteField, n: int,
@@ -155,6 +154,17 @@ class GroupTuple:
 
     def product(self) -> Matrix:
         return self._prefixes[-1]
+
+    def powers(self) -> tuple[Matrix, ...]:
+        """Each generator to its declared order, c_i^(a_i), scalar on a
+        validated tuple: taken once, by :func:`group_tuple`'s check, and
+        read again by the verdict's :func:`projective_order`."""
+        return self._powers
+
+    @cached_property
+    def _powers(self) -> tuple[Matrix, ...]:
+        return tuple(g ** a for g, a in zip(self.generators,
+                                            self.declared_orders))
 
 
 def _is_int(x) -> bool:
@@ -194,8 +204,8 @@ def group_tuple(generators: Sequence[Matrix], declared_orders: Sequence[int],
                 f"checking the declared orders needs {cost} entry products, "
                 f"more than the work cap {work_cap}")
     # g^a is scalar exactly when the projective order divides a
-    for i, (g, a) in enumerate(zip(t.generators, t.declared_orders)):
-        if not (g ** a).is_scalar():
+    for i, (power, a) in enumerate(zip(t.powers(), t.declared_orders)):
+        if not power.is_scalar():
             raise InputError(
                 f"generator {i}: its projective order does not divide the "
                 f"declared order {a}"

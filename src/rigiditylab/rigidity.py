@@ -23,6 +23,14 @@ Three layers, all exact:
   Each generator's projective order is found once, by dividing primes out
   of its declared order, and gives both the declared-order flag and the
   semisimplicity flag (semisimple exactly when p does not divide it).
+  No power is taken twice: the division starts from the power g^a that
+  loading checked and kept, and hands the scalar it ends on to the
+  element order.  Each displacement I - Ad(c) is formed once, beside
+  Ad(c) in its cache entry, and serves the class dimension, the
+  coinvariant span and the coboundary stack.  The irreducibility span
+  runs on c_1 ... c_(m-1): the product is a scalar, so c_m lies in the
+  algebra they generate (c_m is a scalar times the inverse of their
+  product, a polynomial in it by Cayley-Hamilton).
 
 Tuples whose product is a nontrivial scalar are handled by appending that
 scalar's inverse as an extra central generator with its multiplicative
@@ -59,10 +67,11 @@ def central_lift(t: GroupTuple) -> GroupTuple:
     if prod.is_identity():
         return t
     # t is validated, so extra has determinant 1 and the new product is I;
-    # a scalar has projective order 1
+    # a scalar has projective order 1 and is its own first power
     extra = prod.inverse()
-    lifted = GroupTuple(t.field, t.n, t.generators + (extra,),
-                        t.declared_orders + (element_order(extra, 1),))
+    lifted = GroupTuple(
+        t.field, t.n, t.generators + (extra,),
+        t.declared_orders + (element_order(extra, 1, extra),))
     # the lifted prefixes are t's, closed by prod @ extra = I
     lifted.__dict__["_prefixes"] = (*t.prefixes(),
                                     Matrix.identity(t.field, t.n))
@@ -94,10 +103,8 @@ def cocycle_spaces(t: GroupTuple) -> CocycleSpaces:
     d = rep.dim
     m = t.length
     field = t.field
-    ident = Matrix.identity(field, d)
     zero = Matrix.zero(field, d, d)
 
-    ads = [rep.ad_matrix(c) for c in t.generators]
     norms = [rep.norm(c, a) for c, a in zip(t.generators, t.declared_orders)]
     prefix_ads = [rep.ad_matrix(c) for c in t.prefixes()[:-1]]
 
@@ -108,7 +115,8 @@ def cocycle_spaces(t: GroupTuple) -> CocycleSpaces:
     relator = _assemble(field, blocks)
 
     z1 = kernel_dim(relator)
-    fixed_rows = _assemble(field, [[ident - ad] for ad in ads])
+    fixed_rows = _assemble(field, [[rep.displacement(c)]
+                                   for c in t.generators])
     b1 = d - kernel_dim(fixed_rows)
     if z1 < b1:
         raise InvariantViolation(
@@ -204,17 +212,18 @@ def rigidity_verdict(t: GroupTuple, irreducibility: str = "verify",
 
     flags: list[str] = []
     # the declared order is a multiple of the projective order (group_tuple
-    # checked that g^a is scalar), so each order is one prime division
-    orders = [projective_order(g, a)
-              for g, a in zip(t.generators, t.declared_orders)]
-    for i, (po, a) in enumerate(zip(orders, t.declared_orders)):
+    # checked that the kept g^a is scalar), so each order is one prime
+    # division, which ends on the scalar g^po
+    orders = [projective_order(g, a, power) for g, a, power
+              in zip(t.generators, t.declared_orders, t.powers())]
+    for i, ((po, _), a) in enumerate(zip(orders, t.declared_orders)):
         if po != a:
             flags.append(
                 f"generator {i}: projective order {po} properly divides "
                 f"the declared order {a}"
             )
-    for g, po in zip(t.generators, orders):
-        for f in smoothness_flags(g, po):
+    for g, (po, power) in zip(t.generators, orders):
+        for f in smoothness_flags(g, po, power):
             if f not in flags:
                 flags.append(f)
 
@@ -240,8 +249,10 @@ def rigidity_verdict(t: GroupTuple, irreducibility: str = "verify",
     if irreducibility == "assert":
         irreducible = IRREDUCIBLE_ASSERTED
     else:
+        # c_m is in the algebra of c_1 ... c_(m-1) (module docstring)
         irreducible = (IRREDUCIBLE_VERIFIED
-                       if is_absolutely_irreducible(list(t.generators))
+                       if is_absolutely_irreducible(t.generators[:-1]
+                                                    or t.generators)
                        else IRREDUCIBLE_FAILED)
 
     spaces = cocycle_spaces(lifted)

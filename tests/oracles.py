@@ -35,7 +35,8 @@ criterion, not those helpers.  The random tuple helpers and the hypothesis
 strategies sl_matrices and sl_tuples build package matrices and tuples as test inputs; their declared
 orders come from order_by_walk.  diagonal builds diagonal test matrices
 from constants or coefficient lists.  class_dim_gl reads a class dimension
-off the commutator map on all of gl_n, with rank_mod_p, and no Ad matrix.
+off the commutator map on all of gl_n, over any F_q, with rank_fq (its own
+polynomial arithmetic), and no Ad matrix.
 positive_roots_by_reflection takes only the package's Cartan matrix,
 which the Cartan determinant tests pin.  alcove_j_by_order takes the
 package's positive roots, which the Weyl-orbit tests pin, and walks the
@@ -124,16 +125,55 @@ def rank_mod_p(rows: list[list[int]], p: int) -> int:
     return pivot
 
 
+def rank_fq(rows: list[list[int]], field) -> int:
+    """Row-reduction rank over F_q of rows of packed entries, each taken
+    as its coefficient list over F_p: products by poly_mul and poly_rem
+    modulo the field's modulus, inverses as a^(q-2).  No field table and
+    no code of ff.Echelon."""
+    p, mod = field.p, list(field.modulus_poly)
+
+    def mul(a, b):
+        return poly_rem(poly_mul(a, b, p), mod, p) if a and b else []
+
+    def sub(a, b):
+        out = [(x - y) % p for x, y in itertools.zip_longest(a, b,
+                                                             fillvalue=0)]
+        while out and out[-1] == 0:
+            out.pop()
+        return out
+
+    rows = [[poly_rem(list(field.unpack(x)), mod, p) for x in row]
+            for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        sel = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if sel is None:
+            continue
+        rows[rank], rows[sel] = rows[sel], rows[rank]
+        inv = [1]
+        for _ in range(field.q - 2):
+            inv = mul(inv, rows[rank][col])
+        pivot = rows[rank] = [mul(x, inv) for x in rows[rank]]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col]
+            if f:
+                rows[r] = [sub(x, mul(f, y)) for x, y in zip(rows[r], pivot)]
+        rank += 1
+    return rank
+
+
 def class_dim_gl(g) -> int:
-    """n^2 - dim C_{M_n}(g) for g over a prime field: the rank of
-    X -> g X - X g on all n x n matrices, with plain integers mod p.  The
-    row of the unit E_ij holds the entries of g E_ij - E_ij g: column
-    (k, l) gets g[k, i] where l = j, minus g[j, l] where k = i."""
-    n = g.rows
-    rows = [[(g[k, i] if l == j else 0) - (g[j, l] if k == i else 0)
+    """n^2 - dim C_{M_n}(g) for g over F_q: the rank of X -> g X - X g on
+    all n x n matrices, entries subtracted digit by digit (digit_add) and
+    reduced by rank_fq.  The row of the unit E_ij holds the entries of
+    g E_ij - E_ij g: column (k, l) gets g[k, i] where l = j, minus g[j, l]
+    where k = i."""
+    n, F = g.rows, g.field
+    rows = [[digit_add(F.p, F.k, g[k, i] if l == j else 0,
+                       g[j, l] if k == i else 0, -1)
              for k in range(n) for l in range(n)]
             for i in range(n) for j in range(n)]
-    return rank_mod_p(rows, g.field.p)
+    return rank_fq(rows, F)
 
 
 def exact_determinant(grid) -> int:
@@ -379,7 +419,8 @@ def coinvariant_dim_via_words(t, word_length: int, word_cap: int = 20000):
                     seen[key] = prod
                     nxt.append(prod)
         frontier = nxt
-    return coinv._span_result(rep, [rep.ad_matrix(w) for w in seen.values()])
+    return coinv._span_result(rep,
+                              [rep.displacement(w) for w in seen.values()])
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,10 @@ def test_order_examples():
     F13 = field(13)
 
     def orders(m):
-        po = matgrp.projective_order(m, matgrp.sl_order(m.field.q, 2))
-        return matgrp.element_order(m, po), po
+        order = matgrp.sl_order(m.field.q, 2)
+        po, power = matgrp.projective_order(m, order, m ** order)
+        assert power == m ** po
+        return matgrp.element_order(m, po, power), po
 
     assert orders(ff.Matrix.identity(F7, 2)) == (1, 1)
     assert orders(ff.Matrix.from_rows(F7, [[0, 1], [-1 % 7, 0]])) == (4, 2)
@@ -82,8 +84,9 @@ def test_element_order_matches_brute_iteration(field_pk, n, kind, seed):
     m = sample_element(*field_pk, n, kind, seed)
     po = oracles.order_by_walk(m, projective=True)
     eo = oracles.order_by_walk(m)
-    assert matgrp.projective_order(m, eo) == po
-    assert matgrp.element_order(m, po) == eo
+    # the division ends on the scalar m^po, which the element order takes
+    assert matgrp.projective_order(m, eo, m ** eo) == (po, m ** po)
+    assert matgrp.element_order(m, po, m ** po) == eo
 
 
 @order_settings
@@ -94,9 +97,9 @@ def test_projective_order_conjugation_invariant(field_pk, n, kind, seed):
     conj = h @ m @ h.inverse()
     po = oracles.order_by_walk(m, projective=True)
     eo = oracles.order_by_walk(m)
-    assert matgrp.projective_order(conj, eo) == po
-    assert matgrp.projective_order(conj, 6 * po) == po
-    assert matgrp.element_order(conj, po) == eo
+    assert matgrp.projective_order(conj, eo, conj ** eo)[0] == po
+    assert matgrp.projective_order(conj, 6 * po, conj ** (6 * po))[0] == po
+    assert matgrp.element_order(conj, po, conj ** po) == eo
 
 
 @order_settings
@@ -107,13 +110,13 @@ def test_projective_order_from_a_multiple(field_pk, n, kind, seed, k, r):
     # any multiple k po gives po back; any other exponent is refused
     m = sample_element(*field_pk, n, kind, seed)
     po = oracles.order_by_walk(m, projective=True)
-    assert matgrp.projective_order(m, k * po) == po
+    assert matgrp.projective_order(m, k * po, m ** (k * po)) == (po, m ** po)
     if po > 1:
         wrong = k * po + r % (po - 1) + 1
         with pytest.raises(InputError, match=f"power {wrong} is not"):
-            matgrp.projective_order(m, wrong)
+            matgrp.projective_order(m, wrong, m ** wrong)
         with pytest.raises(InputError):
-            matgrp.element_order(m, wrong)
+            matgrp.element_order(m, wrong, m ** wrong)
 
 
 @order_settings
@@ -124,7 +127,8 @@ def test_semisimple_exactly_when_p_does_not_divide_the_projective_order(
     p = field_pk[0]
     po = oracles.order_by_walk(m, projective=True)
     semisimple = oracles.order_by_walk(m) % p != 0
-    assert adjoint.is_semisimple(m, po) == semisimple == (po % p != 0)
+    assert adjoint.is_semisimple(m, po, m ** po) == semisimple == \
+        (po % p != 0)
     if kind == "unipotent" and not m.is_identity():
         assert not semisimple
     if kind == "scalar":
@@ -136,17 +140,18 @@ def test_orders_reject_a_singular_matrix_or_a_bad_multiple():
     singular = ff.Matrix.from_rows(F, [[1, 2], [2, 4]])
     for multiple in (1, 4, 24):
         with pytest.raises(InputError, match="singular"):
-            matgrp.projective_order(singular, multiple)
+            matgrp.projective_order(singular, multiple, singular ** multiple)
         with pytest.raises(InputError):
-            matgrp.element_order(singular, multiple)
+            matgrp.element_order(singular, multiple, singular ** multiple)
     u = ff.Matrix.from_rows(F, [[1, 1], [0, 1]])
     for multiple in (0, -5, True, 2.5):
         with pytest.raises(InputError, match="positive integer"):
-            matgrp.projective_order(u, multiple)
+            matgrp.projective_order(u, multiple, u)
     # multiple 1 is checked without any power
     with pytest.raises(InputError, match="power 1 is not"):
-        matgrp.projective_order(u, 1)
-    assert matgrp.projective_order(oracles.diagonal(F, [2, 2]), 1) == 1
+        matgrp.projective_order(u, 1, u)
+    scalar = oracles.diagonal(F, [2, 2])
+    assert matgrp.projective_order(scalar, 1, scalar) == (1, scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -488,6 +493,92 @@ def test_irreducibility_invariant_under_conjugation_and_scaling():
         assert matgrp.is_absolutely_irreducible(conj) == base
         scaled = [g.scale(4) for g in gens]
         assert matgrp.is_absolutely_irreducible(scaled) == base
+
+
+# fields F2, F3, F5, F4, F8, F9 and F25 as (p, k)
+BURNSIDE_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2), (5, 2)]
+
+
+@st.composite
+def invertible_matrices(draw, F, n, bound):
+    """L P U with L lower and U upper unitriangular and P a monomial
+    matrix, entries in [0, bound): every invertible matrix has this form,
+    and bound = p keeps it inside the prime subfield."""
+    def entry(low=0):
+        return draw(st.integers(low, bound - 1))
+
+    def triangle(lower):
+        return ff.Matrix(F, n, n, [1 if i == j
+                                   else entry() * ((i > j) == lower)
+                                   for i in range(n) for j in range(n)])
+
+    perm = draw(st.permutations(range(n)))
+    vals = [0] * (n * n)
+    for i, j in enumerate(perm):
+        vals[i * n + j] = entry(1)
+    return triangle(True) @ ff.Matrix(F, n, n, vals) @ triangle(False)
+
+
+@st.composite
+def scalar_product_tuples(draw):
+    """(kind, c_1 ... c_m, the same tuple over the prime field or None):
+    c_m is a scalar times the inverse of c_1 ... c_(m-1).  A block tuple
+    is conjugate to a block upper triangular one, so reducible; a subfield
+    tuple is a conjugate, over F_q, of one over F_p."""
+    p, k = draw(st.sampled_from(BURNSIDE_FIELDS))
+    F = ff.field_create(p, k)
+    n = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(["random", "block", "subfield"]))
+    if kind == "block":
+        s = draw(st.integers(1, n - 1))
+
+        def element():
+            a = draw(invertible_matrices(F, s, F.q)).row_values()
+            c = draw(invertible_matrices(F, n - s, F.q)).row_values()
+            b = [[draw(st.integers(0, F.q - 1)) for _ in range(n - s)]
+                 for _ in range(s)]
+            return ff.Matrix(F, n, n, [*(x for i in range(s)
+                                         for x in a[i] + b[i]),
+                                       *(x for row in c
+                                         for x in [0] * s + row)])
+    else:
+        bound = p if kind == "subfield" else F.q
+
+        def element():
+            return draw(invertible_matrices(F, n, bound))
+    mats = [element() for _ in range(draw(st.integers(0, 3)))]
+    prod = ff.Matrix.identity(F, n)
+    for mat in mats:
+        prod = prod @ mat
+    mats.append(prod.inverse().scale(draw(st.integers(1, F.q - 1))))
+    prime = None
+    if kind == "subfield":
+        # packed prime-field constants are the same ints in every extension
+        Fp = ff.field_create(p)
+        prime = [ff.Matrix(Fp, n, n, g.vals) for g in mats]
+    if kind != "random":
+        h = draw(invertible_matrices(F, n, F.q))
+        hinv = h.inverse()
+        mats = [h @ g @ hinv for g in mats]
+    return kind, mats, prime
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=scalar_product_tuples())
+def test_burnside_span_needs_all_but_the_last_generator(case):
+    # the verdict spans c_1 ... c_(m-1): with c_m = lam (c_1 ... c_(m-1))^-1
+    # the algebras agree, c_m being a polynomial in their product
+    kind, gens, prime = case
+    full = matgrp.is_absolutely_irreducible(gens)
+    assert matgrp.is_absolutely_irreducible(gens[:-1] or gens) == full
+    if kind == "block" or len(gens) == 1:
+        assert not full
+    if prime is not None:
+        # absolute irreducibility does not depend on the field of scalars
+        assert matgrp.is_absolutely_irreducible(prime[:-1] or prime) == full
+    if len(gens[0].vals) == 4:
+        assert full == (not oracles.has_common_stable_line(gens))
 
 
 # ---------------------------------------------------------------------------

@@ -169,40 +169,55 @@ def test_tangent_rank_takes_no_inverse_on_a_lifted_tuple(monkeypatch):
 
 
 def test_verdict_walks_each_projective_order_once(monkeypatch):
-    """One division per generator, from its declared order, whose result
-    the element order then reuses; the central lift's scalar has
-    projective order 1."""
+    """One division per generator, from its declared order and the power
+    g^a that loading kept; the element order takes the scalar the division
+    ended on and makes no product.  The central lift's scalar has
+    projective order 1 and is its own power."""
     t = matgrp.load_tuple(str(TUPLES / "sl3_f7_scalar.json"))
     calls = []
     orders = []
+    products = []
     projective_order = matgrp.projective_order
     element_order = matgrp.element_order
+    matmul = ff.Matrix.__matmul__
 
-    def counted(g, multiple):
-        calls.append((g, multiple))
-        return projective_order(g, multiple)
+    def counted(g, multiple, power):
+        calls.append((g, multiple, power))
+        return projective_order(g, multiple, power)
 
-    def recorded(g, po):
-        orders.append((g, po))
-        return element_order(g, po)
+    def recorded(g, po, power):
+        orders.append((g, po, power))
+        before = len(products)
+        result = element_order(g, po, power)
+        assert len(products) == before, "element_order took a product"
+        return result
 
     for module in (matgrp, rigidity):
         monkeypatch.setattr(module, "projective_order", counted)
     for module in (matgrp, rigidity, adjoint):
         monkeypatch.setattr(module, "element_order", recorded)
+    monkeypatch.setattr(ff.Matrix, "__matmul__",
+                        lambda a, b: products.append(1) or matmul(a, b))
     report = rigidity.rigidity_verdict(t)
     assert report.lifted_order == 3
-    assert calls == list(zip(t.generators, t.declared_orders))
-    pos = [projective_order(g, a)
-           for g, a in zip(t.generators, t.declared_orders)]
+    assert [c[:2] for c in calls] == list(zip(t.generators,
+                                             t.declared_orders))
+    assert all(c[2] is kept for c, kept in zip(calls, t.powers()))
+    found = [projective_order(g, a, g ** a)
+             for g, a in zip(t.generators, t.declared_orders)]
     extra = t.product().inverse()
-    assert orders == [*zip(t.generators, pos), (extra, 1)]
+    assert orders == [*((g, po, power)
+                        for g, (po, power) in zip(t.generators, found)),
+                      (extra, 1, extra)]
 
 
 def test_verdict_orders_take_few_products(monkeypatch):
     """The orders of one verdict on sl3_f9 (declared orders 91, 80, 91)
-    come from powers of the declared orders: 64 products, where walking
-    each generator's powers twice took 2 (90 + 79 + 90) = 518."""
+    come from dividing primes out of the declared orders, starting from
+    the powers g^a that loading kept: 9 + 10 + 9 = 28 products (g^13 and
+    g^7; g^40 and g^16), where validating the first division's multiple
+    again and taking g^po for the element order took 64, and walking each
+    generator's powers twice took 2 (90 + 79 + 90) = 518."""
     t = matgrp.load_tuple(str(TUPLES / "sl3_f9.json"))
     products = [0]
     inside = [0]
@@ -231,7 +246,52 @@ def test_verdict_orders_take_few_products(monkeypatch):
     report = rigidity.rigidity_verdict(t)
     assert report.flags == ("small characteristic p = 3 <= n = 3: "
                             "centralizer smoothness assumed",)
-    assert 0 < products[0] <= 80
+    assert 0 < products[0] <= 28
+
+
+@pytest.mark.parametrize("name", ["sl3_f7_scalar", "sl3_f9", "sl4_f3"])
+def test_verdict_forms_each_displacement_once(monkeypatch, name):
+    """Each I - Ad(c) of the lifted tuple is formed once per verdict, in
+    Ad(c)'s cache entry, and read by the class dimension, the coinvariant
+    span and the coboundary stack (formed three times before)."""
+    t = matgrp.load_tuple(str(TUPLES / f"{name}.json"))
+    rep = adjoint.adjoint_rep(t.field, t.n)
+    rep._ad.cache_clear()
+    built = []
+    form = adjoint._AdEntry.__dict__["displacement"]
+    original = form.func
+    monkeypatch.setattr(form, "func",
+                        lambda entry: built.append(entry) or original(entry))
+    # every subtraction with an identity side, I - Ad(c) or Ad(c) - I,
+    # outside the tangent blocks Ad(P_i) - Ad(P_(i+1)), where P_0 = I
+    displacements = [0]
+    in_tangent = [False]
+    sub = ff.Matrix.__sub__
+    tangent = rigidity.tangent_product_rank
+
+    def counted(a, b):
+        if not in_tangent[0]:
+            displacements[0] += a.is_identity() or b.is_identity()
+        return sub(a, b)
+
+    def blocks(lifted):
+        in_tangent[0] = True
+        try:
+            return tangent(lifted)
+        finally:
+            in_tangent[0] = False
+
+    monkeypatch.setattr(ff.Matrix, "__sub__", counted)
+    monkeypatch.setattr(rigidity, "tangent_product_rank", blocks)
+    report = rigidity.rigidity_verdict(t)
+    lifted = rigidity.central_lift(t)
+    distinct = {g.vals for g in lifted.generators}
+    assert len(built) == len(distinct) == displacements[0]
+    assert {e.ad.vals for e in built} == {rep.ad_matrix(g).vals
+                                          for g in lifted.generators}
+    # a second verdict reads the cached displacements
+    assert report == rigidity.rigidity_verdict(t)
+    assert len(built) == len(distinct)
 
 
 def test_verdict_folds_the_prefixes_once(monkeypatch):
