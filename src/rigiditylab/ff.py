@@ -25,7 +25,10 @@ no byte carries, since x q + y <= q^2 - 1.  Packing small-field elements
 side by side in machine words is the technique of Dumas, Fousse and Salvy
 ("Simultaneous modular reduction and Kronecker substitution for small
 finite fields", J. Symb. Comput. 46, 2011).  ``Echelon`` and the column
-sums of ``Matrix @`` run on these rows.
+sums of ``Matrix @`` run on these rows; ``Echelon`` reads two lists of
+the same translates, ``_neg_mul_bytes[c]`` (y to -c y) and
+``_div_bytes[c]`` (y to y / c), so a clearing step or a pivot scaling
+costs no field call.
 
 Above q = 64 addition takes one of three forms.  Over F_p, arithmetic is
 integer arithmetic mod p.  Extension fields with at most 2**16 elements
@@ -41,8 +44,12 @@ A Matrix holds its entries as one tuple of packed ints, row major, in
 ``vals``; ``m[i, j]``, ``trace`` and ``det`` return packed ints too.  Its
 constructor takes packed entries unchecked; ``from_rows`` packs ints or
 coefficient lists.  A product over an extension field is one running sum
-per column, of byte rows for q <= 16; a prime-field product is one fused
-integer dot product per entry.
+per column, of byte rows for q <= 16.  Over F_p with p <= 13 a left
+factor with at least two rows per column takes the byte columns too, as
+they are 1.04 to 2.03 times as fast as fused dot products there and 1.76
+to 5.29 times from four rows per column on; every other prime-field
+product, squares included, is one fused integer dot product per entry
+(see ``Matrix.__matmul__``).
 
 Everything here is immutable after construction.
 """
@@ -204,6 +211,8 @@ class FiniteField:
         self._neg_row: list[int] | None = None
         self._mul_bytes: list[bytes] | None = None
         self._pair: bytes | None = None
+        self._neg_mul_bytes: list[bytes] | None = None
+        self._div_bytes: list[bytes | None] | None = None
         if k > 1 and self.q <= _TABLE_LIMIT:
             self._build_tables()
         if self.q <= _SQUARE_TABLE_LIMIT:
@@ -370,9 +379,10 @@ class FiniteField:
     def _build_square_tables(self) -> None:
         """The q x q addition and multiplication tables and the negation
         row, from add and mul themselves, and for q <= 16 the byte tables
-        read from them (see the module docstring).  This relies on the
-        tables not existing yet: add reads them only once _add_rows is
-        set, so here it still takes the integer, XOR or Zech form."""
+        read from them, inverses included (see the module docstring).
+        This relies on the tables not existing yet: add reads them only
+        once _add_rows is set, so here it still takes the integer, XOR or
+        Zech form."""
         r = range(self.q)
         add = [[self.add(a, b) for b in r] for a in r]
         mul = [[self.mul(a, b) for b in r] for a in r]
@@ -381,8 +391,12 @@ class FiniteField:
         q = self.q
         if q * q <= 256:
             # a pair (x, y) of elements packs into one byte as x q + y
-            self._mul_bytes = [bytes(row) + bytes(256 - q) for row in mul]
+            mb = [bytes(row) + bytes(256 - q) for row in mul]
+            self._mul_bytes = mb
             self._pair = b"".join(map(bytes, add)) + bytes(256 - q * q)
+            # Echelon's y -> -c y and y -> y / c; 1 / c is read off row c
+            self._neg_mul_bytes = [mb[x] for x in self._neg_row]
+            self._div_bytes = [None, *(mb[row.index(1)] for row in mul[1:])]
 
     # -- identity -------------------------------------------------------------
 
@@ -420,7 +434,8 @@ def field_cost(p: int, k: int) -> int:
     q <= 2**16 the q log, 4(q - 1) + 1 antilog and (odd p) q - 1 Zech
     entries, for q <= 64 the 2 q^2 entries of the addition and
     multiplication tables, and for q <= 16 the q 256 + 256 entries of the
-    byte tables.
+    byte tables and the 2 q entries of ``Echelon``'s two lists of them
+    (y -> -c y and y -> y / c).
     """
     cost = math.isqrt(max(p, 0))
     if k > 1:
@@ -433,7 +448,7 @@ def field_cost(p: int, k: int) -> int:
         if q <= _SQUARE_TABLE_LIMIT:
             cost += 2 * q * q
         if q * q <= 256:
-            cost += q * 256 + 256
+            cost += q * 256 + 256 + 2 * q
     return cost
 
 
@@ -519,8 +534,10 @@ class Matrix:
     def __matmul__(self, other: Matrix) -> Matrix:
         """Over an extension field each column of the product is a running
         sum of the left factor's columns, of bytes for q <= 16 (see
-        ``_by_columns``).  Prime-field products take one fused dot product
-        per entry, an integer sum reduced mod p.
+        ``_by_columns``).  Over F_p with p <= 13 a left factor with at
+        least two rows per column takes the byte columns too; squares,
+        short factors and larger primes take one fused dot product per
+        entry, an integer sum reduced mod p.
 
         Timed in process on (c r) x r by r x m factors, r <= 15, over F4,
         F8 and F9 (``matmul_crossover`` in BENCH_27.json): the byte
@@ -530,17 +547,16 @@ class Matrix:
         to 1.47 times as fast as the byte columns at one row per column
         with r <= 4 (squares and the norm's m x m by m x n^2 products),
         and level or slower from r = 8 or two rows per column on.  Over
-        F3, F7 and F13 the fused dot products are 1.12 to 1.96 times as
-        fast as byte columns at one row per column with r <= 8, and
-        slower from two rows per column on, so taking byte columns over
-        F_p too would mean choosing a form by shape; the form depends on
-        the field alone."""
+        F3, F7 and F13 (``fused_dot_over_bytes``) the byte columns are
+        0.51 to 1.15 times as fast as the fused dot products at one row
+        per column, 1.04 to 2.03 times at two and 1.76 to 5.29 times
+        from four on, so the switch sits at two rows per column."""
         self._check_same(other)
         if self.cols != other.rows:
             raise InputError("matrix shape mismatch in product")
         f = self.field
         r, m = self.cols, other.cols
-        if f.k > 1:
+        if f.k > 1 or (f._pair is not None and self.rows >= 2 * r):
             return self._by_columns(other)
         a, b, p = self.vals, other.vals, f.p
         rows = [a[i * r:(i + 1) * r] for i in range(self.rows)]
@@ -599,10 +615,10 @@ class Matrix:
         permutation; zero as soon as a row depends on the rows above."""
         if self.rows != self.cols:
             raise InputError("determinant of a non-square matrix")
-        f = self.field
-        ech = Echelon(f, self.cols)
-        for row in self.row_values():
-            if not ech.add(row):
+        f, n, vals = self.field, self.cols, self.vals
+        ech = Echelon(f, n)
+        for i in range(n):
+            if not ech.add(vals[i * n:(i + 1) * n]):
                 return 0
         det = reduce(f.mul, ech.pivot_values, 1)
         piv = ech.pivots
@@ -675,9 +691,12 @@ class Echelon:
     Over fields with q <= 16 the basis rows are ``bytes``, one element a
     byte: the pivot is found by ``lstrip``, and clearing one is two
     ``bytes.translate`` calls and one integer multiply-add for the whole
-    row (see the module docstring).  Over larger fields the rows are
-    lists and each clearing step is one ``add_scaled``.  ``reduced``
-    returns lists of packed ints either way.
+    row (see the module docstring), by the field's y -> -c y and
+    y -> y / c translates.  Over larger fields the rows are lists, each
+    clearing step one pass over the q x q tables for q <= 64, else one
+    ``add_scaled``.  ``add`` is one loop over (pivot, basis row), with no
+    call per step for q <= 64, and ``reduced`` returns lists of packed
+    ints either way.
     """
 
     def __init__(self, field: FiniteField, width: int):
@@ -687,60 +706,78 @@ class Echelon:
         self.pivots: list[int] = []
         self.pivot_values: list[int] = []
 
-    def _reduce(self, row, start: int):
-        """row cleared at the pivots of basis rows start, start + 1...;
-        a list row is cleared in place."""
-        f = self.field
-        steps = zip(self.pivots[start:], self.rows[start:])
-        if f._pair is None:
-            add_scaled, neg = f.add_scaled, f.neg
-            for piv, brow in steps:
-                if row[piv]:
-                    # brow is zero before piv
-                    row[piv:] = add_scaled(row[piv:], neg(row[piv]),
-                                           brow[piv:])
-            return row
-        q, n, mul, pair = f.q, len(row), f._mul_bytes, f._pair
-        neg = f._neg_row
-        for piv, brow in steps:
-            if row[piv]:
-                cy = brow.translate(mul[neg[row[piv]]])
-                row = (int.from_bytes(row, "big") * q
-                       + int.from_bytes(cy, "big")
-                       ).to_bytes(n, "big").translate(pair)
-        return row
-
     def add(self, row: Sequence[int]) -> bool:
         """Reduce a copy of row against the basis; absorb it if it is
         independent of the rows so far, and report whether it was.  Once
         the rank is full, nothing is independent and no work is done."""
-        if len(self.pivots) == self.width:
+        pivots = self.pivots
+        if len(pivots) == self.width:
             return False
         f = self.field
-        if f._pair is None:
-            row = self._reduce(list(row), 0)
-            lead = next((j for j, x in enumerate(row) if x), len(row))
+        steps = zip(pivots, self.rows)
+        if f._pair is not None:
+            q, n, pair, neg_mul = f.q, len(row), f._pair, f._neg_mul_bytes
+            row = bytes(row)
+            for piv, brow in steps:
+                if row[piv]:
+                    row = (int.from_bytes(row, "big") * q
+                           + int.from_bytes(brow.translate(neg_mul[row[piv]]),
+                                            "big")
+                           ).to_bytes(n, "big").translate(pair)
+            lead = n - len(row.lstrip(b"\0"))
+            if lead == n:
+                return False
+            c = row[lead]
+            row = row.translate(f._div_bytes[c])
         else:
-            row = self._reduce(bytes(row), 0)
-            lead = len(row) - len(row.lstrip(b"\0"))
-        if lead == len(row):
-            return False
-        c = f.inv(row[lead])
-        self.pivots.append(lead)
-        self.pivot_values.append(row[lead])
-        self.rows.append(f.scale(c, row) if f._pair is None
-                         else row.translate(f._mul_bytes[c]))
+            add, mul, neg = f._add_rows, f._mul_rows, f._neg_row
+            for piv, brow in steps:
+                c = row[piv]
+                if c:
+                    if add is None:
+                        row = f.add_scaled(row, f.neg(c), brow)
+                    else:
+                        mc = mul[neg[c]]
+                        row = [add[x][mc[y]] for x, y in zip(row, brow)]
+            lead = next((j for j, x in enumerate(row) if x), len(row))
+            if lead == len(row):
+                return False
+            c = row[lead]
+            row = f.scale(f.inv(c), row)
+        pivots.append(lead)
+        self.pivot_values.append(c)
+        self.rows.append(row)
         return True
 
     def reduced(self) -> list[list[int]]:
-        """Back-substitute into reduced row-echelon form (unique for the
-        row space) and return the rows sorted by pivot."""
-        for i in range(len(self.rows) - 2, -1, -1):
-            self.rows[i] = self._reduce(self.rows[i], i + 1)
-        return [list(row) for _, row in sorted(zip(self.pivots, self.rows))]
+        """The reduced row-echelon form (unique for the row space), rows
+        sorted by pivot; the form itself is left as it is.  Basis row j
+        is zero at the pivots of the rows before it, so clearing each
+        pivot in those rows, in the order the rows came, leaves every row
+        cleared at all the pivots but its own."""
+        f, rows = self.field, list(self.rows)
+        q, pair, neg_mul = f.q, f._pair, f._neg_mul_bytes
+        add, mul, neg = f._add_rows, f._mul_rows, f._neg_row
+        for j, (piv, brow) in enumerate(zip(self.pivots, self.rows)):
+            for i in range(j):
+                row = rows[i]
+                c = row[piv]
+                if not c:
+                    continue
+                if pair is not None:
+                    row = (int.from_bytes(row, "big") * q
+                           + int.from_bytes(brow.translate(neg_mul[c]), "big")
+                           ).to_bytes(len(row), "big").translate(pair)
+                elif add is not None:
+                    mc = mul[neg[c]]
+                    row = [add[x][mc[y]] for x, y in zip(row, brow)]
+                else:
+                    row = f.add_scaled(row, f.neg(c), brow)
+                rows[i] = row
+        return [list(row) for _, row in sorted(zip(self.pivots, rows))]
 
 
-def rank_of_rows(field: FiniteField, grid: list[list[int]]) -> int:
+def rank_of_rows(field: FiniteField, grid: Sequence[Sequence[int]]) -> int:
     """Rank of a list of packed-value rows."""
     ech = Echelon(field, len(grid[0]) if grid else 0)
     for row in grid:
@@ -758,7 +795,9 @@ def row_space_basis(field: FiniteField, grid: list[list[int]]) -> list[list[int]
 
 def rank(m: Matrix) -> int:
     """Rank over the owner field, by exact Gaussian elimination."""
-    return rank_of_rows(m.field, m.row_values())
+    c, vals = m.cols, m.vals
+    return rank_of_rows(m.field, [vals[i * c:(i + 1) * c]
+                                  for i in range(m.rows)])
 
 
 def kernel_dim(m: Matrix) -> int:

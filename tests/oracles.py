@@ -45,10 +45,13 @@ served every order of a request.  kac_point_count counts those points
 from the marks alone.  reduced_by_add_scaled is textbook Gauss-Jordan
 elimination on lists with the field's scale, inv, neg and add_scaled,
 never its Echelon; it checks the row-echelon forms that the package keeps
-as bytes over fields with q <= 16.  generates_by_closure is the table's
-generation test as it stood before the Schreier–Sims sift: it closes the
-elements' point permutations into a set, or multiplies with the table's
-own ``mul`` (subgroup_generated) when the table keeps no permutations.
+as bytes over fields with q <= 16.  echelon_trace replays the package's
+semi-echelon absorption one entry at a time with the field's sub, mul and
+inv, so the state of an Echelon can be checked after every row.
+generates_by_closure is the table's generation test as it stood before
+the Schreier–Sims sift: it closes the elements' point permutations into
+a set, or multiplies with the table's own ``mul`` (subgroup_generated)
+when the table keeps no permutations.
 """
 
 from __future__ import annotations
@@ -237,6 +240,31 @@ def span_rank(m) -> int:
         rank += 1
     assert F.q ** rank == len(span), "a span's size is a power of q"
     return rank
+
+
+def echelon_trace(field, grid) -> list[tuple]:
+    """The state of an incremental semi-echelon form after each row of
+    grid is offered: (absorbed, pivots, pivot values, basis rows).  A row
+    is cleared at each basis row's pivot in the order the basis rows came,
+    entry by entry with the field's sub and mul; if anything is left, its
+    first nonzero entry is the pivot value, and the row is scaled by that
+    value's inverse."""
+    pivots, values, basis, states = [], [], [], []
+    for row in grid:
+        row = list(row)
+        for piv, b in zip(pivots, basis):
+            c = row[piv]
+            if c:
+                row = [field.sub(x, field.mul(c, y)) for x, y in zip(row, b)]
+        lead = next((j for j, x in enumerate(row) if x), None)
+        if lead is not None:
+            inv = field.inv(row[lead])
+            pivots.append(lead)
+            values.append(row[lead])
+            basis.append([field.mul(inv, x) for x in row])
+        states.append((lead is not None, list(pivots), list(values),
+                       [list(b) for b in basis]))
+    return states
 
 
 def reduced_by_add_scaled(field, grid) -> list[list[int]]:

@@ -275,7 +275,8 @@ def test_fields_up_to_64_elements_have_square_tables():
     for p, k in SQUARE_TABLE_FIELDS + [(67, 1), (3, 4), (2, 7)]:
         F = ff.field_create(p, k)
         assert (F._pair is not None) == (F._mul_bytes is not None) \
-            == (F.q <= 16), F
+            == (F._neg_mul_bytes is not None) \
+            == (F._div_bytes is not None) == (F.q <= 16), F
         if F._pair is not None:
             r = range(F.q)
             assert [[F._pair[x * F.q + y] for y in r] for x in r] == \
@@ -304,6 +305,16 @@ def test_square_tables_match_digit_and_polynomial_oracles():
                 oracles.digit_add(p, k, a, b) for b in r]
             assert [F.sub(a, b) for b in r] == [
                 oracles.digit_add(p, k, a, b, -1) for b in r]
+        if q <= 16:
+            # Echelon's translates y -> -c y and y -> y / c
+            assert F._div_bytes[0] is None
+            for c in r:
+                assert F._neg_mul_bytes[c] is F._mul_bytes[F.neg(c)]
+                assert F._neg_mul_bytes[c][:q] == bytes(prod[F.neg(c)])
+                if c:
+                    assert F._div_bytes[c] is F._mul_bytes[F.inv(c)]
+                    assert F._div_bytes[c][:q] == bytes(prod[F.inv(c)])
+                    assert all(F.mul(c, F._div_bytes[c][y]) == y for y in r)
         xss = [rng.sample(r, q) for _ in range(3)]
         for c in r:
             assert F.scale(c, r) == prod[c], (p, k, c)
@@ -361,11 +372,11 @@ def matrices(draw, field, rows: int, cols: int):
 @given(data=st.data())
 def test_products_on_both_sides_of_the_tall_switch_match_the_oracle(
         p, k, data):
-    # over F_p every product is summed entry by entry, and over extension
-    # fields by columns, short and tall left factors alike
+    # extension fields sum by columns, short and tall left factors alike;
+    # F13 switches to byte columns at 2 r rows, and F67 never does
     F = ff.field_create(p, k)
     r = data.draw(st.integers(1, 4))
-    rows = data.draw(st.sampled_from([r, 2 * r, 8 * r - 1, 8 * r]))
+    rows = data.draw(st.sampled_from([r, 2 * r - 1, 2 * r, 8 * r - 1, 8 * r]))
     m = data.draw(st.integers(1, 4))
     a = data.draw(matrices(F, rows, r))
     b = data.draw(matrices(F, r, m))
@@ -392,16 +403,28 @@ def test_extension_fields_and_tall_prime_products_sum_columns(
             calls.clear()
 
 
-@pytest.mark.parametrize("p", [2, 13, 257])
-def test_prime_field_products_never_sum_columns(p, monkeypatch):
-    # the form depends on the field alone, not on the left factor's shape
+@pytest.mark.parametrize("p", [2, 13, 67, 257])
+def test_prime_field_products_sum_columns_from_two_rows_per_column(
+        p, monkeypatch):
+    # byte columns over p <= 13 from two rows per column on; fused dot
+    # products below that, and for every shape over larger primes
     F = ff.field_create(p)
-    monkeypatch.setattr(ff.Matrix, "_by_columns", None)
+    calls = []
+    original = ff.Matrix._by_columns
+
+    def counted(self, other):
+        calls.append(self.rows)
+        return original(self, other)
+
+    monkeypatch.setattr(ff.Matrix, "_by_columns", counted)
     rng = random.Random(p)
     for r in (1, 2, 3, 4):
-        for rows in (r, 8 * r, 64 * r):
+        for rows in (r, 2 * r - 1, 2 * r, 8 * r, 64 * r):
             a, b = random_matrix(F, rows, r, rng), random_matrix(F, r, 3, rng)
             assert a @ b == oracles.matmul_entrywise(a, b)
+            assert calls == ([rows] if p <= 13 and rows >= 2 * r else []), \
+                (r, rows)
+            calls.clear()
 
 
 @pytest.mark.parametrize("p,k", MATMUL_FIELDS)
@@ -646,6 +669,37 @@ def test_byte_rows_and_list_rows_match_the_oracles(p, k, data):
     else:
         with pytest.raises(ZeroDivisionError):
             a.inverse()
+
+
+@pytest.mark.parametrize("p,k", BYTE_ROW_FIELDS + [(17, 1), (5, 2), (3, 3),
+                                                   (67, 1), (3, 4)])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_echelon_state_after_each_add_matches_the_oracle_trace(p, k, data):
+    # byte rows (q <= 16), table rows (q <= 64) and add_scaled rows alike;
+    # reduced() leaves the form as it was
+    F = ff.field_create(p, k)
+    entry = st.one_of(st.just(0), st.integers(1, F.q - 1))
+    width = data.draw(st.integers(0, 6))
+    grid = data.draw(st.lists(
+        st.lists(entry, min_size=width, max_size=width), max_size=5))
+    for _ in range(data.draw(st.integers(0, 3)) if grid else 0):
+        # a row that depends on two rows before it
+        x, y = (grid[data.draw(st.integers(0, len(grid) - 1))]
+                for _ in range(2))
+        grid.append(F.add_scaled(x, data.draw(entry), y))
+    ech = ff.Echelon(F, width)
+    for i, (absorbed, pivots, values, rows) in enumerate(
+            oracles.echelon_trace(F, grid)):
+        # the package hands Echelon tuple slices as well as lists
+        row = tuple(grid[i]) if i % 2 else grid[i]
+        assert ech.add(row) == absorbed
+        assert ech.pivots == pivots and ech.pivot_values == values
+        assert [list(r) for r in ech.rows] == rows
+        assert all(isinstance(r, bytes) == (F.q <= 16) for r in ech.rows)
+    before = (list(ech.pivots), list(ech.pivot_values), list(ech.rows))
+    assert ech.reduced() == oracles.reduced_by_add_scaled(F, grid)
+    assert (ech.pivots, ech.pivot_values, ech.rows) == before
 
 
 def test_singular_inverse_rejected():

@@ -550,12 +550,15 @@ def scalar_product_tuples(draw):
     prod = ff.Matrix.identity(F, n)
     for mat in mats:
         prod = prod @ mat
-    mats.append(prod.inverse().scale(draw(st.integers(1, F.q - 1))))
+    # a subfield tuple's scalar lies in F_p, like its other entries
+    scalar = draw(st.integers(1, (p if kind == "subfield" else F.q) - 1))
+    mats.append(prod.inverse().scale(scalar))
     prime = None
     if kind == "subfield":
         # packed prime-field constants are the same ints in every extension
         Fp = ff.field_create(p)
         prime = [ff.Matrix(Fp, n, n, g.vals) for g in mats]
+        assert all(x < p for g in prime for x in g.vals)
     if kind != "random":
         h = draw(invertible_matrices(F, n, F.q))
         hinv = h.inverse()
@@ -716,8 +719,8 @@ def test_field_setup_is_checked_against_the_work_cap(p, k):
     # sqrt(p) trial divisions, for k > 1 the modulus search, and one per
     # table entry: log, antilog and (odd p) Zech tables up to q = 2^16,
     # addition and multiplication tables up to q = 64, and the q
-    # multiplication translates and the pair table, 256 bytes each, up to
-    # q = 16
+    # multiplication translates and the pair table, 256 bytes each, and
+    # Echelon's two lists of q translates, up to q = 16
     q = p ** k
     logs = 0
     if 1 < k and q <= 2 ** 16:
@@ -725,7 +728,7 @@ def test_field_setup_is_checked_against_the_work_cap(p, k):
     cost = ff.field_cost(p, k)
     assert cost == (math.isqrt(p) + (k > 1) * (p + k) * k ** 3 * p.bit_length()
                     + logs + (q <= 64) * 2 * q * q
-                    + (q <= 16) * (q * 256 + 256))
+                    + (q <= 16) * (q * 256 + 256 + 2 * q))
     doc = {"p": p, "k": k, "n": 1, "generators": [[[1]]], "orders": [1]}
     assert matgrp.tuple_from_json(doc, work_cap=cost).field.q == p ** k
     with pytest.raises(WorkCapExceeded):
