@@ -208,14 +208,11 @@ class AdjointRep:
         grid_t = Matrix(f, m, m, [x for col in zip(*grid) for x in col])
         return self._matrix_of((krylov_t @ (grid_t @ krylov)).vals)
 
-    def fixed_space_dim(self, g: Matrix) -> int:
-        """Dimension of the kernel of I - Ad(g)."""
-        return kernel_dim(self.displacement(g))
-
     def class_dim(self, g: Matrix) -> int:
-        """Rank of Ad(g) - I: the class dimension under centralizer
+        """Rank of Ad(g) - I, dim minus the dimension of its kernel (the
+        fixed space of Ad(g)): the class dimension under centralizer
         smoothness."""
-        return self.dim - self.fixed_space_dim(g)
+        return self.dim - kernel_dim(self.displacement(g))
 
 
 # ---------------------------------------------------------------------------

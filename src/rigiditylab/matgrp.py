@@ -14,28 +14,18 @@ the caller supplies: in the verdict, a tuple's declared order, which
 division hands back the scalar g^po it ended on, and the element order is
 the projective order times that scalar's order, with no power more.
 
-A closure, linear or projective, holds each element as the permutation it
-induces on the points of P^(n-1) reached from a projective frame, one byte
-per point, so a product by a generator is one ``bytes.translate``; the
-permutation is the projective key, and with the scalar on e_1 it is the
-linear one (Á. Seress, *Permutation Group Algorithms*, CUP 2003, ch. 4,
-for groups as permutations).  A frame orbit of more than 256 points is
-refused with :class:`InputError` at its 257th point, before any element
-is added.  It records right multiplication by each generator as a
-permutation of the indices, and each element's BFS parent, so a table
-rebuilds a matrix only when asked (a census, for its witnesses).  A table
-whose closure is keyed by the permutations alone (a projective one, which
-a linear table takes over when 1 is its only scalar) multiplies and
-inverts on them; a linear table with a centre does so by index lookups
-along shortest words in the generators.  Every table decides whether
-elements generate its group by a deterministic Schreier–Sims on their
-permutations (C. C. Sims, "Computational methods in the study of
-permutation groups", 1970; Seress, ch. 4), stopped as soon as the
-partial stabilizer chain proves the group's order.
+A closed group is one object, :class:`FiniteGroupTable`, which runs its
+breadth-first closure when it is made, over elements held as the
+permutations they induce on the points of P^(n-1) reached from a
+projective frame, one byte per point (Á. Seress, *Permutation Group
+Algorithms*, CUP 2003, ch. 4); the permutation is the projective key, and
+with the scalar on e_1 the linear one.  Generation is decided by a
+deterministic Schreier–Sims on those permutations (C. C. Sims, 1970),
+stopped as soon as the partial stabilizer chain proves the group's order.
 ``generating_pair`` closes each candidate modulo scalars and takes the
-first whose closure is all of PSL_n(q); a census takes that closure over
-as its table (unless it closes SL_n(q) with nontrivial scalars), so no
-element of the census table is multiplied by a generator twice.
+first whose table is all of PSL_n(q); a census takes that table over
+(unless it closes SL_n(q) with nontrivial scalars), so no element of the
+census table is multiplied by a generator twice.
 """
 
 from __future__ import annotations
@@ -410,63 +400,99 @@ def _reaches_order(gens: Sequence[bytes], order: int) -> bool:
 # ---------------------------------------------------------------------------
 
 class FiniteGroupTable:
-    """A finite matrix group enumerated element by element.
+    """A finite matrix group, closed breadth-first when it is made.
 
-    Elements are indexed densely in breadth-first discovery order starting
-    from the identity (index 0).  With ``projective=True`` two matrices
-    differing by a scalar share one index.
+    ``FiniteGroupTable(gens, projective, cap)`` checks the generators,
+    walks the frame orbit, and runs the closure to the end or refuses it
+    with :class:`WorkCapExceeded` at element cap + 1.  Elements are
+    indexed densely in discovery order from the identity (index 0); with
+    ``projective=True`` two matrices differing by a scalar share one.
 
-    The table keeps no matrices.  The closure expands every element once by
-    each generator and keeps the products as index permutations,
-    ``right[k][i] = index(matrix(i) @ generators[k])``, and each element's
+    An element is held as the permutation it induces on the points of
+    P^(n-1) (first nonzero entry 1) reached from the frame <e_1>, ...,
+    <e_n>, <e_1 + ... + e_n>, one byte per point; a frame orbit past 256
+    points is refused with :class:`InputError` at its 257th point, before
+    any element.  Only scalars fix every frame point, so projectively the
+    permutation is the key; linearly the key is (permutation, c), with
+    e_1 g = c <e_1 g>.  A product by generator k is one ``bytes.translate``
+    and, linearly, c times the scalar generator k puts on <e_1 x>.
+
+    No matrices are kept: only the keys, the index permutations
+    ``right[k][i] = index(matrix(i) @ generators[k])`` and each element's
     BFS parent, from which ``matrix(i)`` rebuilds the first product that
-    reached i (a determinant-one representative, projectively too).
-
-    When the closure keys each element by its permutation of the frame
-    orbit alone (a projective closure, which a linear table takes over
-    when it has no scalars but 1), the table keeps those keys as
-    ``perms`` and computes on them: ``mul(i, j)`` is one
-    ``bytes.translate`` and a key lookup, every inverse is made at once by
-    ``bytes.maketrans``, and ``centralizer`` compares two translates.  A
-    linear table with a centre keys by (permutation, scalar) instead;
-    ``perms`` is None, and its first ``mul`` or ``inv`` searches the
-    Cayley graph on the generators and their inverses breadth-first,
-    which gives every element a shortest word, held as the tuple of its
-    letters' permutations.  ``mul(i, j)`` applies j's word to i,
-    ``inv(i)`` is i's reversed inverse word applied to the identity, and
-    ``centralizer`` works by ``mul``.  ``generates`` sifts point
-    permutations in either kind of table: a table with a centre rebuilds
-    each from its BFS path, as ``matrix`` does, and counts its scalars
-    (the elements that fix every point) once, when it is made.
+    reached i (a determinant-one representative, projectively too).  A
+    table keyed by permutations alone (a projective one, or its linear
+    copy from :func:`group_closure` when 1 is the only scalar) keeps them
+    as ``perms``: ``mul`` is one ``bytes.translate`` and a key lookup, the
+    inverses come at once from ``bytes.maketrans``, and ``centralizer``
+    compares two translates.  One keyed with scalars has ``perms`` None;
+    its first ``mul`` or ``inv`` spells every element as a shortest word
+    in the generators and their inverses, and ``mul(i, j)`` applies j's
+    word to i.
     """
 
-    def __init__(self, closure: _Closure, projective: bool):
-        self.generators = closure.gens
-        self.field = closure.gens[0].field
-        self.n = closure.gens[0].rows
-        self.projective = projective
-        self.right = closure.right
-        self._parent = closure.parent
-        self._moves = closure.tables
-        self.perms: list[bytes] | None = None
-        if closure.projective:
-            self.perms, self._index = closure.elts, closure.index
-            self.pad = bytes(range(len(self.perms[0]), 256))
-            self._scalars = 1
-        else:
-            ident = closure.elts[0][0]
-            self._scalars = sum(x == ident for x, _ in closure.elts)
+    def __init__(self, gens: Sequence[Matrix], projective: bool, cap: int):
+        if not gens:
+            raise InputError("group closure needs at least one generator")
+        field, n = gens[0].field, gens[0].rows
+        for g in gens:
+            if g.field != field or g.rows != n or g.cols != n:
+                raise InputError(
+                    "closure generators must be square over one field")
+            if not g.is_invertible():
+                raise InputError("closure generator is not invertible")
+        self.generators = tuple(gens)
+        self.field, self.n, self.projective = field, n, projective
+        frame = [*map(tuple, Matrix.identity(field, n).row_values()), (1,) * n]
+        points = list(dict.fromkeys(frame))  # e_1 + ... + e_n = e_1 at n = 1
+        where = {v: i for i, v in enumerate(points)}
+        images, leads = tuple([] for _ in gens), tuple([] for _ in gens)
+        add, mul = field.add, field.mul
+        columns = [[g.vals[j::n] for j in range(n)] for g in gens]
+        for v in points:  # grows as new points are reached
+            for cols, image, scalars in zip(columns, images, leads):
+                w = [reduce(add, map(mul, v, col)) for col in cols]
+                lead = next(filter(None, w))
+                w = tuple(field.scale(field.inv(lead), w))
+                image.append(where.setdefault(w, len(points)))
+                if image[-1] == len(points):
+                    if len(points) == 256:  # the walk stops at point 257
+                        raise InputError(
+                            f"the generators move the frame of P^{n - 1}"
+                            f"(F_{field.q}) through more than 256 points, "
+                            "the most a closure indexes")
+                    points.append(w)
+                scalars.append(lead)
+        pad = self.pad = bytes(range(len(points), 256))
+        ident = bytes(range(len(points)))
+        keys = self._keys = [ident if projective else (ident, 1)]
+        index = {keys[0]: 0}
+        self.right = tuple([] for _ in gens)
+        parent = self._parent = [0]
+        moves = [(bytes(image) + pad, scalars, perm)
+                 for image, scalars, perm in zip(images, leads, self.right)]
+        for i, x in enumerate(keys):  # grows as new elements are reached
+            x, c = (x, 1) if projective else x
+            for table, scalars, perm in moves:
+                y = x.translate(table)
+                key = y if projective else (y, mul(c, scalars[x[0]]))
+                j = index.get(key)
+                if j is None:
+                    if len(keys) >= cap:
+                        raise _cap_exceeded(cap)
+                    j = index[key] = len(keys)
+                    keys.append(key)
+                    parent.append(i)
+                perm.append(j)
+        self.perms, self._index = (keys, index) if projective else (None, None)
+        self._scalars = 1 if projective else sum(x == ident for x, _ in keys)
+        self.size = len(keys)
         self._words: list[tuple[list[int], ...]] | None = None
         self._inverses: list[int] | None = None
         self._classes: tuple[tuple[int, ...], ...] | None = None
 
-    @property
-    def size(self) -> int:
-        return len(self._parent)
-
     def _path(self, i: int) -> list[int]:
-        """The generator numbers on element i's BFS path, from the
-        identity."""
+        """The generator numbers on element i's BFS path, in order."""
         path = []
         while i:
             p = self._parent[i]
@@ -483,14 +509,10 @@ class FiniteGroupTable:
         return m
 
     def _point_perm(self, i: int) -> bytes:
-        """Element i's permutation of the frame orbit, as a 256-byte
-        translate table."""
-        if self.perms is not None:
-            return self.perms[i] + self.pad
-        x = _IDENTITY
-        for k in self._path(i):
-            x = x.translate(self._moves[k])
-        return x
+        """Element i's permutation of the frame orbit, read off its key, as
+        a 256-byte translate table."""
+        x = self._keys[i]
+        return (x if self.perms is not None else x[0]) + self.pad
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -557,24 +579,21 @@ class FiniteGroupTable:
         if perms is None:
             mul = self.mul
             return [c for c in range(self.size) if mul(i, c) == mul(c, i)]
-        x, pad = perms[i], self.pad
-        x_pad = x + pad
+        x, x_pad, pad = perms[i], self._point_perm(i), self.pad
         return [c for c, y in enumerate(perms)
                 if x.translate(y + pad) == y.translate(x_pad)]
 
     def generates(self, gens_idx: Sequence[int]) -> bool:
         """Whether the elements generate the table's group.
 
-        Sifts their permutations of the frame orbit, on which the group
-        modulo its scalars acts faithfully (:func:`_reaches_order`),
-        against ``size`` over the number of scalars in the table.  So a table
-        keyed by permutations gets an exact answer.  A linear table with
-        a centre gets whether the elements generate the group modulo its
-        scalars; for SL_n(q) that is the same, by the perfectness argument
-        in :func:`generating_pair`'s docstring.
+        Sifts their point permutations, on which the group modulo its
+        scalars acts faithfully (:func:`_reaches_order`), against ``size``
+        over the number of scalars.  A table with a centre so answers
+        modulo its scalars; for SL_n(q) that is the same, by the
+        perfectness argument in :func:`generating_pair`'s docstring.
         """
         return _reaches_order([self._point_perm(i) for i in gens_idx],
-                         self.size // self._scalars)
+                              self.size // self._scalars)
 
     def order_of(self, i: int) -> int:
         """Order of element i in the table's group (projective order when
@@ -595,9 +614,7 @@ class FiniteGroupTable:
         """
         if self._classes is not None:
             return self._classes
-        inverses = self._inverses
-        if inverses is None:
-            inverses = self._build_inverses()
+        inverses = self._inverses or self._build_inverses()
         seen = [False] * self.size
         classes = []
         for start in range(self.size):
@@ -625,112 +642,40 @@ class FiniteGroupTable:
         return out
 
 
-class _Closure:
-    """A breadth-first closure, run to the end when it is made, or refused
-    with :class:`WorkCapExceeded` at element cap + 1.
-
-    An element is held as the permutation it induces on the points of
-    P^(n-1) (vectors whose first nonzero entry is 1) reached from the
-    frame <e_1>, ..., <e_n>, <e_1 + ... + e_n>, one byte per point.  Only
-    scalars fix every frame point, so projectively the permutation is the
-    element's key; linearly the key is (permutation, c), where
-    e_1 g = c <e_1 g>, which tells the scalar multiples apart.  The
-    product by generator k is ``x.translate(tables[k])``, and its c is c_x
-    times the scalar that generator k puts on the point <e_1 x>.
-
-    It keeps the list of keys ``elts``, the key-to-index dict, the
-    permutations ``right`` and each element's BFS ``parent`` (0 for the
-    identity).
-    """
-
-    def __init__(self, gens: Sequence[Matrix], projective: bool, cap: int):
-        if not gens:
-            raise InputError("group closure needs at least one generator")
-        field, n = gens[0].field, gens[0].rows
-        for g in gens:
-            if g.field != field or g.rows != n or g.cols != n:
-                raise InputError(
-                    "closure generators must be square over one field")
-            if not g.is_invertible():
-                raise InputError("closure generator is not invertible")
-        self.gens = tuple(gens)
-        self.projective = projective
-        frame = [*map(tuple, Matrix.identity(field, n).row_values()), (1,) * n]
-        points = list(dict.fromkeys(frame))  # e_1 + ... + e_n = e_1 at n = 1
-        where = {v: i for i, v in enumerate(points)}
-        images = tuple([] for _ in gens)
-        leads = tuple([] for _ in gens)
-        add, mul = field.add, field.mul
-        columns = [[g.vals[j::n] for j in range(n)] for g in gens]
-        for v in points:  # grows as new points are reached
-            for cols, image, scalars in zip(columns, images, leads):
-                w = [reduce(add, map(mul, v, col)) for col in cols]
-                lead = next(filter(None, w))
-                w = tuple(field.scale(field.inv(lead), w))
-                image.append(where.setdefault(w, len(points)))
-                if image[-1] == len(points):
-                    if len(points) == 256:  # the walk stops at point 257
-                        raise InputError(
-                            f"the generators move the frame of P^{n - 1}"
-                            f"(F_{field.q}) through more than 256 points, "
-                            "the most a closure indexes")
-                    points.append(w)
-                scalars.append(lead)
-        pad = bytes(range(len(points), 256))
-        self.tables = [bytes(image) + pad for image in images]
-        ident = bytes(range(len(points)))
-        elts = self.elts = [ident if projective else (ident, 1)]
-        index = self.index = {elts[0]: 0}
-        self.right = tuple([] for _ in gens)
-        parent = self.parent = [0]
-        moves = list(zip(self.tables, leads, self.right))
-        for i, x in enumerate(elts):  # grows as new elements are reached
-            x, c = (x, 1) if projective else x
-            for table, scalars, perm in moves:
-                y = x.translate(table)
-                key = y if projective else (y, mul(c, scalars[x[0]]))
-                j = index.get(key)
-                if j is None:
-                    if len(elts) >= cap:
-                        raise _cap_exceeded(cap)
-                    j = index[key] = len(elts)
-                    elts.append(key)
-                    parent.append(i)
-                perm.append(j)
-
-
 def _cap_exceeded(cap: int) -> WorkCapExceeded:
     return WorkCapExceeded(f"group closure exceeded the cap of {cap} elements")
 
 
 class _SearchPair(tuple):
     """A pair (a, b) from :func:`generating_pair`, with its finished
-    projective closure in ``search``, which :func:`group_closure` hands
-    over as its table."""
+    projective table in ``search``."""
 
-    search: _Closure
+    search: FiniteGroupTable
 
 
 def group_closure(gens: Sequence[Matrix], cap: int,
                   projective: bool = False) -> FiniteGroupTable:
-    """Breadth-first closure of the generators under multiplication.
+    """Breadth-first closure of the generators under multiplication:
+    ``FiniteGroupTable(gens, projective, cap)``, which refuses element
+    cap + 1, so a group of exactly ``cap`` elements closes.
 
-    Raises :class:`WorkCapExceeded` when it reaches element cap + 1, so a
-    group of exactly ``cap`` elements closes.  Given a pair from
-    :func:`generating_pair`, it takes the projective closure that the
-    search finished instead of closing again, in projective mode, and in
-    linear mode too when gcd(n, q - 1) = 1: then 1 is the only
-    determinant-one scalar, so the projective closure is the linear one.
-    The table is the one a fresh closure builds.
+    Given a pair from :func:`generating_pair`, it hands over the table the
+    search finished instead of closing again: that table on a projective
+    request, and on a linear one when gcd(n, q - 1) = 1 (1 is then the
+    only determinant-one scalar, so the two closures agree) a shallow copy
+    with ``projective`` False, so one object never carries two names.
     """
     if isinstance(gens, _SearchPair) and (
             projective or math.gcd(gens[0].rows, gens[0].field.q - 1) == 1):
-        closure = gens.search
-        if len(closure.elts) > cap:
+        table = gens.search
+        if table.size > cap:
             raise _cap_exceeded(cap)
-    else:
-        closure = _Closure(gens, projective, cap)
-    return FiniteGroupTable(closure, projective)
+        if not projective:
+            from copy import copy  # imported here: most processes never copy
+            table = copy(table)
+            table.projective = False
+        return table
+    return FiniteGroupTable(gens, projective, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -825,15 +770,15 @@ def generating_pair(field: FiniteField, n: int) -> tuple[Matrix, Matrix]:
     H with HZ = G (Z central) is normal with abelian quotient, so it
     contains [G, G], and SL_n(q) is perfect except for SL_2(2), where
     Z = 1, and SL_2(3), where Z = {+-1} lies in [G, G] = Q_8.  Each
-    candidate's projective closure is run to the end, and the first with
-    |PSL_n(q)| elements wins; by Lagrange a losing one stops at half of
-    that or below.  The winner's closure rides along with the pair, and
-    :func:`group_closure` hands it over.
+    candidate's projective table is closed to the end and kept on it as
+    ``search``; the first with |PSL_n(q)| elements wins (by Lagrange a
+    losing one stops at half of that or below), and :func:`group_closure`
+    hands its table over.
     """
     order = psl_order(field.q, n)
     for pair in map(_SearchPair, _pair_candidates(field, n)):
-        pair.search = _Closure(pair, projective=True, cap=order)
-        if len(pair.search.elts) == order:
+        pair.search = FiniteGroupTable(pair, True, order)
+        if pair.search.size == order:
             return pair
     raise InvariantViolation(
         f"no generating pair found for SL_{n}({field.q}) in the candidate stream"

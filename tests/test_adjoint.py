@@ -306,13 +306,13 @@ def test_norm_rejects_a_power_that_is_not_scalar(f7):
 def test_fixed_space_and_class_dim_examples(f7):
     rep = adjoint.adjoint_rep(f7, 2)
     eye = ff.Matrix.identity(f7, 2)
-    assert rep.fixed_space_dim(eye) == 3
+    assert ff.kernel_dim(rep.displacement(eye)) == 3
     assert rep.class_dim(eye) == 0
     torus = oracles.diagonal(f7, [2, 4])
-    assert rep.fixed_space_dim(torus) == 1
+    assert ff.kernel_dim(rep.displacement(torus)) == 1
     assert rep.class_dim(torus) == 2
     unipotent = ff.Matrix.from_rows(f7, [[1, 1], [0, 1]])
-    assert rep.fixed_space_dim(unipotent) == 1
+    assert ff.kernel_dim(rep.displacement(unipotent)) == 1
     assert rep.class_dim(unipotent) == 2
     rep3 = adjoint.adjoint_rep(f7, 3)
     regular = oracles.diagonal(f7, [1, 2, 4])

@@ -104,12 +104,12 @@ def test_census_multiplies_each_element_by_each_generator_once(
                                                     True)[0])
     made = []
 
-    class Tracked(matgrp._Closure):
+    class Tracked(matgrp.FiniteGroupTable):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             made.append(self)
 
-    monkeypatch.setattr(matgrp, "_Closure", Tracked)
+    monkeypatch.setattr(matgrp, "FiniteGroupTable", Tracked)
     with contextlib.redirect_stdout(io.StringIO()) as out:
         code = cli.main(["census", "--type", "A", "--rank", "1", "--q",
                          str(q), "--signature", "2,3,7", *flags])
@@ -129,12 +129,12 @@ def test_no_partial_closure_outlives_its_caller(monkeypatch):
     # so a refused one is counted too
     made = []
 
-    class Tracked(matgrp._Closure):
+    class Tracked(matgrp.FiniteGroupTable):
         def __init__(self, *args, **kwargs):
             made.append(weakref.ref(self))
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(matgrp, "_Closure", Tracked)
+    monkeypatch.setattr(matgrp, "FiniteGroupTable", Tracked)
     gc.collect()
     gc.disable()
     try:

@@ -789,12 +789,12 @@ def test_census_closes_one_table_and_searches_below_half(capsys, monkeypatch,
     # centre (SL2(7)), which builds exactly one more closure, a linear one
     built = []
 
-    class Tracked(matgrp._Closure):
+    class Tracked(matgrp.FiniteGroupTable):
         def __init__(self, gens, projective, cap):
             super().__init__(gens, projective, cap)
-            built.append((len(self.elts), projective))
+            built.append((self.size, projective))
 
-    monkeypatch.setattr(matgrp, "_Closure", Tracked)
+    monkeypatch.setattr(matgrp, "FiniteGroupTable", Tracked)
     tables = []
     closure = cli.group_closure
 

@@ -338,19 +338,19 @@ def test_a_frame_orbit_past_256_points_is_refused_before_any_element(
     # refused in its frame walk, before it makes its element list
     made = []
 
-    class Tracked(matgrp._Closure):
+    class Tracked(matgrp.FiniteGroupTable):
         def __init__(self, *args, **kwargs):
             made.append(self)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(matgrp, "_Closure", Tracked)
+    monkeypatch.setattr(matgrp, "FiniteGroupTable", Tracked)
     pair = next(matgrp._pair_candidates(field(257), 2))
     for projective in (False, True):
         with pytest.raises(InputError, match="more than 256 points"):
             matgrp.group_closure(list(pair), cap=10 ** 7,
                                  projective=projective)
     assert len(made) == 2
-    assert not any(hasattr(closure, "elts") for closure in made)
+    assert not any(hasattr(table, "_keys") for table in made)
 
 
 def test_the_frame_orbit_walk_stops_at_its_257th_point(monkeypatch):
@@ -385,10 +385,10 @@ def test_batched_closure_cap_boundary(projective):
         matgrp.group_closure(gens, cap=size - 1, projective=projective)
     # a closure refused by its cap raises at element cap + 1, having built
     # the first cap elements of the full closure, in the same order
-    full = matgrp._Closure(gens, projective, size)
+    full = matgrp.FiniteGroupTable(gens, projective, size)
     made = []
 
-    class Tracked(matgrp._Closure):
+    class Tracked(matgrp.FiniteGroupTable):
         def __init__(self, *args, **kwargs):
             made.append(self)
             super().__init__(*args, **kwargs)
@@ -396,8 +396,8 @@ def test_batched_closure_cap_boundary(projective):
     for cap in (1, size // 3, size // 2, size - 1):
         with pytest.raises(WorkCapExceeded, match=f"cap of {cap} elements"):
             Tracked(gens, projective, cap)
-        assert made[-1].elts == full.elts[:cap]
-        assert made[-1].parent == full.parent[:cap]
+        assert made[-1]._keys == full._keys[:cap]
+        assert made[-1]._parent == full._parent[:cap]
 
 
 @pytest.mark.parametrize("q, n", [(7, 2), (8, 2), (9, 2), (2, 3), (3, 3)])
@@ -405,7 +405,7 @@ def test_census_closure_continues_the_winning_search(q, n):
     # the search closes the winner in full, and the census table is that
     # closure, with no product made again
     pair = matgrp.generating_pair(field(q), n)
-    assert len(pair.search.elts) == matgrp.psl_order(q, n)
+    assert pair.search.size == matgrp.psl_order(q, n)
     mats, right = oracles.closure_by_products(list(pair), 10 ** 6, True)
     linear = matgrp.group_closure(pair, cap=10 ** 6)
     assert _same_table(linear, *oracles.closure_by_products(list(pair),
@@ -419,11 +419,31 @@ def test_census_closure_continues_the_winning_search(q, n):
     assert taken.right is pair.search.right
     assert _same_table(taken, mats, right)
     assert taken.projective and taken.generators == tuple(pair)
+    # a linear hand-over is a copy, so neither object carries two names
+    assert linear is not taken
+    assert not matgrp.group_closure(pair, cap=10 ** 6).projective
+    assert taken.projective
     # the finished search still keeps to the caller's cap
     again = matgrp.group_closure(pair, cap=len(mats), projective=True)
     assert _same_table(again, mats, right)
     with pytest.raises(WorkCapExceeded):
         matgrp.group_closure(pair, cap=len(mats) - 1, projective=True)
+
+
+@pytest.mark.parametrize("q", [5, 7, 9])
+def test_point_permutations_of_a_table_with_a_centre_follow_the_paths(q):
+    # a linear table with the centre +-1 reads each element's permutation
+    # off its (permutation, scalar) key; it is the product of the
+    # generators' permutations along the element's BFS path
+    table = matgrp.group_closure(matgrp.generating_pair(field(q), 2),
+                                 cap=10 ** 6)
+    assert table.perms is None and table.size == matgrp.sl_order(q, 2)
+    moves = [table._point_perm(perm[0]) for perm in table.right]
+    for i in range(table.size):
+        x = matgrp._IDENTITY
+        for k in table._path(i):
+            x = x.translate(moves[k])
+        assert table._point_perm(i) == x
 
 
 # ---------------------------------------------------------------------------
